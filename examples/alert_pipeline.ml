@@ -1,86 +1,83 @@
-(* The full operational pipeline on one screen: detectors on every router
-   feed a central alert service; a hijack opens an incident, corroborating
-   routers escalate it, and the incident resolves when the operator fixes
-   the fault (the attacker withdraws).
+(* The operational alert path on one screen: collectors peered with a
+   plain BGP network record its updates, the live monitor turns them into
+   episode alerts, and the serving daemon pushes each alert to a
+   subscriber.  A hijack opens an episode, the MOAS-list check flags it,
+   and the episode closes when the operator fixes the fault (the attacker
+   withdraws).
 
    Run with: dune exec examples/alert_pipeline.exe *)
 
 open Net
-module Svc = Moas.Alert_service
+module Scenario = Collect.Scenario
 
-let prefix = Prefix.of_string "192.0.2.0/24"
+let seconds ms = float_of_int ms /. 1000.
+
+(* One batch per capture instant of the time-ordered merged stream: the
+   monitor settles after each, the way the collector mesh validates every
+   time step. *)
+let batches (merged : Collect.Mesh.tagged array) =
+  Array.fold_right
+    (fun { Collect.Mesh.event = ev; _ } acc ->
+      match acc with
+      | (time, evs) :: rest when time = ev.Stream.Monitor.time ->
+        (time, ev :: evs) :: rest
+      | _ -> (ev.time, [ ev ]) :: acc)
+    merged []
+  |> List.map (fun (time, evs) ->
+         { Stream.Source.time; day = None; events = Array.of_list evs })
+  |> Array.of_list
 
 let () =
-  let topology = Topology.Paper_topologies.topology_63 () in
-  let graph = topology.Topology.Paper_topologies.graph in
-  Printf.printf "topology: %s\n\n" (Topology.Paper_topologies.describe topology);
-  let service = Svc.create ~escalation_observers:2 () in
-  let oracle = Moas.Origin_verification.create () in
-  let origin = Asn.Set.min_elt topology.Topology.Paper_topologies.stub in
-  let attacker = Asn.Set.max_elt topology.Topology.Paper_topologies.transit in
-  Moas.Origin_verification.register oracle prefix (Asn.Set.singleton origin);
-  let validator_of asn =
-    if Asn.equal asn attacker then None
-    else
-      Some
-        (Moas.Detector.validator
-           (Moas.Detector.create ~backend:(Moas.Detector.Oracle oracle)
-              ~on_alarm:(Svc.ingest service) ~self:asn ()))
-  in
-  let network =
-    Bgp.Network.make
-      ~config:Bgp.Network.Config.(default |> with_validator_of validator_of)
-      graph
-  in
+  let topology = Topology.Paper_topologies.topology_46 () in
+  Printf.printf "topology: %s\n" (Topology.Paper_topologies.describe topology);
+  let design = Scenario.design topology in
+  (* no router checks anything: detection happens at the collectors *)
+  let network = Bgp.Network.make topology.Topology.Paper_topologies.graph in
+  let vantages = Collect.Vantage.attach network design.Scenario.d_specs in
+  Printf.printf "collectors: %s\n\n"
+    (String.concat ", " (List.map Collect.Vantage.name vantages));
 
-  Printf.printf "t=0     %s announces %s\n" (Asn.to_string origin)
-    (Prefix.to_string prefix);
-  Bgp.Network.originate ~at:0.0 network origin prefix;
-
-  Printf.printf "t=100   %s (a transit AS!) falsely originates the prefix\n"
-    (Asn.to_string attacker);
-  Bgp.Network.originate ~at:100.0 network attacker prefix;
-
-  Printf.printf "t=400   the operator fixes the misconfiguration (withdrawal)\n\n";
-  Bgp.Network.withdraw ~at:400.0 network attacker prefix;
+  Scenario.originate_arm Scenario.Baseline network design;
+  let attacked = Scenario.attacked_prefix in
+  Printf.printf "t=0     %s announces %s with MOAS list {%s}\n"
+    (Asn.to_string design.Scenario.d_legit) (Prefix.to_string attacked)
+    (Asn.to_string design.Scenario.d_legit);
+  Printf.printf "t=%-5.0f %s falsely originates it, with no list\n"
+    Scenario.attack_at (Asn.to_string design.Scenario.d_attacker);
+  Printf.printf "t=60    the operator fixes the fault (withdrawal)\n\n";
+  Bgp.Network.withdraw ~at:60.0 network design.Scenario.d_attacker attacked;
   ignore (Bgp.Network.run network);
 
-  print_endline "notification log:";
-  List.iter
-    (fun n ->
-      let what =
-        match n.Svc.event with
-        | `Opened -> "incident OPENED"
-        | `Escalated severity ->
-          "escalated to " ^ String.uppercase_ascii (Svc.severity_to_string severity)
-        | `Resolved -> "RESOLVED"
-      in
-      Printf.printf "  t=%-7.2f #%d %s\n" n.Svc.at n.Svc.incident_id what)
-    (Svc.notifications service);
-
-  (* the conflict went quiet after the withdrawal: close the incident *)
-  ignore (Svc.resolve_quiet service ~now:1000.0 ~idle_for:300.0);
-  print_endline "";
-  (match Svc.all_incidents service with
-  | [ incident ] ->
-    Printf.printf
-      "incident #%d summary: %d alarms from %d ASes, origins implicated %s\n"
-      incident.Svc.id incident.Svc.alarm_count
-      (Asn.Set.cardinal incident.Svc.observers)
-      (Moas.Moas_list.to_string incident.Svc.origins_implicated)
-  | _ -> print_endline "unexpected incident count");
-  Printf.printf "service state: %s\n" (Svc.summary service);
-
-  (* the routing system itself healed the moment detection kicked in *)
-  let victims =
-    Topology.As_graph.fold_nodes
-      (fun asn n ->
-        match Bgp.Network.best_origin network asn prefix with
-        | Some o when Asn.equal o origin -> n
-        | _ -> n + 1)
-      graph 0
+  let merged, _ = Collect.Mesh.merge_streams (Collect.Vantage.streams vantages) in
+  let feed = batches merged in
+  let server =
+    Serve.Server.create
+      ~store:
+        (Collect.Store.empty
+           ~vantages:(List.map Collect.Vantage.name vantages))
+      ()
   in
-  Printf.printf
-    "after the withdrawal the network healed: %d AS(es) remain off the valid \
-     route\n"
-    victims
+  let client = Serve.Client.connect server in
+  ignore
+    (Serve.Client.call client
+       (Serve.Proto.Subscribe Collect.Query.(empty |> prefix attacked)));
+  print_endline "alerts pushed to the subscriber:";
+  let tailed =
+    Serve.Server.tail server (Stream.Source.of_batches feed) ~on_batch:(fun _ ->
+        List.iter
+          (function
+            | Serve.Proto.Alert { alert; _ } ->
+              Printf.printf "  t=%-7.3f %s\n" (seconds alert.al_time)
+                (match alert.al_kind with
+                | Serve.Proto.Opened ->
+                  "episode OPENED: origins "
+                  ^ Moas.Moas_list.to_string alert.al_origins
+                | Flagged -> "FLAGGED: the MOAS lists disagree"
+                | Closed -> "CLOSED: back to one origin")
+            | _ -> ())
+          (Serve.Client.poll client))
+  in
+  Printf.printf "\n%d update batches tailed\n%s\n" tailed
+    (Serve.Proto.render_response
+       (Serve.Client.call client Serve.Proto.Stats));
+  Serve.Client.close client

@@ -9,9 +9,9 @@ type request =
   | Unsubscribe of int
   | Stats
 
-type alert_kind = Opened | Flagged | Closed
+type alert_kind = Stream.Monitor.alert_kind = Opened | Flagged | Closed
 
-type alert = {
+type alert = Stream.Monitor.alert = {
   al_time : int;
   al_prefix : Prefix.t;
   al_origins : Asn.Set.t;
@@ -257,17 +257,7 @@ let decode_response data =
   expect_end c;
   resp
 
-(* {2 Ordering and rendering} *)
-
-let compare_alert a b =
-  let c = compare a.al_time b.al_time in
-  if c <> 0 then c
-  else
-    let c = Prefix.compare a.al_prefix b.al_prefix in
-    if c <> 0 then c
-    else
-      let c = compare (kind_rank a.al_kind) (kind_rank b.al_kind) in
-      if c <> 0 then c else Asn.Set.compare a.al_origins b.al_origins
+(* {2 Rendering} *)
 
 let kind_label = function
   | Opened -> "opened"

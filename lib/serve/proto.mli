@@ -31,9 +31,12 @@ type request =
 
 (** {2 Responses} *)
 
-type alert_kind = Opened | Flagged | Closed
+(** A pushed alert is the live monitor's own episode alert, carried
+    unchanged (see {!Stream.Monitor.alert}). *)
 
-type alert = {
+type alert_kind = Stream.Monitor.alert_kind = Opened | Flagged | Closed
+
+type alert = Stream.Monitor.alert = {
   al_time : int;  (** episode start / settle / end time *)
   al_prefix : Prefix.t;
   al_origins : Asn.Set.t;
@@ -93,6 +96,3 @@ val request_kind : request -> string
 val render_response : response -> string
 (** Deterministic multi-line text rendering (the unit of the serve
     transcript determinism contract).  No trailing newline. *)
-
-val compare_alert : alert -> alert -> int
-(** Delivery order: (time, prefix, kind, origins). *)

@@ -61,7 +61,6 @@ type t = {
   mutable n_timeouts : int;
   mutable n_evicted : int;
   live : Stream.Sharded.t;
-  mutable live_prev : Stream.Monitor.snapshot;
   mutable live_batches : int;
   since : int;  (* resume floor: tail skips batches at or before this *)
   metrics : Registry.t;
@@ -88,13 +87,12 @@ let create ?(metrics = Registry.noop) ?(limits = default_limits)
     ?(now = Unix.gettimeofday) ?live_config ?(live_jobs = 1) ?live_snapshot
     ~store () =
   check_limits limits;
-  let live, live_prev, since =
+  let live, since =
     match live_snapshot with
     | Some snap ->
       (* the snapshot carries its own monitor config; live_config is
          ignored on resume *)
       ( Stream.Sharded.of_snapshot ~jobs:live_jobs snap,
-        snap,
         snap.Stream.Monitor.s_last_time )
     | None ->
       let live_config =
@@ -102,9 +100,7 @@ let create ?(metrics = Registry.noop) ?(limits = default_limits)
         | Some c -> c
         | None -> Stream.Monitor.default_config
       in
-      ( Stream.Sharded.create ~jobs:live_jobs live_config,
-        Stream.Monitor.empty_snapshot live_config,
-        min_int )
+      (Stream.Sharded.create ~jobs:live_jobs live_config, min_int)
   in
   {
     store;
@@ -120,7 +116,6 @@ let create ?(metrics = Registry.noop) ?(limits = default_limits)
     n_timeouts = 0;
     n_evicted = 0;
     live;
-    live_prev;
     live_batches = 0;
     since;
     metrics;
@@ -341,75 +336,6 @@ let alert_matches q (a : Proto.alert) =
   && (match Query.until_bound q with None -> true | Some u -> a.al_time <= u)
   && match Query.visibility_floor q with None -> true | Some k -> k <= 1
 
-module Ep_key = struct
-  type t = Prefix.t * int  (* (prefix, recurrence seq) names an episode *)
-
-  let compare (p1, s1) (p2, s2) =
-    let c = Prefix.compare p1 p2 in
-    if c <> 0 then c else Int.compare s1 s2
-end
-
-module Ep_map = Map.Make (Ep_key)
-
-(* Diff consecutive monitor snapshots into alerts.  An episode key
-   (prefix, seq) is stable for the episode's whole life, so:
-
-   - open in [next], absent from [prev]'s opens  -> Opened (at start)
-   - clean in [prev] (or new), flagged in [next] -> Flagged (at settle)
-   - closed in [next], not closed in [prev]      -> Closed (at end),
-     plus the Opened/Flagged alerts it never got to raise when the whole
-     episode fell inside one batch. *)
-let diff_alerts ~(prev : Stream.Monitor.snapshot)
-    ~(next : Stream.Monitor.snapshot) =
-  let open Stream.Monitor in
-  let settle_time = next.s_last_time in
-  let prev_open =
-    List.fold_left
-      (fun acc p ->
-        match p.p_open with
-        | Some o -> Ep_map.add (p.p_prefix, o.o_seq) o acc
-        | None -> acc)
-      Ep_map.empty prev.s_prefixes
-  in
-  let prev_closed =
-    List.fold_left
-      (fun acc e -> Ep_map.add (e.e_prefix, e.e_seq) () acc)
-      Ep_map.empty prev.s_closed
-  in
-  let alerts = ref [] in
-  let emit al_time al_prefix al_origins al_kind =
-    alerts := { Proto.al_time; al_prefix; al_origins; al_kind } :: !alerts
-  in
-  List.iter
-    (fun p ->
-      match p.p_open with
-      | None -> ()
-      | Some o -> (
-        match Ep_map.find_opt (p.p_prefix, o.o_seq) prev_open with
-        | None ->
-          emit o.o_started p.p_prefix o.o_origins_ever Proto.Opened;
-          if not o.o_clean then
-            emit settle_time p.p_prefix o.o_origins_ever Proto.Flagged
-        | Some po ->
-          if po.o_clean && not o.o_clean then
-            emit settle_time p.p_prefix o.o_origins_ever Proto.Flagged))
-    next.s_prefixes;
-  List.iter
-    (fun e ->
-      if not (Ep_map.mem (e.e_prefix, e.e_seq) prev_closed) then begin
-        let was_open = Ep_map.find_opt (e.e_prefix, e.e_seq) prev_open in
-        (match was_open with
-        | None -> emit e.e_started e.e_prefix e.e_origins_ever Proto.Opened
-        | Some _ -> ());
-        (if not e.e_clean then
-           match was_open with
-           | Some po when not po.o_clean -> ()  (* flagged in an earlier batch *)
-           | _ -> emit settle_time e.e_prefix e.e_origins_ever Proto.Flagged);
-        emit e.e_ended e.e_prefix e.e_origins_ever Proto.Closed
-      end)
-    next.s_closed;
-  List.sort Proto.compare_alert !alerts
-
 (* Queue one frame on a session, shedding the oldest frame past the
    high-water mark: a consumer that stops polling loses its backlog's
    head, never the server's memory. *)
@@ -469,9 +395,7 @@ let tail ?max_batches ?on_batch t source =
     match
       Stream.Sharded.ingest_source ?max_batches ~since:t.since t.live source
         ~on_batch:(fun live _batch ->
-          let next = Stream.Sharded.snapshot live in
-          let alerts = diff_alerts ~prev:t.live_prev ~next in
-          t.live_prev <- next;
+          let alerts = Stream.Sharded.batch_alerts live in
           locked t (fun () -> t.live_batches <- t.live_batches + 1);
           incr ingested;
           if alerts <> [] then deliver t alerts;

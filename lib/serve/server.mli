@@ -11,11 +11,12 @@
     Queries are answered from the immutable store loaded at start-up.
     Alerts come from the live tail: {!tail} drains a {!Stream.Source.t}
     through {!Stream.Sharded.ingest_source} (the same ingestion entry
-    point as the batch [monitor] subcommand) and diffs consecutive
-    monitor snapshots into [Opened]/[Flagged]/[Closed] alerts, delivered
-    to every matching subscription in a deterministic order: alerts
-    sorted by (time, prefix, kind), and within one alert, subscriptions
-    in ascending id.
+    point as the batch [monitor] subcommand); the live monitor raises
+    [Opened]/[Flagged]/[Closed] episode alerts as it ingests, and the
+    tail reads them after each batch and delivers them to every
+    matching subscription in a deterministic order: alerts sorted by
+    (time, prefix, kind), and within one alert, subscriptions in
+    ascending id.
 
     {b Resilience.}  The server defends itself with {!limits}: a
     per-request deadline budget (requests whose budget is spent — in
@@ -84,9 +85,9 @@ val create :
     virtual clock, deterministically.
 
     [live_snapshot] resumes the live monitor from a {!Stream.Checkpoint}
-    snapshot instead of starting empty: the monitor state is restored,
-    the alert diff base is set to the snapshot (no alert that predates
-    the checkpoint is re-raised), and {!tail} skips batches at or before
+    snapshot instead of starting empty: the monitor state is restored
+    with no alerts pending (no alert that predates the checkpoint is
+    re-raised), and {!tail} skips batches at or before
     the snapshot's stream clock — so a killed server restarted from its
     last checkpoint converges with the uninterrupted run.  When
     [live_snapshot] is given, [live_config] is ignored (the snapshot
@@ -155,8 +156,9 @@ val pending : t -> session:int -> bytes list
 val tail :
   ?max_batches:int -> ?on_batch:(t -> unit) -> t -> Stream.Source.t -> int
 (** Ingest batches from the source into the live monitor (at most
-    [max_batches]; all by default), diffing the monitor snapshot after
-    each batch into alerts and queueing them on matching subscriptions.
+    [max_batches]; all by default), reading each batch's episode alerts
+    ({!Stream.Sharded.batch_alerts}) and queueing them on matching
+    subscriptions.
     [on_batch] runs after each batch's alerts are delivered (the serve
     CLI checkpoints from it).  Returns the number of batches ingested.
     Episode [Opened] alerts carry the episode start time, [Closed] its

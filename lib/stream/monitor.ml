@@ -214,6 +214,30 @@ let merge_snapshots = function
     }
 
 (* ------------------------------------------------------------------ *)
+(* Episode alerts *)
+
+type alert_kind = Opened | Flagged | Closed
+
+type alert = {
+  al_time : int;
+  al_prefix : Prefix.t;
+  al_origins : Asn.Set.t;
+  al_kind : alert_kind;
+}
+
+let kind_rank = function Opened -> 0 | Flagged -> 1 | Closed -> 2
+
+let compare_alert a b =
+  let c = Int.compare a.al_time b.al_time in
+  if c <> 0 then c
+  else
+    let c = Prefix.compare a.al_prefix b.al_prefix in
+    if c <> 0 then c
+    else
+      let c = Int.compare (kind_rank a.al_kind) (kind_rank b.al_kind) in
+      if c <> 0 then c else Asn.Set.compare a.al_origins b.al_origins
+
+(* ------------------------------------------------------------------ *)
 (* Live monitor state *)
 
 type open_state = {
@@ -315,6 +339,18 @@ type t = {
   mutable dirty_ids : int array;
   mutable dirty_n : int;
   mutable closed : episode list;  (* reverse completion order *)
+  (* the latest batch's alerts, as parallel arrays so raising one
+     allocates nothing once they have grown: kind rank, time and prefix
+     id in [pend_meta] (three ints per alert), and the episode itself in
+     [pend_ep] — held rather than its origin set copied, so an origin
+     that joins later in the same batch still shows up in the alert.  A
+     settle point sets [pend_done]; the next ingest or settle starts a
+     new batch by emptying the arrays, so a monitor whose alerts nobody
+     reads holds one batch's worth, never the whole stream's. *)
+  mutable pend_meta : int array;
+  mutable pend_ep : open_state array;
+  mutable pend_n : int;
+  mutable pend_done : bool;
   windows : (int, wstate) Hashtbl.t;
   mutable cur_widx : int; (* cached window slot: feeds are time-monotone *)
   mutable cur_w : wstate;
@@ -348,6 +384,10 @@ let create ?(metrics = Registry.noop) cfg =
     dirty_ids = [||];
     dirty_n = 0;
     closed = [];
+    pend_meta = [||];
+    pend_ep = [||];
+    pend_n = 0;
+    pend_done = false;
     windows = Hashtbl.create 64;
     cur_widx = min_int;
     cur_w = { wu = 0; wo = 0; wc = 0; wa = 0 };
@@ -440,7 +480,40 @@ let pstate_of t id =
     t.states.(id) <- Some ps;
     ps
 
-let close_episode t prefix ps os ~time =
+(* fills the unused slots of [pend_ep]; never mutated *)
+let no_episode =
+  {
+    os_seq = 0;
+    os_started = 0;
+    os_days = 0;
+    os_max_origins = 0;
+    os_origins_ever = Asn.Set.empty;
+    os_clean = true;
+  }
+
+let raise_alert t kind ~time id os =
+  let n = t.pend_n in
+  if n = Array.length t.pend_ep then begin
+    let cap = max 64 (2 * n) in
+    let meta = Array.make (3 * cap) 0 and eps = Array.make cap no_episode in
+    Array.blit t.pend_meta 0 meta 0 (3 * n);
+    Array.blit t.pend_ep 0 eps 0 n;
+    t.pend_meta <- meta;
+    t.pend_ep <- eps
+  end;
+  t.pend_meta.(3 * n) <- kind_rank kind;
+  t.pend_meta.((3 * n) + 1) <- time;
+  t.pend_meta.((3 * n) + 2) <- id;
+  t.pend_ep.(n) <- os;
+  t.pend_n <- n + 1
+
+let start_batch t =
+  Array.fill t.pend_ep 0 t.pend_n no_episode;
+  t.pend_n <- 0;
+  t.pend_done <- false
+
+let close_episode t prefix id ps os ~time =
+  raise_alert t Closed ~time id os;
   ps.open_ep <- None;
   ps.closed_count <- ps.closed_count + 1;
   t.open_live <- t.open_live - 1;
@@ -462,6 +535,7 @@ let close_episode t prefix ps os ~time =
   w.wc <- w.wc + 1
 
 let ingest t ev =
+  if t.pend_done then start_batch t;
   t.updates <- t.updates + 1;
   Registry.Counter.incr t.m_updates;
   if ev.time > t.last_time then t.last_time <- ev.time;
@@ -500,6 +574,7 @@ let ingest t ev =
           }
         in
         ps.open_ep <- Some os;
+        raise_alert t Opened ~time:ev.time id os;
         mark_open t id;
         mark_dirty t id;
         t.opened <- t.opened + 1;
@@ -522,7 +597,7 @@ let ingest t ev =
           otab_remove ot i;
           (match ps.open_ep with
           | Some os when ot.o_n <= 1 ->
-            close_episode t ev.prefix ps os ~time:ev.time
+            close_episode t ev.prefix id ps os ~time:ev.time
           | _ -> ());
           if ot.o_n = 0 && ps.open_ep = None && ps.closed_count = 0 then
             t.states.(id) <- None
@@ -568,6 +643,7 @@ let otab_validated ot =
       !ok
 
 let settle t ~time =
+  if t.pend_done then start_batch t;
   if t.dirty_n > 0 then begin
     for k = 0 to t.dirty_n - 1 do
       let id = t.dirty_ids.(k) in
@@ -576,6 +652,7 @@ let settle t ~time =
       | Some ({ open_ep = Some os; _ } as ps) when os.os_clean ->
         if not (otab_validated ps.ot) then begin
           os.os_clean <- false;
+          raise_alert t Flagged ~time:t.last_time id os;
           t.alerts <- t.alerts + 1;
           Registry.Counter.incr t.m_alerts;
           let w = wslot t time in
@@ -584,12 +661,17 @@ let settle t ~time =
       | _ -> ()
     done;
     t.dirty_n <- 0
-  end
+  end;
+  t.pend_done <- true
+
+let advance_clock t ~time = if time > t.last_time then t.last_time <- time
 
 let mark_day t ~time =
+  (* the day mark moves the clock first, so an episode flagged at this
+     settle point is stamped with the end of the day *)
+  advance_clock t ~time;
   settle t ~time;
   t.days <- t.days + 1;
-  if time > t.last_time then t.last_time <- time;
   (* sweep the open stack: bump live episodes, compact out entries whose
      episode closed and never reopened *)
   let kept = ref 0 in
@@ -603,6 +685,20 @@ let mark_day t ~time =
     | _ -> Bytes.set t.open_flag id '\000'
   done;
   t.open_n <- !kept
+
+let batch_alerts t =
+  let alerts = ref [] and m = t.pend_meta in
+  for i = t.pend_n - 1 downto 0 do
+    alerts :=
+      {
+        al_time = m.((3 * i) + 1);
+        al_prefix = Intern.of_id t.interner m.((3 * i) + 2);
+        al_origins = t.pend_ep.(i).os_origins_ever;
+        al_kind = (match m.(3 * i) with 0 -> Opened | 1 -> Flagged | _ -> Closed);
+      }
+      :: !alerts
+  done;
+  List.sort compare_alert !alerts
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore *)

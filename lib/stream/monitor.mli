@@ -89,22 +89,63 @@ val create : ?metrics:Obs.Registry.t -> config -> t
 val config : t -> config
 
 val ingest : t -> event -> unit
-(** Feed one event.  Episode open/close transitions happen immediately;
-    MOAS-list validation is deferred to the next {!settle}/{!mark_day}. *)
+(** Feed one event.  Episode open/close transitions happen immediately
+    and raise [Opened]/[Closed] alerts; MOAS-list validation is deferred
+    to the next {!settle}/{!mark_day}. *)
 
 val settle : t -> time:int -> unit
 (** Run the MOAS-list consistency check over every prefix touched since
     the last settle point whose conflict is still open and unflagged;
-    failures flag the episode and raise one alert (counted in [time]'s
-    window).  Call at batch boundaries, once the batch's announcements
-    have all landed. *)
+    failures flag the episode and raise one [Flagged] alert (counted in
+    [time]'s window, stamped with the stream clock).  Call at batch
+    boundaries, once the batch's announcements have all landed. *)
 
 val mark_day : t -> time:int -> unit
-(** End an observed collection day at [time]: {!settle}, then credit one
-    conflicted day to every open episode.  The per-episode day counts
-    follow exactly the paper's duration definition (total observed days
-    in MOAS), so they are comparable with
-    {!Measurement.Moas_cases.case.moas_days}. *)
+(** End an observed collection day at [time]: advance the stream clock
+    to [time], {!settle}, then credit one conflicted day to every open
+    episode.  The per-episode day counts follow exactly the paper's
+    duration definition (total observed days in MOAS), so they are
+    comparable with {!Measurement.Moas_cases.case.moas_days}. *)
+
+val advance_clock : t -> time:int -> unit
+(** Move the stream clock (the latest event time seen, which stamps
+    [Flagged] alerts) forward to [time]; a no-op when it is already
+    there.  {!Sharded} keeps every shard on the global clock with it. *)
+
+(** {2 Episode alerts}
+
+    The monitor reports each episode's lifecycle as it happens: [Opened]
+    when {!ingest} opens a conflict, [Flagged] when a {!settle} point's
+    MOAS-list check fails (once per episode), [Closed] when {!ingest}
+    closes it.  A {e batch} runs from the first {!ingest} or {!settle}
+    after a settle point through the next settle point, and
+    {!batch_alerts} reads the latest batch's alerts; this is the one
+    alert path behind the serving daemon's live subscriptions. *)
+
+type alert_kind = Opened | Flagged | Closed
+
+type alert = {
+  al_time : int;
+      (** [Opened]: episode start; [Flagged]: the stream clock at the
+          settle point; [Closed]: episode end *)
+  al_prefix : Prefix.t;
+  al_origins : Asn.Set.t;
+      (** every origin the episode has involved, as of the read (a
+          closed episode's final set) *)
+  al_kind : alert_kind;
+}
+
+val compare_alert : alert -> alert -> int
+(** Canonical order: (time, prefix, kind, origins), kinds ordered
+    [Opened < Flagged < Closed]. *)
+
+val batch_alerts : t -> alert list
+(** The alerts of the latest batch, in {!compare_alert} order: after a
+    settle point, everything that batch raised; mid-batch, what it has
+    raised so far.  Reading does not consume them; the next batch
+    replaces them, so a monitor holds one batch's alerts whether or not
+    anyone reads them.  Alerts are not part of the {!snapshot}: a
+    monitor rebuilt by {!restore} starts with none. *)
 
 val open_count : t -> int
 (** Episodes currently open (O(1)). *)

@@ -130,12 +130,19 @@ let ingest_batch ?(day_end = false) t ~time events =
       ~shard:(fun (ev : Monitor.event) -> shard_of t ev.Monitor.prefix)
       ~shard_idx:t.p_shard_idx ~counts:t.p_counts ~offsets:t.p_offsets
       ~cursors:t.p_cursors ~out:t.p_scratch events;
+    (* every shard settles on the batch's global clock, so a Flagged
+       alert carries the same time whichever shard owns the prefix *)
+    let clock = ref min_int in
+    for i = 0 to n - 1 do
+      if events.(i).Monitor.time > !clock then clock := events.(i).Monitor.time
+    done;
     let run_shard s =
       let m = t.shards.(s) in
       let stop = t.p_offsets.(s) + t.p_counts.(s) in
       for i = t.p_offsets.(s) to stop - 1 do
         Monitor.ingest m t.p_scratch.(i)
       done;
+      Monitor.advance_clock m ~time:!clock;
       if day_end then Monitor.mark_day m ~time else Monitor.settle m ~time
     in
     (* shards share no state, so dispatching them serially or on the pool
@@ -187,6 +194,10 @@ let ingest_source ?(since = min_int) ?max_batches ?on_batch t source =
      Source.close source;
      Printexc.raise_with_backtrace exn bt);
   !ingested
+
+let batch_alerts t =
+  List.sort Monitor.compare_alert
+    (List.concat_map Monitor.batch_alerts (Array.to_list t.shards))
 
 let snapshot t =
   Monitor.merge_snapshots

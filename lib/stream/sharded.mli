@@ -70,6 +70,13 @@ val update_count : t -> int
 val day_count : t -> int
 (** Observed days marked so far. *)
 
+val batch_alerts : t -> Monitor.alert list
+(** The episode alerts of the latest {!ingest_batch}: every shard's
+    {!Monitor.batch_alerts}, merged in {!Monitor.compare_alert} order.
+    Identical at any job count: shards ingest each batch against one
+    shared stream clock, so a [Flagged] alert's time does not depend on
+    which shard owns the prefix. *)
+
 val snapshot : t -> Monitor.snapshot
 (** The merged canonical snapshot of all shards (see
     {!Monitor.merge_snapshots}); identical at any job count. *)

@@ -419,6 +419,26 @@ let test_tail_within_one_batch () =
     (rendered (Client.poll c));
   Client.close c
 
+let test_tail_jobs_invariant () =
+  (* the live monitor's shards share one stream clock, so the alerts a
+     subscriber sees do not depend on how many shards the tail runs *)
+  let polls live_jobs =
+    let server =
+      Server.create ~live_jobs ~store:(Store.empty ~vantages:[ "v" ]) ()
+    in
+    let c = Client.connect server in
+    ignore (Client.call c (Proto.Subscribe Q.empty));
+    let source = Src.of_batches tail_batches in
+    List.init 2 (fun _ ->
+        ignore (Server.tail ~max_batches:1 server source);
+        rendered (Client.poll c))
+  in
+  let one = polls 1 in
+  Alcotest.(check (list (list string))) "live_jobs 3 = live_jobs 1" one (polls 3);
+  Alcotest.(check (list string)) "flag stamped with the global clock"
+    [ "alert #1 flagged 192.0.2.0/24 origins={AS10,AS20} at 40" ]
+    (List.filter (fun s -> Testutil.contains s "flagged") (List.hd one))
+
 (* ---------------- resilience: deadlines, shedding, eviction ----------- *)
 
 let ping_frame = Proto.encode_request Proto.Ping
@@ -726,6 +746,8 @@ let () =
             test_subscription_delivery_ordering;
           Alcotest.test_case "whole episode in one batch" `Quick
             test_tail_within_one_batch;
+          Alcotest.test_case "alerts invariant under live_jobs" `Quick
+            test_tail_jobs_invariant;
         ] );
       ( "resilience",
         [

@@ -477,6 +477,173 @@ let test_ingest_source_closes_on_failure () =
     (Sh.day_count t);
   Alcotest.(check bool) "the failed source was closed" true (Src.next s = None)
 
+(* ---------------- episode alerts ---------------- *)
+
+(* An episode is the incident an operator acts on: these cases follow
+   its lifecycle as the monitor's batch alerts report it. *)
+
+let render_alert (a : M.alert) =
+  Printf.sprintf "%s %s {%s} at %d"
+    (match a.M.al_kind with
+    | M.Opened -> "opened"
+    | M.Flagged -> "flagged"
+    | M.Closed -> "closed")
+    (Prefix.to_string a.M.al_prefix)
+    (String.concat "," (List.map Asn.to_string (Asn.Set.elements a.M.al_origins)))
+    a.M.al_time
+
+let check_alerts what expected m =
+  Alcotest.(check (list string)) what expected
+    (List.map render_alert (M.batch_alerts m))
+
+let p2 = Prefix.of_string "198.51.100.0/24"
+
+let test_incident_open () =
+  let m = M.create M.default_config in
+  M.ingest m (ev ~time:0 p1 (ann ~list:[ 10 ] 10));
+  check_alerts "one origin is no incident" [] m;
+  M.ingest m (ev ~time:5 p1 (ann 666));
+  check_alerts "a second origin opens the episode at once"
+    [ "opened 192.0.2.0/24 {AS10,AS666} at 5" ]
+    m
+
+let test_incident_aggregation () =
+  let m = M.create M.default_config in
+  M.ingest m (ev ~time:0 p1 (ann ~list:[ 10 ] 10));
+  M.ingest m (ev ~time:5 p1 (ann ~list:[ 10; 666 ] 666));
+  (* repeat announcements and a third origin fold into the one episode;
+     the alert shows every origin involved by the time it is read *)
+  M.ingest m (ev ~time:6 p1 (ann ~list:[ 10; 666 ] 666));
+  M.ingest m (ev ~time:7 p1 (ann ~list:[ 10; 666 ] 10));
+  M.ingest m (ev ~time:8 p1 (ann ~list:[ 10; 666 ] 30));
+  check_alerts "one opened alert for the whole conflict"
+    [ "opened 192.0.2.0/24 {AS10,AS30,AS666} at 5" ]
+    m;
+  M.settle m ~time:8;
+  M.ingest m (ev ~time:9 p1 (ann ~list:[ 10; 666 ] 31));
+  check_alerts "a later joiner raises nothing" [] m
+
+let test_incident_escalation () =
+  let m = M.create M.default_config in
+  M.ingest m (ev ~time:0 p1 (ann ~list:[ 10 ] 10));
+  M.ingest m (ev ~time:5 p1 (ann 666));
+  (* flagged at the settle point, stamped with the stream clock (the
+     latest event time), not the settle argument *)
+  M.settle m ~time:100;
+  check_alerts "the failed list check flags the episode"
+    [ "opened 192.0.2.0/24 {AS10,AS666} at 5"; "flagged 192.0.2.0/24 {AS10,AS666} at 5" ]
+    m;
+  M.ingest m (ev ~time:20 p1 (ann 667));
+  M.settle m ~time:200;
+  check_alerts "a flagged episode is never flagged again" [] m;
+  M.ingest m (ev ~time:30 p2 (ann ~list:[ 1; 2 ] 1));
+  M.ingest m (ev ~time:31 p2 (ann ~list:[ 1; 2 ] 2));
+  M.mark_day m ~time:day;
+  check_alerts "agreeing lists never escalate"
+    [ "opened 198.51.100.0/24 {AS1,AS2} at 31" ]
+    m
+
+let test_incident_distinct_prefixes () =
+  let m = M.create M.default_config in
+  List.iter (M.ingest m)
+    [
+      ev ~time:0 p2 (ann 1);
+      ev ~time:0 p1 (ann 10);
+      ev ~time:4 p2 (ann 2);
+      ev ~time:4 p1 (ann 20);
+    ];
+  check_alerts "one episode per prefix, in (time, prefix) order"
+    [ "opened 192.0.2.0/24 {AS10,AS20} at 4"; "opened 198.51.100.0/24 {AS1,AS2} at 4" ]
+    m;
+  Alcotest.(check int) "two open episodes" 2 (M.open_count m)
+
+let test_incident_resolution () =
+  let m = M.create M.default_config in
+  M.ingest m (ev ~time:0 p1 (ann ~list:[ 10 ] 10));
+  M.ingest m (ev ~time:5 p1 (ann 666));
+  M.settle m ~time:5;
+  M.ingest m (ev ~time:50 p1 (wd 666));
+  M.settle m ~time:50;
+  check_alerts "withdrawal to one origin closes the episode"
+    [ "closed 192.0.2.0/24 {AS10,AS666} at 50" ]
+    m;
+  (* a later conflict on the same prefix is a fresh episode *)
+  M.ingest m (ev ~time:90 p1 (ann 777));
+  M.ingest m (ev ~time:95 p1 (wd 777));
+  M.settle m ~time:95;
+  check_alerts "a recurrence opens and closes its own episode"
+    [ "opened 192.0.2.0/24 {AS10,AS777} at 90"; "closed 192.0.2.0/24 {AS10,AS777} at 95" ]
+    m;
+  Alcotest.(check (list int)) "recurrence indices" [ 1; 2 ]
+    (List.map (fun e -> e.M.e_seq) (M.snapshot m).M.s_closed)
+
+let test_incident_summary () =
+  (* over the whole smoke archive, the batch alerts account for every
+     episode the monitor's counters report *)
+  let t = Sh.create ~jobs:1 M.default_config in
+  let opened = ref 0 and flagged = ref 0 and closed = ref 0 in
+  ignore
+    (Sh.ingest_source t (Src.of_archive ~annotate smoke_params)
+       ~on_batch:(fun t _ ->
+         List.iter
+           (fun (a : M.alert) ->
+             incr
+               (match a.M.al_kind with
+               | M.Opened -> opened
+               | M.Flagged -> flagged
+               | M.Closed -> closed))
+           (Sh.batch_alerts t)));
+  let c = (Sh.snapshot t).M.s_counters in
+  Alcotest.(check int) "opened" c.M.c_opened !opened;
+  Alcotest.(check int) "flagged" c.M.c_alerts !flagged;
+  Alcotest.(check int) "closed" c.M.c_closed !closed;
+  Alcotest.(check int) "still open" (Sh.open_count t) (!opened - !closed)
+
+let test_incident_end_to_end () =
+  (* a hijack on a plain network, recorded by the collector mesh: the
+     attacked prefix's episode opens, is flagged and closes when the
+     attacker withdraws *)
+  let topology = Topology.Paper_topologies.topology_46 () in
+  let d = Collect.Scenario.design topology in
+  let network = Bgp.Network.make topology.Topology.Paper_topologies.graph in
+  let vantages = Collect.Vantage.attach network d.Collect.Scenario.d_specs in
+  Collect.Scenario.originate_arm Collect.Scenario.Baseline network d;
+  let attacked = Collect.Scenario.attacked_prefix in
+  Bgp.Network.withdraw ~at:60.0 network d.Collect.Scenario.d_attacker attacked;
+  ignore (Bgp.Network.run network);
+  let merged, _ = Collect.Mesh.merge_streams (Collect.Vantage.streams vantages) in
+  let t = Sh.create ~jobs:2 M.default_config in
+  let alerts = ref [] in
+  Array.iter
+    (fun (tagged : Collect.Mesh.tagged) ->
+      let e = tagged.Collect.Mesh.event in
+      Sh.ingest_batch t ~time:e.M.time [| e |];
+      alerts := !alerts @ Sh.batch_alerts t)
+    merged;
+  let on_attacked =
+    List.filter (fun (a : M.alert) -> Prefix.equal a.M.al_prefix attacked) !alerts
+  in
+  Alcotest.(check (list string)) "opened, flagged, closed"
+    [ "opened"; "flagged"; "closed" ]
+    (List.map (fun a -> List.hd (String.split_on_char ' ' (render_alert a))) on_attacked);
+  List.iter
+    (fun (a : M.alert) ->
+      Alcotest.(check bool) "attacker implicated" true
+        (Asn.Set.mem d.Collect.Scenario.d_attacker a.M.al_origins))
+    on_attacked
+
+let test_batch_scope () =
+  let m = M.create M.default_config in
+  M.ingest m (ev ~time:0 p1 (ann 10));
+  M.ingest m (ev ~time:5 p1 (ann 20));
+  M.settle m ~time:5;
+  let settled = [ "opened 192.0.2.0/24 {AS10,AS20} at 5"; "flagged 192.0.2.0/24 {AS10,AS20} at 5" ] in
+  check_alerts "a settled batch's alerts" settled m;
+  check_alerts "reading does not consume them" settled m;
+  check_alerts "a restored monitor starts with none" [] (M.restore (M.snapshot m));
+  M.settle m ~time:6;
+  check_alerts "an empty batch replaces them" [] m
+
 (* ---------------- qcheck properties ---------------- *)
 
 let script_prefixes =
@@ -609,6 +776,120 @@ let prop_restore_midstream =
       in
       Bytes.equal (run false) (run true))
 
+(* The reference for the monitor's own alerts: diff consecutive merged
+   snapshots.  An episode key (prefix, seq) is stable for the episode's
+   whole life, so an episode open in [next] but not in [prev] opened,
+   one clean in [prev] and flagged in [next] was flagged (at the stream
+   clock), and one newly closed closed — after the alerts it never got
+   to raise when its whole life fell between the two snapshots. *)
+module Ep_map = Map.Make (struct
+  type t = Prefix.t * int
+
+  let compare (p1, s1) (p2, s2) =
+    let c = Prefix.compare p1 p2 in
+    if c <> 0 then c else Int.compare s1 s2
+end)
+
+let diff_snapshots ~(prev : M.snapshot) ~(next : M.snapshot) =
+  let clock = next.M.s_last_time in
+  let prev_open =
+    List.fold_left
+      (fun acc (p : M.prefix_state) ->
+        match p.M.p_open with
+        | Some o -> Ep_map.add (p.M.p_prefix, o.M.o_seq) o acc
+        | None -> acc)
+      Ep_map.empty prev.M.s_prefixes
+  in
+  let prev_closed =
+    List.fold_left
+      (fun acc (e : M.episode) -> Ep_map.add (e.M.e_prefix, e.M.e_seq) () acc)
+      Ep_map.empty prev.M.s_closed
+  in
+  let alerts = ref [] in
+  let emit al_time al_prefix al_origins al_kind =
+    alerts := { M.al_time; al_prefix; al_origins; al_kind } :: !alerts
+  in
+  List.iter
+    (fun (p : M.prefix_state) ->
+      match p.M.p_open with
+      | None -> ()
+      | Some o -> (
+        match Ep_map.find_opt (p.M.p_prefix, o.M.o_seq) prev_open with
+        | None ->
+          emit o.M.o_started p.M.p_prefix o.M.o_origins_ever M.Opened;
+          if not o.M.o_clean then emit clock p.M.p_prefix o.M.o_origins_ever M.Flagged
+        | Some po ->
+          if po.M.o_clean && not o.M.o_clean then
+            emit clock p.M.p_prefix o.M.o_origins_ever M.Flagged))
+    next.M.s_prefixes;
+  List.iter
+    (fun (e : M.episode) ->
+      if not (Ep_map.mem (e.M.e_prefix, e.M.e_seq) prev_closed) then begin
+        let was_open = Ep_map.find_opt (e.M.e_prefix, e.M.e_seq) prev_open in
+        if was_open = None then emit e.M.e_started e.M.e_prefix e.M.e_origins_ever M.Opened;
+        (if not e.M.e_clean then
+           match was_open with
+           | Some po when not po.M.o_clean -> ()
+           | _ -> emit clock e.M.e_prefix e.M.e_origins_ever M.Flagged);
+        emit e.M.e_ended e.M.e_prefix e.M.e_origins_ever M.Closed
+      end)
+    next.M.s_closed;
+  List.sort M.compare_alert !alerts
+
+(* Streams whose prefixes keep their own clocks, so shards see different
+   latest times, cut into batches that end a day or just settle at a
+   batch time past every event in them. *)
+let alert_script_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 150)
+      (tup5 (int_range 0 3) (int_range 1 6) (int_range 0 3) (int_range 0 3)
+         (int_range 0 5)))
+
+let alert_batches script =
+  let clocks = Array.make (Array.length script_prefixes) 0 in
+  let batches = ref [] and cur = ref [] in
+  let cut ~day_end =
+    match !cur with
+    | [] -> ()
+    | evs ->
+      let evs = Array.of_list (List.rev evs) in
+      let time =
+        1 + Array.fold_left (fun acc (e : M.event) -> max acc e.M.time) 0 evs
+      in
+      batches := (day_end, time, evs) :: !batches;
+      cur := []
+  in
+  List.iter
+    (fun (pi, o, k, dt, c) ->
+      clocks.(pi) <- clocks.(pi) + (dt * 1000);
+      cur := ev ~time:(clocks.(pi) + pi) script_prefixes.(pi) (act o k) :: !cur;
+      if c = 0 then cut ~day_end:true else if c = 1 then cut ~day_end:false)
+    script;
+  cut ~day_end:false;
+  List.rev !batches
+
+let prop_alerts_match_differ =
+  Testutil.qtest ~count:150 "alerts equal the snapshot differ at any jobs"
+    alert_script_gen (fun script ->
+      let run jobs =
+        let t = Sh.create ~jobs M.default_config in
+        let prev = ref (M.empty_snapshot M.default_config) in
+        List.map
+          (fun (day_end, time, evs) ->
+            Sh.ingest_batch ~day_end t ~time evs;
+            let next = Sh.snapshot t in
+            let expected = diff_snapshots ~prev:!prev ~next in
+            prev := next;
+            let got = Sh.batch_alerts t in
+            if got <> expected then
+              QCheck2.Test.fail_reportf "jobs=%d: got [%s], differ says [%s]" jobs
+                (String.concat "; " (List.map render_alert got))
+                (String.concat "; " (List.map render_alert expected));
+            got)
+          (alert_batches script)
+      in
+      run 1 = run 3)
+
 let () =
   Alcotest.run "stream"
     [
@@ -657,11 +938,24 @@ let () =
           Alcotest.test_case "ingest_source closes a failed source" `Quick
             test_ingest_source_closes_on_failure;
         ] );
+      ( "incidents",
+        [
+          Alcotest.test_case "open" `Quick test_incident_open;
+          Alcotest.test_case "aggregation" `Quick test_incident_aggregation;
+          Alcotest.test_case "escalation" `Quick test_incident_escalation;
+          Alcotest.test_case "distinct prefixes" `Quick
+            test_incident_distinct_prefixes;
+          Alcotest.test_case "resolution" `Quick test_incident_resolution;
+          Alcotest.test_case "summary" `Quick test_incident_summary;
+          Alcotest.test_case "end to end" `Quick test_incident_end_to_end;
+          Alcotest.test_case "alerts last one batch" `Quick test_batch_scope;
+        ] );
       ( "properties",
         [
           prop_episode_invariants;
           prop_jobs_invariance;
           prop_checkpoint_roundtrip;
           prop_restore_midstream;
+          prop_alerts_match_differ;
         ] );
     ]

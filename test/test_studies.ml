@@ -1,4 +1,5 @@
-(* Tests for the anomaly detector and the vantage-point study. *)
+(* Tests for the anomaly detector, the vantage-point study and the
+   detection-convergence study. *)
 
 module Day = Mutil.Day
 module Anomaly = Measurement.Anomaly
@@ -102,6 +103,25 @@ let test_vantage_monotone () =
   | _ -> Alcotest.fail "expected three points");
   Testutil.check_contains ~what:"render" (Vs.render points) "monitor feeds"
 
+let test_convergence_study () =
+  let t = Topology.Paper_topologies.topology_46 () in
+  let points =
+    Experiments.Convergence.study ~runs:4 ~n_attackers_list:[ 1; 5 ] ~topology:t ()
+  in
+  Alcotest.(check int) "two points" 2 (List.length points);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "always detected" true
+        (p.Experiments.Convergence.detection_rate > 0.99);
+      Alcotest.(check bool) "latency within settle time" true
+        (p.Experiments.Convergence.mean_detection_latency
+        <= p.Experiments.Convergence.mean_settle_time +. 1e-9);
+      Alcotest.(check bool) "positive octet accounting" true
+        (p.Experiments.Convergence.mean_wire_octets > 0.0))
+    points;
+  let rendered = Experiments.Convergence.render points in
+  Testutil.check_contains ~what:"render" rendered "detection rate"
+
 let () =
   Alcotest.run "studies"
     [
@@ -117,4 +137,6 @@ let () =
         ] );
       ( "vantage",
         [ Alcotest.test_case "monotone in feeds" `Quick test_vantage_monotone ] );
+      ( "convergence",
+        [ Alcotest.test_case "study" `Quick test_convergence_study ] );
     ]
