@@ -252,10 +252,7 @@ let run_collect_query store_path query_str =
     (Collect.Store.count store);
   print_string
     (Collect.Store.render
-       (List.fold_left
-          (fun t e -> Collect.Store.add e t)
-          (Collect.Store.empty ~vantages:(Collect.Store.vantages store))
-          hits))
+       (Collect.Store.of_entries ~vantages:(Collect.Store.vantages store) hits))
 
 let run_collect vantages jobs smoke seed store_path query metrics_out order =
   match query with

@@ -25,37 +25,43 @@ let overlaps ~started ~ended (v : Report.episode_view) =
   let v_hi = Option.value v.Report.v_ended ~default:max_int in
   v.Report.v_started <= hi && started <= v_hi
 
+(* Each vantage's episodes are indexed by prefix once, so a merged
+   episode only looks at its own prefix's views: O(merged x vantages)
+   lookups instead of a scan of every vantage's whole episode list. *)
+let index_by_prefix eps =
+  let tbl = Hashtbl.create 1024 in
+  List.iter
+    (fun (v : Report.episode_view) ->
+      let key = Prefix.to_key v.Report.v_prefix in
+      Hashtbl.replace tbl key
+        (v :: Option.value (Hashtbl.find_opt tbl key) ~default:[]))
+    eps;
+  tbl
+
 let correlate ~vantages ~merged =
   let vantages =
     List.sort (fun (a, _) (b, _) -> String.compare a b) vantages
   in
   let views =
-    List.map (fun (name, snap) -> (name, Report.episodes snap)) vantages
+    List.map (fun (name, snap) -> (name, index_by_prefix (Report.episodes snap))) vantages
   in
   let entries =
     List.map
       (fun (m : Report.episode_view) ->
+        let key = Prefix.to_key m.Report.v_prefix in
         let sightings =
           List.filter_map
-            (fun (name, eps) ->
-              let matching =
-                List.filter
-                  (fun (v : Report.episode_view) ->
-                    Prefix.compare v.Report.v_prefix m.Report.v_prefix = 0
-                    && overlaps ~started:m.Report.v_started
-                         ~ended:m.Report.v_ended v)
-                  eps
-              in
-              match matching with
-              | [] -> None
-              | _ ->
-                let first =
-                  List.fold_left
-                    (fun acc (v : Report.episode_view) ->
-                      min acc v.Report.v_started)
-                    max_int matching
-                in
-                Some (name, first))
+            (fun (name, index) ->
+              List.fold_left
+                (fun acc (v : Report.episode_view) ->
+                  if overlaps ~started:m.Report.v_started ~ended:m.Report.v_ended v
+                  then
+                    match acc with
+                    | Some (_, first) when first <= v.Report.v_started -> acc
+                    | _ -> Some (name, v.Report.v_started)
+                  else acc)
+                None
+                (Option.value (Hashtbl.find_opt index key) ~default:[]))
             views
         in
         let detects = List.map snd sightings in

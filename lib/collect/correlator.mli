@@ -42,7 +42,9 @@ val correlate :
   t
 (** Correlate per-vantage snapshots against the merged view.  A vantage
     "saw" a merged episode when one of its own episodes on the same prefix
-    overlaps the merged episode's [start, end] interval. *)
+    overlaps the merged episode's [start, end] interval.  Each vantage's
+    episodes are indexed by prefix once, so a merged episode reads only
+    its own prefix's views. *)
 
 val of_result : Mesh.result -> t
 (** {!correlate} over a mesh run. *)

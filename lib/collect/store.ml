@@ -42,11 +42,43 @@ let add (e : Correlator.entry) t =
   in
   { t with trie; count = (if !replaced then t.count else t.count + 1) }
 
+(* Bulk build: one sort of all the entries by (prefix, start, seq), then
+   one pass that drops same-key duplicates and adds each prefix's run to
+   the trie.  The sort is stable over the entries newest first, so the
+   first of each run of equal keys is the last one given — the entry a
+   sequence of [add]s would have kept.  Adding the prefixes in trie order
+   also lays the trie out in the order queries walk it. *)
+let of_entries ~vantages es =
+  let key (e : Correlator.entry) = Prefix.to_key e.Correlator.x_prefix in
+  let sorted =
+    List.stable_sort
+      (fun a b ->
+        let c = Int.compare (key a) (key b) in
+        if c <> 0 then c else compare_entry a b)
+      (List.rev es)
+  in
+  let add_run t = function
+    | [] -> t
+    | (e : Correlator.entry) :: _ as run ->
+      {
+        t with
+        trie = Prefix_trie.add e.Correlator.x_prefix (List.rev run) t.trie;
+        count = t.count + List.length run;
+      }
+  in
+  let t, run =
+    List.fold_left
+      (fun (t, run) e ->
+        match run with
+        | prev :: _ when key prev = key e ->
+          if same_key prev e then (t, run) else (t, e :: run)
+        | _ -> (add_run t run, [ e ]))
+      (empty ~vantages, []) sorted
+  in
+  add_run t run
+
 let of_correlation (c : Correlator.t) =
-  List.fold_left
-    (fun t e -> add e t)
-    (empty ~vantages:c.Correlator.c_vantages)
-    c.Correlator.c_entries
+  of_entries ~vantages:c.Correlator.c_vantages c.Correlator.c_entries
 
 let vantages t = t.roster
 let count t = t.count
@@ -64,15 +96,19 @@ type query = Query.t
 
 let query_all = Query.empty
 
-let query t q =
-  let candidates =
-    match Query.target q with
-    | None -> entries t
-    | Some p when Query.wants_covered q ->
-      List.concat_map (fun (_, es) -> es) (Prefix_trie.covered p t.trie)
-    | Some p -> Option.value (Prefix_trie.find_opt p t.trie) ~default:[]
-  in
-  List.filter (Query.matches q) candidates
+let candidates t q =
+  match Query.target q with
+  | None -> entries t
+  | Some p when Query.wants_covered q ->
+    List.concat_map (fun (_, es) -> es) (Prefix_trie.covered p t.trie)
+  | Some p -> Option.value (Prefix_trie.find_opt p t.trie) ~default:[]
+
+let query t q = List.filter (Query.matches q) (candidates t q)
+
+let count_matching t q =
+  if Query.equal q Query.empty then t.count
+  else
+    List.fold_left (fun n e -> if Query.matches q e then n + 1 else n) 0 (candidates t q)
 
 let parse_query = Query.parse
 
@@ -101,7 +137,7 @@ let decode data =
   let roster = Codec.take_list c Codec.take_string in
   let es = Codec.take_list c Correlator.read_entry in
   Codec.expect_end c;
-  List.fold_left (fun t e -> add e t) (empty ~vantages:roster) es
+  of_entries ~vantages:roster es
 
 let write_file path t =
   let oc = open_out_bin path in

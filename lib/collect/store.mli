@@ -23,8 +23,14 @@ val add : Correlator.entry -> t -> t
 (** Index one correlated episode.  An entry equal to one already stored
     (same prefix, sequence and start) replaces it. *)
 
+val of_entries : vantages:string list -> Correlator.entry list -> t
+(** The store a sequence of {!add}s over [empty ~vantages] would build,
+    in O(n log n): the entries are sorted once and grouped by prefix.
+    {!decode} builds through it, so no input file can make decoding
+    quadratic. *)
+
 val of_correlation : Correlator.t -> t
-(** Index every entry of a correlation result. *)
+(** Index every entry of a correlation result ({!of_entries}). *)
 
 val vantages : t -> string list
 val count : t -> int
@@ -48,6 +54,10 @@ val query : t -> query -> Correlator.entry list
     lookup ({!Query.wants_covered} uses {!Prefix_trie.covered}); the
     other clauses filter via {!Query.matches}.  Open episodes extend to
     the end of time for the range test. *)
+
+val count_matching : t -> query -> int
+(** [List.length (query t q)] without building the list of matches;
+    O(1) for {!Query.empty}. *)
 
 val parse_query : string -> (query, string) result
 (** Thin wrapper over {!Query.parse}, kept for callers of the

@@ -224,12 +224,21 @@ let observed_days p =
   let _, _, missing = setup p in
   Array.map not missing
 
-(* Pull-based generator: one day_dump at a time, sharing the mutable
-   per-prefix extras sweep across forcings — single-pass, like reading
-   table files in order. *)
-let dump_seq p =
+type change = { row : int; prefix : Prefix.t; before : Asn.Set.t; after : Asn.Set.t }
+type day_delta = { delta_day : Day.t; changes : change list }
+
+(* Pull-based delta generator.  The start/stop queues hold every origin
+   change; applying a day's queues marks the touched rows, and on each
+   observed day the touched rows whose origin set differs from the one
+   last published become that day's changes.  Rows touched on missing
+   days stay pending until the next observed day, so an episode that
+   opens and closes inside an outage publishes nothing.  Every row starts
+   pending with an empty published set, so the first observed day
+   publishes the whole table. *)
+let delta_seq p =
   let base_origins, episodes, missing = setup p in
-  let prefixes = Array.init p.universe_size universe_prefix in
+  let n = p.universe_size in
+  let prefixes = Array.init n universe_prefix in
   (* per-day start and stop queues *)
   let starts = Array.make window [] in
   let stops = Array.make window [] in
@@ -241,30 +250,68 @@ let dump_seq p =
         if stop < window then stops.(stop) <- e :: stops.(stop)
       end)
     episodes;
-  (* current extra origins per prefix index *)
-  let extras : Asn.Set.t array = Array.make p.universe_size Asn.Set.empty in
+  (* current extra origins and last published origin set per row *)
+  let extras : Asn.Set.t array = Array.make n Asn.Set.empty in
+  let published : Asn.Set.t array = Array.make n Asn.Set.empty in
+  let touched = Bytes.make n '\001' in
+  let pending = Array.init n Fun.id and n_pending = ref n in
+  let touch i =
+    if Bytes.get touched i = '\000' then begin
+      Bytes.set touched i '\001';
+      pending.(!n_pending) <- i;
+      incr n_pending
+    end
+  in
+  let publish off =
+    let rows = Array.sub pending 0 !n_pending in
+    n_pending := 0;
+    Array.sort Int.compare rows;
+    let changes =
+      Array.fold_right
+        (fun i acc ->
+          Bytes.set touched i '\000';
+          let after = Asn.Set.add base_origins.(i) extras.(i) in
+          let before = published.(i) in
+          if Asn.Set.equal before after then acc
+          else begin
+            published.(i) <- after;
+            { row = i; prefix = prefixes.(i); before; after } :: acc
+          end)
+        rows []
+    in
+    { delta_day = Day.add Day.measurement_start off; changes }
+  in
   let rec step off () =
     if off >= window then Seq.Nil
     else begin
       List.iter
-        (fun e -> extras.(e.index) <- Asn.Set.union extras.(e.index) e.extra)
+        (fun e ->
+          extras.(e.index) <- Asn.Set.union extras.(e.index) e.extra;
+          touch e.index)
         starts.(off);
       List.iter
-        (fun e -> extras.(e.index) <- Asn.Set.diff extras.(e.index) e.extra)
+        (fun e ->
+          extras.(e.index) <- Asn.Set.diff extras.(e.index) e.extra;
+          touch e.index)
         stops.(off);
       if missing.(off) then step (off + 1) ()
-      else begin
-        let table = ref [] in
-        for i = p.universe_size - 1 downto 0 do
-          let origins = Asn.Set.add base_origins.(i) extras.(i) in
-          table := (prefixes.(i), origins) :: !table
-        done;
-        Seq.Cons
-          ( { day = Day.add Day.measurement_start off; table = !table },
-            step (off + 1) )
-      end
+      else Seq.Cons (publish off, step (off + 1))
     end
   in
   step 0
+
+(* The tables are the deltas folded into one array-backed table, so the
+   table view and the delta view come from the same generator. *)
+let dump_seq p =
+  let prefixes = Array.init p.universe_size universe_prefix in
+  let table = Array.make p.universe_size Asn.Set.empty in
+  Seq.map
+    (fun d ->
+      List.iter (fun c -> table.(c.row) <- c.after) d.changes;
+      {
+        day = d.delta_day;
+        table = List.init p.universe_size (fun i -> (prefixes.(i), table.(i)));
+      })
+    (delta_seq p)
 
 let fold_dumps p ~init ~f = Seq.fold_left f init (dump_seq p)

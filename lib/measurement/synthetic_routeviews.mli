@@ -13,8 +13,11 @@
     - roughly 70 days of missed collection, leaving the paper's 1279
       observed days.
 
-    Dumps are streamed day by day so the analysis never holds the full
-    archive in memory, exactly like folding over table files. *)
+    The generator is delta-native, like the update streams real archives
+    publish: {!delta_seq} yields per observed day only the prefixes whose
+    origin set changed.  {!dump_seq} folds those deltas into one table for
+    the snapshot analysis of Section 3.  Either view is streamed day by
+    day, so nothing holds the full archive in memory. *)
 
 open Net
 
@@ -44,11 +47,31 @@ val observed_days : params -> bool array
 (** Index [d] (offset from {!Mutil.Day.measurement_start}) tells whether
     the collector produced a dump that day. *)
 
+type change = {
+  row : int;  (** the prefix's row in the table, [0 <= row < universe_size] *)
+  prefix : Prefix.t;
+  before : Asn.Set.t;  (** origin set last published; empty before day one *)
+  after : Asn.Set.t;  (** origin set on this day, never equal to [before] *)
+}
+
+type day_delta = {
+  delta_day : Mutil.Day.t;
+  changes : change list;  (** in row order *)
+}
+
+val delta_seq : params -> day_delta Seq.t
+(** The observed days in chronological order, each with the prefixes
+    whose origin set differs from the previous observed day.  The first
+    observed day lists every prefix.  A prefix whose episode opens and
+    closes inside a run of missing days does not appear.  The sequence is
+    {e single-pass}: forcings share one mutable origin sweep, so consume
+    it front to back exactly once (re-call [delta_seq] for another
+    pass). *)
+
 val dump_seq : params -> day_dump Seq.t
-(** The observed daily dumps in chronological order, generated on
-    demand.  The sequence is {e single-pass}: forcings share one mutable
-    origin sweep, so consume it front to back exactly once (re-call
-    [dump_seq] for another pass). *)
+(** The observed daily dumps in chronological order: {!delta_seq} folded
+    into one table, listed in row order.  Single-pass, like
+    {!delta_seq}. *)
 
 val fold_dumps : params -> init:'a -> f:('a -> day_dump -> 'a) -> 'a
 (** Fold over the observed daily dumps in chronological order

@@ -227,7 +227,7 @@ let execute t session req =
   | Query q ->
     Proto.Entries
       { vantage_count = vantage_count t; entries = Store.query t.store q }
-  | Count q -> Proto.Count_is (List.length (Store.query t.store q))
+  | Count q -> Proto.Count_is (Store.count_matching t.store q)
   | Subscribe q ->
     locked t (fun () ->
         match Hashtbl.find_opt t.sessions session with

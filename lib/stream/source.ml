@@ -14,66 +14,31 @@ let trusted_annotator ?(distrusted = Asn.Set.empty) () : annotator =
   if Asn.Set.exists (fun a -> Asn.Set.mem a distrusted) origins then None
   else Some origins
 
-(* Diff consecutive daily tables into announce/withdraw events.  When a
-   prefix's origin set changes, the withdrawals come first and then every
-   current origin re-announces with a freshly computed MOAS list — the
-   wire behaviour of origins updating the list as membership changes, and
-   the order that keeps a legitimately shrinking conflict from being
-   flagged over a stale list. *)
-let day_events ~annotate ~prev dump =
+(* One archive day's deltas as events.  For each changed prefix the
+   withdrawals come first and then every current origin re-announces with
+   a freshly computed MOAS list: the wire behaviour of origins updating
+   the list as membership changes, and the order that keeps a
+   legitimately shrinking conflict from being flagged over a stale
+   list. *)
+let day_batch ~annotate (d : Srv.day_delta) =
+  let time = d.Srv.delta_day * day_seconds in
   let events = ref [] in
-  let emit ev = events := ev :: !events in
-  let time = dump.Srv.day * day_seconds in
-  let today =
-    List.fold_left
-      (fun m (p, o) -> Prefix.Map.add p o m)
-      Prefix.Map.empty dump.Srv.table
+  let emit peer prefix action =
+    events := { Monitor.time; peer; prefix; action } :: !events
   in
   List.iter
-    (fun (prefix, origins) ->
-      let prev_origins =
-        Option.value ~default:Asn.Set.empty (Prefix.Map.find_opt prefix prev)
-      in
-      if not (Asn.Set.equal origins prev_origins) then begin
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action = Monitor.Withdraw { origin };
-              })
-          (Asn.Set.diff prev_origins origins);
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action =
-                  Monitor.Announce
-                    { origin; moas_list = annotate prefix origins origin };
-              })
-          origins
-      end)
-    dump.Srv.table;
-  Prefix.Map.iter
-    (fun prefix prev_origins ->
-      if not (Prefix.Map.mem prefix today) then
-        Asn.Set.iter
-          (fun origin ->
-            emit
-              {
-                Monitor.time;
-                peer = origin;
-                prefix;
-                action = Monitor.Withdraw { origin };
-              })
-          prev_origins)
-    prev;
-  (Array.of_list (List.rev !events), today)
+    (fun { Srv.prefix; before; after; _ } ->
+      Asn.Set.iter
+        (fun origin -> emit origin prefix (Monitor.Withdraw { origin }))
+        (Asn.Set.diff before after);
+      Asn.Set.iter
+        (fun origin ->
+          emit origin prefix
+            (Monitor.Announce
+               { origin; moas_list = annotate prefix after origin }))
+        after)
+    d.Srv.changes;
+  { time; day = Some d.Srv.delta_day; events = Array.of_list (List.rev !events) }
 
 (* ------------------------------------------------------------------ *)
 (* The uniform pull interface: every source — synthetic archive, MRT
@@ -116,17 +81,7 @@ let of_seq seq =
 let of_batches batches = of_seq (Array.to_seq batches)
 
 let of_archive ?(annotate = no_annotation) params =
-  let prev = ref Prefix.Map.empty in
-  let dumps = ref (Srv.dump_seq params) in
-  make (fun () ->
-      match !dumps () with
-      | Seq.Nil -> None
-      | Seq.Cons (dump, rest) ->
-        dumps := rest;
-        let events, today = day_events ~annotate ~prev:!prev dump in
-        prev := today;
-        Some
-          { time = dump.Srv.day * day_seconds; day = Some dump.Srv.day; events })
+  of_seq (Seq.map (day_batch ~annotate) (Srv.delta_seq params))
 
 let fold_archive ?annotate params ~init ~f =
   fold (of_archive ?annotate params) ~init ~f

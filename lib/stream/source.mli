@@ -2,10 +2,11 @@
     synthetic RouteViews archive, MRT table-dump bytes or decoded BGP
     wire messages into timestamped event batches.
 
-    The archive adapter replays the daily dumps as a {e diff stream}:
-    consecutive tables are compared and only membership changes become
-    announce/withdraw events, with withdrawals ordered before the
-    re-announcements that carry a prefix's refreshed MOAS list.  Each
+    The archive adapter replays the generator's daily deltas
+    ({!Measurement.Synthetic_routeviews.delta_seq}): only origin-set
+    changes become announce/withdraw events, with withdrawals ordered
+    before the re-announcements that carry a prefix's refreshed MOAS
+    list.  No table is built or compared.  Each
     observed day is one batch (fed to {!Sharded.ingest_batch} with
     [~day_end:true]), so per-episode day counts line up exactly with the
     snapshot-based {!Measurement.Moas_cases} analysis. *)
@@ -56,7 +57,7 @@ val fold : t -> init:'a -> f:('a -> batch -> 'a) -> 'a
 val of_archive :
   ?annotate:annotator -> Measurement.Synthetic_routeviews.params -> t
 (** The synthetic RouteViews archive as a pull source: one batch per
-    observed day, generated on demand (one day's table in memory). *)
+    observed day, generated on demand from that day's deltas. *)
 
 val of_batches : batch array -> t
 (** A pre-materialised batch sequence. *)
@@ -86,7 +87,7 @@ val fold_archive :
   f:('a -> batch -> 'a) ->
   'a
 (** Fold over the archive's observed days as event batches, in
-    chronological order, holding only one day's table in memory. *)
+    chronological order, holding only one day's deltas in memory. *)
 
 val archive_batches :
   ?annotate:annotator ->

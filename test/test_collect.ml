@@ -252,6 +252,93 @@ let prop_heap_merge_matches_reference =
              && Mesh.compare_event t.Mesh.event event = 0)
            (Array.to_list merged) ref_merged)
 
+(* The correlator before it indexed the views by prefix, kept as the
+   reference: every merged episode scans every vantage's whole episode
+   list. *)
+let reference_correlate ~vantages ~merged =
+  let module R = Stream.Report in
+  let vantages = List.sort (fun (a, _) (b, _) -> String.compare a b) vantages in
+  let views = List.map (fun (name, snap) -> (name, R.episodes snap)) vantages in
+  let overlaps ~started ~ended (v : R.episode_view) =
+    let hi = Option.value ended ~default:max_int in
+    let v_hi = Option.value v.R.v_ended ~default:max_int in
+    v.R.v_started <= hi && started <= v_hi
+  in
+  let entries =
+    List.map
+      (fun (m : R.episode_view) ->
+        let sightings =
+          List.filter_map
+            (fun (name, eps) ->
+              match
+                List.filter
+                  (fun (v : R.episode_view) ->
+                    Prefix.compare v.R.v_prefix m.R.v_prefix = 0
+                    && overlaps ~started:m.R.v_started ~ended:m.R.v_ended v)
+                  eps
+              with
+              | [] -> None
+              | matching ->
+                Some
+                  ( name,
+                    List.fold_left
+                      (fun acc (v : R.episode_view) -> min acc v.R.v_started)
+                      max_int matching ))
+            views
+        in
+        let detects = List.map snd sightings in
+        {
+          Corr.x_prefix = m.R.v_prefix;
+          x_seq = m.R.v_seq;
+          x_started = m.R.v_started;
+          x_ended = m.R.v_ended;
+          x_days = m.R.v_days;
+          x_max_origins = m.R.v_max_origins;
+          x_origins = m.R.v_origins;
+          x_clean = m.R.v_clean;
+          x_seen_by = List.map fst sightings;
+          x_first_detect =
+            (match detects with [] -> None | _ -> Some (List.fold_left min max_int detects));
+          x_last_detect =
+            (match detects with [] -> None | _ -> Some (List.fold_left max min_int detects));
+        })
+      (R.episodes merged)
+  in
+  { Corr.c_vantages = List.map fst vantages; c_entries = entries }
+
+let entry_equal (a : Corr.entry) (b : Corr.entry) =
+  Prefix.equal a.Corr.x_prefix b.Corr.x_prefix
+  && a.Corr.x_seq = b.Corr.x_seq && a.Corr.x_started = b.Corr.x_started
+  && a.Corr.x_ended = b.Corr.x_ended && a.Corr.x_days = b.Corr.x_days
+  && a.Corr.x_max_origins = b.Corr.x_max_origins
+  && Asn.Set.equal a.Corr.x_origins b.Corr.x_origins
+  && Bool.equal a.Corr.x_clean b.Corr.x_clean
+  && List.equal String.equal a.Corr.x_seen_by b.Corr.x_seen_by
+  && a.Corr.x_first_detect = b.Corr.x_first_detect
+  && a.Corr.x_last_detect = b.Corr.x_last_detect
+
+let shuffle seed l =
+  let a = Array.of_list l in
+  Mutil.Rng.shuffle (Mutil.Rng.create ~seed:(Int64.of_int seed)) a;
+  Array.to_list a
+
+(* Several vantages at partial coverage, over a script that spans many
+   windows, so prefixes recur and the vantages' episodes overlap the
+   merged ones only in part. *)
+let prop_correlator_matches_reference =
+  Testutil.qtest ~count:150 "indexed correlator equals the scan reference in any order"
+    QCheck2.Gen.(
+      quad script_gen (int_range 1 5) (float_range 0.2 1.0) (int_range 0 1_000_000))
+    (fun (script, vantages, coverage, seed) ->
+      let r = Mesh.run config (replay_streams ~coverage ~vantages script) in
+      let per_vantage = shuffle seed r.Mesh.r_per_vantage in
+      let got = Corr.correlate ~vantages:per_vantage ~merged:r.Mesh.r_merged in
+      let want =
+        reference_correlate ~vantages:r.Mesh.r_per_vantage ~merged:r.Mesh.r_merged
+      in
+      String.equal (Corr.render got) (Corr.render want)
+      && List.equal entry_equal got.Corr.c_entries want.Corr.c_entries)
+
 (* ---------------- store ---------------- *)
 
 let entry ?(seq = 1) ?ended ?(days = 1) ?(max_origins = 2) ?(clean = true)
@@ -287,6 +374,58 @@ let sample_store () =
             ~seen:[] ();
         ];
     }
+
+(* A MOASSTOR file holding [es] exactly as given: unsorted, with
+   duplicates, the way a crafted file could. *)
+let raw_store_bytes ~vantages es =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "MOASSTOR";
+  Codec.put_u8 buf 1;
+  Codec.put_list buf Codec.put_string vantages;
+  Codec.put_list buf Corr.write_entry es;
+  Buffer.to_bytes buf
+
+let sequential_store ~vantages es =
+  List.fold_left (fun t e -> Store.add e t) (Store.empty ~vantages) es
+
+let same_store a b =
+  Store.count a = Store.count b
+  && Bytes.equal (Store.encode a) (Store.encode b)
+  && List.equal entry_equal (Store.entries a) (Store.entries b)
+
+(* 20,000 entries on one prefix, shuffled, over 256 (start, seq) keys,
+   each duplicate with its own payload so that "last one wins" shows. *)
+let test_store_decode_one_prefix () =
+  let n = 20_000 in
+  let es =
+    shuffle 7
+      (List.init n (fun i ->
+           entry ~prefix:p1 ~origins:[ 10; 20 ] ~started:(i mod 128) ~seq:(1 + (i / 128 mod 2))
+             ~days:i ()))
+  in
+  let vantages = [ "vp00"; "vp01" ] in
+  let decoded = Store.decode (raw_store_bytes ~vantages es) in
+  Alcotest.(check int) "one entry per key" 256 (Store.count decoded);
+  Alcotest.(check bool) "decode == sequential add" true
+    (same_store decoded (sequential_store ~vantages es))
+
+let store_entries_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 60)
+      (map
+         (fun ((pi, started, seq), (days, o, clean)) ->
+           entry ~prefix:script_prefixes.(pi) ~origins:[ 10; 10 + o ] ~started ~seq ~days ~clean ())
+         (pair
+            (triple (int_range 0 3) (int_range 0 6) (int_range 1 3))
+            (triple (int_range 1 50) (int_range 1 5) bool))))
+
+let prop_bulk_store_matches_add =
+  Testutil.qtest ~count:300 "bulk build and decode equal sequential add" store_entries_gen
+    (fun es ->
+      let vantages = [ "vp01"; "vp00" ] in
+      let want = sequential_store ~vantages es in
+      same_store (Store.of_entries ~vantages es) want
+      && same_store (Store.decode (raw_store_bytes ~vantages es)) want)
 
 let test_store_roundtrip () =
   let s = sample_store () in
@@ -491,6 +630,7 @@ let () =
           prop_full_coverage_vantages_agree;
           prop_jobs_and_order_invariance;
           prop_heap_merge_matches_reference;
+          prop_correlator_matches_reference;
         ] );
       ( "store",
         [
@@ -499,6 +639,9 @@ let () =
             test_store_rejects_corruption;
           Alcotest.test_case "queries" `Quick test_store_queries;
           Alcotest.test_case "query parse errors" `Quick test_store_parse_errors;
+          Alcotest.test_case "decode of 20k same-prefix entries" `Quick
+            test_store_decode_one_prefix;
+          prop_bulk_store_matches_add;
         ] );
       ( "scenario",
         [

@@ -285,6 +285,53 @@ let prop_query_wire_roundtrip =
       | Proto.Query q' -> Q.equal q q'
       | _ -> false)
 
+(* Stores and queries drawn over the same few prefixes, origins and
+   times, so that most clauses match some entries and miss others. *)
+let served_prefixes = [| p1; p2; p2_sub; Prefix.of_string "203.0.113.0/24" |]
+
+let store_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 40)
+      (map
+         (fun ((pi, started, seq), (span, o, seen)) ->
+           entry ~prefix:served_prefixes.(pi) ~origins:[ 10; 10 * o ] ~started ~seq
+             ?ended:(if span = 0 then None else Some (started + span))
+             ~days:(1 + (span / 100))
+             ~seen:(List.filteri (fun i _ -> seen land (1 lsl i) <> 0) [ "vp00"; "vp01"; "vp02" ])
+             ())
+         (pair
+            (triple (int_range 0 3) (int_range 0 1_000) (int_range 1 3))
+            (triple (int_range 0 10_000) (int_range 2 4) (int_range 0 7)))))
+
+let served_query_gen =
+  QCheck2.Gen.(
+    map2
+      (fun (p, cov, o) (s, u, k, b) -> (p, cov, o, s, u, k, b))
+      (triple
+         (option (map (Array.get served_prefixes) (int_range 0 3)))
+         bool
+         (option (oneofl [ 10; 20; 30; 40; 50 ])))
+      (quad
+         (option (int_range 0 5_000))
+         (option (int_range 0 1_000))
+         (option (int_range 0 3))
+         (option (oneofl Stream.Monitor.[ Short; Medium; Long ]))))
+
+let prop_count_equals_query_length =
+  Testutil.qtest ~count:300 "Count reply == length of the query's entries"
+    (QCheck2.Gen.pair store_gen served_query_gen)
+    (fun (es, spec) ->
+      let store =
+        Store.of_correlation { Corr.c_vantages = [ "vp00"; "vp01"; "vp02" ]; c_entries = es }
+      in
+      let q = build_query spec in
+      let c = Client.connect (Server.create ~store ()) in
+      let reply = Client.call c (Proto.Count q) in
+      Client.close c;
+      let want = List.length (Store.query store q) in
+      Store.count_matching store q = want
+      && match reply with Proto.Count_is n -> n = want | _ -> false)
+
 let test_builder_validation () =
   List.iter
     (fun (name, f) ->
@@ -739,6 +786,7 @@ let () =
           prop_query_wire_roundtrip;
           Alcotest.test_case "builder validation" `Quick
             test_builder_validation;
+          prop_count_equals_query_length;
         ] );
       ( "tail",
         [

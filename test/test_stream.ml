@@ -418,6 +418,96 @@ let test_source_pull_equals_fold () =
     folded pulled;
   Alcotest.(check bool) "exhausted after fold" true (Src.next s = None)
 
+(* The archive source before it became delta-native, kept as the
+   reference: diff consecutive dump_seq tables through a Prefix.Map. *)
+let reference_day_events ~annotate ~prev (dump : Srv.day_dump) =
+  let events = ref [] in
+  let emit ev = events := ev :: !events in
+  let time = dump.Srv.day * Src.day_seconds in
+  let today =
+    List.fold_left (fun m (p, o) -> Prefix.Map.add p o m) Prefix.Map.empty dump.Srv.table
+  in
+  List.iter
+    (fun (prefix, origins) ->
+      let prev_origins =
+        Option.value ~default:Asn.Set.empty (Prefix.Map.find_opt prefix prev)
+      in
+      if not (Asn.Set.equal origins prev_origins) then begin
+        Asn.Set.iter
+          (fun origin -> emit (ev ~peer:(Asn.to_int origin) ~time prefix (M.Withdraw { origin })))
+          (Asn.Set.diff prev_origins origins);
+        Asn.Set.iter
+          (fun origin ->
+            emit
+              (ev ~peer:(Asn.to_int origin) ~time prefix
+                 (M.Announce { origin; moas_list = annotate prefix origins origin })))
+          origins
+      end)
+    dump.Srv.table;
+  Prefix.Map.iter
+    (fun prefix prev_origins ->
+      if not (Prefix.Map.mem prefix today) then
+        Asn.Set.iter
+          (fun origin -> emit (ev ~peer:(Asn.to_int origin) ~time prefix (M.Withdraw { origin })))
+          prev_origins)
+    prev;
+  (Array.of_list (List.rev !events), today)
+
+let reference_archive_batches ~annotate params =
+  let _, rev =
+    Srv.fold_dumps params ~init:(Prefix.Map.empty, []) ~f:(fun (prev, acc) dump ->
+        let events, today = reference_day_events ~annotate ~prev dump in
+        (today, { Src.time = dump.Srv.day * Src.day_seconds; day = Some dump.Srv.day; events } :: acc))
+  in
+  List.rev rev
+
+let action_equal a b =
+  match (a, b) with
+  | M.Withdraw { origin = o1 }, M.Withdraw { origin = o2 } -> Asn.equal o1 o2
+  | M.Announce { origin = o1; moas_list = l1 }, M.Announce { origin = o2; moas_list = l2 } ->
+    Asn.equal o1 o2 && Option.equal Asn.Set.equal l1 l2
+  | _ -> false
+
+let event_equal (a : M.event) (b : M.event) =
+  a.M.time = b.M.time && Asn.equal a.M.peer b.M.peer && Prefix.equal a.M.prefix b.M.prefix
+  && action_equal a.M.action b.M.action
+
+let batch_equal (a : Src.batch) (b : Src.batch) =
+  a.Src.time = b.Src.time
+  && Option.equal Int.equal a.Src.day b.Src.day
+  && Array.length a.Src.events = Array.length b.Src.events
+  && Array.for_all2 event_equal a.Src.events b.Src.events
+
+(* Every table of the smoke archive, one line per row, digested.  The
+   digest was taken from the table generator that predates the delta
+   source, so it pins the tables the Section 3 analysis reads. *)
+let test_dump_tables_unchanged () =
+  let buf = Buffer.create 4096 in
+  let days =
+    Srv.fold_dumps smoke_params ~init:0 ~f:(fun n d ->
+        Buffer.add_string buf (Mutil.Day.to_string d.Srv.day);
+        List.iter
+          (fun (prefix, origins) ->
+            Buffer.add_string buf (Prefix.to_string prefix);
+            Asn.Set.iter
+              (fun a ->
+                Buffer.add_char buf ' ';
+                Buffer.add_string buf (Asn.to_string a))
+              origins;
+            Buffer.add_char buf '\n')
+          d.Srv.table;
+        n + 1)
+  in
+  Alcotest.(check int) "observed days" 1279 days;
+  Alcotest.(check string) "table digest" "a4fa94ff146d3ff76444d09c22427fe9"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_archive_equals_table_differ () =
+  let got = Src.archive_batches ~annotate smoke_params in
+  let want = reference_archive_batches ~annotate smoke_params in
+  Alcotest.(check int) "same batch count" (List.length want) (Array.length got);
+  Alcotest.(check bool) "same batches" true (List.for_all2 batch_equal want (Array.to_list got))
+
 let test_source_close_is_final () =
   let s = Src.of_batches (Src.archive_batches ~annotate smoke_params) in
   Alcotest.(check bool) "first pull succeeds" true (Src.next s <> None);
@@ -890,6 +980,41 @@ let prop_alerts_match_differ =
       in
       run 1 = run 3)
 
+(* Small archives, often with long outages, so that episodes start and
+   stop inside runs of missing days. *)
+let archive_params_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* initial = int_range 0 15 in
+    let* growth = int_range 0 15 in
+    let* one_day = int_range 0 10 in
+    let* medium = int_range 0 10 in
+    let* medium_max = int_range 2 60 in
+    let* missing = oneof [ int_range 0 70; int_range 300 (Mutil.Day.measurement_days / 2) ] in
+    let* ev98 = int_range 0 10 in
+    let* ev01 = int_range 0 10 in
+    let* spare = int_range 0 20 in
+    return
+      {
+        Srv.seed = Int64.of_int seed;
+        universe_size = initial + growth + one_day + medium + ev98 + ev01 + spare;
+        initial_long_lived = initial;
+        final_long_lived = initial + growth;
+        one_day_churn = one_day;
+        medium_churn = medium;
+        medium_max_duration = medium_max;
+        missing_day_count = missing;
+        event_1998_size = ev98;
+        event_2001_size = ev01;
+      })
+
+let prop_archive_equals_table_differ =
+  Testutil.qtest ~count:40 "archive source equals the table differ"
+    archive_params_gen (fun params ->
+      let want = reference_archive_batches ~annotate params in
+      let got = List.rev (Src.fold_archive ~annotate params ~init:[] ~f:(fun acc b -> b :: acc)) in
+      List.length want = List.length got && List.for_all2 batch_equal want got)
+
 let () =
   Alcotest.run "stream"
     [
@@ -931,6 +1056,9 @@ let () =
           Alcotest.test_case "wire messages" `Quick test_of_wire;
           Alcotest.test_case "pull == fold" `Quick test_source_pull_equals_fold;
           Alcotest.test_case "close is final" `Quick test_source_close_is_final;
+          Alcotest.test_case "dump tables unchanged" `Quick test_dump_tables_unchanged;
+          Alcotest.test_case "archive == table differ" `Quick
+            test_archive_equals_table_differ;
           Alcotest.test_case "ingest_source == batch loop" `Quick
             test_ingest_source_equals_batch_loop;
           Alcotest.test_case "ingest_source resume skips" `Quick
@@ -957,5 +1085,6 @@ let () =
           prop_checkpoint_roundtrip;
           prop_restore_midstream;
           prop_alerts_match_differ;
+          prop_archive_equals_table_differ;
         ] );
     ]
