@@ -108,6 +108,14 @@ let write_entry buf e =
   Codec.put_option buf Codec.put_i63 e.x_first_detect;
   Codec.put_option buf Codec.put_i63 e.x_last_detect
 
+(* octets of [write_entry]'s output, field by field *)
+let entry_size e =
+  let opt = function None -> 1 | Some _ -> 9 in
+  let seen = List.fold_left (fun n v -> n + 2 + String.length v) 4 e.x_seen_by in
+  5 + 8 + 8 + opt e.x_ended + 8 + 4
+  + (4 + (2 * Asn.Set.cardinal e.x_origins))
+  + 1 + seen + opt e.x_first_detect + opt e.x_last_detect
+
 let read_entry c =
   let x_prefix = Codec.take_prefix c in
   let x_seq = Codec.take_i63 c in

@@ -54,6 +54,10 @@ val write_entry : Buffer.t -> entry -> unit
     discipline) — the representation used inside both the [MOASSTOR]
     store format and the [MOASSERV] wire protocol. *)
 
+val entry_size : entry -> int
+(** The number of octets {!write_entry} appends for this entry, so an
+    encoder can allocate its buffer once at the final size. *)
+
 val read_entry : Net.Codec.cursor -> entry
 (** Decode one entry; malformed input raises through the cursor's
     failure exception. *)

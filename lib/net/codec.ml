@@ -3,18 +3,13 @@
 
 let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
-
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf (v land 0xffff)
+(* one big-endian store per field, of the value's low 16 or 32 bits *)
+let put_u16 buf v = Buffer.add_uint16_be buf (v land 0xffff)
+let put_u32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
 
 let put_i63 buf v =
   if v < 0 then invalid_arg "Net.Codec: negative integer";
-  put_u32 buf (v lsr 32);
-  put_u32 buf (v land 0xffffffff)
+  Buffer.add_int64_be buf (Int64.of_int v)
 
 let put_bool buf b = put_u8 buf (if b then 1 else 0)
 let put_asn buf a = put_u16 buf (Asn.to_int a)
@@ -46,21 +41,58 @@ let put_string buf s =
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for frame
    integrity: any single-octet corruption — any burst up to 32 bits —
    is guaranteed to change the checksum, so a flipped bit can never
-   turn one valid frame into a different valid frame. *)
+   turn one valid frame into a different valid frame.
 
-let crc32_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+   Slice-by-8: table [k] (entries [256k .. 256k+255] of one flat array)
+   gives the CRC contribution of an octet followed by [k] zero octets, so
+   eight octets fold into the register with eight independent lookups
+   instead of eight dependent steps.  Table 0 is the classic bytewise
+   table, which still consumes the tail shorter than a word. *)
+
+let crc32_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
 let crc32 ?(seed = 0) data ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then
+    invalid_arg "Net.Codec.crc32: range out of bounds";
+  (* every index below is in range: the range was checked above and each
+     table index is masked to one of the eight 256-entry tables *)
+  let tbl i = Array.unsafe_get crc32_tables i in
   let crc = ref (seed lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
+  let i = ref pos in
+  let words_end = pos + (len land lnot 7) in
+  while !i < words_end do
+    let w = Bytes.get_int64_le data !i in
+    let c = !crc lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
     crc :=
-      crc32_table.((!crc lxor Char.code (Bytes.get data i)) land 0xff)
+      tbl (0x700 + (c land 0xff))
+      lxor tbl (0x600 + ((c lsr 8) land 0xff))
+      lxor tbl (0x500 + ((c lsr 16) land 0xff))
+      lxor tbl (0x400 + (c lsr 24))
+      lxor tbl (0x300 + (hi land 0xff))
+      lxor tbl (0x200 + ((hi lsr 8) land 0xff))
+      lxor tbl (0x100 + ((hi lsr 16) land 0xff))
+      lxor tbl (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = words_end to pos + len - 1 do
+    crc :=
+      tbl ((!crc lxor Char.code (Bytes.unsafe_get data j)) land 0xff)
       lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF
@@ -69,14 +101,8 @@ let crc32 ?(seed = 0) data ~pos ~len =
    frame in place (single allocation, no Buffer-to-bytes copy). *)
 
 let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xff))
-
-let set_u16 b off v =
-  set_u8 b off (v lsr 8);
-  set_u8 b (off + 1) v
-
-let set_u32 b off v =
-  set_u16 b off (v lsr 16);
-  set_u16 b (off + 2) (v land 0xffff)
+let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xffff)
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 type cursor = {
   data : bytes;
@@ -122,17 +148,33 @@ let take_u8 c =
   c.pos <- c.pos + 1;
   v
 
+(* Multi-octet readers: one bounds check and one load.  A field that
+   does not fit consumes the octets left in the window and fails at the
+   window's end: the octet, and the message, where reading it octet by
+   octet would stop. *)
+let truncated c =
+  c.pos <- c.limit;
+  corrupt c "truncated at octet %d" c.limit
+
 let take_u16 c =
-  let hi = take_u8 c in
-  (hi lsl 8) lor take_u8 c
+  if c.limit - c.pos < 2 then truncated c;
+  let v = Bytes.get_uint16_be c.data c.pos in
+  c.pos <- c.pos + 2;
+  v
 
 let take_u32 c =
-  let hi = take_u16 c in
-  (hi lsl 16) lor take_u16 c
+  if c.limit - c.pos < 4 then truncated c;
+  let v = Int32.to_int (Bytes.get_int32_be c.data c.pos) land 0xFFFFFFFF in
+  c.pos <- c.pos + 4;
+  v
 
+(* [Int64.to_int] drops bit 63 of the field and keeps the 63 bits an
+   [int] holds *)
 let take_i63 c =
-  let hi = take_u32 c in
-  (hi lsl 32) lor take_u32 c
+  if c.limit - c.pos < 8 then truncated c;
+  let v = Int64.to_int (Bytes.get_int64_be c.data c.pos) in
+  c.pos <- c.pos + 8;
+  v
 
 let take_bool c =
   match take_u8 c with

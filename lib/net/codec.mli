@@ -7,13 +7,21 @@
     immutable bytes and report malformed input — truncation, bad tags,
     out-of-range values, trailing octets — through the cursor's [fail]
     callback, so each format surfaces its own [Corrupt] exception while
-    sharing one implementation of the framing discipline. *)
+    sharing one implementation of the framing discipline.
+
+    Multi-octet fields move a word at a time: each writer is one
+    big-endian store into the buffer, each reader one bounds check and
+    one load.  The bytes are exactly those of the octet-by-octet layout,
+    and a short read fails at the same octet, with the same message
+    ([truncated at octet N]), as reading it octet by octet. *)
 
 (** {2 Writers} *)
 
 val put_u8 : Buffer.t -> int -> unit
 val put_u16 : Buffer.t -> int -> unit
 val put_u32 : Buffer.t -> int -> unit
+(** [put_u8], [put_u16] and [put_u32] write the low 8, 16 or 32 bits of
+    the value, big-endian. *)
 
 val put_i63 : Buffer.t -> int -> unit
 (** Eight octets holding a non-negative OCaml [int] (63-bit payload).
@@ -48,10 +56,17 @@ val set_u32 : bytes -> int -> int -> unit
 val crc32 : ?seed:int -> bytes -> pos:int -> len:int -> int
 (** CRC-32 (IEEE 802.3) of [len] octets starting at [pos], as an
     unsigned 32-bit value.  Pass a previous result as [seed] to chain
-    regions.  Any burst error up to 32 bits — in particular any
-    single-octet corruption — is guaranteed to change the result, so a
-    checksummed frame can never be silently mutated into a different
-    valid frame. *)
+    regions: [crc32 ~seed:(crc32 a) b] is the CRC of [a] followed by [b].
+    Any burst error up to 32 bits — in particular any single-octet
+    corruption — is guaranteed to change the result, so a checksummed
+    frame can never be silently mutated into a different valid frame.
+
+    Computed slice-by-8: eight octets per step through eight 256-entry
+    tables built once, with the classic octet-at-a-time loop for the
+    last [len mod 8] octets; no octet outside the range is read.  The
+    value is the one the octet-at-a-time definition gives.
+    @raise Invalid_argument when [pos] or [len] is negative or the range
+    runs past the end of the bytes. *)
 
 (** {2 Readers} *)
 
@@ -92,6 +107,12 @@ val take_u8 : cursor -> int
 val take_u16 : cursor -> int
 val take_u32 : cursor -> int
 val take_i63 : cursor -> int
+(** [take_u16], [take_u32] and [take_i63] read a whole field with one
+    bounds check and one load.  A field that runs past the cursor's
+    window consumes what is left of it and fails with
+    [truncated at octet N], [N] the window's end: the octet and the
+    message an octet-by-octet read stops at. *)
+
 val take_bool : cursor -> bool
 val take_asn : cursor -> Asn.t
 val take_asn_set : cursor -> Asn.Set.t

@@ -74,8 +74,11 @@ let kind_crc kind = (Lazy.force kind_crcs).(kind)
 
 let header_len = 18 (* magic 8 · version 1 · kind 1 · u32 length · u32 CRC *)
 
-let frame kind put_payload =
-  let payload = Buffer.create 64 in
+(* [size] is the payload's length when the caller knows it (an [Entries]
+   reply sums its entries' exact sizes), so a large reply is written into
+   one buffer of its final size instead of growing through doublings *)
+let frame ?(size = 64) kind put_payload =
+  let payload = Buffer.create size in
   put_payload payload;
   let plen = Buffer.length payload in
   (* single-copy assembly: the frame bytes are allocated once, the
@@ -220,7 +223,12 @@ let take_stats c =
 let encode_response = function
   | Pong -> frame tag_pong (fun _ -> ())
   | Entries { vantage_count; entries } ->
-    frame tag_entries (fun b ->
+    let size =
+      List.fold_left
+        (fun n e -> n + Collect.Correlator.entry_size e)
+        8 entries
+    in
+    frame ~size tag_entries (fun b ->
         put_u32 b vantage_count;
         put_list b Collect.Correlator.write_entry entries)
   | Count_is n -> frame tag_count_is (fun b -> put_i63 b n)

@@ -12,6 +12,11 @@
     frame: in-flight corruption is always surfaced as [Corrupt], which
     the retrying {!Client} treats as a transient transport failure.
 
+    An encoder allocates its payload once at the final size: an
+    [Entries] reply sums {!Collect.Correlator.entry_size} over its
+    entries first, so a reply of hundreds of kilobytes never grows
+    through a chain of doublings.
+
     The query message carries {!Collect.Query.t} {e unchanged}: the wire
     protocol, the CLI [--query] flag and {!Collect.Store.query} all
     consume the one typed query — no third ad-hoc query format. *)

@@ -385,13 +385,22 @@ let raw_store_bytes ~vantages es =
   Codec.put_list buf Corr.write_entry es;
   Buffer.to_bytes buf
 
-let sequential_store ~vantages es =
-  List.fold_left (fun t e -> Store.add e t) (Store.empty ~vantages) es
+(* The list model of a store: a later entry replaces an earlier one with
+   the same (prefix, start, seq) key, then everything is sorted into
+   canonical order. *)
+let model_entries es =
+  let key (e : Corr.entry) =
+    (Prefix.to_key e.Corr.x_prefix, e.Corr.x_started, e.Corr.x_seq)
+  in
+  List.fold_left (fun kept e -> e :: List.filter (fun o -> key o <> key e) kept) [] es
+  |> List.sort (fun a b -> compare (key a) (key b))
 
-let same_store a b =
-  Store.count a = Store.count b
-  && Bytes.equal (Store.encode a) (Store.encode b)
-  && List.equal entry_equal (Store.entries a) (Store.entries b)
+let matches_model ~vantages es t =
+  let want = model_entries es in
+  Store.count t = List.length want
+  && Bytes.equal (Store.encode t)
+       (raw_store_bytes ~vantages:(List.sort_uniq String.compare vantages) want)
+  && List.equal entry_equal (Store.entries t) want
 
 (* 20,000 entries on one prefix, shuffled, over 256 (start, seq) keys,
    each duplicate with its own payload so that "last one wins" shows. *)
@@ -406,8 +415,8 @@ let test_store_decode_one_prefix () =
   let vantages = [ "vp00"; "vp01" ] in
   let decoded = Store.decode (raw_store_bytes ~vantages es) in
   Alcotest.(check int) "one entry per key" 256 (Store.count decoded);
-  Alcotest.(check bool) "decode == sequential add" true
-    (same_store decoded (sequential_store ~vantages es))
+  Alcotest.(check bool) "decode == list model" true
+    (matches_model ~vantages es decoded)
 
 let store_entries_gen =
   QCheck2.Gen.(
@@ -423,9 +432,89 @@ let prop_bulk_store_matches_add =
   Testutil.qtest ~count:300 "bulk build and decode equal sequential add" store_entries_gen
     (fun es ->
       let vantages = [ "vp01"; "vp00" ] in
-      let want = sequential_store ~vantages es in
-      same_store (Store.of_entries ~vantages es) want
-      && same_store (Store.decode (raw_store_bytes ~vantages es)) want)
+      (* also in key order, where equal keys sit side by side *)
+      let in_order =
+        List.stable_sort
+          (fun (a : Corr.entry) (b : Corr.entry) ->
+            compare
+              (Prefix.to_key a.Corr.x_prefix, a.Corr.x_started, a.Corr.x_seq)
+              (Prefix.to_key b.Corr.x_prefix, b.Corr.x_started, b.Corr.x_seq))
+          es
+      in
+      List.for_all
+        (fun es ->
+          matches_model ~vantages es (Store.of_entries ~vantages es)
+          && matches_model ~vantages es (Store.decode (raw_store_bytes ~vantages es)))
+        [ es; in_order ])
+
+(* Stores whose entries spread over every index: several origins each,
+   zero to four vantages (every visibility floor), open and closed
+   episodes, and day counts in all three duration buckets. *)
+let indexed_store_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 50)
+      (map
+         (fun ((pi, started, seq), (ended, days, origins), seen) ->
+           entry ~prefix:script_prefixes.(pi) ~origins ~started ~seq
+             ?ended:(Option.map (fun d -> started + d) ended)
+             ~days
+             ~seen:
+               (List.filteri
+                  (fun i _ -> seen land (1 lsl i) <> 0)
+                  [ "vp00"; "vp01"; "vp02"; "vp03" ])
+             ())
+         (triple
+            (triple (int_range 0 3) (int_range 0 8) (int_range 1 3))
+            (triple (opt (int_range 0 4)) (oneofl [ 1; 2; 30; 61; 200 ])
+               (list_size (int_range 1 3) (int_range 10 15)))
+            (int_range 0 15))))
+
+let query_gen =
+  let clause g f = QCheck2.Gen.(map (function None -> Fun.id | Some v -> f v) (opt g)) in
+  QCheck2.Gen.(
+    map
+      (fun fs -> List.fold_left (fun q f -> f q) Collect.Query.empty fs)
+      (flatten_l
+         [
+           clause
+             (oneofl (Prefix.of_string "198.51.100.0/23" :: Array.to_list script_prefixes))
+             Collect.Query.prefix;
+           map (fun b -> if b then Collect.Query.covered else Fun.id) bool;
+           clause (int_range 9 16) (fun a -> Collect.Query.origin (Asn.make a));
+           clause (int_range 0 12) Collect.Query.since;
+           clause (int_range 0 12) Collect.Query.until;
+           clause (int_range 0 6) Collect.Query.min_visibility;
+           clause
+             (oneofl Stream.Monitor.[ Short; Medium; Long ])
+             Collect.Query.bucket;
+         ]))
+
+let prop_indexes_answer_like_a_scan =
+  Testutil.qtest ~count:300 "indexed query = filter over entries"
+    QCheck2.Gen.(pair indexed_store_gen (list_size (int_range 1 8) query_gen))
+    (fun (es, queries) ->
+      let vantages = [ "vp00"; "vp01"; "vp02"; "vp03" ] in
+      let built = Store.of_entries ~vantages es in
+      let decoded = Store.decode (Store.encode built) in
+      List.for_all
+        (fun t ->
+          List.for_all
+            (fun q ->
+              let want = List.filter (Collect.Query.matches q) (Store.entries t) in
+              List.equal entry_equal (Store.query t q) want
+              && Store.count_matching t q = List.length want)
+            (Collect.Query.empty :: queries))
+        [ built; decoded ])
+
+let prop_entry_size_is_exact =
+  Testutil.qtest ~count:200 "entry_size = octets written" indexed_store_gen
+    (fun es ->
+      List.for_all
+        (fun e ->
+          let buf = Buffer.create 16 in
+          Corr.write_entry buf e;
+          Buffer.length buf = Corr.entry_size e)
+        es)
 
 let test_store_roundtrip () =
   let s = sample_store () in
@@ -642,6 +731,8 @@ let () =
           Alcotest.test_case "decode of 20k same-prefix entries" `Quick
             test_store_decode_one_prefix;
           prop_bulk_store_matches_add;
+          prop_indexes_answer_like_a_scan;
+          prop_entry_size_is_exact;
         ] );
       ( "scenario",
         [
