@@ -18,34 +18,46 @@ let segment_length = function
 
 let length t = List.fold_left (fun acc s -> acc + segment_length s) 0 t
 
-let contains t asn =
-  List.exists
-    (function
-      | Seq ases -> List.exists (Asn.equal asn) ases
-      | Set s -> Asn.Set.mem asn s)
-    t
+let rec mem_seq asn = function
+  | [] -> false
+  | a :: rest -> Asn.equal a asn || mem_seq asn rest
 
-let rec last_segment = function
+let rec contains t asn =
+  match t with
+  | [] -> false
+  | Seq ases :: rest -> mem_seq asn ases || contains rest asn
+  | Set s :: rest -> Asn.Set.mem asn s || contains rest asn
+
+let rec last_as = function
   | [] -> None
-  | [ s ] -> Some s
-  | _ :: rest -> last_segment rest
+  | [ asn ] -> Some asn
+  | _ :: rest -> last_as rest
 
-let origin_as t =
-  match last_segment t with
-  | Some (Seq ases) -> (
-    match List.rev ases with
-    | origin :: _ -> Some origin
-    | [] -> None)
-  | Some (Set _) | None -> None
+let rec origin_as = function
+  | [] -> None
+  | [ Seq ases ] -> last_as ases
+  | [ Set _ ] -> None
+  | _ :: rest -> origin_as rest
 
-let origin_candidates t =
-  match last_segment t with
-  | Some (Seq ases) -> (
-    match List.rev ases with
-    | origin :: _ -> Asn.Set.singleton origin
-    | [] -> Asn.Set.empty)
-  | Some (Set s) -> s
-  | None -> Asn.Set.empty
+let rec last_as_or default = function
+  | [] -> default
+  | [ asn ] -> asn
+  | _ :: rest -> last_as_or default rest
+
+let rec origin_or ~default = function
+  | [] -> default
+  | [ Seq ases ] -> last_as_or default ases
+  | [ Set _ ] -> default
+  | _ :: rest -> origin_or ~default rest
+
+let rec origin_candidates = function
+  | [] -> Asn.Set.empty
+  | [ Seq ases ] -> (
+    match last_as ases with
+    | Some origin -> Asn.Set.singleton origin
+    | None -> Asn.Set.empty)
+  | [ Set s ] -> s
+  | _ :: rest -> origin_candidates rest
 
 let ases t =
   List.fold_left
@@ -75,9 +87,29 @@ let aggregate a b =
   let tail = if Asn.Set.is_empty rest then [] else [ Set rest ] in
   if head = [] then tail else Seq head :: tail
 
-let compare = Stdlib.compare
+(* AS_SETs compare by membership, never by the shape of their balanced
+   trees: the same members added in a different order build a different
+   tree, which the polymorphic compare would call a different path.  The
+   order is otherwise the structural one -- sequences before sets,
+   lexicographic within and across segments. *)
+let compare_segment a b =
+  match (a, b) with
+  | Seq x, Seq y -> List.compare Asn.compare x y
+  | Set x, Set y -> Asn.Set.compare x y
+  | Seq _, Set _ -> -1
+  | Set _, Seq _ -> 1
 
-let equal a b = compare a b = 0
+let compare a b = if a == b then 0 else List.compare compare_segment a b
+
+let equal_segment a b =
+  a == b
+  ||
+  match (a, b) with
+  | Seq x, Seq y -> List.equal Asn.equal x y
+  | Set x, Set y -> Asn.Set.equal x y
+  | Seq _, Set _ | Set _, Seq _ -> false
+
+let equal a b = a == b || List.equal equal_segment a b
 
 let to_string t =
   let segment_to_string = function

@@ -33,6 +33,10 @@ val origin_as : t -> Asn.t option
 (** The origin: last AS of the final sequence; [None] for an empty path or
     when the path ends in an AS_SET (ambiguous origin after aggregation). *)
 
+val origin_or : default:Asn.t -> t -> Asn.t
+(** [origin_as] with [default] for [None], allocating nothing: the form
+    the decision process and the MOAS check call on every route. *)
+
 val origin_candidates : t -> Asn.Set.t
 (** Possible origins: the singleton origin, or the members of the trailing
     AS_SET, or empty for the empty path. *)
@@ -45,10 +49,13 @@ val aggregate : t -> t -> t
     sequence followed by an AS_SET of the remaining ASes. *)
 
 val equal : t -> t -> bool
-(** Structural equality. *)
+(** Segment-wise equality; AS_SETs are equal when they have the same
+    members, however they were built. *)
 
 val compare : t -> t -> int
-(** Total order (structural). *)
+(** Total order consistent with {!equal}: sequences before sets,
+    lexicographic within and across segments, AS_SETs by
+    {!Net.Asn.Set.compare}. *)
 
 val to_string : t -> string
 (** E.g. ["3 2 1"] or ["3 {1,2}"]. *)

@@ -1,41 +1,45 @@
 open Net
 
-let prefer ~self a b =
-  ignore self;
+(* The order on route attributes, given both path lengths: a scan over
+   the candidates measures each path once instead of once per
+   comparison. *)
+let compare_attrs a a_len b b_len =
   let by_local_pref = Int.compare b.Route.local_pref a.Route.local_pref in
   if by_local_pref <> 0 then by_local_pref
   else
-    let by_length =
-      Int.compare (As_path.length a.Route.as_path) (As_path.length b.Route.as_path)
-    in
+    let by_length = Int.compare a_len b_len in
     if by_length <> 0 then by_length
     else
-      let by_origin =
-        Int.compare (Route.origin_rank a.Route.origin) (Route.origin_rank b.Route.origin)
-      in
-      if by_origin <> 0 then by_origin
-      else Asn.compare a.Route.learned_from b.Route.learned_from
+      Int.compare (Route.origin_rank a.Route.origin) (Route.origin_rank b.Route.origin)
+
+let compare_routes a a_len b b_len =
+  let by_attrs = compare_attrs a a_len b b_len in
+  if by_attrs <> 0 then by_attrs
+  else Asn.compare a.Route.learned_from b.Route.learned_from
+
+let path_length r = As_path.length r.Route.as_path
+
+let prefer ~self a b =
+  ignore self;
+  compare_routes a (path_length a) b (path_length b)
+
+let prefer_attrs a b = compare_attrs a (path_length a) b (path_length b)
+
+(* the first most preferred route *)
+let rec best_of b b_len = function
+  | [] -> b
+  | r :: rest ->
+    let r_len = path_length r in
+    if compare_routes r r_len b b_len < 0 then best_of r r_len rest
+    else best_of b b_len rest
 
 let best ~self = function
   | [] -> None
   | first :: rest ->
-    Some
-      (List.fold_left
-         (fun acc r -> if prefer ~self r acc < 0 then r else acc)
-         first rest)
+    ignore self;
+    Some (best_of first (path_length first) rest)
 
 let rank ~self routes = List.sort (prefer ~self) routes
-
-let prefer_attrs a b =
-  let by_local_pref = Int.compare b.Route.local_pref a.Route.local_pref in
-  if by_local_pref <> 0 then by_local_pref
-  else
-    let by_length =
-      Int.compare (As_path.length a.Route.as_path) (As_path.length b.Route.as_path)
-    in
-    if by_length <> 0 then by_length
-    else
-      Int.compare (Route.origin_rank a.Route.origin) (Route.origin_rank b.Route.origin)
 
 let best_with_incumbent ~self ~incumbent candidates =
   let challenger = best ~self candidates in

@@ -111,15 +111,18 @@ let make ?(config = Config.default) graph =
   in
   Asn.Map.iter
     (fun asn router ->
-      Asn.Set.iter (Router.add_peer router) (Topology.As_graph.neighbors graph asn);
+      Router.add_peers router (Topology.As_graph.neighbors graph asn);
       let link = link_key asn in
       let deliver ~peer update delay =
         Sim.Engine.schedule engine ~delay (fun engine ->
             (* a message in flight when the session fails or an endpoint
-               crashes is lost with the TCP connection *)
-            if Hashtbl.mem t.down_links (link peer) then note_drop t "link_down"
+               crashes is lost with the TCP connection; the tables are
+               empty unless a fault is active, and then nothing is hashed *)
+            if Hashtbl.length t.down_links > 0 && Hashtbl.mem t.down_links (link peer)
+            then note_drop t "link_down"
             else if
-              Hashtbl.mem t.down_routers peer || Hashtbl.mem t.down_routers asn
+              Hashtbl.length t.down_routers > 0
+              && (Hashtbl.mem t.down_routers peer || Hashtbl.mem t.down_routers asn)
             then note_drop t "router_down"
             else
               match Asn.Map.find_opt peer t.routers with
@@ -136,7 +139,10 @@ let make ?(config = Config.default) graph =
         | Some tap ->
           tap ~time:(Sim.Engine.now engine) ~src:asn ~dst:peer update
         | None -> ());
-        match Hashtbl.find_opt t.impairments (link peer) with
+        match
+          if Hashtbl.length t.impairments = 0 then None
+          else Hashtbl.find_opt t.impairments (link peer)
+        with
         | None -> deliver ~peer update delay
         | Some (imp, rng) ->
           if imp.loss > 0.0 && Rng.chance rng imp.loss then note_drop t "loss"

@@ -2,7 +2,19 @@
 
     The Adj-RIB-In stores the latest route received from each peer for each
     prefix; the Loc-RIB holds the selected best route per prefix.  Both are
-    plain data so tests can inspect them directly. *)
+    plain data so tests can inspect them directly.
+
+    Both are laid out for the decision process, which runs once per
+    UPDATE:
+    - a prefix's Adj-RIB-In is its candidate list itself, in peer-AS
+      order, so {!routes_in} hands the decision its candidates without
+      building a list;
+    - the Loc-RIB is a prefix map: {!best}, {!set_best} and {!clear_best}
+      are one balanced-tree operation each.  The longest-match view
+      {!loc_rib_trie} is derived from it on demand and cached until the
+      next best-route change, so forwarding walks that run after
+      convergence build it once per router and the decision process never
+      builds it. *)
 
 open Net
 
@@ -20,12 +32,11 @@ val withdraw_in : t -> peer:Asn.t -> Prefix.t -> unit
 (** Remove [peer]'s entry for [prefix], if any. *)
 
 val routes_in : t -> Prefix.t -> Route.t list
-(** All Adj-RIB-In candidates for a prefix, ordered by peer AS number. *)
+(** All Adj-RIB-In candidates for a prefix, ordered by peer AS number.
+    The list is stored, not built: O(1) and allocation-free. *)
 
 val fold_routes_in : t -> Prefix.t -> ('acc -> Route.t -> 'acc) -> 'acc -> 'acc
-(** Fold over the Adj-RIB-In candidates for a prefix in peer-AS order —
-    the allocation-free form of {!routes_in} used by the decision
-    process. *)
+(** [List.fold_left] over {!routes_in}. *)
 
 val peers_with_route : t -> Prefix.t -> Asn.t list
 (** Peers currently contributing a candidate for the prefix. *)
@@ -40,14 +51,18 @@ val best : t -> Prefix.t -> Route.t option
 (** Selected route for a prefix, if any. *)
 
 val best_bindings : t -> (Prefix.t * Route.t) list
-(** Loc-RIB contents. *)
+(** Loc-RIB contents in {!Net.Prefix.compare} order, which is the
+    pre-order of {!loc_rib_trie}: a prefix before its subprefixes. *)
 
 val loc_rib_size : t -> int
 (** Number of Loc-RIB entries, maintained incrementally — O(1), equal to
     [List.length (best_bindings t)]. *)
 
 val loc_rib_trie : t -> Route.t Net.Prefix_trie.t
-(** The Loc-RIB as a prefix trie (longest-match forwarding view). *)
+(** The Loc-RIB as a prefix trie (longest-match forwarding view).  Built
+    on the first call after a best-route change and returned from a cache
+    until the next {!set_best}, {!clear_best} or {!clear}; the value is
+    immutable, so a trie obtained earlier stays a valid snapshot. *)
 
 val prefixes_in : t -> Prefix.Set.t
 (** Prefixes that currently have at least one Adj-RIB-In candidate. *)

@@ -26,10 +26,7 @@ let originate ?(origin = Igp) ?(local_pref = 100)
     prefix =
   { prefix; as_path; origin; learned_from = self; local_pref; communities }
 
-let origin_as ~self t =
-  match As_path.origin_as t.as_path with
-  | Some asn -> asn
-  | None -> self
+let origin_as ~self t = As_path.origin_or ~default:self t.as_path
 
 let received ~from t = { t with learned_from = from }
 
@@ -39,13 +36,31 @@ let with_communities communities t = { t with communities }
 
 let strip_communities t = { t with communities = Community.Set.empty }
 
+let origin_attr_equal a b =
+  match (a, b) with
+  | Igp, Igp | Egp, Egp | Incomplete, Incomplete -> true
+  | (Igp | Egp | Incomplete), _ -> false
+
+(* Routes are compared on every decision and every export; a route that
+   was only re-stamped or re-advertised shares its path and community set
+   with the original, so the physical checks settle most calls. *)
 let equal a b =
-  Prefix.equal a.prefix b.prefix
-  && As_path.equal a.as_path b.as_path
-  && a.origin = b.origin
-  && Asn.equal a.learned_from b.learned_from
-  && a.local_pref = b.local_pref
-  && Community.Set.equal a.communities b.communities
+  a == b
+  || Asn.equal a.learned_from b.learned_from
+     && Int.equal a.local_pref b.local_pref
+     && origin_attr_equal a.origin b.origin
+     && Prefix.equal a.prefix b.prefix
+     && As_path.equal a.as_path b.as_path
+     && (a.communities == b.communities
+        || Community.Set.equal a.communities b.communities)
+
+let rec filter keep = function
+  | [] -> []
+  | r :: rest as routes ->
+    if keep r then
+      let kept = filter keep rest in
+      if kept == rest then routes else r :: kept
+    else filter keep rest
 
 let pp fmt t =
   Format.fprintf fmt "%a via [%a] from %a lp=%d{%s}" Prefix.pp t.prefix

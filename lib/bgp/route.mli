@@ -56,6 +56,11 @@ val strip_communities : t -> t
 val equal : t -> t -> bool
 (** Structural equality on all fields. *)
 
+val filter : (t -> bool) -> t list -> t list
+(** [List.filter], calling the predicate in list order, that returns the
+    list itself when it keeps every route: a check that drops nothing
+    allocates nothing. *)
+
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering for traces and tests. *)
 

@@ -27,6 +27,20 @@ type flap_state = {
   mutable first_seen : bool; (* the initial announcement is not a flap *)
 }
 
+(* One BGP session's export state: what the peer last heard, to suppress
+   duplicate updates and to know when an explicit withdrawal is due, and
+   the MRAI state -- the time of the last advertisement batch and the
+   prefixes whose advertisement is deferred until the interval expires
+   (both read only when [mrai > 0]). *)
+type session = {
+  mutable heard : Route.t Prefix.Map.t;
+  mutable last_batch : float;
+  mutable deferred : Prefix.Set.t;
+}
+
+let fresh_session () =
+  { heard = Prefix.Map.empty; last_batch = neg_infinity; deferred = Prefix.Set.empty }
+
 type t = {
   asn : Asn.t;
   policy : Policy.t;
@@ -35,16 +49,12 @@ type t = {
   damping : damping option;
   flaps : (Asn.t * Prefix.t, flap_state) Hashtbl.t;
   rib : Rib.t;
-  mutable peer_set : Asn.Set.t;
+  (* the peers with an established session in increasing AS order, and
+     each one's export state at the same index *)
+  mutable peer_ids : Asn.t array;
+  mutable sessions : session array;
   mutable originated : Route.t Prefix.Map.t;
   mutable aggregates : Prefix.Set.t;
-  (* what was last advertised to each peer, to suppress duplicate updates
-     and to know when an explicit withdrawal is due *)
-  mutable advertised : Route.t Prefix.Map.t Asn.Map.t;
-  (* MRAI state: per-peer time of last advertisement batch and the set of
-     prefixes whose advertisement is deferred until the interval expires *)
-  mutable last_batch : float Asn.Map.t;
-  mutable deferred : Prefix.Set.t Asn.Map.t;
   mutable send : (peer:Asn.t -> Update.t -> unit) option;
   mutable schedule : (delay:float -> (float -> unit) -> unit) option;
   mutable received_count : int;
@@ -64,7 +74,9 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
   | Some d when d.reuse_threshold >= d.suppress_threshold ->
     invalid_arg "Router.create: damping reuse must be below suppress"
   | _ -> ());
-  let labels = [ ("as", Asn.to_string asn) ] in
+  let labels =
+    if Obs.Registry.is_noop metrics then [] else [ ("as", Asn.to_string asn) ]
+  in
   {
     asn;
     policy;
@@ -73,12 +85,10 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     damping;
     flaps = Hashtbl.create 16;
     rib = Rib.create ();
-    peer_set = Asn.Set.empty;
+    peer_ids = [||];
+    sessions = [||];
     originated = Prefix.Map.empty;
     aggregates = Prefix.Set.empty;
-    advertised = Asn.Map.empty;
-    last_batch = Asn.Map.empty;
-    deferred = Asn.Map.empty;
     send = None;
     schedule = None;
     received_count = 0;
@@ -92,11 +102,38 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
 
 let asn t = t.asn
 
-let add_peer t peer =
-  if Asn.equal peer t.asn then invalid_arg "Router.add_peer: self peering";
-  t.peer_set <- Asn.Set.add peer t.peer_set
+(* the slot of the peer's session, or -1 without one *)
+let rec find_slot ids peer lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let c = Asn.compare ids.(mid) peer in
+    if c = 0 then mid
+    else if c < 0 then find_slot ids peer (mid + 1) hi
+    else find_slot ids peer lo mid
 
-let peers t = Asn.Set.elements t.peer_set
+let session_index t peer = find_slot t.peer_ids peer 0 (Array.length t.peer_ids)
+
+(* the sessions of [peers] and of the current peers, in increasing AS
+   order; a current peer keeps its session *)
+let add_peers t peers =
+  if Asn.Set.mem t.asn peers then invalid_arg "Router.add_peer: self peering";
+  let current = Array.fold_left (fun s p -> Asn.Set.add p s) Asn.Set.empty t.peer_ids in
+  let ids = Array.of_list (Asn.Set.elements (Asn.Set.union peers current)) in
+  if Array.length ids > Array.length t.peer_ids then begin
+    t.sessions <-
+      Array.map
+        (fun peer ->
+          match session_index t peer with
+          | -1 -> fresh_session ()
+          | slot -> t.sessions.(slot))
+        ids;
+    t.peer_ids <- ids
+  end
+
+let add_peer t peer = add_peers t (Asn.Set.singleton peer)
+
+let peers t = Array.to_list t.peer_ids
 
 let set_transport t ~send ~schedule =
   t.send <- Some send;
@@ -184,26 +221,26 @@ let note_flap t ~now ~peer prefix ~increment =
       else false
     end
 
-(* Candidate iteration: locally originated route first, then the
-   Adj-RIB-In entries in peer-AS order — the same order [candidates]
-   returns, without materializing a list. *)
-let fold_candidates t prefix f init =
-  let init =
-    match Prefix.Map.find_opt prefix t.originated with
-    | Some r -> f init r
-    | None -> init
-  in
-  Rib.fold_routes_in t.rib prefix f init
-
-let candidates t prefix =
-  List.rev (fold_candidates t prefix (fun acc r -> r :: acc) [])
-
-(* damping admission; mutates the flap state exactly as the former
-   List.filter pass did, in the same candidate order *)
+(* damping admission: a suppressed route from a peer is not a candidate;
+   checking it may lift the suppression, so the flap states are visited
+   in candidate order *)
 let admitted t ~now prefix r =
-  t.damping = None
-  || Asn.equal r.Route.learned_from t.asn
+  Asn.equal r.Route.learned_from t.asn
   || not (is_suppressed t ~peer:r.Route.learned_from prefix ~now)
+
+(* All candidates: the locally originated route first, then the
+   Adj-RIB-In entries in peer-AS order -- the Adj-RIB-In's own list, plus
+   one cell for an originated route. *)
+let candidates t prefix =
+  let learned = Rib.routes_in t.rib prefix in
+  match Prefix.Map.find_opt prefix t.originated with
+  | Some r -> r :: learned
+  | None -> learned
+
+let admitted_candidates t ~now prefix =
+  match t.damping with
+  | None -> candidates t prefix
+  | Some _ -> Route.filter (admitted t ~now prefix) (candidates t prefix)
 
 let best t prefix = Rib.best t.rib prefix
 
@@ -217,10 +254,12 @@ let updates_sent t = t.sent_count
 
 (* ------------------------------------------------------------------ *)
 (* Advertisement: compute what a peer should currently hear for a prefix
-   and emit an UPDATE only if it differs from what it last heard.        *)
+   and emit an UPDATE only if it differs from what it last heard.  The
+   callers pass the prefix's best route, looked up once per change rather
+   than once per peer.                                                    *)
 
-let desired_advertisement t ~peer prefix =
-  match best t prefix with
+let desired_advertisement t ~peer best =
+  match best with
   | None -> None
   | Some route ->
     (* split horizon: never advertise a route back to the peer that
@@ -233,78 +272,57 @@ let desired_advertisement t ~peer prefix =
       | None -> None
       | Some exported -> Some (Route.advertised_by t.asn exported))
 
-let last_advertised t ~peer prefix =
-  match Asn.Map.find_opt peer t.advertised with
-  | Some per_prefix -> Prefix.Map.find_opt prefix per_prefix
-  | None -> None
-
-let record_advertised t ~peer prefix route_opt =
-  t.advertised <-
-    Asn.Map.update peer
-      (fun per_prefix ->
-        let per_prefix = Option.value ~default:Prefix.Map.empty per_prefix in
-        Some
-          (match route_opt with
-          | Some route -> Prefix.Map.add prefix route per_prefix
-          | None -> Prefix.Map.remove prefix per_prefix))
-      t.advertised
-
-let sync_peer_prefix t ~peer prefix =
-  let desired = desired_advertisement t ~peer prefix in
-  let current = last_advertised t ~peer prefix in
+let sync_peer_prefix t session ~peer prefix best =
+  let desired = desired_advertisement t ~peer best in
+  let current = Prefix.Map.find_opt prefix session.heard in
   match (desired, current) with
   | None, None -> ()
   | Some d, Some c when Route.equal d c -> ()
   | Some d, _ ->
-    record_advertised t ~peer prefix (Some d);
+    session.heard <- Prefix.Map.add prefix d session.heard;
     transport_send t ~peer (Update.announce ~sender:t.asn d)
   | None, Some _ ->
-    record_advertised t ~peer prefix None;
+    session.heard <- Prefix.Map.remove prefix session.heard;
     transport_send t ~peer (Update.withdraw ~sender:t.asn prefix)
 
 (* MRAI gating: a peer whose last batch is too recent gets the prefix
    queued; a timer fires when the interval expires and syncs every queued
    prefix at once. *)
-let rec advertise_to_peer t ~now peer prefix =
-  if t.mrai <= 0.0 then begin
-    sync_peer_prefix t ~peer prefix;
-    t.last_batch <- Asn.Map.add peer now t.last_batch
+let rec advertise_to_peer t ~now peer session prefix best =
+  if t.mrai <= 0.0 then sync_peer_prefix t session ~peer prefix best
+  else if now -. session.last_batch >= t.mrai then begin
+    sync_peer_prefix t session ~peer prefix best;
+    session.last_batch <- now
   end
-  else
-    let last = Option.value ~default:neg_infinity (Asn.Map.find_opt peer t.last_batch) in
-    if now -. last >= t.mrai then begin
-      sync_peer_prefix t ~peer prefix;
-      t.last_batch <- Asn.Map.add peer now t.last_batch
-    end
-    else begin
-      let was_empty =
-        match Asn.Map.find_opt peer t.deferred with
-        | None -> true
-        | Some s -> Prefix.Set.is_empty s
-      in
-      t.deferred <-
-        Asn.Map.update peer
-          (fun s ->
-            Some (Prefix.Set.add prefix (Option.value ~default:Prefix.Set.empty s)))
-          t.deferred;
-      if was_empty then
-        transport_schedule t
-          ~delay:(last +. t.mrai -. now)
-          (fun fire_time -> flush_deferred t ~now:fire_time peer)
-    end
+  else begin
+    let was_empty = Prefix.Set.is_empty session.deferred in
+    session.deferred <- Prefix.Set.add prefix session.deferred;
+    if was_empty then
+      transport_schedule t
+        ~delay:(session.last_batch +. t.mrai -. now)
+        (fun fire_time -> flush_deferred t ~now:fire_time peer)
+  end
 
+(* the timer names the peer, not the session: a session that went down
+   and came back up in the meantime is flushed as it is now *)
 and flush_deferred t ~now peer =
-  let queued =
-    Option.value ~default:Prefix.Set.empty (Asn.Map.find_opt peer t.deferred)
-  in
-  t.deferred <- Asn.Map.add peer Prefix.Set.empty t.deferred;
-  if not (Prefix.Set.is_empty queued) then begin
-    t.last_batch <- Asn.Map.add peer now t.last_batch;
-    Prefix.Set.iter (fun prefix -> sync_peer_prefix t ~peer prefix) queued
-  end
+  match session_index t peer with
+  | -1 -> ()
+  | slot ->
+    let session = t.sessions.(slot) in
+    let queued = session.deferred in
+    session.deferred <- Prefix.Set.empty;
+    if not (Prefix.Set.is_empty queued) then begin
+      session.last_batch <- now;
+      Prefix.Set.iter
+        (fun prefix -> sync_peer_prefix t session ~peer prefix (Rib.best t.rib prefix))
+        queued
+    end
 
-let advertise_all t ~now prefix =
-  Asn.Set.iter (fun peer -> advertise_to_peer t ~now peer prefix) t.peer_set
+let advertise_all t ~now prefix best =
+  for slot = 0 to Array.length t.peer_ids - 1 do
+    advertise_to_peer t ~now t.peer_ids.(slot) t.sessions.(slot) prefix best
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Decision *)
@@ -312,44 +330,12 @@ let advertise_all t ~now prefix =
 let rec reselect t ~now prefix =
   Obs.Registry.Counter.incr t.decisions_c;
   let old_best = Rib.best t.rib prefix in
+  let all = admitted_candidates t ~now prefix in
   let new_best =
-    match t.validator with
-    | Some validate ->
-      (* the validator interface consumes the whole candidate list, so
-         this path still materializes it (one cons per admitted route) *)
-      let all =
-        List.rev
-          (fold_candidates t prefix
-             (fun acc r -> if admitted t ~now prefix r then r :: acc else acc)
-             [])
-      in
-      Decision.best_with_incumbent ~self:t.asn ~incumbent:old_best
-        (validate ~now ~prefix all)
-    | None ->
-      (* allocation-free path: stream the candidates through the decision
-         process, tracking the would-be [Decision.best] and whether the
-         incumbent is still admitted — equivalent to
-         [best_with_incumbent ~incumbent:old_best admitted_candidates] *)
-      let challenger, incumbent_admitted =
-        fold_candidates t prefix
-          (fun ((best, seen) as acc) r ->
-            if admitted t ~now prefix r then
-              ( (match best with
-                | None -> Some r
-                | Some b -> if Decision.prefer ~self:t.asn r b < 0 then Some r else best),
-                seen
-                || match old_best with
-                   | Some o -> Route.equal o r
-                   | None -> false )
-            else acc)
-          (None, false)
-      in
-      (match old_best with
-      | Some current when incumbent_admitted ->
-        (match challenger with
-        | Some c when Decision.prefer_attrs c current < 0 -> Some c
-        | Some _ | None -> Some current)
-      | Some _ | None -> challenger)
+    Decision.best_with_incumbent ~self:t.asn ~incumbent:old_best
+      (match t.validator with
+      | Some validate -> validate ~now ~prefix all
+      | None -> all)
   in
   let changed =
     match (new_best, old_best) with
@@ -364,7 +350,7 @@ let rec reselect t ~now prefix =
     if t.metrics_live then
       Obs.Registry.Gauge.set t.loc_rib_g
         (float_of_int (Rib.loc_rib_size t.rib));
-    advertise_all t ~now prefix;
+    advertise_all t ~now prefix new_best;
     (* a change to a child route may alter a configured aggregate; the
        summary is strictly shorter, so this recursion terminates *)
     Prefix.Set.iter
@@ -422,22 +408,24 @@ let remove_aggregate t ~now summary =
   end
 
 let peer_down t ~now peer =
-  if Asn.Set.mem peer t.peer_set then begin
-    t.peer_set <- Asn.Set.remove peer t.peer_set;
+  let slot = session_index t peer in
+  if slot >= 0 then begin
     (* what the peer heard from us is void with the session *)
-    t.advertised <- Asn.Map.remove peer t.advertised;
-    t.deferred <- Asn.Map.remove peer t.deferred;
-    t.last_batch <- Asn.Map.remove peer t.last_batch;
+    let keep i = if i < slot then i else i + 1 in
+    let n = Array.length t.peer_ids - 1 in
+    t.peer_ids <- Array.init n (fun i -> t.peer_ids.(keep i));
+    t.sessions <- Array.init n (fun i -> t.sessions.(keep i));
     let affected = Rib.flush_peer t.rib ~peer in
     List.iter (fun prefix -> reselect t ~now prefix) affected
   end
 
 let peer_up t ~now peer =
-  if not (Asn.Set.mem peer t.peer_set) then begin
+  if session_index t peer < 0 then begin
     add_peer t peer;
+    let session = t.sessions.(session_index t peer) in
     (* initial table exchange: everything in the Loc-RIB goes out *)
     List.iter
-      (fun (prefix, _) -> advertise_to_peer t ~now peer prefix)
+      (fun (prefix, best) -> advertise_to_peer t ~now peer session prefix (Some best))
       (Rib.best_bindings t.rib)
   end
 
@@ -446,10 +434,8 @@ let crash t =
      configuration — originated prefixes, aggregation rules, policy,
      validator — survives in NVRAM for [restart] *)
   Rib.clear t.rib;
-  t.peer_set <- Asn.Set.empty;
-  t.advertised <- Asn.Map.empty;
-  t.deferred <- Asn.Map.empty;
-  t.last_batch <- Asn.Map.empty;
+  t.peer_ids <- [||];
+  t.sessions <- [||];
   Hashtbl.reset t.flaps
 
 let restart t ~now =

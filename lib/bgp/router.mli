@@ -61,6 +61,9 @@ val asn : t -> Asn.t
 val add_peer : t -> Asn.t -> unit
 (** Declare a BGP session with a neighbouring AS (idempotent). *)
 
+val add_peers : t -> Asn.Set.t -> unit
+(** {!add_peer} for every AS of the set, in one step. *)
+
 val peers : t -> Asn.t list
 (** Current peers in increasing AS order. *)
 

@@ -1,5 +1,9 @@
+(* the clock sits in an all-float record, stored unboxed: advancing it
+   once per event allocates nothing *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable clock : float;
+  clock : clock;
   mutable executed : int;
   queue : handler Event_queue.t;
   mutable queue_hwm : int;
@@ -22,7 +26,7 @@ let wall_block = 10_000
 
 let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
   {
-    clock = 0.0;
+    clock = { now = 0.0 };
     executed = 0;
     queue = Event_queue.create ();
     queue_hwm = 0;
@@ -35,7 +39,7 @@ let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
     wall_per_10k_h = Obs.Registry.histogram metrics "sim_wall_s_per_10k_events";
   }
 
-let now t = t.clock
+let now t = t.clock.now
 let metrics t = t.metrics
 
 let note_depth t =
@@ -45,11 +49,11 @@ let note_depth t =
 let schedule t ~delay h =
   if delay < 0.0 || Float.is_nan delay then
     invalid_arg "Engine.schedule: negative delay";
-  Event_queue.push t.queue ~time:(t.clock +. delay) h;
+  Event_queue.push t.queue ~time:(t.clock.now +. delay) h;
   note_depth t
 
 let schedule_at t ~time h =
-  if time < t.clock || Float.is_nan time then
+  if time < t.clock.now || Float.is_nan time then
     invalid_arg "Engine.schedule_at: time in the past";
   Event_queue.push t.queue ~time h;
   note_depth t
@@ -87,23 +91,23 @@ let run ?(max_events = max_int) ?(until = infinity) t =
   let start_executed = t.executed in
   let rec loop budget =
     if budget <= 0 then Event_limit_reached
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> Quiescent
-      | Some time when time > until -> Time_limit_reached
-      | Some _ ->
-        (match Event_queue.pop t.queue with
-        | None -> Quiescent
-        | Some (time, h) ->
-          t.clock <- time;
-          t.executed <- t.executed + 1;
-          h t;
-          if t.live && (t.executed - start_executed) mod wall_block = 0 then begin
-            let now = t.wall_clock () in
-            Obs.Registry.Histogram.observe t.wall_per_10k_h (now -. !block_start);
-            block_start := now
-          end;
-          loop (budget - 1))
+    else if Event_queue.is_empty t.queue then Quiescent
+    else begin
+      let time = Event_queue.min_time t.queue in
+      if time > until then Time_limit_reached
+      else begin
+        let h = Event_queue.pop_min t.queue in
+        t.clock.now <- time;
+        t.executed <- t.executed + 1;
+        h t;
+        if t.live && (t.executed - start_executed) mod wall_block = 0 then begin
+          let now = t.wall_clock () in
+          Obs.Registry.Histogram.observe t.wall_per_10k_h (now -. !block_start);
+          block_start := now
+        end;
+        loop (budget - 1)
+      end
+    end
   in
   let outcome = loop max_events in
   if t.live then begin
@@ -115,6 +119,6 @@ let run ?(max_events = max_int) ?(until = infinity) t =
 
 let reset t =
   Event_queue.clear t.queue;
-  t.clock <- 0.0;
+  t.clock.now <- 0.0;
   t.executed <- 0;
   t.queue_hwm <- 0

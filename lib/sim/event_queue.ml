@@ -1,82 +1,109 @@
-type 'a entry = { time : float; seq : int; payload : 'a }
-
+(* A binary min-heap on (time, seq), slot 0 unused, stored as three
+   parallel arrays so that a push allocates nothing once the arrays have
+   grown: times unboxed in a float array, insertion sequence numbers and
+   payloads beside them. *)
 type 'a t = {
-  mutable heap : 'a entry array; (* min-heap on (time, seq); slot 0 unused *)
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let dummy payload = { time = 0.0; seq = 0; payload }
-
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () =
+  { times = Float.Array.create 0; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* whether slot [i] precedes the entry (time, seq) *)
+let[@inline] before t i time seq =
+  let ti = Float.Array.get t.times i in
+  ti < time || (ti = time && t.seqs.(i) < seq)
 
-let grow t entry =
-  let cap = Array.length t.heap in
+let[@inline] move t ~src ~dst =
+  Float.Array.set t.times dst (Float.Array.get t.times src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src)
+
+let[@inline] place t i time seq payload =
+  Float.Array.set t.times i time;
+  t.seqs.(i) <- seq;
+  t.payloads.(i) <- payload
+
+(* the filler of fresh payload slots is a payload already in the queue,
+   so growing keeps no dead value alive *)
+let grow t filler =
+  let cap = Array.length t.payloads in
   if t.size + 1 >= cap then begin
     let ncap = max 16 (2 * cap) in
-    let nh = Array.make ncap (dummy entry.payload) in
-    Array.blit t.heap 0 nh 0 cap;
-    t.heap <- nh
+    let times = Float.Array.make ncap 0.0 in
+    Float.Array.blit t.times 0 times 0 cap;
+    let seqs = Array.make ncap 0 in
+    Array.blit t.seqs 0 seqs 0 cap;
+    let payloads = Array.make ncap filler in
+    Array.blit t.payloads 0 payloads 0 cap;
+    t.times <- times;
+    t.seqs <- seqs;
+    t.payloads <- payloads
   end
 
 let push t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  let entry = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  grow t entry;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  grow t payload;
   t.size <- t.size + 1;
-  let heap = t.heap in
   (* sift up from the new last slot *)
-  let rec sift i =
-    if i > 1 then begin
-      let parent = i / 2 in
-      if before entry heap.(parent) then begin
-        heap.(i) <- heap.(parent);
-        sift parent
+  let i = ref t.size in
+  while !i > 1 && not (before t (!i / 2) time seq) do
+    move t ~src:(!i / 2) ~dst:!i;
+    i := !i / 2
+  done;
+  place t !i time seq payload
+
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  Float.Array.get t.times 1
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  let top = t.payloads.(1) in
+  let n = t.size - 1 in
+  let time = Float.Array.get t.times t.size
+  and seq = t.seqs.(t.size)
+  and payload = t.payloads.(t.size) in
+  t.size <- n;
+  if n > 0 then begin
+    (* sift the old last entry down from the root *)
+    let i = ref 1 and settled = ref false in
+    while not !settled do
+      let l = 2 * !i in
+      let child =
+        if l + 1 <= n && before t (l + 1) (Float.Array.get t.times l) t.seqs.(l)
+        then l + 1
+        else l
+      in
+      if child <= n && before t child time seq then begin
+        move t ~src:child ~dst:!i;
+        i := child
       end
-      else heap.(i) <- entry
-    end
-    else heap.(i) <- entry
-  in
-  sift t.size
+      else settled := true
+    done;
+    place t !i time seq payload
+  end;
+  top
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let heap = t.heap in
-    let top = heap.(1) in
-    let last = heap.(t.size) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      (* sift the old last element down from the root *)
-      let n = t.size in
-      let rec sift i =
-        let l = 2 * i and r = (2 * i) + 1 in
-        let smallest = ref i in
-        let best = ref last in
-        if l <= n && before heap.(l) !best then begin
-          smallest := l;
-          best := heap.(l)
-        end;
-        if r <= n && before heap.(r) !best then smallest := r;
-        if !smallest <> i then begin
-          heap.(i) <- heap.(!smallest);
-          sift !smallest
-        end
-        else heap.(i) <- last
-      in
-      sift 1
-    end;
-    Some (top.time, top.payload)
-  end
+  else
+    let time = Float.Array.get t.times 1 in
+    Some (time, pop_min t)
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(1).time
+let peek_time t = if t.size = 0 then None else Some (Float.Array.get t.times 1)
 
 let clear t =
   t.size <- 0;
-  t.heap <- [||]
+  t.times <- Float.Array.create 0;
+  t.seqs <- [||];
+  t.payloads <- [||]

@@ -25,5 +25,15 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 (** Timestamp of the earliest event without removing it. *)
 
+val min_time : 'a t -> float
+(** Timestamp of the earliest event: the allocation-free {!peek_time}
+    for a caller that has checked {!is_empty}.
+    @raise Invalid_argument on an empty queue. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the earliest event and return its payload, in the order of
+    {!pop}; read its time with {!min_time} first.
+    @raise Invalid_argument on an empty queue. *)
+
 val clear : 'a t -> unit
 (** Drop all pending events. *)

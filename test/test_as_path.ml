@@ -102,6 +102,69 @@ let prop_aggregate_covers =
         (Asn.Set.union (P.ases pa) (P.ases pb))
         (P.ases (P.aggregate pa pb)))
 
+(* The same AS_SET built by adding its members in two orders: the
+   balanced trees differ in shape, which the polymorphic compare used to
+   read as two different paths. *)
+let test_set_equality_ignores_build_order () =
+  let members = List.init 6 (fun i -> Asn.make (i + 1)) in
+  let up = List.fold_left (fun s a -> Asn.Set.add a s) Asn.Set.empty members in
+  let down =
+    List.fold_left (fun s a -> Asn.Set.add a s) Asn.Set.empty (List.rev members)
+  in
+  Alcotest.(check bool) "the two trees differ in shape" true
+    (Stdlib.compare up down <> 0);
+  let path set = [ P.Seq [ Asn.make 9; Asn.make 8 ]; P.Set set ] in
+  Alcotest.(check bool) "equal" true (P.equal (path up) (path down));
+  Alcotest.(check int) "compare = 0" 0 (P.compare (path up) (path down));
+  let route set =
+    { (Testutil.route ~from:9 [ 9; 8 ]) with Bgp.Route.as_path = path set }
+  in
+  Alcotest.(check bool) "an unchanged aggregate is not a new route" true
+    (Bgp.Route.equal (route up) (route down))
+
+(* paths mixing sequences and sets, sets built in a random order *)
+let segment_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun l -> P.Seq l) (list_size (int_range 0 4) (int_range 1 6));
+        map
+          (fun l -> P.Set (List.fold_left (fun s a -> Asn.Set.add a s) Asn.Set.empty l))
+          (list_size (int_range 0 6) (int_range 1 6));
+      ])
+
+let mixed_path_gen = QCheck2.Gen.(list_size (int_range 0 3) segment_gen)
+
+let prop_compare_antisymmetric =
+  Testutil.qtest "compare is antisymmetric and agrees with equal"
+    QCheck2.Gen.(pair mixed_path_gen mixed_path_gen)
+    (fun (a, b) ->
+      let ab = P.compare a b and ba = P.compare b a in
+      Int.compare ab 0 = - Int.compare ba 0 && (ab = 0) = P.equal a b)
+
+let prop_compare_order_of_insertion =
+  Testutil.qtest "rebuilding every AS_SET keeps a path equal"
+    mixed_path_gen
+    (fun p ->
+      let rebuilt =
+        List.map
+          (function
+            | P.Set s ->
+              P.Set
+                (List.fold_left (fun acc a -> Asn.Set.add a acc) Asn.Set.empty
+                   (List.rev (Asn.Set.elements s)))
+            | seg -> seg)
+          p
+      in
+      P.equal p rebuilt && P.compare p rebuilt = 0)
+
+let prop_compare_matches_structural_on_sequences =
+  Testutil.qtest "on AS_SEQUENCE paths the order is the structural one"
+    QCheck2.Gen.(pair path_gen path_gen)
+    (fun (a, b) ->
+      let pa = P.of_list a and pb = P.of_list b in
+      Int.compare (P.compare pa pb) 0 = Int.compare (Stdlib.compare pa pb) 0)
+
 let () =
   Alcotest.run "as_path"
     [
@@ -115,6 +178,8 @@ let () =
           Alcotest.test_case "AS_SET origin" `Quick test_origin_of_set_tail;
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "ases" `Quick test_ases;
+          Alcotest.test_case "AS_SET equality ignores build order" `Quick
+            test_set_equality_ignores_build_order;
         ] );
       ("community", [ Alcotest.test_case "community values" `Quick test_community ]);
       ( "properties",
@@ -123,5 +188,8 @@ let () =
           prop_prepend_length;
           prop_origin_invariant_under_prepend;
           prop_aggregate_covers;
+          prop_compare_antisymmetric;
+          prop_compare_order_of_insertion;
+          prop_compare_matches_structural_on_sequences;
         ] );
     ]

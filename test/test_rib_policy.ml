@@ -191,6 +191,141 @@ let test_update_helpers () =
   Alcotest.check Testutil.prefix_testable "withdraw prefix" victim
     (Bgp.Update.prefix w)
 
+(* ---- model-based properties: random operation sequences against
+   reference structures, checked after every operation ---- *)
+
+(* nested and sibling prefixes, so that longest-match has choices *)
+let prefix_pool =
+  Array.of_list
+    (List.map Prefix.of_string
+       [
+         "10.0.0.0/8"; "10.0.0.0/16"; "10.0.0.0/24"; "10.0.1.0/24"; "10.128.0.0/9";
+         "192.0.2.0/24"; "192.0.2.0/25"; "192.0.2.128/25"; "0.0.0.0/0"; "172.16.0.0/12";
+       ])
+
+let probe_addrs =
+  List.map Ipv4.of_string
+    [
+      "10.0.0.1"; "10.0.1.7"; "10.200.0.1"; "10.1.2.3";
+      "192.0.2.1"; "192.0.2.200"; "8.8.8.8"; "172.20.0.1";
+    ]
+
+type loc_op = Set_best of int * int | Clear_best of int | Clear_all
+
+let loc_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map2 (fun p tag -> Set_best (p, tag)) (int_bound 9) (int_range 1 50));
+        (3, map (fun p -> Clear_best p) (int_bound 9));
+        (1, pure Clear_all);
+      ])
+
+let loc_route p tag =
+  r ~prefix:prefix_pool.(p) ~from:tag [ tag; 100 + p ]
+
+let same_binding (p1, r1) (p2, r2) = Prefix.equal p1 p2 && Bgp.Route.equal r1 r2
+
+let prop_loc_rib_model =
+  Testutil.qtest ~count:300 "Loc-RIB agrees with a reference trie after every operation"
+    QCheck2.Gen.(list_size (int_range 1 60) loc_op_gen)
+    (fun ops ->
+      let rib = Rib.create () in
+      let reference = ref Prefix_trie.empty in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set_best (p, tag) ->
+            let route = loc_route p tag in
+            Rib.set_best rib route;
+            reference := Prefix_trie.add prefix_pool.(p) route !reference
+          | Clear_best p ->
+            Rib.clear_best rib prefix_pool.(p);
+            reference := Prefix_trie.remove prefix_pool.(p) !reference
+          | Clear_all ->
+            Rib.clear rib;
+            reference := Prefix_trie.empty);
+          let same_opt a b = Option.equal same_binding a b in
+          Array.for_all
+            (fun p ->
+              Option.equal Bgp.Route.equal (Rib.best rib p)
+                (Prefix_trie.find_opt p !reference))
+            prefix_pool
+          && Rib.loc_rib_size rib = Prefix_trie.cardinal !reference
+          && List.equal same_binding (Rib.best_bindings rib)
+               (Prefix_trie.bindings !reference)
+          (* the cached forwarding view must follow every change *)
+          && List.for_all
+               (fun addr ->
+                 same_opt
+                   (Prefix_trie.longest_match addr (Rib.loc_rib_trie rib))
+                   (Prefix_trie.longest_match addr !reference))
+               probe_addrs)
+        ops)
+
+type adj_op = Announce of int * int * int | Withdraw of int * int | Flush of int
+
+let adj_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 6,
+          map3 (fun peer p v -> Announce (peer, p, v)) (int_range 1 8) (int_bound 3)
+            (int_range 1 5) );
+        (3, map2 (fun peer p -> Withdraw (peer, p)) (int_range 1 8) (int_bound 3));
+        (1, map (fun peer -> Flush peer) (int_range 1 8));
+      ])
+
+let prop_adj_rib_in_model =
+  Testutil.qtest ~count:300 "Adj-RIB-In agrees with a reference map after every operation"
+    QCheck2.Gen.(list_size (int_range 1 80) adj_op_gen)
+    (fun ops ->
+      let rib = Rib.create () in
+      let reference = ref Prefix.Map.empty in
+      let per_peer p =
+        Option.value ~default:Asn.Map.empty (Prefix.Map.find_opt p !reference)
+      in
+      let set p m =
+        reference :=
+          if Asn.Map.is_empty m then Prefix.Map.remove p !reference
+          else Prefix.Map.add p m !reference
+      in
+      List.for_all
+        (fun op ->
+          let flushed_ok =
+            match op with
+            | Announce (peer, p, v) ->
+              let route = r ~prefix:prefix_pool.(p) ~from:peer [ peer; 100 + v ] in
+              Rib.set_in rib ~peer route;
+              set prefix_pool.(p) (Asn.Map.add peer route (per_peer prefix_pool.(p)));
+              true
+            | Withdraw (peer, p) ->
+              Rib.withdraw_in rib ~peer prefix_pool.(p);
+              set prefix_pool.(p) (Asn.Map.remove peer (per_peer prefix_pool.(p)));
+              true
+            | Flush peer ->
+              let expected =
+                Prefix.Map.fold
+                  (fun p m acc -> if Asn.Map.mem peer m then p :: acc else acc)
+                  !reference []
+                |> List.rev
+              in
+              Prefix.Map.iter (fun p m -> set p (Asn.Map.remove peer m)) !reference;
+              List.equal Prefix.equal (Rib.flush_peer rib ~peer) expected
+          in
+          flushed_ok
+          && Array.for_all
+               (fun p ->
+                 let m = per_peer p in
+                 List.equal Bgp.Route.equal (Rib.routes_in rib p)
+                   (List.map snd (Asn.Map.bindings m))
+                 && List.equal Asn.equal (Rib.peers_with_route rib p)
+                      (List.map fst (Asn.Map.bindings m)))
+               prefix_pool
+          && Prefix.Set.equal (Rib.prefixes_in rib)
+               (Prefix.Set.of_list (List.map fst (Prefix.Map.bindings !reference))))
+        ops)
+
 let () =
   Alcotest.run "rib_policy"
     [
@@ -205,6 +340,8 @@ let () =
           Alcotest.test_case "fold matches routes_in" `Quick
             test_rib_fold_matches_routes_in;
           Alcotest.test_case "flush peer" `Quick test_rib_flush_peer;
+          prop_loc_rib_model;
+          prop_adj_rib_in_model;
         ] );
       ( "policy",
         [

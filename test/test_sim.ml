@@ -92,6 +92,102 @@ let prop_queue_fifo_on_ties =
       in
       popped = expected)
 
+(* Interleaved pushes and pops against a reference: the queue must hand
+   out the least (time, insertion sequence) entry on every pop, through
+   either pop or min_time + pop_min, with many equal times. *)
+type queue_op = Push of int | Pop | Pop_min
+
+let queue_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (5, map (fun t -> Push t) (int_range 0 4)); (2, pure Pop); (2, pure Pop_min) ])
+
+let prop_queue_matches_reference =
+  Testutil.qtest ~count:300 "interleaved push/pop follows the sorted (time, seq) reference"
+    QCheck2.Gen.(list_size (int_range 0 300) queue_op_gen)
+    (fun ops ->
+      let q = Eq.create () in
+      (* the reference: pending (time, seq) pairs, kept sorted *)
+      let pending = ref [] and seq = ref 0 in
+      let take_reference () =
+        match !pending with
+        | [] -> None
+        | least :: rest ->
+          pending := rest;
+          Some least
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push t ->
+            let time = float_of_int t in
+            Eq.push q ~time !seq;
+            pending := List.merge compare !pending [ (time, !seq) ];
+            incr seq;
+            Eq.length q = List.length !pending
+          | Pop -> Eq.pop q = take_reference ()
+          | Pop_min -> (
+            match take_reference () with
+            | None -> Eq.is_empty q
+            | Some (time, s) ->
+              let head = Eq.min_time q in
+              let payload = Eq.pop_min q in
+              Float.equal head time && payload = s))
+        ops
+      && Eq.length q = List.length !pending)
+
+let test_queue_empty_accessors () =
+  let q = Eq.create () in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "min_time on empty raises" true (raises (fun () -> Eq.min_time q));
+  Alcotest.(check bool) "pop_min on empty raises" true (raises (fun () -> Eq.pop_min q));
+  Eq.push q ~time:2.0 "a";
+  Eq.push q ~time:1.0 "b";
+  Alcotest.(check (option (float 0.0))) "peek" (Some 1.0) (Eq.peek_time q);
+  Alcotest.(check string) "pop_min" "b" (Eq.pop_min q);
+  Alcotest.(check (option (pair (float 0.0) string))) "pop" (Some (2.0, "a")) (Eq.pop q);
+  Alcotest.(check (option (float 0.0))) "drained peek" None (Eq.peek_time q);
+  Alcotest.(check (option (pair (float 0.0) string))) "drained pop" None (Eq.pop q);
+  Alcotest.(check bool) "drained pop_min raises" true (raises (fun () -> Eq.pop_min q));
+  Eq.clear q;
+  Eq.push q ~time:0.5 "c";
+  Alcotest.(check string) "usable after clear" "c" (Eq.pop_min q)
+
+(* Cancelled events still occupy their queue slot: [run] counts every
+   slot it reaches, and runs exactly the handlers left armed, in order. *)
+let prop_engine_counts_cancelled =
+  Testutil.qtest ~count:200 "executed counts cancelled slots; armed handlers run in order"
+    QCheck2.Gen.(list_size (int_range 0 80) (pair (int_range 0 6) (int_range 0 2)))
+    (fun events ->
+      let engine = Engine.create () in
+      let ran = ref [] in
+      let handles =
+        List.mapi
+          (fun i (t, _) ->
+            Engine.schedule_at_cancellable engine ~time:(float_of_int t) (fun _ ->
+                ran := i :: !ran))
+          events
+      in
+      (* kind 1: cancelled up front; kind 2: cancelled by an event at time
+         3, scheduled last, so kind-2 events at times up to 3 still run *)
+      List.iteri
+        (fun i (_, kind) -> if kind = 1 then Engine.cancel (List.nth handles i))
+        events;
+      Engine.schedule_at engine ~time:3.0 (fun _ ->
+          List.iteri
+            (fun i (_, kind) -> if kind = 2 then Engine.cancel (List.nth handles i))
+            events);
+      let outcome = Engine.run engine in
+      let expected =
+        List.mapi (fun i (t, kind) -> (t, i, kind)) events
+        |> List.filter (fun (t, _, kind) -> kind = 0 || (kind = 2 && t <= 3))
+        |> List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        |> List.map (fun (_, i, _) -> i)
+      in
+      outcome = Engine.Quiescent
+      && Engine.events_executed engine = List.length events + 1
+      && List.rev !ran = expected)
+
 (* scale regression: 10k pushes with random (and heavily tied) times must
    drain in exactly (time, insertion-sequence) order — a stable sort of
    the insertion stream, even when the heap has grown and shrunk *)
@@ -260,6 +356,8 @@ let () =
           Alcotest.test_case "NaN rejected" `Quick test_queue_rejects_nan;
           Alcotest.test_case "clear" `Quick test_queue_clear;
           Alcotest.test_case "10k random pushes" `Quick test_queue_10k_random;
+          Alcotest.test_case "empty and drained accessors" `Quick
+            test_queue_empty_accessors;
         ] );
       ( "engine",
         [
@@ -278,5 +376,11 @@ let () =
             test_engine_cancel_after_fire_is_inert;
         ] );
       ("trace", [ Alcotest.test_case "record/filter" `Quick test_trace ]);
-      ("properties", [ prop_queue_sorted; prop_queue_fifo_on_ties ]);
+      ( "properties",
+        [
+          prop_queue_sorted;
+          prop_queue_fifo_on_ties;
+          prop_queue_matches_reference;
+          prop_engine_counts_cancelled;
+        ] );
     ]
