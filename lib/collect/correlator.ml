@@ -116,7 +116,10 @@ let entry_size e =
   + (4 + (2 * Asn.Set.cardinal e.x_origins))
   + 1 + seen + opt e.x_first_detect + opt e.x_last_detect
 
-let read_entry c =
+(* The generic reader, one Codec reader per field.  The lean reader
+   below falls back to it when the input ends inside an entry, so such an
+   entry fails at the octet and with the message it always did. *)
+let read_entry_generic c =
   let x_prefix = Codec.take_prefix c in
   let x_seq = Codec.take_i63 c in
   let x_started = Codec.take_i63 c in
@@ -141,6 +144,156 @@ let read_entry c =
     x_first_detect;
     x_last_detect;
   }
+
+(* The lean reader.  A reply or a store file repeats a handful of vantage
+   names and name lists thousands of times, so a long decode shares them
+   through two bounded tables (Codec.share): a repeated list costs one
+   hash and one comparison, and no allocation.  A single origin is one
+   set node, and equal first and last detection times are one option.
+   A malformed field fails with the generic readers' message.
+
+   The decoder also notes whether every entry it read would re-encode to
+   the octets it came from: a prefix without host bits, i63 fields with
+   bits 63 and 62 clear, origins strictly ascending.  A store keeps a
+   file's entry octets only when they are canonical. *)
+
+type tables = { names : string Codec.share; lists : string list Codec.share }
+
+(* Sharing trades an allocation for a hash and a comparison, and
+   allocating is cheap until the decoded entries outlive a minor
+   collection: under a table's worth of entries, reading every list
+   afresh is as fast or faster (a one-entry reply decodes in about six
+   tenths of the time), so such a decode has no tables. *)
+type decoder = { tables : tables option; mutable canonical : bool }
+
+let slots = 64
+
+let decoder ~entries =
+  let tables =
+    if entries < slots then None
+    else Some { names = Codec.share ~slots; lists = Codec.share ~slots }
+  in
+  { tables; canonical = true }
+
+let canonical d = d.canonical
+
+(* the input ends inside the entry *)
+exception Short
+
+(* [n] octets read with one bounds check: their offset in the data *)
+let run c n =
+  let o = Codec.take_run c n in
+  if o < 0 then raise_notrace Short;
+  o
+
+let i63_at data o = Int64.to_int (Bytes.get_int64_be data o)
+let u32_at data o = Int32.to_int (Bytes.get_int32_be data o) land 0xFFFFFFFF
+
+(* [Codec.take_i63] keeps the low 63 bits: the field re-encodes to its
+   octets only when its top octet is below 0x40 *)
+let int_at d data o =
+  if Bytes.get_uint8 data o >= 0x40 then d.canonical <- false;
+  i63_at data o
+
+let option_of_tag d c = function
+  | 0 -> None
+  | 1 -> Some (int_at d (Codec.data c) (run c 8))
+  | t -> Codec.corrupt c "option tag %d" t
+
+(* mostly one detection time: then first and last are one value *)
+let last_of_tag d c first = function
+  | 0 -> None
+  | 1 -> (
+    let v = int_at d (Codec.data c) (run c 8) in
+    match first with Some f when f = v -> first | _ -> Some v)
+  | t -> Codec.corrupt c "option tag %d" t
+
+let prefix_at d c data o =
+  let net = u32_at data o and len = Bytes.get_uint8 data (o + 4) in
+  if len > 32 then Codec.corrupt c "prefix length %d" len;
+  if net land ((1 lsl (32 - len)) - 1) <> 0 then d.canonical <- false;
+  Prefix.make (Ipv4.of_int net) len
+
+(* once the count is checked, the 2n octets are there *)
+let origins d c data n =
+  Codec.check_count c ~elt_size:2 n;
+  let o = run c (2 * n) in
+  if n = 1 then Asn.Set.singleton (Asn.make (Bytes.get_uint16_be data o))
+  else begin
+    let set = ref Asn.Set.empty and last = ref (-1) in
+    for k = 0 to n - 1 do
+      let a = Bytes.get_uint16_be data (o + (2 * k)) in
+      if a <= !last then d.canonical <- false;
+      last := a;
+      set := Asn.Set.add (Asn.make a) !set
+    done;
+    !set
+  end
+
+let read_name () c = Codec.take_string c
+
+let[@tail_mod_cons] rec take_names t c k =
+  if k = 0 then []
+  else
+    let v = Codec.take_shared t.names () c ~skip:Codec.skip_string ~read:read_name in
+    v :: take_names t c (k - 1)
+
+let read_names t c = take_names t c (Codec.take_u32 c)
+
+(* The fixed-width fields come in two runs, each read with one bounds
+   check: prefix, sequence, start and the end's option tag; then days,
+   the most origins and the origin count. *)
+let read_entry_lean d c =
+  let data = Codec.data c in
+  let o = run c 22 in
+  let x_prefix = prefix_at d c data o in
+  let x_seq = int_at d data (o + 5) in
+  let x_started = int_at d data (o + 13) in
+  let x_ended = option_of_tag d c (Bytes.get_uint8 data (o + 21)) in
+  let o = run c 16 in
+  let x_days = int_at d data o in
+  let x_max_origins = u32_at data (o + 8) in
+  let x_origins = origins d c data (u32_at data (o + 12)) in
+  let x_clean = Codec.take_bool c in
+  let x_seen_by =
+    match d.tables with
+    | Some t -> Codec.take_shared t.lists t c ~skip:Codec.skip_strings ~read:read_names
+    | None -> Codec.take_list c Codec.take_string
+  in
+  let x_first_detect = option_of_tag d c (Codec.take_u8 c) in
+  let x_last_detect = last_of_tag d c x_first_detect (Codec.take_u8 c) in
+  {
+    x_prefix;
+    x_seq;
+    x_started;
+    x_ended;
+    x_days;
+    x_max_origins;
+    x_origins;
+    x_clean;
+    x_seen_by;
+    x_first_detect;
+    x_last_detect;
+  }
+
+let read_entry d c =
+  let start = Codec.pos c in
+  try read_entry_lean d c
+  with Short ->
+    Codec.rewind c start;
+    read_entry_generic c
+
+(* Reversed, then reversed once more.  Built front to back instead (by
+   [tail_mod_cons]), a list that outlives a minor collection keeps
+   growing from an old cell, and every cell added after it is promoted
+   even when the caller drops the list straight away: a floor-2 reply
+   promoted twice the words. *)
+let read_entries c =
+  let n = Codec.take_u32 c in
+  Codec.check_count c ~elt_size:1 n;
+  let d = decoder ~entries:n in
+  let rec loop acc k = if k = 0 then List.rev acc else loop (read_entry d c :: acc) (k - 1) in
+  loop [] n
 
 let render_entry ~vantage_count e =
   let origins =

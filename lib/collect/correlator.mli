@@ -58,9 +58,34 @@ val entry_size : entry -> int
 (** The number of octets {!write_entry} appends for this entry, so an
     encoder can allocate its buffer once at the final size. *)
 
-val read_entry : Net.Codec.cursor -> entry
+type decoder
+(** The state of one decode: for a long one, two bounded share tables
+    ({!Net.Codec.share}), for vantage names and for whole name lists; and
+    whether every entry read so far is canonical. *)
+
+val decoder : entries:int -> decoder
+(** A fresh decoder for about [entries] entries.  From 64 entries on it
+    shares, through tables of 64 slots, so the work per entry stays
+    constant whatever the input holds; below that every name list is
+    read afresh, which is faster while the entries decoded are few. *)
+
+val read_entry : decoder -> Net.Codec.cursor -> entry
 (** Decode one entry; malformed input raises through the cursor's
-    failure exception. *)
+    failure exception, at the octet and with the message the generic
+    {!Net.Codec} readers give.  Equal vantage names and equal name lists
+    met in one decode of 64 entries or more are one shared value; a
+    single origin is [Asn.Set.singleton]; equal first and last detection
+    times are one option value.  The per-entry path allocates no
+    closure. *)
+
+val canonical : decoder -> bool
+(** Whether {!write_entry} gives back exactly the octets of every entry
+    the decoder read: no host bits in a prefix, no i63 field with bit 63
+    or 62 set, origins strictly ascending. *)
+
+val read_entries : Net.Codec.cursor -> entry list
+(** A u32 count and that many entries ({!Net.Codec.take_list}'s layout
+    and checks), read with one fresh {!decoder}. *)
 
 val render_entry : vantage_count:int -> entry -> string
 (** One deterministic text line for an entry (no trailing newline), with

@@ -1,14 +1,26 @@
 open Net
 
+(* Encode once.  The store never changes after it is built, so every
+   entry's octets ([Correlator.write_entry], the MOASSTOR entry layout)
+   are written once, into one [bytes] in canonical order, and an entry is
+   known by its position in that order.  [encode] is a header and one
+   blit; a served [Entries] reply blits the octets of its matches.  Every
+   index holds positions in canonical order.  Canonical order sorts by
+   prefix key, so a prefix's entries are one run of positions, and so
+   are those of a prefix and all its more-specifics: the prefix index is
+   the sorted keys beside the start of each key's run, searched by
+   bisection. *)
 type t = {
   roster : string list; (* sorted, deduped *)
-  trie : Correlator.entry list Prefix_trie.t; (* per-prefix, (started, seq) order *)
-  count : int;
-  (* built once with the trie; every entry list is in canonical order *)
-  all : Correlator.entry list;
+  entries : Correlator.entry array; (* canonical order *)
+  all : Correlator.entry list; (* the same entries, for [entries] *)
+  octets : bytes; (* every entry's octets, in canonical order *)
+  offsets : int array; (* entry [i] is [offsets.(i), offsets.(i + 1)) *)
+  keys : int array; (* the distinct [Prefix.to_key]s, ascending *)
+  starts : int array; (* [i]: first position of keys.(i); then [count] *)
   origins : int array; (* the distinct origin ASes, ascending *)
-  by_origin : Correlator.entry list array; (* [i]: origin set holds origins.(i) *)
-  by_floor : Correlator.entry list array; (* [k]: visibility >= k *)
+  by_origin : int array array; (* [i]: origin set holds origins.(i) *)
+  by_floor : int array array; (* [k]: visibility >= k *)
 }
 
 exception Corrupt of string
@@ -16,54 +28,72 @@ exception Corrupt of string
 let magic = "MOASSTOR"
 let version = 1
 
-let compare_entry (a : Correlator.entry) (b : Correlator.entry) =
-  let c = compare a.Correlator.x_started b.Correlator.x_started in
-  if c <> 0 then c else compare a.Correlator.x_seq b.Correlator.x_seq
+let key (e : Correlator.entry) = Prefix.to_key e.Correlator.x_prefix
 
-let same_key (a : Correlator.entry) (b : Correlator.entry) =
-  a.Correlator.x_started = b.Correlator.x_started
-  && a.Correlator.x_seq = b.Correlator.x_seq
+(* canonical order: (network, length) order, then start, then seq *)
+let compare_full (a : Correlator.entry) (b : Correlator.entry) =
+  let c = Int.compare (key a) (key b) in
+  if c <> 0 then c
+  else
+    let c = compare a.Correlator.x_started b.Correlator.x_started in
+    if c <> 0 then c else compare a.Correlator.x_seq b.Correlator.x_seq
 
-(* The query indexes, filled by one walk over the canonical list from
-   back to front, so every index list comes out in canonical order.
+(* The query indexes, each filled by one walk over the positions in
+   ascending order, so every index array comes out in canonical order.
 
    The origin index holds the distinct origin ASes in ascending order and,
-   at the same position, the entries whose origin set holds that AS.  AS
+   at the same place, the positions whose origin set holds that AS.  AS
    numbers are 16-bit, so a table of one u16 per AS number first marks
-   the origins present, then holds each one's position, and every
+   the origins present, then holds each one's place, and every
    (entry, origin) pair is filed with one lookup.  An [Asn.Map] grown one
    pair at a time cost more than the rest of the build together.
 
-   Floor [k] holds the entries seen by at least [k] vantages; floor 0 is
-   every entry.  An entry sits on one floor per name it carries, so the
+   Floor [k] holds the positions seen by at least [k] vantages; floor 0 is
+   every position.  An entry sits on one floor per name it carries, so the
    floors together stay linear in the encoded size. *)
 
-let bisect (keys : int array) (a : int) =
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      if keys.(mid) = a then Some mid
-      else if keys.(mid) < a then go (mid + 1) hi
-      else go lo mid
-  in
-  go 0 (Array.length keys)
+(* the first index in [lo, hi) whose value is at least [a], in an
+   ascending array *)
+let rec lower_bound_in (sorted : int array) (a : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if sorted.(mid) < a then lower_bound_in sorted a (mid + 1) hi
+    else lower_bound_in sorted a lo mid
 
-let origin_index rev =
-  let each_pair f =
-    List.iter
-      (fun (e : Correlator.entry) ->
-        Asn.Set.iter (fun a -> f e (Asn.to_int a)) e.Correlator.x_origins)
-      rev
-  in
+let lower_bound sorted a = lower_bound_in sorted a 0 (Array.length sorted)
+
+(* [groups ~size each] files positions into [size] groups: [each i f]
+   calls [f g] for every group [g] position [i] belongs to.  One walk
+   counts, one fills. *)
+let groups entries ~size each =
+  let counts = Array.make size 0 in
+  Array.iteri (fun i _ -> each i (fun g -> counts.(g) <- counts.(g) + 1)) entries;
+  let out = Array.map (fun n -> Array.make n 0) counts in
+  Array.fill counts 0 size 0;
+  Array.iteri
+    (fun i _ ->
+      each i (fun g ->
+          out.(g).(counts.(g)) <- i;
+          counts.(g) <- counts.(g) + 1))
+    entries;
+  out
+
+let origin_index entries =
   let slot = Bytes.make (2 * 65536) '\000' in
   let count = ref 0 in
-  each_pair (fun _ a ->
-      if Bytes.get_uint16_le slot (2 * a) = 0 then begin
-        Bytes.set_uint16_le slot (2 * a) 1;
-        incr count
-      end);
-  (* the scan is ascending, so a position overwrites only marks already read *)
+  Array.iter
+    (fun (e : Correlator.entry) ->
+      Asn.Set.iter
+        (fun a ->
+          let a = Asn.to_int a in
+          if Bytes.get_uint16_le slot (2 * a) = 0 then begin
+            Bytes.set_uint16_le slot (2 * a) 1;
+            incr count
+          end)
+        e.Correlator.x_origins)
+    entries;
+  (* the scan is ascending, so a place overwrites only marks already read *)
   let origins = Array.make !count 0 in
   let k = ref 0 in
   for a = 0 to 65535 do
@@ -73,66 +103,89 @@ let origin_index rev =
       incr k
     end
   done;
-  let lists = Array.make !count [] in
-  each_pair (fun e a ->
-      let k = Bytes.get_uint16_le slot (2 * a) in
-      lists.(k) <- e :: lists.(k));
-  (origins, lists)
+  let by_origin =
+    groups entries ~size:!count (fun i f ->
+        Asn.Set.iter
+          (fun a -> f (Bytes.get_uint16_le slot (2 * Asn.to_int a)))
+          entries.(i).Correlator.x_origins)
+  in
+  (origins, by_origin)
 
-let floor_index ~all rev =
-  let top = List.fold_left (fun k e -> max k (Correlator.visibility e)) 0 rev in
-  let floors = Array.make (top + 1) [] in
-  List.iter
-    (fun e ->
-      for k = 1 to Correlator.visibility e do
-        floors.(k) <- e :: floors.(k)
+let floor_index entries =
+  let top = Array.fold_left (fun k e -> max k (Correlator.visibility e)) 0 entries in
+  groups entries ~size:(top + 1) (fun i f ->
+      for k = 0 to Correlator.visibility entries.(i) do
+        f k
       done)
-    rev;
-  floors.(0) <- all;
-  floors
 
-let index roster trie count =
-  let rev = Prefix_trie.fold (fun _ es acc -> List.rev_append es acc) trie [] in
-  let all = List.rev rev in
-  let origins, by_origin = origin_index rev in
-  { roster; trie; count; all; origins; by_origin; by_floor = floor_index ~all rev }
+(* the distinct prefix keys and where each one's run starts *)
+let runs entries =
+  let n = Array.length entries in
+  let starts = ref [ n ] in
+  for i = n - 1 downto 0 do
+    if i = 0 || key entries.(i) <> key entries.(i - 1) then starts := i :: !starts
+  done;
+  let starts = Array.of_list !starts in
+  (Array.init (Array.length starts - 1) (fun j -> key entries.(starts.(j))), starts)
 
-(* Bulk build: one sort of all the entries by (prefix, start, seq), then
-   one pass that drops same-key duplicates and adds each prefix's run to
-   the trie.  The sort is stable over the entries newest first, so the
-   first of each run of equal keys is the last one given: a later entry
-   replaces an earlier one with the same key.  Adding the prefixes in
-   trie order also lays the trie out in the order queries walk it. *)
+let index ~vantages entries (octets, offsets) =
+  let origins, by_origin = origin_index entries in
+  let keys, starts = runs entries in
+  {
+    roster = List.sort_uniq String.compare vantages;
+    entries;
+    all = Array.to_list entries;
+    octets;
+    offsets;
+    keys;
+    starts;
+    origins;
+    by_origin;
+    by_floor = floor_index entries;
+  }
+
+(* The canonical octets, written once: [put_string] and [put_i63] reject
+   what the layout cannot hold, so a store that builds can be encoded. *)
+let write_octets entries =
+  let n = Array.length entries in
+  let offsets = Array.make (n + 1) 0 in
+  let buf =
+    Buffer.create (Array.fold_left (fun size e -> size + Correlator.entry_size e) 0 entries)
+  in
+  Array.iteri
+    (fun i e ->
+      offsets.(i) <- Buffer.length buf;
+      Correlator.write_entry buf e)
+    entries;
+  offsets.(n) <- Buffer.length buf;
+  (Buffer.to_bytes buf, offsets)
+
+(* a correlation and a store file arrive in canonical order already,
+   with no duplicate keys: then there is nothing to sort *)
+let ascending entries =
+  let ok = ref true in
+  for i = 1 to Array.length entries - 1 do
+    if compare_full entries.(i - 1) entries.(i) >= 0 then ok := false
+  done;
+  !ok
+
+(* the first of each run of equal keys *)
+let[@tail_mod_cons] rec dedup = function
+  | a :: b :: rest when compare_full a b = 0 -> dedup (a :: rest)
+  | a :: rest -> a :: dedup rest
+  | [] -> []
+
+(* Bulk build: one stable sort of all the entries by (prefix, start, seq)
+   over the entries newest first, so the first of each run of equal keys
+   is the last one given: a later entry replaces an earlier one with the
+   same key. *)
 let of_entries ~vantages es =
-  let key (e : Correlator.entry) = Prefix.to_key e.Correlator.x_prefix in
-  let compare_full a b =
-    let c = Int.compare (key a) (key b) in
-    if c <> 0 then c else compare_entry a b
+  let entries = Array.of_list es in
+  let entries =
+    if ascending entries then entries
+    else Array.of_list (dedup (List.stable_sort compare_full (List.rev es)))
   in
-  (* a correlation and a decoded store file arrive in canonical order
-     already, with no duplicate keys: then there is nothing to sort *)
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> compare_full a b < 0 && ascending rest
-    | _ -> true
-  in
-  let sorted = if ascending es then es else List.stable_sort compare_full (List.rev es) in
-  let add_run (trie, count) = function
-    | [] -> (trie, count)
-    | (e : Correlator.entry) :: _ as run ->
-      (Prefix_trie.add e.Correlator.x_prefix (List.rev run) trie, count + List.length run)
-  in
-  let acc, run =
-    List.fold_left
-      (fun (acc, run) e ->
-        match run with
-        | prev :: _ when key prev = key e ->
-          if same_key prev e then (acc, run) else (acc, e :: run)
-        | _ -> (add_run acc run, [ e ]))
-      ((Prefix_trie.empty, 0), [])
-      sorted
-  in
-  let trie, count = add_run acc run in
-  index (List.sort_uniq String.compare vantages) trie count
+  index ~vantages entries (write_octets entries)
 
 let empty ~vantages = of_entries ~vantages []
 
@@ -140,76 +193,161 @@ let of_correlation (c : Correlator.t) =
   of_entries ~vantages:c.Correlator.c_vantages c.Correlator.c_entries
 
 let vantages t = t.roster
-let count t = t.count
+let count t = Array.length t.entries
 let entries t = t.all
 
 (* ------------------------------------------------------------------ *)
 (* Queries — one typed representation, Collect.Query, shared with the
    CLI --query flag and the Serve.Proto wire message.  The candidates
-   come from the narrowest index the query names: the trie for a prefix
-   clause, else the shorter of the origin and visibility-floor lists,
-   else every entry.  Query.matches then filters them all, so an index
-   only ever narrows the scan, never decides a match. *)
+   come from the narrowest index the query names: a range of positions
+   for a prefix clause, else the shorter of the origin and
+   visibility-floor arrays, else floor 0, which is every position.
+   Query.matches then filters them all, so an index only ever narrows the
+   scan, never decides a match. *)
 
 type query = Query.t
 
 let query_all = Query.empty
 
+type candidates =
+  | Range of int * int (* positions [first, stop) *)
+  | Positions of int array (* ascending *)
+
+(* A prefix's key, or the keys of it and every more-specific: (network,
+   length) order puts a prefix before its more-specifics, and these
+   before any key whose network lies past the prefix's last address. *)
+let prefix_range t p ~covered =
+  let lo = lower_bound t.keys (Prefix.to_key p) in
+  let hi =
+    if covered then
+      let last = Ipv4.to_int (Prefix.network p) lor ((1 lsl (32 - Prefix.length p)) - 1) in
+      lower_bound t.keys ((last + 1) lsl 6)
+    else if lo < Array.length t.keys && t.keys.(lo) = Prefix.to_key p then lo + 1
+    else lo
+  in
+  Range (t.starts.(lo), t.starts.(hi))
+
 let candidates t q =
   match Query.target q with
-  | Some p when Query.wants_covered q ->
-    List.concat_map (fun (_, es) -> es) (Prefix_trie.covered p t.trie)
-  | Some p -> Option.value (Prefix_trie.find_opt p t.trie) ~default:[]
+  | Some p -> prefix_range t p ~covered:(Query.wants_covered q)
   | None ->
     let by_origin =
       Option.map
         (fun a ->
-          match bisect t.origins (Asn.to_int a) with
-          | Some k -> t.by_origin.(k)
-          | None -> [])
+          let a = Asn.to_int a in
+          let k = lower_bound t.origins a in
+          if k < Array.length t.origins && t.origins.(k) = a then t.by_origin.(k) else [||])
         (Query.origin_filter q)
     in
     let by_floor =
       Option.map
-        (fun k -> if k < Array.length t.by_floor then t.by_floor.(k) else [])
+        (fun k -> if k < Array.length t.by_floor then t.by_floor.(k) else [||])
         (Query.visibility_floor q)
     in
     match (by_origin, by_floor) with
-    | Some a, Some b -> if List.compare_lengths a b <= 0 then a else b
-    | Some a, None | None, Some a -> a
-    | None, None -> t.all
+    | Some a, Some b -> Positions (if Array.length a <= Array.length b then a else b)
+    | Some a, None | None, Some a -> Positions a
+    | None, None -> Positions t.by_floor.(0) (* every position *)
 
-let query t q = List.filter (Query.matches q) (candidates t q)
+let candidate_count = function
+  | Range (first, stop) -> stop - first
+  | Positions a -> Array.length a
+
+(* [f acc i] over every candidate position, ascending *)
+let fold_candidates f acc = function
+  | Range (first, stop) ->
+    let acc = ref acc in
+    for i = first to stop - 1 do
+      acc := f !acc i
+    done;
+    !acc
+  | Positions a -> Array.fold_left f acc a
+
+type selection = { store : t; positions : int array; selected : int }
+
+let select t q =
+  let matches i = Query.matches q t.entries.(i) in
+  let positions, selected =
+    match candidates t q with
+    | Positions a when Array.for_all matches a ->
+      (* an index array every candidate of which matches (a bare floor
+         or origin query, or the empty query) is its own answer: nothing
+         to allocate *)
+      (a, Array.length a)
+    | cands ->
+      let positions = Array.make (candidate_count cands) 0 in
+      ( positions,
+        fold_candidates
+          (fun n i ->
+            if matches i then begin
+              positions.(n) <- i;
+              n + 1
+            end
+            else n)
+          0 cands )
+  in
+  { store = t; positions; selected }
+
+let selection_count s = s.selected
+
+let selection_octets s =
+  let t = s.store and size = ref 0 in
+  for k = 0 to s.selected - 1 do
+    let i = s.positions.(k) in
+    size := !size + t.offsets.(i + 1) - t.offsets.(i)
+  done;
+  !size
+
+(* consecutive positions are consecutive octets: one blit per run *)
+let blit_selection s dst off =
+  let t = s.store and p = s.positions in
+  let dst_off = ref off and k = ref 0 in
+  while !k < s.selected do
+    let first = p.(!k) in
+    incr k;
+    while !k < s.selected && p.(!k) = p.(!k - 1) + 1 do
+      incr k
+    done;
+    let lo = t.offsets.(first) and hi = t.offsets.(p.(!k - 1) + 1) in
+    Bytes.blit t.octets lo dst !dst_off (hi - lo);
+    dst_off := !dst_off + hi - lo
+  done
+
+let query t q =
+  let s = select t q in
+  let rec build acc k = if k < 0 then acc else build (t.entries.(s.positions.(k)) :: acc) (k - 1) in
+  build [] (s.selected - 1)
 
 let count_matching t q =
-  if Query.equal q Query.empty then t.count
+  if Query.equal q Query.empty then count t
   else
-    List.fold_left (fun n e -> if Query.matches q e then n + 1 else n) 0 (candidates t q)
+    fold_candidates
+      (fun n i -> if Query.matches q t.entries.(i) then n + 1 else n)
+      0 (candidates t q)
 
 let parse_query = Query.parse
 
 (* ------------------------------------------------------------------ *)
 (* Binary encoding — Net.Codec discipline, magic MOASSTOR *)
 
-let put_string = Codec.put_string
-let put_entry = Correlator.write_entry
-
 let encode t =
-  (* sized exactly: magic 8, version 1, the two list counts 4 each, then
-     the roster names and the entries *)
-  let size =
-    List.fold_left
-      (fun n e -> n + Correlator.entry_size e)
-      (List.fold_left (fun n v -> n + 2 + String.length v) 17 t.roster)
-      t.all
-  in
-  let buf = Buffer.create size in
-  Buffer.add_string buf magic;
-  Codec.put_u8 buf version;
-  Codec.put_list buf put_string t.roster;
-  Codec.put_list buf put_entry t.all;
-  Buffer.to_bytes buf
+  let header = Buffer.create 64 in
+  Buffer.add_string header magic;
+  Codec.put_u8 header version;
+  Codec.put_list header Codec.put_string t.roster;
+  Codec.put_u32 header (count t);
+  let hlen = Buffer.length header and len = Bytes.length t.octets in
+  let out = Bytes.create (hlen + len) in
+  Buffer.blit header 0 out 0 hlen;
+  Bytes.blit t.octets 0 out hlen len;
+  out
 
+(* The entry section is read once: its octets are copied out (the
+   caller's bytes are mutable, so the store never aliases them) and each
+   entry's offset recorded on the way.  A file whose entries are out of
+   order, repeat a key or would re-encode differently goes through
+   [of_entries] instead, which sorts them and writes their octets
+   afresh. *)
 let decode data =
   let c = Codec.cursor ~fail:(fun m -> Corrupt m) data in
   if Bytes.length data < String.length magic then
@@ -219,9 +357,25 @@ let decode data =
   | v when v = version -> ()
   | v -> raise (Corrupt (Printf.sprintf "unsupported store version %d" v)));
   let roster = Codec.take_list c Codec.take_string in
-  let es = Codec.take_list c Correlator.read_entry in
+  let n = Codec.take_u32 c in
+  Codec.check_count c ~elt_size:1 n;
+  let d = Correlator.decoder ~entries:n in
+  let base = Codec.pos c in
+  let offsets = Array.make (n + 1) 0 in
+  let entries =
+    Array.init n (fun i ->
+        offsets.(i) <- Codec.pos c - base;
+        Correlator.read_entry d c)
+  in
+  offsets.(n) <- Codec.pos c - base;
   Codec.expect_end c;
-  of_entries ~vantages:roster es
+  if Correlator.canonical d && ascending entries then
+    index ~vantages:roster entries (Bytes.sub data base offsets.(n), offsets)
+  else
+    (* a field the layout cannot hold (an i63 with bit 62 set reads as a
+       negative int) is an invalid value *)
+    try of_entries ~vantages:roster (Array.to_list entries)
+    with Invalid_argument m -> raise (Corrupt ("entry cannot be re-encoded: " ^ m))
 
 let write_file path t =
   let oc = open_out_bin path in
@@ -247,7 +401,7 @@ let render t =
   Buffer.add_string buf "=== Episode store ===\n";
   Buffer.add_string buf
     (Printf.sprintf "vantages: %d (%s)\n" n (String.concat " " t.roster));
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" t.count);
+  Buffer.add_string buf (Printf.sprintf "entries: %d\n" (count t));
   List.iter
     (fun (e : Correlator.entry) ->
       Buffer.add_string buf (Correlator.render_entry ~vantage_count:n e);

@@ -39,7 +39,9 @@ val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** u32 element count, then the elements in order. *)
 
 val put_string : Buffer.t -> string -> unit
-(** u16 length, then the raw octets. *)
+(** u16 length, then the raw octets.
+    @raise Invalid_argument on a string of 65,536 octets or more, which
+    the length field cannot describe. *)
 
 (** {2 In-place writers}
 
@@ -61,10 +63,10 @@ val crc32 : ?seed:int -> bytes -> pos:int -> len:int -> int
     corruption — is guaranteed to change the result, so a checksummed
     frame can never be silently mutated into a different valid frame.
 
-    Computed slice-by-8: eight octets per step through eight 256-entry
-    tables built once, with the classic octet-at-a-time loop for the
-    last [len mod 8] octets; no octet outside the range is read.  The
-    value is the one the octet-at-a-time definition gives.
+    Computed slice-by-16: sixteen octets per step through sixteen
+    256-entry tables built once, with the classic octet-at-a-time loop
+    for the last [len mod 16] octets; no octet outside the range is
+    read.  The value is the one the octet-at-a-time definition gives.
     @raise Invalid_argument when [pos] or [len] is negative or the range
     runs past the end of the bytes. *)
 
@@ -127,7 +129,72 @@ val take_list : cursor -> (cursor -> 'a) -> 'a list
     Decoder work is thereby bounded by the input length whatever the
     count fields claim. *)
 
+val check_count : cursor -> elt_size:int -> int -> unit
+(** [check_count c ~elt_size n] fails with
+    [element count N exceeds R remaining octets] unless [n] elements of
+    at least [elt_size] octets each can fit in what is left: the check
+    {!take_list} and {!take_asn_set} make before decoding an element. *)
+
 val take_string : cursor -> string
+
+val skip_string : cursor -> unit
+(** Step over one {!take_string} field, failing where it would. *)
+
+val skip_strings : cursor -> unit
+(** Step over one [take_list c take_string] field, failing where it
+    would. *)
+
+(** {2 Runs of fixed-width fields}
+
+    A hot decoder may read a run of fixed-width fields with one bounds
+    check: it takes the run and reads the fields with the [Bytes] getters
+    on {!data}.  When a run is short it can {!rewind} to where it began
+    and read again with the [take_*] readers, which fail at the octet and
+    with the message they always do. *)
+
+val take_run : cursor -> int -> int
+(** [take_run c n] consumes the next [n] octets and returns the offset of
+    the first one in [data c]; when fewer than [n] remain it returns [-1]
+    and does not move. *)
+
+val data : cursor -> bytes
+(** The bytes under the cursor.  A decoder reads them; it never writes
+    them. *)
+
+val rewind : cursor -> int -> unit
+(** [rewind c pos] moves the cursor back to [pos], a {!pos} it has
+    already been at.
+    @raise Invalid_argument when [pos] lies ahead of the cursor or below
+    zero. *)
+
+(** {2 Sharing repeated values}
+
+    A decoder that meets the same octets many times ({e e.g.} the vantage
+    names of thousands of entries) can decode them once and hand out the
+    same value each time. *)
+
+type 'a share
+(** A table of a fixed number of slots from octet strings to values
+    decoded from them.  A key may sit in one of two slots picked by its
+    hash; a new key fills an empty one of the two or evicts an old key.
+    So the table never grows and a lookup costs one hash and at most two
+    comparisons of the octets, whatever the input holds: decoding stays
+    linear. *)
+
+val share : slots:int -> 'a share
+(** An empty table of at least [slots] slots (rounded up to a power of
+    two). *)
+
+val take_shared :
+  'a share -> 'ctx -> cursor -> skip:(cursor -> unit) -> read:('ctx -> cursor -> 'a) -> 'a
+(** [take_shared s ctx c ~skip ~read] steps over one encoded value with
+    [skip c], which validates it and fails as [read] would.  If the table
+    holds the octets [skip] stepped over, the value decoded from them
+    before is returned.  Otherwise [read ctx c] decodes them from the
+    same start and the result is remembered.  [ctx] lets [read] take
+    state without a closure being allocated per call.
+    @raise Invalid_argument when [read] and [skip] consume different
+    lengths. *)
 
 val expect_magic : cursor -> string -> unit
 (** Consume and check a magic string; fails octet by octet so truncation

@@ -74,25 +74,25 @@ let kind_crc kind = (Lazy.force kind_crcs).(kind)
 
 let header_len = 18 (* magic 8 · version 1 · kind 1 · u32 length · u32 CRC *)
 
-(* [size] is the payload's length when the caller knows it (an [Entries]
-   reply sums its entries' exact sizes), so a large reply is written into
-   one buffer of its final size instead of growing through doublings *)
-let frame ?(size = 64) kind put_payload =
-  let payload = Buffer.create size in
-  put_payload payload;
-  let plen = Buffer.length payload in
-  (* single-copy assembly: the frame bytes are allocated once, the
-     payload blitted straight out of the buffer, and length and CRC
-     patched into the header — no [Buffer.to_bytes] intermediate *)
-  let out = Bytes.create (header_len + plen) in
+(* Frames are written in place: the payload goes straight into the frame's
+   one [bytes] after the header, and the header fields, length and CRC
+   included, are filled in around it. *)
+let seal kind out =
+  let plen = Bytes.length out - header_len in
   Bytes.blit_string magic 0 out 0 8;
   set_u8 out 8 version;
   set_u8 out 9 kind;
   set_u32 out 10 plen;
-  Buffer.blit payload 0 out header_len plen;
-  let crc = Codec.crc32 ~seed:(kind_crc kind) out ~pos:header_len ~len:plen in
-  set_u32 out 14 crc;
+  set_u32 out 14 (Codec.crc32 ~seed:(kind_crc kind) out ~pos:header_len ~len:plen);
   out
+
+let frame kind put_payload =
+  let payload = Buffer.create 64 in
+  put_payload payload;
+  let plen = Buffer.length payload in
+  let out = Bytes.create (header_len + plen) in
+  Buffer.blit payload 0 out header_len plen;
+  seal kind out
 
 let open_frame data =
   let c = cursor ~fail:(fun m -> Corrupt m) data in
@@ -220,17 +220,25 @@ let take_stats c =
     st_evicted;
   }
 
+(* The one [Entries] layout: u32 vantage count, u32 entry count, then the
+   entries' octets, which [write] puts in place *)
+let entries_frame ~vantage_count ~count ~size write =
+  let out = Bytes.create (header_len + 8 + size) in
+  set_u32 out header_len vantage_count;
+  set_u32 out (header_len + 4) count;
+  write out (header_len + 8);
+  seal tag_entries out
+
 let encode_response = function
   | Pong -> frame tag_pong (fun _ -> ())
   | Entries { vantage_count; entries } ->
     let size =
-      List.fold_left
-        (fun n e -> n + Collect.Correlator.entry_size e)
-        8 entries
+      List.fold_left (fun n e -> n + Collect.Correlator.entry_size e) 0 entries
     in
-    frame ~size tag_entries (fun b ->
-        put_u32 b vantage_count;
-        put_list b Collect.Correlator.write_entry entries)
+    entries_frame ~vantage_count ~count:(List.length entries) ~size (fun out pos ->
+        let buf = Buffer.create size in
+        List.iter (Collect.Correlator.write_entry buf) entries;
+        Buffer.blit buf 0 out pos size)
   | Count_is n -> frame tag_count_is (fun b -> put_i63 b n)
   | Subscribed id -> frame tag_subscribed (fun b -> put_u32 b id)
   | Unsubscribed id -> frame tag_unsubscribed (fun b -> put_u32 b id)
@@ -247,7 +255,7 @@ let decode_response data =
     if kind = tag_pong then Pong
     else if kind = tag_entries then begin
       let vantage_count = take_u32 c in
-      let entries = take_list c Collect.Correlator.read_entry in
+      let entries = Collect.Correlator.read_entries c in
       Entries { vantage_count; entries }
     end
     else if kind = tag_count_is then Count_is (take_i63 c)

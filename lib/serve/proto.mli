@@ -12,10 +12,12 @@
     frame: in-flight corruption is always surfaced as [Corrupt], which
     the retrying {!Client} treats as a transient transport failure.
 
-    An encoder allocates its payload once at the final size: an
-    [Entries] reply sums {!Collect.Correlator.entry_size} over its
-    entries first, so a reply of hundreds of kilobytes never grows
-    through a chain of doublings.
+    An [Entries] frame is written in place ({!entries_frame}): its size
+    is known first, its payload goes straight into the frame's one
+    [bytes], and the header and checksum are filled in around it.  The
+    server writes a query's reply from the store's cached entry octets
+    ({!Collect.Store.blit_selection}), byte for byte the frame
+    {!encode_response} gives for the same entries.
 
     The query message carries {!Collect.Query.t} {e unchanged}: the wire
     protocol, the CLI [--query] flag and {!Collect.Store.query} all
@@ -89,6 +91,14 @@ val magic : string
 val encode_request : request -> bytes
 val decode_request : bytes -> request
 (** @raise Corrupt on malformed input. *)
+
+val entries_frame :
+  vantage_count:int -> count:int -> size:int -> (bytes -> int -> unit) -> bytes
+(** [entries_frame ~vantage_count ~count ~size write] is the [Entries]
+    frame of [count] entries whose octets ({!Collect.Correlator.write_entry}
+    layout, in order) take [size] octets: [write dst pos] must put
+    exactly those octets at [pos] in [dst].  The frame is one [bytes] of
+    its final size, written in place. *)
 
 val encode_response : response -> bytes
 val decode_response : bytes -> response

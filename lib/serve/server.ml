@@ -221,15 +221,21 @@ let live_stats t =
 
 let vantage_count t = List.length (Store.vantages t.store)
 
+(* the reply frame *)
 let execute t session req =
+  let reply = Proto.encode_response in
   match (req : Proto.request) with
-  | Ping -> Proto.Pong
+  | Ping -> reply Proto.Pong
   | Query q ->
-    Proto.Entries
-      { vantage_count = vantage_count t; entries = Store.query t.store q }
-  | Count q -> Proto.Count_is (Store.count_matching t.store q)
+    (* the matches' octets, cached in the store, go straight into the
+       frame: no entry list, no re-encoding *)
+    let s = Store.select t.store q in
+    Proto.entries_frame ~vantage_count:(vantage_count t)
+      ~count:(Store.selection_count s) ~size:(Store.selection_octets s)
+      (Store.blit_selection s)
+  | Count q -> reply (Proto.Count_is (Store.count_matching t.store q))
   | Subscribe q ->
-    locked t (fun () ->
+    reply @@ locked t (fun () ->
         match Hashtbl.find_opt t.sessions session with
         | None -> Proto.Rejected (Printf.sprintf "unknown session %d" session)
         | Some s ->
@@ -240,7 +246,7 @@ let execute t session req =
           t.total_subs <- t.total_subs + 1;
           Proto.Subscribed sub_id)
   | Unsubscribe id ->
-    locked t (fun () ->
+    reply @@ locked t (fun () ->
         match Hashtbl.find_opt t.sessions session with
         | None -> Proto.Rejected (Printf.sprintf "unknown session %d" session)
         | Some s ->
@@ -251,7 +257,7 @@ let execute t session req =
             Proto.Unsubscribed id
           end
           else Proto.Rejected (Printf.sprintf "unknown subscription %d" id))
-  | Stats -> Proto.Stats_are (live_stats t)
+  | Stats -> reply (Proto.Stats_are (live_stats t))
 
 (* fixed rejection strings: scripted transcripts must be byte-identical
    across runs, so no elapsed times or limits leak into the reply *)
@@ -269,8 +275,7 @@ let handle ?arrival t ~session data =
         Registry.Gauge.add t.g_inflight 1.;
         t.inflight > t.limits.max_inflight)
   in
-  let finish resp =
-    let reply = Proto.encode_response resp in
+  let finish reply =
     locked t (fun () ->
         t.inflight <- t.inflight - 1;
         Registry.Gauge.add t.g_inflight (-1.);
@@ -281,7 +286,7 @@ let handle ?arrival t ~session data =
     locked t (fun () ->
         t.n_shed <- t.n_shed + 1;
         Registry.Counter.incr t.m_shed_overload);
-    finish overloaded_reply
+    finish (Proto.encode_response overloaded_reply)
   end
   else if over_deadline t ~t0 then begin
     (* the deadline budget starts at [arrival] — a request that spent its
@@ -289,14 +294,14 @@ let handle ?arrival t ~session data =
     locked t (fun () ->
         t.n_timeouts <- t.n_timeouts + 1;
         Registry.Counter.incr t.m_timeouts);
-    finish deadline_reply
+    finish (Proto.encode_response deadline_reply)
   end
   else begin
-    let resp =
+    let reply =
       match Proto.decode_request data with
       | exception Proto.Corrupt msg ->
         locked t (fun () -> Registry.Counter.incr t.m_malformed);
-        Proto.Rejected ("malformed request: " ^ msg)
+        Proto.encode_response (Proto.Rejected ("malformed request: " ^ msg))
       | req ->
         let kind = Proto.request_kind req in
         locked t (fun () ->
@@ -313,9 +318,9 @@ let handle ?arrival t ~session data =
       locked t (fun () ->
           t.n_timeouts <- t.n_timeouts + 1;
           Registry.Counter.incr t.m_timeouts);
-      finish deadline_reply
+      finish (Proto.encode_response deadline_reply)
     end
-    else finish resp
+    else finish reply
   end
 
 (* {2 The live tail} *)

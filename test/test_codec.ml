@@ -217,6 +217,40 @@ let test_put_i63_rejects_negative () =
       | exception Invalid_argument _ -> ())
     [ -1; min_int ]
 
+let sample_entry =
+  {
+    Collect.Correlator.x_prefix = Prefix.of_string "192.0.2.0/24";
+    x_seq = 1;
+    x_started = 100;
+    x_ended = Some 900;
+    x_days = 1;
+    x_max_origins = 2;
+    x_origins = Asn.Set.of_list [ Asn.make 10; Asn.make 20 ];
+    x_clean = false;
+    x_seen_by = [ "vp00" ];
+    x_first_detect = Some 120;
+    x_last_detect = Some 120;
+  }
+
+(* the u16 length field describes at most 65,535 octets: one more used to
+   be written with its length cut to 16 bits and misframe what followed *)
+let test_put_string_length_limit () =
+  let longest = String.make 65_535 'x' in
+  let s = written Codec.put_string longest in
+  Alcotest.(check int) "length field and octets" 65_537 (String.length s);
+  let c = Codec.cursor ~fail (Bytes.of_string s) in
+  Alcotest.(check string) "65,535 octets round-trip" longest (Codec.take_string c);
+  Codec.expect_end c;
+  (match written Codec.put_string (String.make 65_536 'x') with
+  | s -> Alcotest.failf "65,536 octets written as %d" (String.length s)
+  | exception Invalid_argument _ -> ());
+  (* the store writes its entry octets once, when it is built *)
+  let named name = { sample_entry with Collect.Correlator.x_seen_by = [ name ] } in
+  ignore (Collect.Store.of_entries ~vantages:[] [ named longest ]);
+  match Collect.Store.of_entries ~vantages:[] [ named (String.make 65_536 'v') ] with
+  | _ -> Alcotest.fail "the store built an entry it cannot encode"
+  | exception Invalid_argument _ -> ()
+
 (* writers keep the low octets of any int, as the per-octet writers did;
    the in-place writers touch only their own octets *)
 let prop_writers_match_reference =
@@ -239,17 +273,7 @@ let prop_writers_match_reference =
 
 let md5 b = Digest.to_hex (Digest.bytes b)
 
-(* the store [moas_sim collect --smoke --store FILE] writes *)
-let collect_smoke_store =
-  lazy
-    (let capture =
-       Collect.Scenario.capture ~seed:0xC011EC7L ~vantages:3
-         (Topology.Paper_topologies.topology_25 ())
-     in
-     let config = { Stream.Monitor.default_config with Stream.Monitor.window = 10_000 } in
-     Collect.Store.of_correlation
-       (Collect.Correlator.of_result
-          (Collect.Mesh.run config capture.Collect.Scenario.s_streams)))
+let collect_smoke_store = Testutil.collect_smoke_store
 
 (* the checkpoint [moas_sim monitor --smoke --checkpoint FILE] writes *)
 let monitor_smoke_checkpoint () =
@@ -343,6 +367,53 @@ let frames () =
   List.map (fun (k, r) -> ("request " ^ k, P.encode_request r)) requests
   @ List.map (fun (k, r) -> ("response " ^ k, P.encode_response r)) responses
 
+(* ---------------- decoders ---------------- *)
+
+let best_of_five f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+(* An [Entries] frame of [n] distinct vantage names, either one name per
+   entry (a decode that shares) or all of them on one entry (one that
+   does not): the bounded share tables must keep decoding linear, so ten
+   times the names may cost about ten times the time, far from the
+   hundred a quadratic table would. *)
+let test_distinct_names_decode_linearly () =
+  let module P = Serve.Proto in
+  let name i = Printf.sprintf "vantage-%06d" i in
+  let per_entry n =
+    List.init n (fun i -> { sample_entry with Collect.Correlator.x_seq = i; x_seen_by = [ name i ] })
+  in
+  let one_entry n = [ { sample_entry with Collect.Correlator.x_seen_by = List.init n name } ] in
+  List.iter
+    (fun (shape, entries) ->
+      let frame n = P.encode_response (P.Entries { vantage_count = n; entries = entries n }) in
+      let small = frame 2_000 and large = frame 20_000 in
+      (match P.decode_response large with
+      | P.Entries { entries = es; _ } ->
+        Alcotest.(check (list string))
+          (shape ^ ": every name decoded")
+          (List.concat_map (fun e -> e.Collect.Correlator.x_seen_by) (entries 20_000))
+          (List.concat_map (fun e -> e.Collect.Correlator.x_seen_by) es)
+      | _ -> Alcotest.fail "not an entries frame");
+      let ratio =
+        best_of_five (fun () -> P.decode_response large)
+        /. best_of_five (fun () -> P.decode_response small)
+      in
+      if ratio > 40. then
+        Alcotest.failf "%s: 10x the names took %.0fx the time" shape ratio)
+    [ ("one name per entry", per_entry); ("20k names on one entry", one_entry) ]
+
+let test_smoke_store_roundtrip () =
+  let b = Collect.Store.encode (Lazy.force collect_smoke_store) in
+  Alcotest.(check bool) "encode (decode b) = b" true
+    (Bytes.equal (Collect.Store.encode (Collect.Store.decode b)) b)
+
 let test_byte_pins () =
   let store = Lazy.force collect_smoke_store in
   Alcotest.(check bool) "the entries frame carries several entries" true
@@ -398,7 +469,14 @@ let () =
           Alcotest.test_case "boundary round-trips" `Quick test_roundtrip_boundaries;
           Alcotest.test_case "put_i63 rejects negatives" `Quick
             test_put_i63_rejects_negative;
+          Alcotest.test_case "put_string length limit" `Quick test_put_string_length_limit;
           prop_writers_match_reference;
+        ] );
+      ( "decoders",
+        [
+          Alcotest.test_case "distinct names decode linearly" `Quick
+            test_distinct_names_decode_linearly;
+          Alcotest.test_case "smoke store round-trips" `Quick test_smoke_store_roundtrip;
         ] );
       ("pins", [ Alcotest.test_case "byte pins" `Quick test_byte_pins ]);
     ]

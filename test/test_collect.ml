@@ -477,7 +477,10 @@ let query_gen =
       (flatten_l
          [
            clause
-             (oneofl (Prefix.of_string "198.51.100.0/23" :: Array.to_list script_prefixes))
+             (oneofl
+                (List.map Prefix.of_string
+                   [ "198.51.100.0/23"; "0.0.0.0/0"; "198.51.100.128/32"; "198.51.101.0/24" ]
+                @ Array.to_list script_prefixes))
              Collect.Query.prefix;
            map (fun b -> if b then Collect.Query.covered else Fun.id) bool;
            clause (int_range 9 16) (fun a -> Collect.Query.origin (Asn.make a));
@@ -515,6 +518,200 @@ let prop_entry_size_is_exact =
           Corr.write_entry buf e;
           Buffer.length buf = Corr.entry_size e)
         es)
+
+(* ---------------- the lean entry reader ---------------- *)
+
+(* The reader the lean one replaced, built from the generic Codec
+   readers: the reference for values, failure octets and messages. *)
+let ref_read_entry c =
+  let x_prefix = Codec.take_prefix c in
+  let x_seq = Codec.take_i63 c in
+  let x_started = Codec.take_i63 c in
+  let x_ended = Codec.take_option c Codec.take_i63 in
+  let x_days = Codec.take_i63 c in
+  let x_max_origins = Codec.take_u32 c in
+  let x_origins = Codec.take_asn_set c in
+  let x_clean = Codec.take_bool c in
+  let x_seen_by = Codec.take_list c Codec.take_string in
+  let x_first_detect = Codec.take_option c Codec.take_i63 in
+  let x_last_detect = Codec.take_option c Codec.take_i63 in
+  {
+    Corr.x_prefix;
+    x_seq;
+    x_started;
+    x_ended;
+    x_days;
+    x_max_origins;
+    x_origins;
+    x_clean;
+    x_seen_by;
+    x_first_detect;
+    x_last_detect;
+  }
+
+exception Bad of string
+
+(* Entries with zero to four names from a small pool (so names and whole
+   lists repeat) or made up on the spot, zero, one or many origins, and
+   every option present or absent; first and last detection often equal. *)
+let decoder_entry_gen =
+  let open QCheck2.Gen in
+  let name = oneof [ oneofl [ "vp00"; "vp01"; "rv02"; ""; "a-longer-vantage-name" ];
+                     string_size ~gen:printable (int_range 0 12) ] in
+  let time = oneof [ int_range 0 100; int_range 0 max_int ] in
+  map
+    (fun ((prefix, seq, started, ended), (days, max_origins, origins, clean), (seen, first, last)) ->
+      {
+        Corr.x_prefix = prefix;
+        x_seq = seq;
+        x_started = started;
+        x_ended = ended;
+        x_days = days;
+        x_max_origins = max_origins;
+        x_origins = Asn.Set.of_list (List.map Asn.make origins);
+        x_clean = clean;
+        x_seen_by = seen;
+        x_first_detect = first;
+        x_last_detect = (match last with `Same -> first | `Other l -> l);
+      })
+    (triple
+       (quad Testutil.prefix_gen time time (opt time))
+       (quad time (int_range 0 0xffffffff)
+          (oneof [ pure []; map (fun a -> [ a ]) (int_range 0 65535);
+                   list_size (int_range 2 6) (int_range 0 65535) ])
+          bool)
+       (triple (list_size (int_range 0 4) name) (opt time)
+          (oneof [ pure `Same; map (fun l -> `Other l) (opt time) ])))
+
+let entries_octets es =
+  let buf = Buffer.create 256 in
+  Codec.put_list buf Corr.write_entry es;
+  Buffer.to_bytes buf
+
+(* the entries, or the message and octet the read stops at *)
+let decode_outcome read data =
+  match read (Codec.cursor ~fail:(fun m -> Bad m) data) with
+  | es -> Ok es
+  | exception Bad m -> Error m
+
+let lean data = decode_outcome Corr.read_entries data
+let reference data = decode_outcome (fun c -> Codec.take_list c ref_read_entry) data
+
+let prop_lean_reader_matches_reference =
+  Testutil.qtest ~count:300 "lean reader = generic reader on valid entries"
+    QCheck2.Gen.(list_size (int_range 0 150) decoder_entry_gen)
+    (fun es ->
+      let data = entries_octets es in
+      (* structurally equal to the reference (sets of the same shape,
+         too), and the entries written *)
+      lean data = reference data
+      && match lean data with Ok got -> List.equal entry_equal got es | Error _ -> false)
+
+let prop_lean_reader_fails_alike =
+  Testutil.qtest ~count:200 "lean reader fails where the generic reader fails"
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 100) decoder_entry_gen)
+        (list_size (int_range 1 8) (pair nat (int_range 0 255)))
+        nat)
+    (fun (es, mutations, cut) ->
+      let data = entries_octets es in
+      let n = Bytes.length data in
+      let mutated = Bytes.copy data in
+      List.iter (fun (i, v) -> Bytes.set mutated (i mod n) (Char.chr v)) mutations;
+      let truncated = Bytes.sub data 0 (cut mod (n + 1)) in
+      List.for_all (fun d -> lean d = reference d) [ mutated; truncated ])
+
+(* every truncation of 72 entries, enough for the decode to share, each
+   name list met many times *)
+let test_lean_reader_every_truncation () =
+  let es =
+    [
+      entry ~prefix:p1 ~origins:[ 10; 20 ] ~started:100 ~ended:900 ~seen:[ "vp00"; "vp02" ]
+        ~first:120 ~last:120 ();
+      entry ~prefix:p2 ~origins:[ 30 ] ~started:50 ~seen:[ "vp00"; "vp02" ] ~first:50 ~last:60 ();
+      entry ~prefix:p2_sub ~origins:[] ~started:400 ~ended:500 ~seen:[] ();
+    ]
+  in
+  let data = entries_octets (List.concat (List.init 24 (fun _ -> es))) in
+  for len = 0 to Bytes.length data do
+    let d = Bytes.sub data 0 len in
+    Alcotest.(check bool) (Printf.sprintf "cut at %d" len) true (lean d = reference d)
+  done
+
+(* The store keeps no octet of the caller's bytes: scribbling over them
+   after the decode changes neither the store's encoding nor a reply. *)
+(* A crafted file may hold octets that decode fine but re-encode
+   differently: host bits in a prefix, bit 63 set in a time (dropped on
+   read), origins out of order.  The store serves canonical octets
+   anyway: its encoding and its replies are those of the decoded
+   entries. *)
+let test_store_decode_normalises () =
+  let raw ~net ~seq_hi ~origins =
+    let buf = Buffer.create 128 in
+    Buffer.add_string buf "MOASSTOR";
+    Codec.put_u8 buf 1;
+    Codec.put_list buf Codec.put_string [ "vp00" ];
+    Codec.put_u32 buf 1;
+    Codec.put_u32 buf net;
+    Codec.put_u8 buf 24;
+    Codec.put_u32 buf seq_hi;
+    Codec.put_u32 buf 1;
+    Codec.put_i63 buf 100;
+    Codec.put_u8 buf 0;
+    Codec.put_i63 buf 1;
+    Codec.put_u32 buf 2;
+    Codec.put_list buf Codec.put_u16 origins;
+    Codec.put_bool buf true;
+    Codec.put_list buf Codec.put_string [ "vp00" ];
+    Codec.put_u8 buf 0;
+    Codec.put_u8 buf 0;
+    Buffer.to_bytes buf
+  in
+  let canonical = raw ~net:0xC0000200 ~seq_hi:0 ~origins:[ 10; 20 ] in
+  List.iter
+    (fun (what, data) ->
+      let t = Store.decode data in
+      Alcotest.(check bool) (what ^ ": canonical encoding") true
+        (Bytes.equal (Store.encode t) canonical);
+      let server = Serve.Server.create ~store:t () in
+      let reply =
+        Serve.Server.handle server ~session:(Serve.Server.open_session server)
+          (Serve.Proto.encode_request (Serve.Proto.Query Collect.Query.empty))
+      in
+      Alcotest.(check bool) (what ^ ": reply of the decoded entries") true
+        (Bytes.equal reply
+           (Serve.Proto.encode_response
+              (Serve.Proto.Entries { vantage_count = 1; entries = Store.entries t }))))
+    [
+      ("canonical", canonical);
+      ("host bits", raw ~net:0xC0000201 ~seq_hi:0 ~origins:[ 10; 20 ]);
+      ("bit 63 of a time", raw ~net:0xC0000200 ~seq_hi:0x80000000 ~origins:[ 10; 20 ]);
+      ("origins out of order", raw ~net:0xC0000200 ~seq_hi:0 ~origins:[ 20; 10 ]);
+    ]
+  ;
+  (* bit 62 makes the time negative: no entry holds it, and decoding says
+     so instead of letting the re-encode's Invalid_argument escape *)
+  List.iter
+    (fun seq_hi ->
+      match Store.decode (raw ~net:0xC0000200 ~seq_hi ~origins:[ 10; 20 ]) with
+      | _ -> Alcotest.failf "seq_hi %08x: decoded" seq_hi
+      | exception Store.Corrupt _ -> ())
+    [ 0x40000000; 0x7FFFFFFF; 0xC0000000 ]
+
+let test_store_decode_copies () =
+  let bytes = Store.encode (sample_store ()) in
+  let original = Bytes.copy bytes in
+  let t = Store.decode bytes in
+  let reply () =
+    let server = Serve.Server.create ~store:t () in
+    Serve.Server.handle server ~session:(Serve.Server.open_session server)
+      (Serve.Proto.encode_request (Serve.Proto.Query Collect.Query.empty))
+  in
+  let before = reply () in
+  Bytes.fill bytes 0 (Bytes.length bytes) '\xff';
+  Alcotest.(check bool) "encode unchanged" true (Bytes.equal (Store.encode t) original);
+  Alcotest.(check bool) "reply unchanged" true (Bytes.equal (reply ()) before)
 
 let test_store_roundtrip () =
   let s = sample_store () in
@@ -733,6 +930,14 @@ let () =
           prop_bulk_store_matches_add;
           prop_indexes_answer_like_a_scan;
           prop_entry_size_is_exact;
+        ] );
+      ( "decoder",
+        [
+          prop_lean_reader_matches_reference;
+          prop_lean_reader_fails_alike;
+          Alcotest.test_case "every truncation" `Quick test_lean_reader_every_truncation;
+          Alcotest.test_case "store decode copies its input" `Quick test_store_decode_copies;
+          Alcotest.test_case "store decode normalises" `Quick test_store_decode_normalises;
         ] );
       ( "scenario",
         [

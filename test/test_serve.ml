@@ -332,6 +332,39 @@ let prop_count_equals_query_length =
       Store.count_matching store q = want
       && match reply with Proto.Count_is n -> n = want | _ -> false)
 
+(* The server writes a query's reply from the store's cached entry
+   octets; it must be, octet for octet, the frame encode_response writes
+   for the same entries, on a built store and on a decoded one. *)
+let query_reply store q =
+  let server = Server.create ~store () in
+  Server.handle server ~session:(Server.open_session server) (Proto.encode_request (Proto.Query q))
+
+let prop_reply_equals_encoded_entries =
+  Testutil.qtest ~count:300 "Query reply == encode_response (Entries (Store.query q))"
+    (QCheck2.Gen.pair store_gen (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 6) served_query_gen))
+    (fun (es, specs) ->
+      let built =
+        Store.of_correlation { Corr.c_vantages = [ "vp00"; "vp01"; "vp02" ]; c_entries = es }
+      in
+      List.for_all
+        (fun store ->
+          List.for_all
+            (fun q ->
+              Bytes.equal (query_reply store q)
+                (Proto.encode_response
+                   (Proto.Entries
+                      { vantage_count = List.length (Store.vantages store); entries = Store.query store q })))
+            (Q.empty :: List.map build_query specs))
+        [ built; Store.decode (Store.encode built) ])
+
+(* the pinned MOASSERV entries frame (test_codec) is what the server
+   sends for the empty query on the [collect --smoke] store *)
+let test_smoke_reply_pin () =
+  let store = Lazy.force Testutil.collect_smoke_store in
+  Alcotest.(check string) "MD5 of the reply to the empty query"
+    "a5eeb7b2d6b77be95a0512e8d2dc66eb"
+    (Digest.to_hex (Digest.bytes (query_reply store Q.empty)))
+
 let test_builder_validation () =
   List.iter
     (fun (name, f) ->
@@ -787,6 +820,8 @@ let () =
           Alcotest.test_case "builder validation" `Quick
             test_builder_validation;
           prop_count_equals_query_length;
+          prop_reply_equals_encoded_entries;
+          Alcotest.test_case "smoke store reply pin" `Quick test_smoke_reply_pin;
         ] );
       ( "tail",
         [

@@ -80,3 +80,15 @@ let contains haystack needle =
 let check_contains ?(what = "output") haystack needle =
   if not (contains haystack needle) then
     Alcotest.failf "%s does not contain %S:\n%s" what needle haystack
+
+(* the store [moas_sim collect --smoke --store FILE] writes *)
+let collect_smoke_store =
+  lazy
+    (let capture =
+       Collect.Scenario.capture ~seed:0xC011EC7L ~vantages:3
+         (Topology.Paper_topologies.topology_25 ())
+     in
+     let config = { Stream.Monitor.default_config with Stream.Monitor.window = 10_000 } in
+     Collect.Store.of_correlation
+       (Collect.Correlator.of_result
+          (Collect.Mesh.run config capture.Collect.Scenario.s_streams)))
