@@ -138,28 +138,42 @@ let run_simulate size n_origins n_attackers deployment policy seed runs =
 let run_robustness seed smoke jobs =
   print_string (Experiments.Robustness.report ?seed ~smoke ?jobs ())
 
-(* a 1/10-size archive with the same phenomenology, for CI smoke runs *)
-let smoke_monitor_params =
-  {
-    Measurement.Synthetic_routeviews.default_params with
-    Measurement.Synthetic_routeviews.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
+(* the 1/10-size archive under --smoke, else the full one *)
+let archive_params smoke =
+  if smoke then Measurement.Synthetic_routeviews.smoke_params
+  else Measurement.Synthetic_routeviews.default_params
+
+(* --metrics FILE: a live registry only when a dump is asked for *)
+let registry_for metrics_out =
+  if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
+
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+let write_metrics metrics_out ~extra metrics =
+  Option.iter
+    (fun path ->
+      write_file path (Obs.Registry.to_json_lines ~extra metrics);
+      say "metrics dump written to %s" path)
+    metrics_out
+
+(* --report FILE: the report also goes to FILE (it always prints) *)
+let print_report report_out report =
+  print_string report;
+  Option.iter
+    (fun path ->
+      write_file path report;
+      say "report written to %s" path)
+    report_out
 
 exception Monitor_stop
 
 let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
     stop_after resume metrics_out =
   let params =
-    let base =
-      if smoke then smoke_monitor_params
-      else Measurement.Synthetic_routeviews.default_params
-    in
+    let base = archive_params smoke in
     match seed with
     | None -> base
     | Some seed -> { base with Measurement.Synthetic_routeviews.seed }
@@ -167,21 +181,11 @@ let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
   let annotate =
     match String.lowercase_ascii annotate with
     | "none" -> Stream.Source.no_annotation
-    | "trusted" ->
-      Stream.Source.trusted_annotator
-        ~distrusted:
-          (Net.Asn.Set.of_list
-             [
-               Measurement.Synthetic_routeviews.fault_as_1998;
-               Measurement.Synthetic_routeviews.fault_as_2001;
-             ])
-        ()
+    | "trusted" -> Stream.Source.fault_annotator
     | s -> failwith ("unknown annotation policy: " ^ s)
   in
   let config = { Stream.Monitor.default_config with Stream.Monitor.window } in
-  let metrics =
-    if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-  in
+  let metrics = registry_for metrics_out in
   if checkpoint_every <> None && checkpoint = None then
     failwith "--checkpoint-every needs --checkpoint FILE";
   let monitor, resume_time =
@@ -214,21 +218,13 @@ let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
   Stream.Source.close source;
   write_checkpoint ();
   print_string (Stream.Report.render (Stream.Sharded.snapshot monitor));
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let merged = Stream.Sharded.metrics monitor in
-    let oc = open_out path in
-    output_string oc
-      (Obs.Registry.to_json_lines
-         ~extra:
-           [
-             ("workload", "monitor");
-             ("jobs", string_of_int (Stream.Sharded.jobs monitor));
-           ]
-         merged);
-    close_out oc;
-    say "metrics dump written to %s" path
+  write_metrics metrics_out
+    ~extra:
+      [
+        ("workload", "monitor");
+        ("jobs", string_of_int (Stream.Sharded.jobs monitor));
+      ]
+    (Stream.Sharded.metrics monitor)
 
 (* ------------------------------------------------------------------ *)
 (* collect: the multi-vantage collector mesh *)
@@ -263,9 +259,7 @@ let run_collect vantages jobs smoke seed store_path query metrics_out order =
       else Topology.Paper_topologies.topology_46 ()
     in
     let seed = Option.value seed ~default:0xC011EC7L in
-    let metrics =
-      if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-    in
+    let metrics = registry_for metrics_out in
     let arrange streams =
       match order with "reversed" -> List.rev streams | _ -> streams
     in
@@ -320,82 +314,34 @@ let run_collect vantages jobs smoke seed store_path query metrics_out order =
     | Some path ->
       Collect.Store.write_file path (Collect.Store.of_correlation base_corr);
       say "episode store written to %s" path);
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Obs.Registry.to_json_lines
-           ~extra:
-             [
-               ("workload", "collect");
-               ("vantages", string_of_int vantages);
-             ]
-           metrics);
-      close_out oc;
-      say "metrics dump written to %s" path)
+    write_metrics metrics_out
+      ~extra:[ ("workload", "collect"); ("vantages", string_of_int vantages) ]
+      metrics
 
 (* ------------------------------------------------------------------ *)
 (* classify: learned per-episode verdicts over the scenario corpus *)
 
 let run_classify smoke jobs seed features_out report_out metrics_out =
   let seed = Option.value seed ~default:0xC1A55L in
-  let metrics =
-    if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-  in
+  let metrics = registry_for metrics_out in
   let ev = Classify.Eval.evaluate ~metrics ?jobs ~smoke ~seed () in
-  let report = Classify.Eval.render ev.Classify.Eval.ev_report in
-  print_string report;
-  (match report_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc report;
-    close_out oc;
-    say "report written to %s" path);
-  (match features_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Classify.Eval.features_csv ev.Classify.Eval.ev_corpus);
-    close_out oc;
-    say "feature matrix written to %s" path);
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Obs.Registry.to_json_lines ~extra:[ ("workload", "classify") ] metrics);
-    close_out oc;
-    say "metrics dump written to %s" path
+  print_report report_out (Classify.Eval.render ev.Classify.Eval.ev_report);
+  Option.iter
+    (fun path ->
+      write_file path (Classify.Eval.features_csv ev.Classify.Eval.ev_corpus);
+      say "feature matrix written to %s" path)
+    features_out;
+  write_metrics metrics_out ~extra:[ ("workload", "classify") ] metrics
 
 (* ------------------------------------------------------------------ *)
 (* community: the community-telemetry detector head-to-head *)
 
 let run_community smoke jobs seed report_out metrics_out =
   let seed = Option.value seed ~default:Experiments.Community.default_seed in
-  let metrics =
-    if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-  in
-  let report = Experiments.Community.report ~metrics ?jobs ~smoke ~seed () in
-  print_string report;
-  (match report_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc report;
-    close_out oc;
-    say "report written to %s" path);
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Obs.Registry.to_json_lines
-         ~extra:[ ("workload", "community") ]
-         metrics);
-    close_out oc;
-    say "metrics dump written to %s" path
+  let metrics = registry_for metrics_out in
+  print_report report_out
+    (Experiments.Community.report ~metrics ?jobs ~smoke ~seed ());
+  write_metrics metrics_out ~extra:[ ("workload", "community") ] metrics
 
 (* ------------------------------------------------------------------ *)
 (* serve: the query/alert daemon over the MOASSERV wire protocol *)
@@ -409,16 +355,6 @@ let parse_query_or_die s =
   match Collect.Query.parse s with
   | Ok q -> q
   | Error msg -> failwith ("bad query: " ^ msg)
-
-let serve_annotator () =
-  Stream.Source.trusted_annotator
-    ~distrusted:
-      (Net.Asn.Set.of_list
-         [
-           Measurement.Synthetic_routeviews.fault_as_1998;
-           Measurement.Synthetic_routeviews.fault_as_2001;
-         ])
-    ()
 
 (* One scripted serve session: commands in, rendered responses out.  The
    transcript is deterministic — CI replays the same script twice and
@@ -480,17 +416,12 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
   if checkpoint_every <> None && checkpoint = None then
     failwith "--checkpoint-every needs --checkpoint FILE";
   let params =
-    let base =
-      if smoke then smoke_monitor_params
-      else Measurement.Synthetic_routeviews.default_params
-    in
+    let base = archive_params smoke in
     match seed with
     | None -> base
     | Some seed -> { base with Measurement.Synthetic_routeviews.seed }
   in
-  let metrics =
-    if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-  in
+  let metrics = registry_for metrics_out in
   let live_snapshot =
     match resume with
     | None -> None
@@ -509,7 +440,9 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
       Stream.Checkpoint.write_file path (Serve.Server.live_snapshot server)
     | None -> ()
   in
-  let source = Stream.Source.of_archive ~annotate:(serve_annotator ()) params in
+  let source =
+    Stream.Source.of_archive ~annotate:Stream.Source.fault_annotator params
+  in
   let client = Serve.Client.connect server in
   let lines =
     match script with
@@ -544,14 +477,7 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
   Serve.Client.close client;
   Stream.Source.close source;
   write_checkpoint ();
-  match metrics_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc
-      (Obs.Registry.to_json_lines ~extra:[ ("workload", "serve") ] metrics);
-    close_out oc;
-    say "metrics dump written to %s" path
+  write_metrics metrics_out ~extra:[ ("workload", "serve") ] metrics
 
 let run_query_client store_path query_str count_only attempts timeout seed =
   let store = read_store store_path in
@@ -586,12 +512,10 @@ let run_query_client store_path query_str count_only attempts timeout seed =
    of the seed (virtual clock, no wall time), so CI diffs two runs. *)
 
 let build_chaos_inputs ~smoke =
-  let annotate = serve_annotator () in
-  let params =
-    if smoke then smoke_monitor_params
-    else Measurement.Synthetic_routeviews.default_params
+  let batches =
+    Stream.Source.archive_batches ~annotate:Stream.Source.fault_annotator
+      (archive_params smoke)
   in
-  let batches = Stream.Source.archive_batches ~annotate params in
   let streams =
     Collect.Vantage.replay ~coverage:0.65 ~vantages:3 ~seed:0xC011EC7L batches
   in
@@ -648,9 +572,7 @@ let run_chaos smoke requests plan_name chaos_seed metrics_out =
     say "-- plan %s: %s" name (Chaos.plan_to_string plan);
     let arm = Mutil.Rng.split_at root pi in
     let clock = Chaos.Clock.create () in
-    let metrics =
-      if metrics_out = None then Obs.Registry.noop else Obs.Registry.create ()
-    in
+    let metrics = registry_for metrics_out in
     if not (Obs.Registry.is_noop metrics) then
       registries := metrics :: !registries;
     (* tight limits so the shedding / deadline / eviction paths actually
@@ -747,18 +669,12 @@ let run_chaos smoke requests plan_name chaos_seed metrics_out =
     (Serve.Proto.render_response (Serve.Client.call direct Serve.Proto.Stats));
   Serve.Client.close direct;
   Serve.Client.close oracle;
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    let merged = Obs.Registry.create () in
-    List.iter
-      (fun r -> Obs.Registry.merge ~into:merged r)
-      (List.rev !registries);
-    let oc = open_out path in
-    output_string oc
-      (Obs.Registry.to_json_lines ~extra:[ ("workload", "chaos") ] merged);
-    close_out oc;
-    say "metrics dump written to %s" path);
+  (if metrics_out <> None then
+     let merged = Obs.Registry.create () in
+     List.iter
+       (fun r -> Obs.Registry.merge ~into:merged r)
+       (List.rev !registries);
+     write_metrics metrics_out ~extra:[ ("workload", "chaos") ] merged);
   if !violations > 0 then
     failwith (Printf.sprintf "chaos: %d invariant violations" !violations);
   say "chaos invariants held: every request answered, rejected, or failed \
@@ -824,6 +740,16 @@ let jobs_arg =
      any job count."
   in
   Arg.(value & opt (some pos_int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+let metrics_arg =
+  Arg.(value & opt (some string) None
+       & info [ "metrics" ] ~docv:"FILE"
+           ~doc:"Write the lib/obs metrics dump (JSON lines) to FILE.")
+
+let report_arg =
+  Arg.(value & opt (some string) None
+       & info [ "report" ] ~docv:"FILE"
+           ~doc:"Also write the report to FILE (it always prints to stdout).")
 
 let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) term
 
@@ -931,18 +857,13 @@ let monitor_cmd =
              ~doc:"Restore monitor state from a checkpoint FILE and skip \
                    archive batches it already covers.")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the merged lib/obs metrics dump (JSON lines) to FILE.")
-  in
   cmd "monitor"
     ~doc:"Online MOAS monitor: replay the synthetic RouteViews archive as a \
           stream with sharded ingest, episode tracking and checkpoint/restore. \
           The report is byte-identical at any $(b,--jobs) count and across \
           checkpoint/restore."
     Term.(const run_monitor $ smoke $ jobs_arg $ window $ annotate $ seed_arg
-          $ checkpoint $ checkpoint_every $ stop_after $ resume $ metrics_out)
+          $ checkpoint $ checkpoint_every $ stop_after $ resume $ metrics_arg)
 
 let collect_cmd =
   let vantages =
@@ -969,11 +890,6 @@ let collect_cmd =
                    $(b,since=T), $(b,until=T), $(b,min_visibility=K), \
                    $(b,bucket=short|medium|long).")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the merged lib/obs metrics dump (JSON lines) to FILE.")
-  in
   let order =
     Arg.(value & opt (enum [ ("normal", "normal"); ("reversed", "reversed") ])
            "normal"
@@ -990,7 +906,7 @@ let collect_cmd =
           Reports are byte-identical at any $(b,--jobs) count and vantage \
           order."
     Term.(const run_collect $ vantages $ jobs_arg $ smoke $ seed_arg $ store
-          $ query $ metrics_out $ order)
+          $ query $ metrics_arg $ order)
 
 let classify_cmd =
   let smoke =
@@ -1003,17 +919,6 @@ let classify_cmd =
          & info [ "features" ] ~docv:"FILE"
              ~doc:"Write the labelled feature matrix (CSV) to FILE.")
   in
-  let report =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"Also write the evaluation report to FILE (it always \
-                   prints to stdout).")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the merged lib/obs metrics dump (JSON lines) to FILE.")
-  in
   cmd "classify"
     ~doc:"Learned episode classifier: capture the attack / partition / \
           fault-churn scenario corpus, label it with the ROA ground-truth \
@@ -1022,24 +927,13 @@ let classify_cmd =
           with per-arm precision/recall/F1.  The report is byte-identical \
           at any $(b,--jobs) count, which CI asserts."
     Term.(const run_classify $ smoke $ jobs_arg $ seed_arg $ features
-          $ report $ metrics_out)
+          $ report_arg $ metrics_arg)
 
 let community_cmd =
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Run the 25-AS topology with 2 replicates only instead of \
                  all three paper topologies with 3, for CI.")
-  in
-  let report =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"Also write the comparison report to FILE (it always \
-                   prints to stdout).")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the merged lib/obs metrics dump (JSON lines) to FILE.")
   in
   cmd "community"
     ~doc:"Community-telemetry detection head-to-head: run every scenario \
@@ -1049,8 +943,8 @@ let community_cmd =
           IRR / S-BGP baselines with per-arm precision/recall/F1.  The \
           report is byte-identical at any $(b,--jobs) count, which CI \
           asserts."
-    Term.(const run_community $ smoke $ jobs_arg $ seed_arg $ report
-          $ metrics_out)
+    Term.(const run_community $ smoke $ jobs_arg $ seed_arg $ report_arg
+          $ metrics_arg)
 
 let store_arg =
   Arg.(value & opt (some string) None
@@ -1070,11 +964,6 @@ let serve_cmd =
   let smoke =
     Arg.(value & flag & info [ "smoke" ]
            ~doc:"Tail the 1/10-size archive instead of the full one, for CI.")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the lib/obs metrics dump (JSON lines) to FILE.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None
@@ -1104,7 +993,7 @@ let serve_cmd =
           checkpoint/resume crash recovery.  The scripted session transcript \
           is byte-identical across runs, which CI asserts."
     Term.(const run_serve $ store_arg $ script $ smoke $ jobs_arg $ seed_arg
-          $ checkpoint $ checkpoint_every $ resume $ metrics_out)
+          $ checkpoint $ checkpoint_every $ resume $ metrics_arg)
 
 let query_client_cmd =
   let query =
@@ -1165,12 +1054,6 @@ let chaos_cmd =
              ~doc:"Root seed for fault draws and retry jitter; the whole \
                    transcript is a pure function of it.")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Write the merged lib/obs metrics dump (JSON lines) to \
-                   FILE.")
-  in
   cmd "chaos"
     ~doc:"Seeded chaos sweep over the serving path: fault plans inject frame \
           drops, corruption, truncation, delays and disconnects between \
@@ -1179,7 +1062,7 @@ let chaos_cmd =
           fails cleanly — never a hang, crash or wrong answer.  Exits \
           non-zero on any violation; the transcript is byte-identical for a \
           given seed, which CI asserts."
-    Term.(const run_chaos $ smoke $ requests $ plan $ chaos_seed $ metrics_out)
+    Term.(const run_chaos $ smoke $ requests $ plan $ chaos_seed $ metrics_arg)
 
 let topologies_cmd = cmd "topologies" ~doc:"Describe the derived 25/46/63-AS topologies."
     Term.(const run_topologies $ const ())

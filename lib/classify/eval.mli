@@ -46,10 +46,6 @@ type evaluation = {
   ev_report : report;
 }
 
-val of_corpus : Corpus.t -> evaluation
-(** Train and evaluate over an already-built corpus — a pure function of
-    the corpus, shared by {!evaluate} and the benchmark harness. *)
-
 val evaluate :
   ?metrics:Obs.Registry.t ->
   ?jobs:int ->

@@ -23,32 +23,25 @@ let series_of_points ~label points =
         points;
   }
 
-let sweep_series ?seed ?jobs ?(tracer = Obs.Span.noop) ~topology ~n_origins
-    ~deployment ~label () =
-  Obs.Span.with_span tracer
-    (Printf.sprintf "sweep:%s:%s" topology.Topo.name label)
-    (fun () ->
-      let cfg = Sweep.config ?seed ~topology ~n_origins ~deployment () in
-      let points =
-        Sweep.run ?jobs cfg
-          ~n_attackers_list:(Sweep.default_attacker_counts topology)
-      in
-      (series_of_points ~label points, points))
+let sweep_series ?seed ?jobs ~topology ~n_origins ~deployment ~label () =
+  let cfg = Sweep.config ?seed ~topology ~n_origins ~deployment () in
+  series_of_points ~label
+    (Sweep.run ?jobs cfg
+       ~n_attackers_list:(Sweep.default_attacker_counts topology))
 
 let default_axes =
   ( "Percent of attacker ASes",
     "Percent of remaining ASes adopting a false route" )
 
-let figure9 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
+let figure9 ?seed ?jobs () =
   let topology = Topo.topology_46 () in
   let make ~origins ~id =
-    Obs.Span.with_span tracer id @@ fun () ->
-    let normal, _ =
-      sweep_series ?seed ?jobs ~tracer ~topology ~n_origins:origins
+    let normal =
+      sweep_series ?seed ?jobs ~topology ~n_origins:origins
         ~deployment:Moas.Deployment.Disabled ~label:"Normal BGP" ()
     in
-    let full, _ =
-      sweep_series ?seed ?jobs ~tracer ~topology ~n_origins:origins
+    let full =
+      sweep_series ?seed ?jobs ~topology ~n_origins:origins
         ~deployment:Moas.Deployment.Full ~label:"Full MOAS Detection" ()
     in
     let x_label, y_label = default_axes in
@@ -70,21 +63,20 @@ let figure9 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
   in
   [ make ~origins:1 ~id:"Figure 9(a)"; make ~origins:2 ~id:"Figure 9(b)" ]
 
-let figure10 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
+let figure10 ?seed ?jobs () =
   let topologies = [ Topo.topology_25 (); Topo.topology_46 (); Topo.topology_63 () ] in
   let make ~origins ~id =
-    Obs.Span.with_span tracer id @@ fun () ->
     let series =
       List.concat_map
         (fun topology ->
           let name = topology.Topo.name in
-          let normal, _ =
-            sweep_series ?seed ?jobs ~tracer ~topology ~n_origins:origins
+          let normal =
+            sweep_series ?seed ?jobs ~topology ~n_origins:origins
               ~deployment:Moas.Deployment.Disabled
               ~label:(name ^ " Normal BGP") ()
           in
-          let full, _ =
-            sweep_series ?seed ?jobs ~tracer ~topology ~n_origins:origins
+          let full =
+            sweep_series ?seed ?jobs ~topology ~n_origins:origins
               ~deployment:Moas.Deployment.Full
               ~label:(name ^ " Full MOAS Detection") ()
           in
@@ -109,9 +101,8 @@ let figure10 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
   in
   [ make ~origins:1 ~id:"Figure 10(a)"; make ~origins:2 ~id:"Figure 10(b)" ]
 
-let figure11 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
+let figure11 ?seed ?jobs () =
   let make ~topology ~id =
-    Obs.Span.with_span tracer id @@ fun () ->
     let deployments =
       [
         (Moas.Deployment.Disabled, "Normal BGP");
@@ -122,9 +113,8 @@ let figure11 ?seed ?jobs ?(tracer = Obs.Span.noop) () =
     let series =
       List.map
         (fun (deployment, label) ->
-          fst
-            (sweep_series ?seed ?jobs ~tracer ~topology ~n_origins:1
-               ~deployment ~label ()))
+          sweep_series ?seed ?jobs ~topology ~n_origins:1 ~deployment ~label
+            ())
         deployments
     in
     let x_label, y_label = default_axes in
@@ -208,8 +198,7 @@ let point_at ?seed ?jobs ~topology ~n_origins ~deployment ~fraction () =
   let cfg = Sweep.config ?seed ~topology ~n_origins ~deployment () in
   Sweep.run_point ?jobs cfg ~n_attackers
 
-let summary_table ?seed ?jobs ?(tracer = Obs.Span.noop) () =
-  Obs.Span.with_span tracer "summary statistics" @@ fun () ->
+let summary_table ?seed ?jobs () =
   let t25 = Topo.topology_25 ()
   and t46 = Topo.topology_46 ()
   and t63 = Topo.topology_63 () in

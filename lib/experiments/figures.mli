@@ -12,23 +12,19 @@ type figure = {
   notes : string list;  (** qualitative observations / paper references *)
 }
 
-val figure9 : ?seed:int64 -> ?jobs:int -> ?tracer:Obs.Span.t -> unit -> figure list
+val figure9 : ?seed:int64 -> ?jobs:int -> unit -> figure list
 (** Experiment 1 — spoof-resilience in the 46-AS topology, one figure per
     origin count (1 and 2): Normal BGP vs Full MOAS detection.
 
     [jobs] (default {!Exec.Pool.default_jobs}, also on the figures
     below) sizes the domain pool the underlying sweeps run on; output is
-    byte-identical at any job count.
-    [tracer] (default {!Obs.Span.noop}, also on the figures below)
-    records one span per figure panel plus one per underlying sweep
-    ([sweep:<topology>:<series label>]) — the per-phase timings the
-    benchmark harness exports. *)
+    byte-identical at any job count. *)
 
-val figure10 : ?seed:int64 -> ?jobs:int -> ?tracer:Obs.Span.t -> unit -> figure list
+val figure10 : ?seed:int64 -> ?jobs:int -> unit -> figure list
 (** Experiment 2 — 25-AS vs 46-AS vs 63-AS comparison, one figure per
     origin count: Normal BGP and Full MOAS detection on each topology. *)
 
-val figure11 : ?seed:int64 -> ?jobs:int -> ?tracer:Obs.Span.t -> unit -> figure list
+val figure11 : ?seed:int64 -> ?jobs:int -> unit -> figure list
 (** Experiment 3 — partial deployment: Normal BGP vs 50% vs full
     deployment, one figure per topology (46-AS and 63-AS). *)
 
@@ -38,6 +34,6 @@ val render : figure -> string
 val to_csv : figure -> string list * string list list
 (** (header, rows) for CSV export. *)
 
-val summary_table : ?seed:int64 -> ?jobs:int -> ?tracer:Obs.Span.t -> unit -> string
+val summary_table : ?seed:int64 -> ?jobs:int -> unit -> string
 (** The paper's headline statistics (Sections 1 and 5.2-5.4) re-measured
     on our topologies, printed against the paper's values. *)

@@ -33,6 +33,18 @@ let default_params =
     event_2001_size = 970;
   }
 
+let smoke_params =
+  {
+    default_params with
+    universe_size = 400;
+    initial_long_lived = 65;
+    final_long_lived = 139;
+    one_day_churn = 24;
+    medium_churn = 9;
+    event_1998_size = 114;
+    event_2001_size = 97;
+  }
+
 type day_dump = { day : Day.t; table : (Prefix.t * Asn.Set.t) list }
 
 let fault_as_1998 = Asn.make 8584

@@ -37,6 +37,10 @@ type params = {
 val default_params : params
 (** Calibrated to the paper's reported aggregates (see module doc). *)
 
+val smoke_params : params
+(** A 1/10-size archive with the same phenomenology (both fault events,
+    114 and 97 prefixes), for the CLI's [--smoke] runs and the tests. *)
+
 type day_dump = {
   day : Mutil.Day.t;
   table : (Prefix.t * Asn.Set.t) list;

@@ -1,7 +1,7 @@
 (** Process-wide metrics registry: named counters, gauges and fixed-bucket
     histograms, each optionally qualified by labels such as
     [("as", "7")].  The registry is the measurement substrate behind the
-    benchmark harness and the perf trajectory ([BENCH_*.json]).
+    CLI's [--metrics] dumps and perfbench's simulation counters.
 
     Instrumentation is zero-cost when disabled: {!noop} is a registry on
     which every instrument is inert (registration returns a no-op handle
@@ -149,12 +149,3 @@ val merge : into:t -> t -> unit
     either side is {!noop}.
     @raise Invalid_argument if an instrument name collides across kinds
     or a histogram exists in both with different bucket bounds. *)
-
-(**/**)
-
-(* shared with Span's JSON exporter *)
-val normalise : labels -> labels
-val json_string : string -> string
-val json_labels : labels -> string
-
-(**/**)

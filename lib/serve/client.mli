@@ -3,8 +3,8 @@
     A client owns one server session and speaks full {!Proto} wire frames
     in both directions — every request is encoded to bytes and every
     response decoded from bytes, exactly as a socket transport would, so
-    the codec is exercised end-to-end on every call (and so the bench
-    load generator measures real serialisation cost).
+    the codec is exercised end-to-end on every call (and so perfbench's
+    serve-live workload measures real serialisation cost).
 
     {b Retry.}  {!call} survives transient failure: transport errors
     ({!Transport.Unavailable}), corrupt replies, replies slower than the

@@ -36,7 +36,7 @@
     disabled.
 
     {!handle}, {!pending} and session management are safe to call from
-    several domains concurrently (the bench load generator does);
+    several domains concurrently (test_serve's concurrent clients do);
     {!tail} must not run concurrently with itself. *)
 
 type t

@@ -14,6 +14,16 @@ let trusted_annotator ?(distrusted = Asn.Set.empty) () : annotator =
   if Asn.Set.exists (fun a -> Asn.Set.mem a distrusted) origins then None
   else Some origins
 
+let fault_annotator =
+  trusted_annotator
+    ~distrusted:
+      (Asn.Set.of_list
+         [
+           Measurement.Synthetic_routeviews.fault_as_1998;
+           Measurement.Synthetic_routeviews.fault_as_2001;
+         ])
+    ()
+
 (* One archive day's deltas as events.  For each changed prefix the
    withdrawals come first and then every current origin re-announces with
    a freshly computed MOAS list: the wire behaviour of origins updating

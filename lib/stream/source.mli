@@ -80,6 +80,12 @@ val trusted_annotator : ?distrusted:Asn.Set.t -> unit -> annotator
     the two fault ASes distrusted makes the alert stream spike exactly at
     1998-04-07 and 2001-04-06. *)
 
+val fault_annotator : annotator
+(** {!trusted_annotator} with the archive's two fault ASes
+    ({!Measurement.Synthetic_routeviews.fault_as_1998} and
+    [fault_as_2001]) distrusted: the replay policy of every archive run in
+    the CLI and the tests. *)
+
 val fold_archive :
   ?annotate:annotator ->
   Measurement.Synthetic_routeviews.params ->

@@ -1,5 +1,5 @@
 (** Terminal line plots, so that every figure of the paper can be eyeballed
-    straight from the benchmark harness without external tooling. *)
+    straight from the CLI without external tooling. *)
 
 type series = {
   label : string;

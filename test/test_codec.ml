@@ -277,26 +277,11 @@ let collect_smoke_store = Testutil.collect_smoke_store
 
 (* the checkpoint [moas_sim monitor --smoke --checkpoint FILE] writes *)
 let monitor_smoke_checkpoint () =
-  let module Srv = Measurement.Synthetic_routeviews in
-  let params =
-    {
-      Srv.default_params with
-      Srv.universe_size = 400;
-      initial_long_lived = 65;
-      final_long_lived = 139;
-      one_day_churn = 24;
-      medium_churn = 9;
-      event_1998_size = 114;
-      event_2001_size = 97;
-    }
-  in
-  let annotate =
-    Stream.Source.trusted_annotator
-      ~distrusted:(Asn.Set.of_list [ Srv.fault_as_1998; Srv.fault_as_2001 ])
-      ()
-  in
   let monitor = Stream.Sharded.create ~jobs:1 Stream.Monitor.default_config in
-  let source = Stream.Source.of_archive ~annotate params in
+  let source =
+    Stream.Source.of_archive ~annotate:Stream.Source.fault_annotator
+      Measurement.Synthetic_routeviews.smoke_params
+  in
   ignore (Stream.Sharded.ingest_source monitor source);
   Stream.Checkpoint.encode (Stream.Sharded.snapshot monitor)
 

@@ -262,18 +262,6 @@ let test_watch_ignores_list_and_reserved () =
 module Srv = Measurement.Synthetic_routeviews
 module Src = Stream.Source
 
-let archive_params =
-  {
-    Srv.default_params with
-    Srv.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
-
 let test_archive_fault_events_dominate () =
   (* Replay the synthetic RouteViews archive through the watch with a
      synthesized location tag per origin (the archive records no
@@ -285,7 +273,7 @@ let test_archive_fault_events_dominate () =
       (Community.make origin (100 + (Asn.to_int origin mod 8)))
   in
   let _, per_day =
-    Src.fold_archive archive_params ~init:(None, [])
+    Src.fold_archive Srv.smoke_params ~init:(None, [])
       ~f:(fun (watch, tally) batch ->
         let w =
           match watch with

@@ -1,9 +1,8 @@
 (* Tests for the observability layer: the metrics registry (counters,
-   gauges, histograms, labels, exporters), tracing spans, and the
-   integration with the instrumented simulation engine. *)
+   gauges, histograms, labels, exporters) and its integration with the
+   instrumented simulation engine, routers and detectors. *)
 
 module R = Obs.Registry
-module Span = Obs.Span
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -156,61 +155,6 @@ let test_csv_and_clear () =
   Alcotest.(check int) "cleared" 0 (List.length (R.samples reg))
 
 (* ------------------------------------------------------------------ *)
-(* Spans *)
-
-(* a deterministic wall clock: advances one second per reading *)
-let ticking_clock () =
-  let now = ref 0.0 in
-  fun () ->
-    let v = !now in
-    now := v +. 1.0;
-    v
-
-let test_span_records () =
-  let tracer = Span.create ~clock:(ticking_clock ()) () in
-  let sim = ref 10.0 in
-  let result =
-    Span.with_span tracer ~sim_clock:(fun () -> !sim) "outer" (fun () ->
-        sim := 35.0;
-        Span.with_span tracer "inner" (fun () -> ()) ;
-        42)
-  in
-  Alcotest.(check int) "thunk result" 42 result;
-  match Span.records tracer with
-  | [ inner; outer ] ->
-    Alcotest.(check string) "inner name" "inner" inner.Span.name;
-    Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-    Alcotest.(check string) "outer name" "outer" outer.Span.name;
-    Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-    (* clock readings: outer start 0, inner 1 and 2, outer end 3 *)
-    Alcotest.(check (float 1e-9)) "outer wall" 3.0 outer.Span.wall_s;
-    Alcotest.(check (float 1e-9)) "inner wall" 1.0 inner.Span.wall_s;
-    Alcotest.(check (float 1e-9)) "sim start" 10.0 outer.Span.sim_start;
-    Alcotest.(check (float 1e-9)) "sim end" 35.0 outer.Span.sim_end
-  | records ->
-    Alcotest.failf "expected 2 records, got %d" (List.length records)
-
-let test_span_records_on_raise () =
-  let tracer = Span.create ~clock:(ticking_clock ()) () in
-  (try
-     Span.with_span tracer "boom" (fun () -> failwith "expected")
-   with Failure _ -> ());
-  Alcotest.(check int) "span recorded despite raise" 1
-    (List.length (Span.records tracer));
-  Alcotest.(check int) "depth unwound: next span is top-level" 0
-    (Span.with_span tracer "after" (fun () -> ());
-     match List.rev (Span.records tracer) with
-     | after :: _ -> after.Span.depth
-     | [] -> -1)
-
-let test_span_noop () =
-  Alcotest.(check bool) "is_noop" true (Span.is_noop Span.noop);
-  Alcotest.(check int) "thunk still runs" 7
-    (Span.with_span Span.noop "x" (fun () -> 7));
-  Alcotest.(check int) "nothing recorded" 0
-    (List.length (Span.records Span.noop))
-
-(* ------------------------------------------------------------------ *)
 (* Engine integration: the instrumented hot path feeds the registry *)
 
 let test_engine_metrics () =
@@ -271,6 +215,38 @@ let test_network_metrics () =
     (Sim.Engine.events_executed (Bgp.Network.engine net))
     (R.counter_value reg "sim_events_executed")
 
+(* One Full-deployment attack scenario per paper topology with a live
+   registry: the engine, every router and every detector feed it, and the
+   four headline counters are pinned.  Any change to what the simulation
+   does, or to where it counts, moves one of them. *)
+let test_workload_counters () =
+  List.iter
+    (fun (name, topology, n_attackers, want) ->
+      let t = topology () in
+      let metrics = R.create () in
+      let scenario =
+        Attack.Scenario.random (Mutil.Rng.of_int 97)
+          ~graph:t.Topology.Paper_topologies.graph
+          ~stub:t.Topology.Paper_topologies.stub ~n_origins:1 ~n_attackers
+          ~deployment:Moas.Deployment.Full
+      in
+      ignore (Attack.Scenario.run ~metrics (Mutil.Rng.of_int 3) scenario);
+      Alcotest.(check (list int))
+        (name ^ ": events / sent / received / alarms")
+        want
+        (List.map (R.counter_value metrics)
+           [
+             "sim_events_executed";
+             "bgp_updates_sent_total";
+             "bgp_updates_received_total";
+             "moas_alarms_total";
+           ]))
+    [
+      ("25-AS", Topology.Paper_topologies.topology_25, 3, [ 46; 42; 42; 6 ]);
+      ("46-AS", Topology.Paper_topologies.topology_46, 5, [ 157; 151; 151; 12 ]);
+      ("63-AS", Topology.Paper_topologies.topology_63, 8, [ 313; 304; 304; 15 ]);
+    ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -287,15 +263,10 @@ let () =
           Alcotest.test_case "csv + clear" `Quick test_csv_and_clear;
           Alcotest.test_case "merge" `Quick test_merge;
         ] );
-      ( "span",
-        [
-          Alcotest.test_case "records" `Quick test_span_records;
-          Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
-          Alcotest.test_case "noop" `Quick test_span_noop;
-        ] );
       ( "integration",
         [
           Alcotest.test_case "engine metrics" `Quick test_engine_metrics;
           Alcotest.test_case "network metrics" `Quick test_network_metrics;
+          Alcotest.test_case "workload counters" `Quick test_workload_counters;
         ] );
     ]

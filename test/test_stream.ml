@@ -23,21 +23,7 @@ let ann ?list o =
 
 let wd o = M.Withdraw { origin = Asn.make o }
 
-(* the 1/10-size archive used for CI smoke runs *)
-let smoke_params =
-  {
-    Srv.default_params with
-    Srv.universe_size = 400;
-    initial_long_lived = 65;
-    final_long_lived = 139;
-    one_day_churn = 24;
-    medium_churn = 9;
-    event_1998_size = 114;
-    event_2001_size = 97;
-  }
-
-let distrusted = Asn.Set.of_list [ Srv.fault_as_1998; Srv.fault_as_2001 ]
-let annotate = Src.trusted_annotator ~distrusted ()
+let annotate = Src.fault_annotator
 
 (* ---------------- episode lifecycle ---------------- *)
 
@@ -174,7 +160,7 @@ let archive_monitor ?metrics ~jobs () =
   let t = Sh.create ?metrics ~jobs M.default_config in
   Array.iter
     (fun b -> Sh.ingest_batch ~day_end:true t ~time:b.Src.time b.Src.events)
-    (Src.archive_batches ~annotate smoke_params);
+    (Src.archive_batches ~annotate Srv.smoke_params);
   t
 
 let test_sharding_invariance () =
@@ -197,9 +183,9 @@ let test_alerts_spike_on_fault_days () =
     | Some w -> w.M.w_alerts
     | None -> 0
   in
-  Alcotest.(check int) "1998 event size" smoke_params.Srv.event_1998_size
+  Alcotest.(check int) "1998 event size" Srv.smoke_params.Srv.event_1998_size
     (alerts_on Srv.event_1998);
-  Alcotest.(check int) "2001 event size" smoke_params.Srv.event_2001_size
+  Alcotest.(check int) "2001 event size" Srv.smoke_params.Srv.event_2001_size
     (alerts_on Srv.event_2001)
 
 let test_archive_agrees_with_moas_cases () =
@@ -208,7 +194,7 @@ let test_archive_agrees_with_moas_cases () =
   let sn = Sh.snapshot (archive_monitor ~jobs:3 ()) in
   let summary =
     Mc.finalize
-      (Srv.fold_dumps smoke_params ~init:Mc.empty ~f:(fun acc d ->
+      (Srv.fold_dumps Srv.smoke_params ~init:Mc.empty ~f:(fun acc d ->
            Mc.ingest acc ~day:d.Srv.day d.Srv.table))
   in
   Alcotest.(check int) "observed days" summary.Mc.observed_day_count
@@ -307,7 +293,7 @@ let test_checkpoint_rejects_corruption () =
 let test_checkpoint_restore_converges () =
   (* checkpoint mid-stream at one job count, restore at another, replay
      the rest: the final report equals the uninterrupted run's *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let split = Array.length batches / 2 in
   let t = Sh.create ~jobs:2 M.default_config in
   Array.iteri
@@ -404,10 +390,10 @@ let test_source_pull_equals_fold () =
   (* draining the pull source yields exactly the fold_archive batches *)
   let folded =
     List.rev
-      (Src.fold_archive ~annotate smoke_params ~init:[] ~f:(fun acc b ->
+      (Src.fold_archive ~annotate Srv.smoke_params ~init:[] ~f:(fun acc b ->
            b :: acc))
   in
-  let s = Src.of_archive ~annotate smoke_params in
+  let s = Src.of_archive ~annotate Srv.smoke_params in
   let pulled = List.rev (Src.fold s ~init:[] ~f:(fun acc b -> b :: acc)) in
   Alcotest.(check int) "same batch count" (List.length folded)
     (List.length pulled);
@@ -484,7 +470,7 @@ let batch_equal (a : Src.batch) (b : Src.batch) =
 let test_dump_tables_unchanged () =
   let buf = Buffer.create 4096 in
   let days =
-    Srv.fold_dumps smoke_params ~init:0 ~f:(fun n d ->
+    Srv.fold_dumps Srv.smoke_params ~init:0 ~f:(fun n d ->
         Buffer.add_string buf (Mutil.Day.to_string d.Srv.day);
         List.iter
           (fun (prefix, origins) ->
@@ -503,13 +489,13 @@ let test_dump_tables_unchanged () =
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_archive_equals_table_differ () =
-  let got = Src.archive_batches ~annotate smoke_params in
-  let want = reference_archive_batches ~annotate smoke_params in
+  let got = Src.archive_batches ~annotate Srv.smoke_params in
+  let want = reference_archive_batches ~annotate Srv.smoke_params in
   Alcotest.(check int) "same batch count" (List.length want) (Array.length got);
   Alcotest.(check bool) "same batches" true (List.for_all2 batch_equal want (Array.to_list got))
 
 let test_source_close_is_final () =
-  let s = Src.of_batches (Src.archive_batches ~annotate smoke_params) in
+  let s = Src.of_batches (Src.archive_batches ~annotate Srv.smoke_params) in
   Alcotest.(check bool) "first pull succeeds" true (Src.next s <> None);
   Src.close s;
   Src.close s;
@@ -519,7 +505,7 @@ let test_ingest_source_equals_batch_loop () =
   (* the single ingestion entry point converges with the manual loop,
      including when the drain is split by max_batches *)
   let t = Sh.create ~jobs:2 M.default_config in
-  let s = Src.of_archive ~annotate smoke_params in
+  let s = Src.of_archive ~annotate Srv.smoke_params in
   let first = Sh.ingest_source ~max_batches:3 t s in
   Alcotest.(check int) "max_batches honoured" 3 first;
   let rest = Sh.ingest_source t s in
@@ -532,7 +518,7 @@ let test_ingest_source_equals_batch_loop () =
 let test_ingest_source_since_skips () =
   (* resume semantics: batches at or before `since` are skipped, matching
      what a checkpoint restore needs *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let split_time = batches.(Array.length batches / 2).Src.time in
   let t = Sh.create ~jobs:1 M.default_config in
   let skipped =
@@ -549,7 +535,7 @@ let test_ingest_source_closes_on_failure () =
   (* a failing pull must not leak the source: ingest_source closes it
      before the exception escapes, and the monitor stops exactly at the
      last completed batch *)
-  let batches = Src.archive_batches ~annotate smoke_params in
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
   let keep = 3 in
   let rec seq n bs () =
     if n = 0 then raise Boom
@@ -673,7 +659,7 @@ let test_incident_summary () =
   let t = Sh.create ~jobs:1 M.default_config in
   let opened = ref 0 and flagged = ref 0 and closed = ref 0 in
   ignore
-    (Sh.ingest_source t (Src.of_archive ~annotate smoke_params)
+    (Sh.ingest_source t (Src.of_archive ~annotate Srv.smoke_params)
        ~on_batch:(fun t _ ->
          List.iter
            (fun (a : M.alert) ->
@@ -1015,6 +1001,78 @@ let prop_archive_equals_table_differ =
       let got = List.rev (Src.fold_archive ~annotate params ~init:[] ~f:(fun acc b -> b :: acc)) in
       List.length want = List.length got && List.for_all2 batch_equal want got)
 
+(* ---------------- ingest allocation budget ---------------- *)
+
+(* Minor words allocated per ingested event on the two hottest ingest
+   paths over the smoke archive: the firehose (pool-sized chunks through
+   the sharded monitor) and the collector mesh at 2, 4 and 8 vantages.
+   Measured at jobs=1 only: [Gc.minor_words] counts the calling domain's
+   allocations, so at jobs>1 the workers' share would go uncounted.  The
+   jobs=4 run checks that the report does not depend on the job count,
+   and on a machine with at least four cores that it is not slower. *)
+let ingest_budget = 60.0
+
+let check_ingest ~name ~events run render =
+  let measure jobs =
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    let r = run jobs in
+    let elapsed = Unix.gettimeofday () -. t0 in
+    let words = Gc.minor_words () -. w0 in
+    (elapsed, words /. float_of_int (events r), render r)
+  in
+  let elapsed1, words1, report1 = measure 1 in
+  let elapsed4, _, report4 = measure 4 in
+  if words1 > ingest_budget then
+    Alcotest.failf "%s allocates %.1f minor words/event at jobs=1, budget %.1f"
+      name words1 ingest_budget;
+  Alcotest.(check string) (name ^ ": report at jobs 1 and 4") report1 report4;
+  let cores = Domain.recommended_domain_count () in
+  if cores >= 4 && elapsed4 > elapsed1 then
+    Alcotest.failf "%s is slower at jobs=4 than jobs=1 on a %d-core machine"
+      name cores;
+  report1
+
+let test_ingest_allocation_budget () =
+  let batches = Src.archive_batches ~annotate Srv.smoke_params in
+  let all = Array.concat (Array.to_list (Array.map (fun b -> b.Src.events) batches)) in
+  let chunk = 2 * Sh.parallel_threshold in
+  let chunks =
+    Array.init ((Array.length all + chunk - 1) / chunk) (fun i ->
+        let lo = i * chunk in
+        let events = Array.sub all lo (min chunk (Array.length all - lo)) in
+        (events.(Array.length events - 1).M.time, events))
+  in
+  ignore
+    (check_ingest ~name:"firehose"
+       ~events:(fun _ -> Array.length all)
+       (fun jobs ->
+         let t = Sh.create ~jobs M.default_config in
+         Array.iter (fun (time, events) -> Sh.ingest_batch t ~time events) chunks;
+         t)
+       (fun t -> Rp.render (Sh.snapshot t)));
+  let reports =
+    List.map
+      (fun vantages ->
+        let streams =
+          Collect.Vantage.replay ~coverage:0.65 ~vantages ~seed:0xC011EC7L
+            batches
+        in
+        let streamed =
+          List.fold_left (fun n (_, evs) -> n + Array.length evs) 0 streams
+        in
+        check_ingest
+          ~name:(Printf.sprintf "mesh with %d vantages" vantages)
+          ~events:(fun r -> streamed + r.Collect.Mesh.r_merged_events)
+          (fun jobs -> Collect.Mesh.run ~jobs M.default_config streams)
+          (fun r -> Rp.render r.Collect.Mesh.r_merged))
+      [ 2; 4; 8 ]
+  in
+  List.iter
+    (Alcotest.(check string) "merged report at every vantage count"
+       (List.hd reports))
+    reports
+
 let () =
   Alcotest.run "stream"
     [
@@ -1038,6 +1096,8 @@ let () =
           Alcotest.test_case "agrees with Moas_cases" `Quick
             test_archive_agrees_with_moas_cases;
           Alcotest.test_case "metrics flow" `Quick test_metrics_flow;
+          Alcotest.test_case "ingest allocation budget" `Quick
+            test_ingest_allocation_budget;
         ] );
       ( "checkpoint",
         [
