@@ -31,17 +31,22 @@ let print_figures out_dir figures =
       print_newline ())
     figures
 
+let section3 () =
+  Stream.Report.section3
+    (Stream.Source.of_archive Measurement.Synthetic_routeviews.default_params)
+
 let run_fig4 () =
-  let summary = Measurement.Report.run Measurement.Synthetic_routeviews.default_params in
-  print_string (Measurement.Report.figure4_text summary);
+  let s = section3 () in
+  print_string (Stream.Report.figure4_text s);
   say "automatically flagged fault events:";
   print_string
-    (Measurement.Anomaly.render (Measurement.Anomaly.spikes_of_summary summary))
+    (Measurement.Anomaly.render
+       (Measurement.Anomaly.detect s.Stream.Report.daily_counts))
 
 let run_fig5 () =
-  let summary = Measurement.Report.run Measurement.Synthetic_routeviews.default_params in
-  print_string (Measurement.Report.figure5_text summary);
-  print_string (Measurement.Report.summary_table summary)
+  let s = section3 () in
+  print_string (Stream.Report.figure5_text s);
+  print_string (Stream.Report.summary_table s)
 
 let run_exp1 seed jobs out_dir =
   print_figures out_dir (Experiments.Figures.figure9 ?seed ?jobs ())

@@ -1,12 +1,14 @@
 (* The off-line deployment path of Section 4.2: no router modification at
    all.  A monitoring process periodically downloads the routing tables of
    several peers (here: the Loc-RIBs of a few vantage routers in the
-   simulation) and checks MOAS list consistency across them.
+   simulation), replays them into the stream monitor and checks MOAS list
+   consistency across them.
 
    Run with: dune exec examples/offline_monitor.exe *)
 
 open Net
 module Rng = Mutil.Rng
+module Sm = Stream.Monitor
 
 let prefix = Prefix.of_string "192.0.2.0/24"
 
@@ -49,33 +51,39 @@ let () =
      stay invisible from any single vantage *)
   let feeds = Asn.Set.elements topology.Topology.Paper_topologies.transit in
   Printf.printf "monitor feeds: %d transit ASes\n" (List.length feeds);
-  let monitor = Moas.Monitor.create () in
+  let monitor = Sm.create Sm.default_config in
+  (* one poll: every feed's table, then the MOAS-list check *)
   let poll time =
     List.iter
       (fun feed ->
-        Moas.Monitor.observe_table monitor ~time ~feed (table_of network feed))
-      feeds
+        Array.iter (Sm.ingest monitor)
+          (Stream.Source.of_table ~time ~peer:feed (table_of network feed)))
+      feeds;
+    Sm.settle monitor ~time;
+    Stream.Report.flagged_open (Sm.snapshot monitor)
   in
-  poll 100.0;
   Printf.printf "after benign convergence: %d conflicts (valid MOAS is consistent)\n"
-    (List.length (Moas.Monitor.findings monitor));
+    (List.length (poll 100));
 
   (* now the fault: a false origination appears, still nobody on-path checks *)
   Bgp.Network.originate ~at:200.0 network attacker prefix;
   ignore (Bgp.Network.run network);
-  poll 300.0;
-  let findings = Moas.Monitor.findings monitor in
+  let conflicts = poll 300 in
   Printf.printf "after the bogus origination by %s: %d conflict(s)\n"
-    (Asn.to_string attacker) (List.length findings);
+    (Asn.to_string attacker) (List.length conflicts);
   List.iter
-    (fun f ->
-      Printf.printf "  conflict on %s: lists %s from feeds %s\n"
-        (Prefix.to_string f.Moas.Monitor.prefix)
-        (String.concat " vs "
-           (List.map Moas.Moas_list.to_string f.Moas.Monitor.distinct_lists))
-        (String.concat ","
-           (List.map Asn.to_string (Asn.Set.elements f.Moas.Monitor.feeds))))
-    findings;
+    (fun p ->
+      Printf.printf "  conflict on %s: %s\n"
+        (Prefix.to_string p.Sm.p_prefix)
+        (String.concat ", "
+           (List.map
+              (fun { Sm.origin; adv_list } ->
+                Printf.sprintf "%s lists %s" (Asn.to_string origin)
+                  (match adv_list with
+                  | Some l -> Moas.Moas_list.to_string l
+                  | None -> "nothing"))
+              p.Sm.p_origins)))
+    conflicts;
   print_endline
     "-> the conflict is visible to a passive monitor with table access only:\n\
     \   the mechanism deploys without any BGP implementation change"

@@ -2,6 +2,7 @@ open Net
 module Rng = Mutil.Rng
 module Stats = Mutil.Stats
 module Topo = Topology.Paper_topologies
+module Sm = Stream.Monitor
 
 type point = {
   feed_count : int;
@@ -57,13 +58,17 @@ let study ?(seed = 0x56414e54L) ?(runs = 12)
               all_ases
               (min feed_count (Array.length all_ases))
           in
-          let monitor = Moas.Monitor.create () in
+          let monitor = Sm.create Sm.default_config in
           Array.iter
             (fun feed ->
-              Moas.Monitor.observe_table monitor ~time:100.0 ~feed
-                (table_of network feed))
+              Array.iter (Sm.ingest monitor)
+                (Stream.Source.of_table ~time:100 ~peer:feed
+                   (table_of network feed)))
             feeds;
-          let found = List.length (Moas.Monitor.findings monitor) in
+          Sm.settle monitor ~time:100;
+          let found =
+            List.length (Stream.Report.flagged_open (Sm.snapshot monitor))
+          in
           if found > 0 then begin
             incr caught;
             conflicts := float_of_int found :: !conflicts

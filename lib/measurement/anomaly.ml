@@ -35,9 +35,6 @@ let detect ?(window = 30) ?(threshold = 1.6) daily =
   done;
   List.rev !spikes
 
-let spikes_of_summary ?window ?threshold (summary : Moas_cases.summary) =
-  detect ?window ?threshold summary.Moas_cases.daily_counts
-
 let render spikes =
   match spikes with
   | [] -> "no anomalous days\n"

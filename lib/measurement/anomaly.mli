@@ -25,9 +25,5 @@ val detect :
     reported; the first [window] days are never flagged (no baseline
     yet). *)
 
-val spikes_of_summary :
-  ?window:int -> ?threshold:float -> Moas_cases.summary -> spike list
-(** {!detect} over a summary's daily counts. *)
-
 val render : spike list -> string
 (** One line per spike. *)

@@ -45,8 +45,6 @@ let smoke_params =
     event_2001_size = 97;
   }
 
-type day_dump = { day : Day.t; table : (Prefix.t * Asn.Set.t) list }
-
 let fault_as_1998 = Asn.make 8584
 let fault_as_2001 = Asn.make 15412
 
@@ -311,19 +309,3 @@ let delta_seq p =
     end
   in
   step 0
-
-(* The tables are the deltas folded into one array-backed table, so the
-   table view and the delta view come from the same generator. *)
-let dump_seq p =
-  let prefixes = Array.init p.universe_size universe_prefix in
-  let table = Array.make p.universe_size Asn.Set.empty in
-  Seq.map
-    (fun d ->
-      List.iter (fun c -> table.(c.row) <- c.after) d.changes;
-      {
-        day = d.delta_day;
-        table = List.init p.universe_size (fun i -> (prefixes.(i), table.(i)));
-      })
-    (delta_seq p)
-
-let fold_dumps p ~init ~f = Seq.fold_left f init (dump_seq p)

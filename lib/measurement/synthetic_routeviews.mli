@@ -15,9 +15,9 @@
 
     The generator is delta-native, like the update streams real archives
     publish: {!delta_seq} yields per observed day only the prefixes whose
-    origin set changed.  {!dump_seq} folds those deltas into one table for
-    the snapshot analysis of Section 3.  Either view is streamed day by
-    day, so nothing holds the full archive in memory. *)
+    origin set changed, streamed day by day, so nothing holds the full
+    archive in memory.  A day's table dump is the deltas so far folded
+    into one table. *)
 
 open Net
 
@@ -40,12 +40,6 @@ val default_params : params
 val smoke_params : params
 (** A 1/10-size archive with the same phenomenology (both fault events,
     114 and 97 prefixes), for the CLI's [--smoke] runs and the tests. *)
-
-type day_dump = {
-  day : Mutil.Day.t;
-  table : (Prefix.t * Asn.Set.t) list;
-      (** origin set per prefix, as extracted from one daily table dump *)
-}
 
 val observed_days : params -> bool array
 (** Index [d] (offset from {!Mutil.Day.measurement_start}) tells whether
@@ -71,15 +65,6 @@ val delta_seq : params -> day_delta Seq.t
     {e single-pass}: forcings share one mutable origin sweep, so consume
     it front to back exactly once (re-call [delta_seq] for another
     pass). *)
-
-val dump_seq : params -> day_dump Seq.t
-(** The observed daily dumps in chronological order: {!delta_seq} folded
-    into one table, listed in row order.  Single-pass, like
-    {!delta_seq}. *)
-
-val fold_dumps : params -> init:'a -> f:('a -> day_dump -> 'a) -> 'a
-(** Fold over the observed daily dumps in chronological order
-    (one-pass consumption of {!dump_seq}). *)
 
 val fault_as_1998 : Asn.t
 (** AS 8584, the origin of the 1998-04-07 fault. *)

@@ -104,8 +104,8 @@ val mark_day : t -> time:int -> unit
 (** End an observed collection day at [time]: advance the stream clock
     to [time], {!settle}, then credit one conflicted day to every open
     episode.  The per-episode day counts follow exactly the paper's
-    duration definition (total observed days in MOAS), so they are
-    comparable with {!Measurement.Moas_cases.case.moas_days}. *)
+    duration definition (total observed days in MOAS): summed per prefix
+    they are the Section 3 case durations of {!Report.section3}. *)
 
 val advance_clock : t -> time:int -> unit
 (** Move the stream clock (the latest event time seen, which stamps

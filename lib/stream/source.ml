@@ -139,6 +139,23 @@ let of_wire_feed feed =
          { time; day = None; events = of_wire ~time ~peer message })
        (List.to_seq feed))
 
+let of_table ~time ~peer routes =
+  Array.of_list
+    (List.map
+       (fun (r : Bgp.Route.t) ->
+         {
+           Monitor.time;
+           peer;
+           prefix = r.Bgp.Route.prefix;
+           action =
+             Monitor.Announce
+               {
+                 origin = Bgp.Route.origin_as ~self:peer r;
+                 moas_list = Moas.Moas_list.decode r.Bgp.Route.communities;
+               };
+         })
+       routes)
+
 let of_mrt data =
   let events, last =
     Measurement.Mrt.fold_records data ~init:([], 0) ~f:(fun (acc, last) r ->

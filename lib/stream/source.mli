@@ -8,8 +8,11 @@
     before the re-announcements that carry a prefix's refreshed MOAS
     list.  No table is built or compared.  Each
     observed day is one batch (fed to {!Sharded.ingest_batch} with
-    [~day_end:true]), so per-episode day counts line up exactly with the
-    snapshot-based {!Measurement.Moas_cases} analysis. *)
+    [~day_end:true]), so per-episode day counts are the paper's Section 3
+    durations ({!Report.section3}).
+
+    The table adapter {!of_table} serves the paper's Section 4.2 off-line
+    monitor, which polls the routing tables of several feeds. *)
 
 open Net
 
@@ -106,6 +109,13 @@ val of_wire : time:int -> peer:Asn.t -> Bgp.Wire.message -> Monitor.event array
 (** Events carried by one decoded BGP UPDATE: withdrawals (attributed to
     [peer]) then announcements (origin = AS-path tail, falling back to
     [peer]; MOAS list decoded from the community attribute). *)
+
+val of_table : time:int -> peer:Asn.t -> Bgp.Route.t list -> Monitor.event array
+(** A feed's routing table (its Loc-RIB, as downloaded by the off-line
+    monitor) as one announcement per route: origin
+    {!Bgp.Route.origin_as} [~self:peer], MOAS list decoded from the
+    route's communities.  Nothing is withdrawn: a route missing from a
+    later poll stays announced. *)
 
 val of_mrt : bytes -> batch
 (** One batch per TABLE_DUMP blob, via the constant-memory

@@ -354,15 +354,6 @@ let frames () =
 
 (* ---------------- decoders ---------------- *)
 
-let best_of_five f =
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
 (* An [Entries] frame of [n] distinct vantage names, either one name per
    entry (a decode that shares) or all of them on one entry (one that
    does not): the bounded share tables must keep decoding linear, so ten
@@ -387,8 +378,8 @@ let test_distinct_names_decode_linearly () =
           (List.concat_map (fun e -> e.Collect.Correlator.x_seen_by) es)
       | _ -> Alcotest.fail "not an entries frame");
       let ratio =
-        best_of_five (fun () -> P.decode_response large)
-        /. best_of_five (fun () -> P.decode_response small)
+        Testutil.best_of_five (fun () -> P.decode_response large)
+        /. Testutil.best_of_five (fun () -> P.decode_response small)
       in
       if ratio > 40. then
         Alcotest.failf "%s: 10x the names took %.0fx the time" shape ratio)

@@ -6,7 +6,7 @@
 module Sweep = Experiments.Sweep
 module Topo = Topology.Paper_topologies
 module Srv = Measurement.Synthetic_routeviews
-module Mc = Measurement.Moas_cases
+module Rp = Stream.Report
 
 let adoption ~topology ~deployment ~n_attackers =
   let cfg = Sweep.config ~topology ~n_origins:1 ~deployment () in
@@ -56,26 +56,26 @@ let test_figure11_headline () =
     (adoption ~topology:t63 ~deployment:(Moas.Deployment.Fraction 0.5)
        ~n_attackers:19)
 
-let measurement_summary =
-  lazy (Measurement.Report.run Srv.default_params)
+let section3 () = Rp.section3 (Stream.Source.of_archive Srv.default_params)
+let measurement_summary = lazy (section3 ())
 
 let test_measurement_aggregates () =
-  let summary = Lazy.force measurement_summary in
-  Alcotest.(check int) "total MOAS cases" 3824 summary.Mc.total_cases;
-  Alcotest.(check int) "one-day cases" 1375 summary.Mc.one_day_cases;
-  Alcotest.(check int) "observed days" 1279 summary.Mc.observed_day_count;
+  let s = Lazy.force measurement_summary in
+  Alcotest.(check int) "total MOAS cases" 3824 (List.length s.Rp.cases);
+  Alcotest.(check int) "one-day cases" 1375
+    (List.length (List.filter (fun c -> c.Rp.c_days = 1) s.Rp.cases));
+  Alcotest.(check int) "observed days" 1279 (List.length s.Rp.daily_counts);
   check_close "median daily 1998" ~expected:676.0 ~tolerance:1.0
-    (Mc.median_daily_in_year summary 1998);
+    (Rp.median_daily_in_year s 1998);
   check_close "median daily 2001" ~expected:1288.0 ~tolerance:1.0
-    (Mc.median_daily_in_year summary 2001);
-  Alcotest.(check int) "2001 event day" 2253
-    (Mc.cases_on summary Srv.event_2001)
+    (Rp.median_daily_in_year s 2001);
+  Alcotest.(check int) "2001 event day" 2253 (Rp.cases_on s Srv.event_2001)
 
 let test_measurement_is_deterministic () =
   let a = Lazy.force measurement_summary in
-  let b = Measurement.Report.run Srv.default_params in
+  let b = section3 () in
   Alcotest.(check bool) "same daily series on re-run" true
-    (a.Mc.daily_counts = b.Mc.daily_counts)
+    (a.Rp.daily_counts = b.Rp.daily_counts)
 
 let () =
   Alcotest.run "golden"

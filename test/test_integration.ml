@@ -126,43 +126,46 @@ let test_offline_monitor_sees_conflict_routers_miss () =
   Bgp.Network.originate ~at:0.0 network origin victim;
   Bgp.Network.originate ~at:50.0 network attacker victim;
   ignore (Bgp.Network.run network);
-  let monitor = Moas.Monitor.create () in
+  let module Sm = Stream.Monitor in
+  let monitor = Sm.create Sm.default_config in
   Asn.Set.iter
     (fun feed ->
       let table =
         List.map snd
           (Bgp.Rib.best_bindings (Bgp.Router.rib (Bgp.Network.router network feed)))
       in
-      Moas.Monitor.observe_table monitor ~time:100.0 ~feed table)
+      Array.iter (Sm.ingest monitor) (Stream.Source.of_table ~time:100 ~peer:feed table))
     (Topology.As_graph.nodes graph);
-  match Moas.Monitor.findings monitor with
-  | [ finding ] ->
+  Sm.settle monitor ~time:100;
+  match Stream.Report.flagged_open (Sm.snapshot monitor) with
+  | [ { Sm.p_prefix; p_open = Some o; _ } ] ->
     Alcotest.check Testutil.prefix_testable "conflict on the victim prefix"
-      victim finding.Moas.Monitor.prefix;
+      victim p_prefix;
     Alcotest.(check bool) "both origins implicated" true
-      (Asn.Set.mem origin finding.Moas.Monitor.origins
-      && Asn.Set.mem attacker finding.Moas.Monitor.origins)
-  | l -> Alcotest.failf "expected exactly one finding, got %d" (List.length l)
+      (Asn.Set.mem origin o.Sm.o_origins_ever
+      && Asn.Set.mem attacker o.Sm.o_origins_ever)
+  | l -> Alcotest.failf "expected exactly one conflicted prefix, got %d" (List.length l)
 
 let test_cli_binary_components () =
   (* the pieces the CLI composes must each produce non-empty reports *)
-  let summary =
-    Measurement.Report.run
-      {
-        Measurement.Synthetic_routeviews.default_params with
-        Measurement.Synthetic_routeviews.universe_size = 500;
-        initial_long_lived = 60;
-        final_long_lived = 130;
-        one_day_churn = 30;
-        medium_churn = 15;
-        event_1998_size = 120;
-        event_2001_size = 90;
-      }
+  let s =
+    Stream.Report.section3
+      (Stream.Source.of_archive
+        {
+          Measurement.Synthetic_routeviews.default_params with
+          Measurement.Synthetic_routeviews.universe_size = 500;
+          initial_long_lived = 60;
+          final_long_lived = 130;
+          one_day_churn = 30;
+          medium_churn = 15;
+          event_1998_size = 120;
+          event_2001_size = 90;
+        })
   in
   Alcotest.(check bool) "figure4 text" true
-    (String.length (Measurement.Report.figure4_text summary) > 100);
+    (String.length (Stream.Report.figure4_text s) > 100);
   Alcotest.(check bool) "figure5 text" true
-    (String.length (Measurement.Report.figure5_text summary) > 100);
+    (String.length (Stream.Report.figure5_text s) > 100);
   List.iter
     (fun t -> Alcotest.(check bool) "topology description" true
         (String.length (Topology.Paper_topologies.describe t) > 10))

@@ -1,9 +1,12 @@
 (* Tests for the measurement pipeline: Synthetic_routeviews generation,
-   Moas_cases extraction semantics, and the Figure 4/5 reports. *)
+   the Section 3 MOAS-case semantics of Stream.Report.section3, and the
+   Figure 4/5 reports. *)
 
 open Net
 module Srv = Measurement.Synthetic_routeviews
-module Mc = Measurement.Moas_cases
+module Rp = Stream.Report
+module Src = Stream.Source
+module Sm = Stream.Monitor
 module Day = Mutil.Day
 
 (* a small but structurally complete archive for fast tests *)
@@ -19,14 +22,14 @@ let small_params =
     event_2001_size = 90;
   }
 
-let small_summary = lazy (Measurement.Report.run small_params)
+let small_summary = lazy (Rp.section3 (Src.of_archive small_params))
 
 let test_params_validated () =
   Alcotest.check_raises "universe too small"
     (Invalid_argument "Synthetic_routeviews: universe too small for the episodes")
     (fun () ->
       ignore
-        (Srv.fold_dumps
+        (Testutil.fold_dumps
            { small_params with Srv.universe_size = 10 }
            ~init:() ~f:(fun () _ -> ())));
   Alcotest.check_raises "shrinking pool"
@@ -53,10 +56,10 @@ let test_event_days_observed () =
 
 let test_dump_stream_shape () =
   let days, first_table_size =
-    Srv.fold_dumps small_params ~init:(0, None) ~f:(fun (n, size) dump ->
+    Testutil.fold_dumps small_params ~init:(0, None) ~f:(fun (n, size) dump ->
         let size =
           match size with
-          | None -> Some (List.length dump.Srv.table)
+          | None -> Some (List.length dump.Testutil.table)
           | s -> s
         in
         (n + 1, size))
@@ -70,11 +73,13 @@ let test_dump_stream_shape () =
 
 let test_dumps_deterministic () =
   let collect () =
-    Srv.fold_dumps small_params ~init:[] ~f:(fun acc dump ->
-        (dump.Srv.day, List.length (List.filter (fun (_, o) -> Asn.Set.cardinal o > 1) dump.Srv.table))
+    Testutil.fold_dumps small_params ~init:[] ~f:(fun acc dump ->
+        (dump.Testutil.day, List.length (List.filter (fun (_, o) -> Asn.Set.cardinal o > 1) dump.Testutil.table))
         :: acc)
   in
   Alcotest.(check bool) "same stream twice" true (collect () = collect ())
+
+let total_cases s = List.length s.Rp.cases
 
 let test_case_counts () =
   let summary = Lazy.force small_summary in
@@ -86,91 +91,112 @@ let test_case_counts () =
   (* a few medium/long episodes may fall entirely into collector gaps *)
   Alcotest.(check bool)
     (Printf.sprintf "total cases close to %d (got %d)" expected_total
-       summary.Mc.total_cases)
+       (total_cases summary))
     true
-    (summary.Mc.total_cases >= expected_total - 10
-    && summary.Mc.total_cases <= expected_total)
+    (total_cases summary >= expected_total - 10
+    && total_cases summary <= expected_total)
 
 let test_event_spikes () =
   let summary = Lazy.force small_summary in
   let base_before =
-    Mc.cases_on summary (Day.add Srv.event_1998 (-1))
+    Rp.cases_on summary (Day.add Srv.event_1998 (-1))
   in
-  let spike = Mc.cases_on summary Srv.event_1998 in
+  let spike = Rp.cases_on summary Srv.event_1998 in
   Alcotest.(check bool)
     (Printf.sprintf "1998 spike (%d) >> base (%d)" spike base_before)
     true
     (spike >= base_before + small_params.Srv.event_1998_size);
   (* the 2001 event lasts two days *)
-  let spike01 = Mc.cases_on summary Srv.event_2001 in
-  let spike01_next = Mc.cases_on summary (Day.add Srv.event_2001 1) in
+  let spike01 = Rp.cases_on summary Srv.event_2001 in
+  let spike01_next = Rp.cases_on summary (Day.add Srv.event_2001 1) in
   Alcotest.(check bool) "2001 spike on both days" true
     (spike01 >= small_params.Srv.event_2001_size
     && spike01_next >= small_params.Srv.event_2001_size)
 
 let test_one_day_attribution () =
   let summary = Lazy.force small_summary in
-  let attributed = Mc.one_day_cases_attributed_to summary Srv.fault_as_1998 in
+  let attributed = Rp.one_day_cases_attributed_to summary Srv.fault_as_1998 in
   Alcotest.(check int) "every 1998-event case is one-day and attributed"
     small_params.Srv.event_1998_size attributed
+
+(* Section 3 over hand-written days: one batch per day of 10.0.0.0/8's
+   announce/withdraw events by origin. *)
+let days_of events_per_day =
+  let p = Prefix.of_string "10.0.0.0/8" in
+  let event time (o, announce) =
+    {
+      Sm.time;
+      peer = Asn.make o;
+      prefix = p;
+      action =
+        (if announce then Sm.Announce { origin = Asn.make o; moas_list = None }
+         else Sm.Withdraw { origin = Asn.make o });
+    }
+  in
+  Rp.section3
+    (Src.of_batches
+       (Array.of_list
+          (List.mapi
+             (fun day evs ->
+               let time = day * Src.day_seconds in
+               { Src.time; day = Some day; events = Array.of_list (List.map (event time) evs) })
+             events_per_day)))
 
 let test_duration_semantics_non_continuous () =
   (* the paper counts total MOAS days regardless of continuity: a prefix
      seen in MOAS on days 1 and 3 (not 2) has duration 2 *)
-  let p = Prefix.of_string "10.0.0.0/8" in
-  let origins n = Asn.Set.of_list (List.init n (fun i -> i + 1)) in
-  let acc = Mc.empty in
-  let acc = Mc.ingest acc ~day:0 [ (p, origins 2) ] in
-  let acc = Mc.ingest acc ~day:1 [ (p, origins 1) ] in
-  let acc = Mc.ingest acc ~day:2 [ (p, origins 3) ] in
-  let summary = Mc.finalize acc in
-  match summary.Mc.cases with
+  let summary =
+    days_of
+      [ [ (1, true); (2, true) ]; [ (2, false) ]; [ (2, true); (3, true) ] ]
+  in
+  Alcotest.(check (list int)) "daily counts" [ 1; 0; 1 ]
+    (List.map snd summary.Rp.daily_counts);
+  match summary.Rp.cases with
   | [ case ] ->
-    Alcotest.(check int) "duration counts MOAS days only" 2 case.Mc.moas_days;
-    Alcotest.(check int) "max origins tracked" 3 case.Mc.max_origins;
-    Alcotest.(check int) "first day" 0 case.Mc.first_day;
-    Alcotest.(check int) "last day" 2 case.Mc.last_day
+    Alcotest.(check int) "duration counts MOAS days only" 2 case.Rp.c_days;
+    Alcotest.(check int) "max origins tracked" 3 case.Rp.c_max_origins
   | l -> Alcotest.failf "expected one case, got %d" (List.length l)
 
 let test_origin_set_changes_same_case () =
   (* per the paper, duration accrues regardless of which origins are
      involved: different conflicting pairs on different days are one case *)
-  let p = Prefix.of_string "10.0.0.0/8" in
-  let acc = Mc.empty in
-  let acc = Mc.ingest acc ~day:0 [ (p, Asn.Set.of_list [ 1; 2 ]) ] in
-  let acc = Mc.ingest acc ~day:1 [ (p, Asn.Set.of_list [ 1; 3 ]) ] in
-  let summary = Mc.finalize acc in
-  match summary.Mc.cases with
+  let summary = days_of [ [ (1, true); (2, true) ]; [ (2, false); (3, true) ] ] in
+  match summary.Rp.cases with
   | [ case ] ->
-    Alcotest.(check int) "one case" 2 case.Mc.moas_days;
+    Alcotest.(check int) "one case" 2 case.Rp.c_days;
     Alcotest.check Testutil.asn_set_testable "origins accumulate"
       (Asn.Set.of_list [ 1; 2; 3 ])
-      case.Mc.origins_ever
+      case.Rp.c_origins
   | l -> Alcotest.failf "expected one case, got %d" (List.length l)
 
 let test_single_origin_never_a_case () =
-  let p = Prefix.of_string "10.0.0.0/8" in
-  let acc = Mc.ingest Mc.empty ~day:0 [ (p, Asn.Set.singleton 1) ] in
-  let summary = Mc.finalize acc in
-  Alcotest.(check int) "no case from single origin" 0 summary.Mc.total_cases
+  Alcotest.(check int) "no case from single origin" 0
+    (total_cases (days_of [ [ (1, true) ] ]));
+  (* a conflict that opens and closes within one day never shows in a
+     daily dump *)
+  Alcotest.(check int) "no case from a conflict between dumps" 0
+    (total_cases (days_of [ [ (1, true); (2, true); (2, false) ] ]))
 
 let test_duration_buckets_partition () =
   let summary = Lazy.force small_summary in
-  let buckets = Mc.duration_buckets summary in
+  let buckets = Rp.paper_buckets (List.map (fun c -> c.Rp.c_days) summary.Rp.cases) in
   let total = List.fold_left (fun n (_, c) -> n + c) 0 buckets in
-  Alcotest.(check int) "buckets partition the cases" summary.Mc.total_cases total
+  Alcotest.(check int) "buckets partition the cases" (total_cases summary) total
 
 let test_duration_histogram_consistent () =
+  (* Figure 5's exact-day bars hold the cases of exactly that duration *)
   let summary = Lazy.force small_summary in
-  let hist = Mc.duration_histogram summary in
-  let total = List.fold_left (fun n (_, c) -> n + c) 0 hist in
-  Alcotest.(check int) "histogram total" summary.Mc.total_cases total;
-  let one_day = Option.value ~default:0 (List.assoc_opt 1 hist) in
-  Alcotest.(check int) "1-day bin matches summary" summary.Mc.one_day_cases one_day
+  let buckets = Rp.paper_buckets (List.map (fun c -> c.Rp.c_days) summary.Rp.cases) in
+  List.iter
+    (fun (label, days) ->
+      Alcotest.(check (option int)) label
+        (Some (List.length (List.filter (fun c -> c.Rp.c_days = days) summary.Rp.cases)))
+        (List.assoc_opt label buckets))
+    [ ("1 day", 1); ("2 days", 2) ]
 
 let test_multiplicity_fractions () =
   let summary = Lazy.force small_summary in
-  let fractions = Mc.origin_multiplicity summary in
+  let fractions = Rp.origin_multiplicity summary in
   let total = List.fold_left (fun s (_, f) -> s +. f) 0.0 fractions in
   Alcotest.(check bool) "fractions sum to 1" true (abs_float (total -. 1.0) < 1e-9);
   let two = Option.value ~default:0.0 (List.assoc_opt 2 fractions) in
@@ -178,20 +204,20 @@ let test_multiplicity_fractions () =
 
 let test_median_ramp () =
   let summary = Lazy.force small_summary in
-  let m98 = Mc.median_daily_in_year summary 1998 in
-  let m01 = Mc.median_daily_in_year summary 2001 in
+  let m98 = Rp.median_daily_in_year summary 1998 in
+  let m01 = Rp.median_daily_in_year summary 2001 in
   Alcotest.(check bool)
     (Printf.sprintf "daily count grows (98: %.0f, 01: %.0f)" m98 m01)
     true (m01 > m98)
 
 let test_report_texts () =
   let summary = Lazy.force small_summary in
-  let fig4 = Measurement.Report.figure4_text summary in
+  let fig4 = Rp.figure4_text summary in
   Testutil.check_contains ~what:"figure 4" fig4 "Figure 4";
   Testutil.check_contains ~what:"figure 4" fig4 "peak:";
-  let fig5 = Measurement.Report.figure5_text summary in
+  let fig5 = Rp.figure5_text summary in
   Testutil.check_contains ~what:"figure 5" fig5 "1 day";
-  let table = Measurement.Report.summary_table summary in
+  let table = Rp.summary_table summary in
   Testutil.check_contains ~what:"summary table" table "total MOAS cases";
   Testutil.check_contains ~what:"summary table" table "96.14%"
 

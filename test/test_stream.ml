@@ -1,7 +1,8 @@
 (* Tests for lib/stream: online monitor state machine, episode lifecycle,
    MOAS-list validation at settle points, sharded ingest determinism,
-   checkpoint/restore, and agreement with the snapshot-based
-   Measurement.Moas_cases analysis on the same synthetic archive. *)
+   checkpoint/restore, and agreement with the naive reference model
+   (test/util/reference.ml) on random streams and on the synthetic
+   archive. *)
 
 open Net
 module M = Stream.Monitor
@@ -10,7 +11,7 @@ module Ck = Stream.Checkpoint
 module Src = Stream.Source
 module Rp = Stream.Report
 module Srv = Measurement.Synthetic_routeviews
-module Mc = Measurement.Moas_cases
+module Ref = Testutil.Reference
 
 let p1 = Prefix.of_string "192.0.2.0/24"
 let day = M.default_config.M.day_seconds
@@ -188,56 +189,6 @@ let test_alerts_spike_on_fault_days () =
   Alcotest.(check int) "2001 event size" Srv.smoke_params.Srv.event_2001_size
     (alerts_on Srv.event_2001)
 
-let test_archive_agrees_with_moas_cases () =
-  (* the online monitor and the snapshot-based Section 3 analysis must
-     count the same conflicted days over the same archive *)
-  let sn = Sh.snapshot (archive_monitor ~jobs:3 ()) in
-  let summary =
-    Mc.finalize
-      (Srv.fold_dumps Srv.smoke_params ~init:Mc.empty ~f:(fun acc d ->
-           Mc.ingest acc ~day:d.Srv.day d.Srv.table))
-  in
-  Alcotest.(check int) "observed days" summary.Mc.observed_day_count
-    sn.M.s_counters.M.c_days;
-  (* accumulate per-prefix (days, origins, max) over closed + open episodes *)
-  let tbl = Hashtbl.create 256 in
-  let add prefix days origins max_o =
-    let d0, o0, m0 =
-      Option.value ~default:(0, Asn.Set.empty, 0)
-        (Hashtbl.find_opt tbl prefix)
-    in
-    Hashtbl.replace tbl prefix
-      (d0 + days, Asn.Set.union o0 origins, max m0 max_o)
-  in
-  List.iter
-    (fun e -> add e.M.e_prefix e.M.e_days e.M.e_origins_ever e.M.e_max_origins)
-    sn.M.s_closed;
-  List.iter
-    (fun p ->
-      match p.M.p_open with
-      | Some o -> add p.M.p_prefix o.M.o_days o.M.o_origins_ever o.M.o_max_origins
-      | None -> ())
-    sn.M.s_prefixes;
-  Alcotest.(check int) "same number of conflicted prefixes"
-    (List.length summary.Mc.cases) (Hashtbl.length tbl);
-  List.iter
-    (fun (case : Mc.case) ->
-      match Hashtbl.find_opt tbl case.Mc.prefix with
-      | None ->
-        Alcotest.failf "case %s missing from the stream monitor"
-          (Prefix.to_string case.Mc.prefix)
-      | Some (days, origins, max_o) ->
-        Alcotest.(check int)
-          (Printf.sprintf "days for %s" (Prefix.to_string case.Mc.prefix))
-          case.Mc.moas_days days;
-        Alcotest.check Testutil.asn_set_testable
-          (Printf.sprintf "origins for %s" (Prefix.to_string case.Mc.prefix))
-          case.Mc.origins_ever origins;
-        Alcotest.(check int)
-          (Printf.sprintf "max origins for %s" (Prefix.to_string case.Mc.prefix))
-          case.Mc.max_origins max_o)
-    summary.Mc.cases
-
 let test_metrics_flow () =
   let metrics = Obs.Registry.create () in
   let t = archive_monitor ~metrics ~jobs:2 () in
@@ -289,6 +240,56 @@ let test_checkpoint_rejects_corruption () =
   Bytes.set bad_version 8 '\x09';
   expect "unknown version" bad_version;
   expect "empty" Bytes.empty
+
+(* A checkpoint of [n] conflicted prefixes, each with two origins and an
+   open episode. *)
+let wide_snapshot n =
+  let m = M.create M.default_config in
+  for i = 0 to n - 1 do
+    let prefix = Prefix.make (Ipv4.of_int (i lsl 8)) 24 in
+    M.ingest m (ev ~time:0 prefix (ann ~list:[ 10; 20 ] 10));
+    M.ingest m (ev ~time:0 prefix (ann ~list:[ 10; 20 ] 20))
+  done;
+  M.mark_day m ~time:day;
+  M.snapshot m
+
+(* MOASSTRM on adversarial sizes: a count the remaining octets cannot
+   hold is refused before anything is read, and ten times the prefixes
+   may cost about ten times the decode, far from the hundred a quadratic
+   path would. *)
+let test_checkpoint_adversarial_sizes () =
+  let snap = wide_snapshot 1 in
+  let bytes = Ck.encode snap in
+  (* the three list counts end an empty snapshot's encoding *)
+  let bare = { snap with M.s_prefixes = []; s_closed = []; s_windows = [] } in
+  let prefix_count_at = Bytes.length (Ck.encode bare) - 12 in
+  (* the open episode's origin set follows the prefix (5), the origin
+     count (4), two origins with their lists (11 each), the option tag
+     (1), seq, start and days (8 each) and max origins (4) *)
+  let origin_count_at = prefix_count_at + 4 + 5 + 4 + (2 * 11) + 1 + 24 + 4 in
+  List.iter
+    (fun (what, at, expected) ->
+      Alcotest.(check int32) (what ^ " sits where the test looks")
+        expected (Bytes.get_int32_be bytes at);
+      let lie = Bytes.copy bytes in
+      Bytes.set_int32_be lie at 0xFFFFFFFFl;
+      match Ck.decode lie with
+      | exception Ck.Corrupt msg ->
+        Testutil.check_contains ~what msg "exceeds"
+      | _ -> Alcotest.failf "%s of 0xFFFFFFFF accepted" what)
+    [
+      ("prefix-state count", prefix_count_at, 1l);
+      ("origin-set count", origin_count_at, 2l);
+    ];
+  let small = Ck.encode (wide_snapshot 2_000) in
+  let large = Ck.encode (wide_snapshot 20_000) in
+  Alcotest.(check int) "every prefix decoded" 20_000
+    (List.length (Ck.decode large).M.s_prefixes);
+  let ratio =
+    Testutil.best_of_five (fun () -> Ck.decode large)
+    /. Testutil.best_of_five (fun () -> Ck.decode small)
+  in
+  if ratio > 40. then Alcotest.failf "10x the prefixes took %.0fx the decode" ratio
 
 let test_checkpoint_restore_converges () =
   (* checkpoint mid-stream at one job count, restore at another, replay
@@ -406,12 +407,12 @@ let test_source_pull_equals_fold () =
 
 (* The archive source before it became delta-native, kept as the
    reference: diff consecutive dump_seq tables through a Prefix.Map. *)
-let reference_day_events ~annotate ~prev (dump : Srv.day_dump) =
+let reference_day_events ~annotate ~prev (dump : Testutil.day_dump) =
   let events = ref [] in
   let emit ev = events := ev :: !events in
-  let time = dump.Srv.day * Src.day_seconds in
+  let time = dump.Testutil.day * Src.day_seconds in
   let today =
-    List.fold_left (fun m (p, o) -> Prefix.Map.add p o m) Prefix.Map.empty dump.Srv.table
+    List.fold_left (fun m (p, o) -> Prefix.Map.add p o m) Prefix.Map.empty dump.Testutil.table
   in
   List.iter
     (fun (prefix, origins) ->
@@ -429,7 +430,7 @@ let reference_day_events ~annotate ~prev (dump : Srv.day_dump) =
                  (M.Announce { origin; moas_list = annotate prefix origins origin })))
           origins
       end)
-    dump.Srv.table;
+    dump.Testutil.table;
   Prefix.Map.iter
     (fun prefix prev_origins ->
       if not (Prefix.Map.mem prefix today) then
@@ -441,9 +442,9 @@ let reference_day_events ~annotate ~prev (dump : Srv.day_dump) =
 
 let reference_archive_batches ~annotate params =
   let _, rev =
-    Srv.fold_dumps params ~init:(Prefix.Map.empty, []) ~f:(fun (prev, acc) dump ->
+    Testutil.fold_dumps params ~init:(Prefix.Map.empty, []) ~f:(fun (prev, acc) dump ->
         let events, today = reference_day_events ~annotate ~prev dump in
-        (today, { Src.time = dump.Srv.day * Src.day_seconds; day = Some dump.Srv.day; events } :: acc))
+        (today, { Src.time = dump.Testutil.day * Src.day_seconds; day = Some dump.Testutil.day; events } :: acc))
   in
   List.rev rev
 
@@ -470,8 +471,8 @@ let batch_equal (a : Src.batch) (b : Src.batch) =
 let test_dump_tables_unchanged () =
   let buf = Buffer.create 4096 in
   let days =
-    Srv.fold_dumps Srv.smoke_params ~init:0 ~f:(fun n d ->
-        Buffer.add_string buf (Mutil.Day.to_string d.Srv.day);
+    Testutil.fold_dumps Srv.smoke_params ~init:0 ~f:(fun n d ->
+        Buffer.add_string buf (Mutil.Day.to_string d.Testutil.day);
         List.iter
           (fun (prefix, origins) ->
             Buffer.add_string buf (Prefix.to_string prefix);
@@ -481,12 +482,41 @@ let test_dump_tables_unchanged () =
                 Buffer.add_string buf (Asn.to_string a))
               origins;
             Buffer.add_char buf '\n')
-          d.Srv.table;
+          d.Testutil.table;
         n + 1)
   in
   Alcotest.(check int) "observed days" 1279 days;
   Alcotest.(check string) "table digest" "a4fa94ff146d3ff76444d09c22427fe9"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let render_case (c : Rp.case) =
+  Printf.sprintf "%s days=%d max=%d {%s}" (Prefix.to_string c.Rp.c_prefix) c.Rp.c_days
+    c.Rp.c_max_origins
+    (String.concat "," (List.map Asn.to_string (Asn.Set.elements c.Rp.c_origins)))
+
+(* The sharded monitor over the delta source, the Section 3 report, and
+   the reference fed by the table differ must agree on every conflicted
+   prefix's days and origins, and on the daily count that the dumps show
+   directly. *)
+let test_archive_agrees_with_reference () =
+  let sn = Sh.snapshot (archive_monitor ~jobs:3 ()) in
+  let r = Ref.of_batches (reference_archive_batches ~annotate Srv.smoke_params) in
+  let s3 = Rp.section3 (Src.of_archive ~annotate Srv.smoke_params) in
+  let dumped =
+    List.rev
+      (Testutil.fold_dumps Srv.smoke_params ~init:[] ~f:(fun acc d ->
+           let multi = List.filter (fun (_, o) -> Asn.Set.cardinal o > 1) d.Testutil.table in
+           (d.Testutil.day, List.length multi) :: acc))
+  in
+  Alcotest.(check int) "observed days" (List.length dumped) sn.M.s_counters.M.c_days;
+  Alcotest.(check (list (pair int int))) "Figure 4 series" dumped s3.Rp.daily_counts;
+  Alcotest.(check (list int)) "reference daily counts" (List.map snd dumped)
+    (Ref.daily_open_counts r);
+  let want = List.map render_case (Ref.cases r) in
+  Alcotest.(check int) "smoke archive cases" 382 (List.length want);
+  Alcotest.(check (list string)) "sharded monitor cases" want
+    (List.map render_case (Rp.cases sn));
+  Alcotest.(check (list string)) "Section 3 cases" want (List.map render_case s3.Rp.cases)
 
 let test_archive_equals_table_differ () =
   let got = Src.archive_batches ~annotate Srv.smoke_params in
@@ -1073,6 +1103,113 @@ let test_ingest_allocation_budget () =
        (List.hd reports))
     reports
 
+(* The monitor, and the sharded monitor at every job count, against the
+   naive reference on adversarial streams over three prefixes and five
+   origins: clocks that often stand still (same-timestamp announce and
+   withdraw races), repeated announces, withdrawals of origins that never
+   announced, and lists that are empty, name non-origins or omit current
+   ones. *)
+let reference_list o = function
+  | 0 -> None
+  | 1 -> Some []
+  | 2 -> Some [ o ]
+  | 3 -> Some [ 1; 2 ]
+  | 4 -> Some [ 1; 2; 3 ]
+  | 5 -> Some [ 1; 2; 3; 4; 5 ]
+  | _ -> Some [ o; 7 ]
+
+let reference_script_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 60)
+      (tup5 (int_range 0 2) (int_range 1 5) (int_range 0 9)
+         (frequencyl [ (3, 0); (1, 1); (1, 1000) ])
+         (int_range 0 5)))
+
+(* kinds 0-1 withdraw, 2-8 announce with a list, 9 repeats the last event *)
+let reference_batches script =
+  let clock = ref 0 and days = ref 0 and last = ref None in
+  let batches = ref [] and cur = ref [] in
+  let cut ~day_end =
+    let events = Array.of_list (List.rev !cur) in
+    let day = if day_end then (incr days; Some !days) else None in
+    batches := { Src.time = !clock; day; events } :: !batches;
+    cur := []
+  in
+  List.iter
+    (fun (pi, o, kind, dt, c) ->
+      clock := !clock + dt;
+      let action =
+        match (kind, !last) with
+        | 9, Some a -> a
+        | (0 | 1 | 9), _ -> wd o
+        | k, _ ->
+          let moas_list = Option.map Asn.Set.of_list (reference_list o (k - 2)) in
+          M.Announce { origin = Asn.make o; moas_list }
+      in
+      last := Some action;
+      cur := ev ~time:!clock script_prefixes.(pi) action :: !cur;
+      if c = 0 then cut ~day_end:true else if c = 1 then cut ~day_end:false)
+    script;
+  cut ~day_end:true;
+  List.rev !batches
+
+let render_episode (e : Rp.episode_view) =
+  Printf.sprintf "%s#%d %d-%s days=%d max=%d {%s} %s"
+    (Prefix.to_string e.Rp.v_prefix) e.Rp.v_seq e.Rp.v_started
+    (match e.Rp.v_ended with Some t -> string_of_int t | None -> "open")
+    e.Rp.v_days e.Rp.v_max_origins
+    (String.concat "," (List.map Asn.to_string (Asn.Set.elements e.Rp.v_origins)))
+    (if e.Rp.v_clean then "clean" else "flagged")
+
+let reference_view r =
+  ( List.map render_episode (Ref.episodes r),
+    Ref.daily_open_counts r,
+    List.map render_case (Ref.cases r) )
+
+let monitor_view snap daily =
+  (List.map render_episode (Rp.episodes snap), daily, List.map render_case (Rp.cases snap))
+
+let prop_agrees_with_reference =
+  Testutil.qtest ~count:1000 "monitor and shards agree with the reference"
+    reference_script_gen (fun script ->
+      let batches = reference_batches script in
+      let want = reference_view (Ref.of_batches batches) in
+      let m = M.create M.default_config in
+      let daily =
+        List.filter_map
+          (fun (b : Src.batch) ->
+            Array.iter (M.ingest m) b.Src.events;
+            match b.Src.day with
+            | Some _ ->
+              M.mark_day m ~time:b.Src.time;
+              Some (M.open_count m)
+            | None ->
+              M.settle m ~time:b.Src.time;
+              None)
+          batches
+      in
+      let sharded jobs =
+        let t = Sh.create ~jobs M.default_config in
+        let daily =
+          List.filter_map
+            (fun (b : Src.batch) ->
+              Sh.ingest_batch ~day_end:(b.Src.day <> None) t ~time:b.Src.time b.Src.events;
+              Option.map (fun _ -> Sh.open_count t) b.Src.day)
+            batches
+        in
+        (Printf.sprintf "jobs=%d" jobs, monitor_view (Sh.snapshot t) daily)
+      in
+      let show (eps, daily, cases) =
+        String.concat "\n"
+          (eps @ [ String.concat " " (List.map string_of_int daily) ] @ cases)
+      in
+      List.iter
+        (fun (who, got) ->
+          if got <> want then
+            QCheck2.Test.fail_reportf "%s:\n%s\nreference:\n%s" who (show got) (show want))
+        (("monitor", monitor_view (M.snapshot m) daily) :: List.map sharded [ 1; 2; 3; 4 ]);
+      true)
+
 let () =
   Alcotest.run "stream"
     [
@@ -1093,8 +1230,8 @@ let () =
             test_sharding_invariance;
           Alcotest.test_case "alerts spike on fault days" `Quick
             test_alerts_spike_on_fault_days;
-          Alcotest.test_case "agrees with Moas_cases" `Quick
-            test_archive_agrees_with_moas_cases;
+          Alcotest.test_case "agrees with the reference" `Quick
+            test_archive_agrees_with_reference;
           Alcotest.test_case "metrics flow" `Quick test_metrics_flow;
           Alcotest.test_case "ingest allocation budget" `Quick
             test_ingest_allocation_budget;
@@ -1105,6 +1242,8 @@ let () =
           Alcotest.test_case "empty snapshot" `Quick test_checkpoint_empty;
           Alcotest.test_case "corruption rejected" `Quick
             test_checkpoint_rejects_corruption;
+          Alcotest.test_case "adversarial sizes" `Quick
+            test_checkpoint_adversarial_sizes;
           Alcotest.test_case "restore converges" `Quick
             test_checkpoint_restore_converges;
           Alcotest.test_case "restore re-credits metrics" `Quick
@@ -1146,5 +1285,6 @@ let () =
           prop_restore_midstream;
           prop_alerts_match_differ;
           prop_archive_equals_table_differ;
+          prop_agrees_with_reference;
         ] );
     ]

@@ -55,20 +55,21 @@ let test_validation () =
       ignore (Anomaly.detect ~threshold:0.5 []))
 
 let test_paper_events_detected () =
-  let summary =
-    Measurement.Report.run
-      {
-        Measurement.Synthetic_routeviews.default_params with
-        Measurement.Synthetic_routeviews.universe_size = 600;
-        initial_long_lived = 80;
-        final_long_lived = 170;
-        one_day_churn = 30;
-        medium_churn = 12;
-        event_1998_size = 160;
-        event_2001_size = 130;
-      }
+  let s =
+    Stream.Report.section3
+      (Stream.Source.of_archive
+        {
+          Measurement.Synthetic_routeviews.default_params with
+          Measurement.Synthetic_routeviews.universe_size = 600;
+          initial_long_lived = 80;
+          final_long_lived = 170;
+          one_day_churn = 30;
+          medium_churn = 12;
+          event_1998_size = 160;
+          event_2001_size = 130;
+        })
   in
-  let spikes = Anomaly.spikes_of_summary summary in
+  let spikes = Anomaly.detect s.Stream.Report.daily_counts in
   let days = List.map (fun s -> s.Anomaly.day) spikes in
   Alcotest.(check bool) "1998-04-07 flagged" true
     (List.mem Measurement.Synthetic_routeviews.event_1998 days);

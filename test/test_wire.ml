@@ -350,14 +350,10 @@ let test_mrt_through_measurement () =
       event_2001_size = 90;
     }
   in
-  let first_dump =
-    Measurement.Synthetic_routeviews.fold_dumps params ~init:None
-      ~f:(fun acc dump -> if acc = None then Some dump else acc)
-  in
-  match first_dump with
-  | None -> Alcotest.fail "no dump"
-  | Some dump ->
-    let table = dump.Measurement.Synthetic_routeviews.table in
+  match Testutil.dump_seq params () with
+  | Seq.Nil -> Alcotest.fail "no dump"
+  | Seq.Cons (dump, _) ->
+    let table = dump.Testutil.table in
     let bytes =
       Mrt.encode_records (Mrt.records_of_table ~timestamp:0 table)
     in

@@ -81,6 +81,16 @@ let check_contains ?(what = "output") haystack needle =
   if not (contains haystack needle) then
     Alcotest.failf "%s does not contain %S:\n%s" what needle haystack
 
+(* the fastest of five timed runs, for the linear-decode bounds *)
+let best_of_five f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
 (* the store [moas_sim collect --smoke --store FILE] writes *)
 let collect_smoke_store =
   lazy
@@ -92,3 +102,26 @@ let collect_smoke_store =
      Collect.Store.of_correlation
        (Collect.Correlator.of_result
           (Collect.Mesh.run config capture.Collect.Scenario.s_streams)))
+
+(* The synthetic archive as daily table dumps, for the table-based test
+   references: the generator's deltas folded into one table, every row
+   listed in row order (the first observed day lists them all).
+   Single-pass, like [delta_seq]. *)
+module Srv = Measurement.Synthetic_routeviews
+
+type day_dump = { day : Mutil.Day.t; table : (Prefix.t * Asn.Set.t) list }
+
+let dump_seq params =
+  let rows = Array.make params.Srv.universe_size None in
+  Seq.map
+    (fun (d : Srv.day_delta) ->
+      List.iter
+        (fun (c : Srv.change) -> rows.(c.Srv.row) <- Some (c.Srv.prefix, c.Srv.after))
+        d.Srv.changes;
+      { day = d.Srv.delta_day; table = List.filter_map Fun.id (Array.to_list rows) })
+    (Srv.delta_seq params)
+
+let fold_dumps params ~init ~f = Seq.fold_left f init (dump_seq params)
+
+(* the naive MOAS reference model (test/util/reference.ml) *)
+module Reference = Reference
