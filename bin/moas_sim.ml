@@ -84,6 +84,7 @@ let run_studies () =
   print_string (Experiments.Convergence.render (Experiments.Convergence.study ~topology:t ()))
 
 let run_simulate size n_origins n_attackers deployment policy seed runs =
+  let seed = Option.value seed ~default:1L in
   let topology =
     match size with
     | 25 -> Topology.Paper_topologies.topology_25 ()
@@ -244,7 +245,7 @@ let run_collect_query store_path query_str =
     | None -> failwith "--query needs --store FILE"
   in
   let q =
-    match Collect.Store.parse_query query_str with
+    match Collect.Query.parse query_str with
     | Ok q -> q
     | Error msg -> failwith ("bad query: " ^ msg)
   in
@@ -722,6 +723,11 @@ let seed_arg =
   let doc = "Root seed for the experiment sweeps (decimal integer)." in
   Arg.(value & opt (some int64) None & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* what --smoke shrinks is said in each command's own doc *)
+let smoke_arg =
+  Arg.(value & flag & info [ "smoke" ]
+         ~doc:"Run the small variant described above, for CI.")
+
 let out_dir_arg =
   let doc = "Directory to write per-figure CSV files into." in
   Arg.(value & opt (some string) None & info [ "out" ] ~docv:"DIR" ~doc)
@@ -801,30 +807,22 @@ let simulate_cmd =
   let policy =
     Arg.(value & opt string "shortest" & info [ "policy" ] ~docv:"P" ~doc:"shortest or gao-rexford.")
   in
-  let sim_seed =
-    Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Scenario seed.")
-  in
   let runs =
     Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Independent runs to execute.")
   in
-  cmd "simulate" ~doc:"Run custom attack scenarios and print per-run outcomes."
-    Term.(const run_simulate $ size $ n_origins $ n_attackers $ deployment $ policy $ sim_seed $ runs)
+  cmd "simulate"
+    ~doc:"Run custom attack scenarios and print per-run outcomes (scenario \
+          seed 1 unless $(b,--seed) is given)."
+    Term.(const run_simulate $ size $ n_origins $ n_attackers $ deployment $ policy $ seed_arg $ runs)
 
 let robustness_cmd =
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Small deterministic sweep (25-AS only) for CI.")
-  in
   cmd "robustness"
     ~doc:"Detection robustness under injected faults: partition, churn and \
-          message-loss sweeps."
-    Term.(const run_robustness $ seed_arg $ smoke $ jobs_arg)
+          message-loss sweeps.  $(b,--smoke) runs a small deterministic \
+          sweep on the 25-AS topology only."
+    Term.(const run_robustness $ seed_arg $ smoke_arg $ jobs_arg)
 
 let monitor_cmd =
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Replay a 1/10-size archive with the same phenomenology, for CI.")
-  in
   let window =
     Arg.(value & opt pos_int 86_400
          & info [ "window" ] ~docv:"SECONDS"
@@ -866,8 +864,9 @@ let monitor_cmd =
     ~doc:"Online MOAS monitor: replay the synthetic RouteViews archive as a \
           stream with sharded ingest, episode tracking and checkpoint/restore. \
           The report is byte-identical at any $(b,--jobs) count and across \
-          checkpoint/restore."
-    Term.(const run_monitor $ smoke $ jobs_arg $ window $ annotate $ seed_arg
+          checkpoint/restore.  $(b,--smoke) replays a 1/10-size archive with \
+          the same phenomenology."
+    Term.(const run_monitor $ smoke_arg $ jobs_arg $ window $ annotate $ seed_arg
           $ checkpoint $ checkpoint_every $ stop_after $ resume $ metrics_arg)
 
 let collect_cmd =
@@ -875,10 +874,6 @@ let collect_cmd =
     Arg.(value & opt pos_int 3
          & info [ "vantages" ] ~docv:"N"
              ~doc:"Collector vantage points to attach (positive integer).")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Run on the 25-AS topology instead of the 46-AS one, for CI.")
   in
   let store =
     Arg.(value & opt (some string) None
@@ -909,16 +904,12 @@ let collect_cmd =
           cross-vantage MOAS correlation with per-episode visibility k/N, \
           and a partition arm where lib/faults isolates one vantage. \
           Reports are byte-identical at any $(b,--jobs) count and vantage \
-          order."
-    Term.(const run_collect $ vantages $ jobs_arg $ smoke $ seed_arg $ store
+          order.  $(b,--smoke) runs on the 25-AS topology instead of the \
+          46-AS one."
+    Term.(const run_collect $ vantages $ jobs_arg $ smoke_arg $ seed_arg $ store
           $ query $ metrics_arg $ order)
 
 let classify_cmd =
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Build the corpus from the 25-AS topology only instead of \
-                 all three paper topologies, for CI.")
-  in
   let features =
     Arg.(value & opt (some string) None
          & info [ "features" ] ~docv:"FILE"
@@ -930,16 +921,13 @@ let classify_cmd =
           oracle, train logistic-regression and boosted-stump models, and \
           evaluate them against the MOAS-list and always-flag baselines \
           with per-arm precision/recall/F1.  The report is byte-identical \
-          at any $(b,--jobs) count, which CI asserts."
-    Term.(const run_classify $ smoke $ jobs_arg $ seed_arg $ features
+          at any $(b,--jobs) count, which CI asserts.  $(b,--smoke) builds \
+          the corpus from the 25-AS topology only instead of all three paper \
+          topologies."
+    Term.(const run_classify $ smoke_arg $ jobs_arg $ seed_arg $ features
           $ report_arg $ metrics_arg)
 
 let community_cmd =
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Run the 25-AS topology with 2 replicates only instead of \
-                 all three paper topologies with 3, for CI.")
-  in
   cmd "community"
     ~doc:"Community-telemetry detection head-to-head: run every scenario \
           arm (including the Section 4.3 scrubbing arm) under the per-AS \
@@ -947,8 +935,9 @@ let community_cmd =
           against the MOAS-list check, the footnote-3 detector and the \
           IRR / S-BGP baselines with per-arm precision/recall/F1.  The \
           report is byte-identical at any $(b,--jobs) count, which CI \
-          asserts."
-    Term.(const run_community $ smoke $ jobs_arg $ seed_arg $ report_arg
+          asserts.  $(b,--smoke) runs the 25-AS topology with 2 replicates \
+          only instead of all three paper topologies with 3."
+    Term.(const run_community $ smoke_arg $ jobs_arg $ seed_arg $ report_arg
           $ metrics_arg)
 
 let store_arg =
@@ -965,10 +954,6 @@ let serve_cmd =
                    $(b,query Q), $(b,count Q), $(b,subscribe Q), \
                    $(b,unsubscribe ID), $(b,tail [N]), $(b,poll); blank \
                    lines and $(b,#) comments are skipped.")
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Tail the 1/10-size archive instead of the full one, for CI.")
   in
   let checkpoint =
     Arg.(value & opt (some string) None
@@ -996,8 +981,9 @@ let serve_cmd =
     ~doc:"Serve an episode store over the versioned MOASSERV wire protocol: \
           typed queries, live-tail alert subscriptions, stats, \
           checkpoint/resume crash recovery.  The scripted session transcript \
-          is byte-identical across runs, which CI asserts."
-    Term.(const run_serve $ store_arg $ script $ smoke $ jobs_arg $ seed_arg
+          is byte-identical across runs, which CI asserts.  $(b,--smoke) \
+          tails the 1/10-size archive instead of the full one."
+    Term.(const run_serve $ store_arg $ script $ smoke_arg $ jobs_arg $ seed_arg
           $ checkpoint $ checkpoint_every $ resume $ metrics_arg)
 
 let query_client_cmd =
@@ -1038,10 +1024,6 @@ let query_client_cmd =
           $ timeout $ retry_seed)
 
 let chaos_cmd =
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ]
-           ~doc:"Sweep over the 1/10-size archive store, for CI.")
-  in
   let requests =
     Arg.(value & opt pos_int 400
          & info [ "requests" ] ~docv:"N"
@@ -1066,8 +1048,9 @@ let chaos_cmd =
           that every request answers correctly, is refused with Rejected, or \
           fails cleanly — never a hang, crash or wrong answer.  Exits \
           non-zero on any violation; the transcript is byte-identical for a \
-          given seed, which CI asserts."
-    Term.(const run_chaos $ smoke $ requests $ plan $ chaos_seed $ metrics_arg)
+          given seed, which CI asserts.  $(b,--smoke) sweeps over the \
+          1/10-size archive store."
+    Term.(const run_chaos $ smoke_arg $ requests $ plan $ chaos_seed $ metrics_arg)
 
 let topologies_cmd = cmd "topologies" ~doc:"Describe the derived 25/46/63-AS topologies."
     Term.(const run_topologies $ const ())

@@ -38,9 +38,3 @@ let forged_path t =
 
 let announced_prefix t ~victim =
   Option.value ~default:victim t.target_override
-
-let forgery_to_string = function
-  | Forge_full_list -> "forge valid list + self"
-  | Claim_self_only -> "claim self only"
-  | No_list -> "no MOAS list"
-  | Impersonate asn -> "impersonate " ^ Asn.to_string asn

@@ -46,6 +46,3 @@ val forged_path : t -> Bgp.As_path.t
 
 val announced_prefix : t -> victim:Prefix.t -> Prefix.t
 (** The prefix the attacker actually announces. *)
-
-val forgery_to_string : forgery -> string
-(** Label for reports. *)

@@ -28,9 +28,6 @@ type attack_mode =
   | False_origin  (** the paper's Section 5 attack *)
   | Impersonation  (** Section 4.3's manipulated-path attack *)
 
-val attack_to_string : attack_mode -> string
-(** Report label. *)
-
 type result = {
   defense : defense;
   attack : attack_mode;

@@ -16,8 +16,6 @@ let create ?(compromised_keys = Asn.Set.empty) () =
 let register t prefix origins =
   t.attestations <- Prefix.Map.add prefix origins t.attestations
 
-let compromise t asn = t.compromised <- Asn.Set.add asn t.compromised
-
 let verifications t = t.verifications
 
 let route_verifies t ~self route =

@@ -23,9 +23,6 @@ val register : t -> Prefix.t -> Asn.Set.t -> unit
 (** Record the address attestation: the origin set authorised for a
     prefix. *)
 
-val compromise : t -> Asn.t -> unit
-(** Mark an AS's key as held by the adversary. *)
-
 val verifications : t -> int
 (** Number of route verifications performed (every route, on every
     decision — unlike the MOAS scheme's on-conflict-only lookups). *)

@@ -45,9 +45,6 @@ val add : ?max_length:int -> Prefix.t -> Asn.t -> t -> t
 val cardinal : t -> int
 (** Number of distinct ROAs. *)
 
-val roas : t -> roa list
-(** Every ROA in canonical (prefix, origin, max_length) order. *)
-
 val covering : t -> Prefix.t -> roa list
 (** The ROAs whose prefix covers (subsumes) the given route prefix, in
     canonical order — the candidate set RFC 6811 validation consults. *)

@@ -38,8 +38,6 @@ let to_string t =
   | Some name -> name
   | None -> Printf.sprintf "%d:%d" (Asn.to_int t.asn) t.value
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Set = Set.Make (struct
   type nonrec t = t
 

@@ -17,9 +17,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 (** Equality. *)
 
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)
-
 val to_string : t -> string
 (** ["<asn>:<value>"] in the conventional notation, except for the
     assigned well-known values of the RFC 1997 reserved range
@@ -43,8 +40,5 @@ val no_export_subconfed : t
 
 val blackhole : t
 (** 65535:666 (RFC 7999 BLACKHOLE). *)
-
-val well_known_name : t -> string option
-(** The assigned name of a reserved-range value, if it has one. *)
 
 module Set : Set.S with type elt = t

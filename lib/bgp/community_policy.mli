@@ -62,9 +62,6 @@ val scrubbers : t -> Asn.Set.t
 val tally : t -> (usage_class * int) list
 (** AS count per class, in {!all_classes} order. *)
 
-val origination_tag : t -> Asn.t -> Community.t option
-(** The tag the AS stamps on its own originations, if its class has one. *)
-
 val ingress_tag : t -> self:Asn.t -> peer:Asn.t -> Community.t
 (** The tag a {!Path}/{!Scrub} AS [self] stamps on a route imported from
     [peer]: [(self, 200 + relationship-code)]. *)

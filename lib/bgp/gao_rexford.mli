@@ -14,12 +14,6 @@ val local_pref_customer : int
     learned routes; still below the origination default of 100, so a
     speaker always prefers the routes it originates itself). *)
 
-val local_pref_peer : int
-(** LOCAL_PREF for routes learned from peers. *)
-
-val local_pref_provider : int
-(** LOCAL_PREF for routes learned from providers (lowest). *)
-
 val policy : Topology.Relationships.t -> self:Asn.t -> Policy.t
 (** The import/export policy of AS [self] under the given relationship
     assignment:

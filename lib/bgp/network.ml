@@ -174,8 +174,6 @@ let router t asn =
   | Some r -> r
   | None -> raise Not_found
 
-let routers t = t.routers
-
 let originate ?(at = 0.0) ?origin ?local_pref ?communities ?as_path t asn
     prefix =
   let r = router t asn in
@@ -273,24 +271,6 @@ let clear_link_impairment t a b =
 
 let link_impairment t a b =
   Option.map fst (Hashtbl.find_opt t.impairments (link_key a b))
-
-(* ---------------- scheduled wrappers ----------------------------------- *)
-
-let fail_link ?(at = 0.0) t a b =
-  check_peering t a b;
-  Sim.Engine.schedule_at t.engine ~time:at (fun _ -> fail_link_now t a b)
-
-let restore_link ?(at = 0.0) t a b =
-  check_peering t a b;
-  Sim.Engine.schedule_at t.engine ~time:at (fun _ -> restore_link_now t a b)
-
-let crash_router ?(at = 0.0) t asn =
-  check_member t asn;
-  Sim.Engine.schedule_at t.engine ~time:at (fun _ -> crash_router_now t asn)
-
-let restart_router ?(at = 0.0) t asn =
-  check_member t asn;
-  Sim.Engine.schedule_at t.engine ~time:at (fun _ -> restart_router_now t asn)
 
 let run ?(max_events = 10_000_000) t = Sim.Engine.run ~max_events t.engine
 

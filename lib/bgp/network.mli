@@ -100,9 +100,6 @@ val graph : t -> Topology.As_graph.t
 val router : t -> Asn.t -> Router.t
 (** The router of an AS. @raise Not_found for an unknown AS. *)
 
-val routers : t -> Router.t Asn.Map.t
-(** All routers. *)
-
 val originate :
   ?at:float ->
   ?origin:Route.origin_attr ->
@@ -117,55 +114,41 @@ val originate :
     [as_path] forges the announced path (see {!Route.originate}).  An
     origination executing while the router is crashed still enters its
     startup configuration (and local table) but propagates nowhere until
-    {!restart_router}. *)
+    {!restart_router_now}. *)
 
 val withdraw : ?at:float -> t -> Asn.t -> Prefix.t -> unit
 (** Schedule the AS to stop originating the prefix. *)
 
 (** {2 Faults}
 
-    Each fault has a scheduled form ([?at], going through the engine — the
-    composable surface {!Fault_plan} builds on) and an immediate [_now]
-    form applying at the engine's current time (the primitive an injector
-    calls from inside its own scheduled events, so that fault events can
-    be cancelled without leaving stale network actions in the queue). *)
-
-val fail_link : ?at:float -> t -> Asn.t -> Asn.t -> unit
-(** Schedule a session failure on the peering between two ASes: both ends
-    flush the routes learned over it and in-flight messages on the link are
-    lost.  @raise Invalid_argument if the ASes do not peer. *)
-
-val restore_link : ?at:float -> t -> Asn.t -> Asn.t -> unit
-(** Schedule the re-establishment of a failed session; both ends perform
-    the initial table exchange.  If an endpoint router is crashed only the
-    link is repaired: the session comes back with its {!restart_router}. *)
+    Each fault applies at the engine's current time.  [Faults.Injector]
+    calls these from inside its own scheduled, cancellable events, so a
+    cancelled fault leaves no stale network action in the queue. *)
 
 val fail_link_now : t -> Asn.t -> Asn.t -> unit
-(** Apply a link failure at the engine's current time (idempotent while
-    down). *)
+(** Fail the session on the peering between two ASes: both ends flush the
+    routes learned over it and in-flight messages on the link are lost.
+    Idempotent while down.  @raise Invalid_argument if the ASes do not
+    peer. *)
 
 val restore_link_now : t -> Asn.t -> Asn.t -> unit
-(** Apply a link repair at the engine's current time (idempotent while
-    up). *)
-
-val crash_router : ?at:float -> t -> Asn.t -> unit
-(** Schedule a router crash: its RIBs, sessions, MRAI timers and damping
-    state are lost; every live neighbour tears its session down and
-    withdraws the routes it had learned from the AS.  In-flight messages
-    from or to the router are lost.  Static configuration (originated
-    prefixes, aggregates, policy, validator) survives for the restart.
-    @raise Invalid_argument for an AS outside the topology. *)
-
-val restart_router : ?at:float -> t -> Asn.t -> unit
-(** Schedule the reboot of a crashed router: it re-installs its configured
-    originations and re-establishes a session over every up link to every
-    live neighbour (table exchange both ways). *)
+(** Re-establish a failed session; both ends perform the initial table
+    exchange.  If an endpoint router is crashed only the link is repaired:
+    the session comes back with its {!restart_router_now}.  Idempotent
+    while up. *)
 
 val crash_router_now : t -> Asn.t -> unit
-(** Apply a crash at the engine's current time (idempotent while down). *)
+(** Crash a router: its RIBs, sessions, MRAI timers and damping state are
+    lost; every live neighbour tears its session down and withdraws the
+    routes it had learned from the AS.  In-flight messages from or to the
+    router are lost.  Static configuration (originated prefixes,
+    aggregates, policy, validator) survives for the restart.  Idempotent
+    while down.  @raise Invalid_argument for an AS outside the topology. *)
 
 val restart_router_now : t -> Asn.t -> unit
-(** Apply a restart at the engine's current time (idempotent while up). *)
+(** Reboot a crashed router: it re-installs its configured originations
+    and re-establishes a session over every up link to every live
+    neighbour (table exchange both ways).  Idempotent while up. *)
 
 val impair_link : t -> rng:Mutil.Rng.t -> Asn.t -> Asn.t -> impairment -> unit
 (** Install (or replace) a message impairment on a peering, effective

@@ -7,11 +7,6 @@ let origin_rank = function
   | Egp -> 1
   | Incomplete -> 2
 
-let origin_attr_to_string = function
-  | Igp -> "IGP"
-  | Egp -> "EGP"
-  | Incomplete -> "INCOMPLETE"
-
 type t = {
   prefix : Prefix.t;
   as_path : As_path.t;

@@ -8,9 +8,6 @@ type origin_attr = Igp | Egp | Incomplete
 val origin_rank : origin_attr -> int
 (** Numeric rank for the decision process. *)
 
-val origin_attr_to_string : origin_attr -> string
-(** ["IGP"], ["EGP"] or ["INCOMPLETE"]. *)
-
 type t = {
   prefix : Prefix.t;
   as_path : As_path.t;

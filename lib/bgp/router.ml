@@ -100,8 +100,6 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     loc_rib_g = Obs.Registry.gauge metrics ~labels "bgp_loc_rib_size";
   }
 
-let asn t = t.asn
-
 (* the slot of the peer's session, or -1 without one *)
 let rec find_slot ids peer lo hi =
   if lo >= hi then -1
@@ -138,8 +136,6 @@ let peers t = Array.to_list t.peer_ids
 let set_transport t ~send ~schedule =
   t.send <- Some send;
   t.schedule <- Some schedule
-
-let set_validator t v = t.validator <- v
 
 let transport_send t ~peer update =
   match t.send with

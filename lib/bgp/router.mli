@@ -55,9 +55,6 @@ val flap_penalty : t -> peer:Asn.t -> Prefix.t -> now:float -> float
 val is_suppressed : t -> peer:Asn.t -> Prefix.t -> now:float -> bool
 (** Whether damping currently keeps that route out of the decision. *)
 
-val asn : t -> Asn.t
-(** The router's AS number. *)
-
 val add_peer : t -> Asn.t -> unit
 (** Declare a BGP session with a neighbouring AS (idempotent). *)
 
@@ -76,9 +73,6 @@ val set_transport :
     peer; [schedule] runs a callback after a delay (used by MRAI timers).
     Must be called before any traffic is processed. *)
 
-val set_validator : t -> validator option -> unit
-(** Install or remove the route validator at runtime. *)
-
 val originate : t -> now:float -> Route.t -> unit
 (** Start originating a route (built with {!Route.originate}); announces to
     all peers. *)
@@ -96,10 +90,6 @@ val best : t -> Prefix.t -> Route.t option
 val best_origin : t -> Prefix.t -> Asn.t option
 (** Origin AS of the selected route (the router itself when it originates
     the prefix). *)
-
-val candidates : t -> Prefix.t -> Route.t list
-(** All candidate routes currently known for the prefix (originated plus
-    Adj-RIB-In), before validation. *)
 
 val rib : t -> Rib.t
 (** Direct access to the RIBs for tests and metrics. *)

@@ -12,8 +12,3 @@ let prefix t =
   match t.payload with
   | Announce r -> r.Route.prefix
   | Withdraw p -> p
-
-let pp fmt t =
-  match t.payload with
-  | Announce r -> Format.fprintf fmt "%a announces %a" Asn.pp t.sender Route.pp r
-  | Withdraw p -> Format.fprintf fmt "%a withdraws %a" Asn.pp t.sender Prefix.pp p

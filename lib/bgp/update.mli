@@ -17,6 +17,3 @@ val withdraw : sender:Asn.t -> Prefix.t -> t
 
 val prefix : t -> Prefix.t
 (** The prefix the update is about. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering. *)

@@ -21,27 +21,17 @@ let max_message_size = 4096
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Primitive writers over a Buffer *)
-
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
-
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf (v land 0xffff)
+(* Writers, over Net.Codec's big-endian primitives *)
 
 (* A prefix is encoded as its bit length followed by just enough octets. *)
 let prefix_octets len = (len + 7) / 8
 
 let put_prefix buf p =
   let len = Prefix.length p in
-  put_u8 buf len;
+  Codec.put_u8 buf len;
   let net = Ipv4.to_int (Prefix.network p) in
   for i = 0 to prefix_octets len - 1 do
-    put_u8 buf ((net lsr (24 - (8 * i))) land 0xff)
+    Codec.put_u8 buf ((net lsr (24 - (8 * i))) land 0xff)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -71,14 +61,14 @@ let flag_extended = 0x10
 let put_attribute buf ~flags ~typ body =
   let len = Bytes.length body in
   if len > 0xff then begin
-    put_u8 buf (flags lor flag_extended);
-    put_u8 buf typ;
-    put_u16 buf len
+    Codec.put_u8 buf (flags lor flag_extended);
+    Codec.put_u8 buf typ;
+    Codec.put_u16 buf len
   end
   else begin
-    put_u8 buf flags;
-    put_u8 buf typ;
-    put_u8 buf len
+    Codec.put_u8 buf flags;
+    Codec.put_u8 buf typ;
+    Codec.put_u8 buf len
   end;
   Buffer.add_bytes buf body
 
@@ -88,14 +78,14 @@ let encode_as_path path =
     (function
       | As_path.Seq ases ->
         if List.length ases > 255 then malformed "AS_SEQUENCE too long";
-        put_u8 buf 2;
-        put_u8 buf (List.length ases);
-        List.iter (fun a -> put_u16 buf (Asn.to_int a)) ases
+        Codec.put_u8 buf 2;
+        Codec.put_u8 buf (List.length ases);
+        List.iter (fun a -> Codec.put_u16 buf (Asn.to_int a)) ases
       | As_path.Set s ->
         if Asn.Set.cardinal s > 255 then malformed "AS_SET too long";
-        put_u8 buf 1;
-        put_u8 buf (Asn.Set.cardinal s);
-        Asn.Set.iter (fun a -> put_u16 buf (Asn.to_int a)) s)
+        Codec.put_u8 buf 1;
+        Codec.put_u8 buf (Asn.Set.cardinal s);
+        Asn.Set.iter (fun a -> Codec.put_u16 buf (Asn.to_int a)) s)
     path;
   Buffer.to_bytes buf
 
@@ -103,33 +93,33 @@ let put_attributes buf attrs =
   let body = Buffer.create 64 in
   (* ORIGIN *)
   let b = Buffer.create 1 in
-  put_u8 b (origin_code attrs.origin);
+  Codec.put_u8 b (origin_code attrs.origin);
   put_attribute body ~flags:flag_transitive ~typ:attr_origin (Buffer.to_bytes b);
   (* AS_PATH *)
   put_attribute body ~flags:flag_transitive ~typ:attr_as_path
     (encode_as_path attrs.as_path);
   (* NEXT_HOP: the simulator does not model next-hop IPs; 0.0.0.0 *)
   let b = Buffer.create 4 in
-  put_u32 b 0;
+  Codec.put_u32 b 0;
   put_attribute body ~flags:flag_transitive ~typ:attr_next_hop (Buffer.to_bytes b);
   (* LOCAL_PREF *)
   let b = Buffer.create 4 in
-  put_u32 b attrs.local_pref;
+  Codec.put_u32 b attrs.local_pref;
   put_attribute body ~flags:flag_transitive ~typ:attr_local_pref (Buffer.to_bytes b);
   (* COMMUNITY (optional transitive) *)
   if not (Community.Set.is_empty attrs.communities) then begin
     let b = Buffer.create 16 in
     Community.Set.iter
       (fun c ->
-        put_u16 b (Asn.to_int c.Community.asn);
-        put_u16 b c.Community.value)
+        Codec.put_u16 b (Asn.to_int c.Community.asn);
+        Codec.put_u16 b c.Community.value)
       attrs.communities;
     put_attribute body
       ~flags:(flag_optional lor flag_transitive)
       ~typ:attr_community (Buffer.to_bytes b)
   end;
   let body = Buffer.to_bytes body in
-  put_u16 buf (Bytes.length body);
+  Codec.put_u16 buf (Bytes.length body);
   Buffer.add_bytes buf body
 
 (* ------------------------------------------------------------------ *)
@@ -140,7 +130,7 @@ let encode message =
   (* withdrawn routes *)
   let withdrawn = Buffer.create 32 in
   List.iter (put_prefix withdrawn) message.withdrawn;
-  put_u16 payload (Buffer.length withdrawn);
+  Codec.put_u16 payload (Buffer.length withdrawn);
   Buffer.add_buffer payload withdrawn;
   (* path attributes *)
   (match message.attributes with
@@ -148,7 +138,7 @@ let encode message =
   | None ->
     if message.nlri <> [] then
       invalid_arg "Wire.encode: NLRI without attributes";
-    put_u16 payload 0);
+    Codec.put_u16 payload 0);
   (* NLRI *)
   List.iter (put_prefix payload) message.nlri;
   let total = marker_length + 2 + 1 + Buffer.length payload in
@@ -158,8 +148,8 @@ let encode message =
   for _ = 1 to marker_length do
     Buffer.add_char buf '\xff'
   done;
-  put_u16 buf total;
-  put_u8 buf 2 (* UPDATE *);
+  Codec.put_u16 buf total;
+  Codec.put_u8 buf 2 (* UPDATE *);
   Buffer.add_buffer buf payload;
   Buffer.to_bytes buf
 
@@ -201,45 +191,31 @@ let encoded_size message =
   + List.fold_left (fun acc p -> acc + prefix_wire_size p) 0 message.nlri
 
 (* ------------------------------------------------------------------ *)
-(* Decoding *)
+(* Decoding: Net.Codec cursors that fail with [Malformed] *)
 
-type cursor = { data : bytes; mutable pos : int; limit : int }
-
-let take_u8 c =
-  if c.pos >= c.limit then malformed "truncated at octet %d" c.pos;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let take_u16 c =
-  let hi = take_u8 c in
-  (hi lsl 8) lor take_u8 c
-
-let take_u32 c =
-  let hi = take_u16 c in
-  (hi lsl 16) lor take_u16 c
+let fail m = Malformed m
 
 let take_prefix c =
-  let len = take_u8 c in
-  if len > 32 then malformed "prefix length %d" len;
+  let len = Codec.take_u8 c in
+  if len > 32 then Codec.corrupt c "prefix length %d" len;
   let net = ref 0 in
   for i = 0 to prefix_octets len - 1 do
-    net := !net lor (take_u8 c lsl (24 - (8 * i)))
+    net := !net lor (Codec.take_u8 c lsl (24 - (8 * i)))
   done;
   Prefix.make (Ipv4.of_int !net) len
 
 let take_as_path c ~stop =
   let rec segments acc =
-    if c.pos >= stop then List.rev acc
+    if Codec.pos c >= stop then List.rev acc
     else begin
-      let typ = take_u8 c in
-      let count = take_u8 c in
-      let ases = List.init count (fun _ -> Asn.make (take_u16 c)) in
+      let typ = Codec.take_u8 c in
+      let count = Codec.take_u8 c in
+      let ases = List.init count (fun _ -> Codec.take_asn c) in
       let segment =
         match typ with
         | 1 -> As_path.Set (Asn.Set.of_list ases)
         | 2 -> As_path.Seq ases
-        | t -> malformed "unknown AS_PATH segment type %d" t
+        | t -> Codec.corrupt c "unknown AS_PATH segment type %d" t
       in
       segments (segment :: acc)
     end
@@ -251,25 +227,31 @@ let take_attributes c ~stop =
   let as_path = ref As_path.empty in
   let local_pref = ref 100 in
   let communities = ref Community.Set.empty in
-  while c.pos < stop do
-    let flags = take_u8 c in
-    let typ = take_u8 c in
-    let len = if flags land flag_extended <> 0 then take_u16 c else take_u8 c in
-    let value_end = c.pos + len in
-    if value_end > stop then malformed "attribute %d overruns" typ;
+  while Codec.pos c < stop do
+    let flags = Codec.take_u8 c in
+    let typ = Codec.take_u8 c in
+    let len =
+      if flags land flag_extended <> 0 then Codec.take_u16 c
+      else Codec.take_u8 c
+    in
+    let value_end = Codec.pos c + len in
+    if value_end > stop then Codec.corrupt c "attribute %d overruns" typ;
     (match typ with
-    | t when t = attr_origin -> origin := origin_of_code (take_u8 c)
+    | t when t = attr_origin -> origin := origin_of_code (Codec.take_u8 c)
     | t when t = attr_as_path -> as_path := take_as_path c ~stop:value_end
-    | t when t = attr_next_hop -> ignore (take_u32 c)
-    | t when t = attr_local_pref -> local_pref := take_u32 c
+    | t when t = attr_next_hop -> ignore (Codec.take_u32 c)
+    | t when t = attr_local_pref -> local_pref := Codec.take_u32 c
     | t when t = attr_community ->
-      while c.pos < value_end do
-        let asn = Asn.make (take_u16 c) in
-        let v = take_u16 c in
+      while Codec.pos c < value_end do
+        let asn = Codec.take_asn c in
+        let v = Codec.take_u16 c in
         communities := Community.Set.add (Community.make asn v) !communities
       done
-    | _ -> c.pos <- value_end (* skip unknown attributes *));
-    if c.pos <> value_end then malformed "attribute %d length mismatch" typ
+    | _ ->
+      (* skip unknown attributes *)
+      if Codec.take_run c len < 0 then Codec.corrupt c "attribute %d overruns" typ);
+    if Codec.pos c <> value_end then
+      Codec.corrupt c "attribute %d length mismatch" typ
   done;
   {
     origin = !origin;
@@ -285,38 +267,34 @@ let take_attributes c ~stop =
 let decode_attributes data ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length data then
     malformed "attribute slice [%d,%d) out of bounds" pos (pos + len);
-  take_attributes { data; pos; limit = pos + len } ~stop:(pos + len)
+  take_attributes (Codec.cursor_slice ~fail data ~pos ~len) ~stop:(pos + len)
 
-(* Decode a full message from a slice of a larger byte string (a framed
-   feed, an MRT file) without [Bytes.sub]-ing it out first. *)
-let decode_sub data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then
-    malformed "message slice [%d,%d) out of bounds" pos (pos + len);
-  let total = len in
+let decode data =
+  let total = Bytes.length data in
   if total < marker_length + 3 then malformed "shorter than a BGP header";
-  let c = { data; pos; limit = pos + total } in
+  let c = Codec.cursor ~fail data in
   for _ = 1 to marker_length do
-    if take_u8 c <> 0xff then malformed "bad marker"
+    if Codec.take_u8 c <> 0xff then malformed "bad marker"
   done;
-  let declared = take_u16 c in
+  let declared = Codec.take_u16 c in
   if declared <> total then malformed "length field %d, actual %d" declared total;
-  let typ = take_u8 c in
+  let typ = Codec.take_u8 c in
   if typ <> 2 then malformed "not an UPDATE (type %d)" typ;
-  let withdrawn_len = take_u16 c in
-  let withdrawn_end = c.pos + withdrawn_len in
+  let withdrawn_len = Codec.take_u16 c in
+  let withdrawn_end = Codec.pos c + withdrawn_len in
   let withdrawn = ref [] in
-  while c.pos < withdrawn_end do
+  while Codec.pos c < withdrawn_end do
     withdrawn := take_prefix c :: !withdrawn
   done;
-  if c.pos <> withdrawn_end then malformed "withdrawn section overran";
-  let attrs_len = take_u16 c in
-  let attrs_end = c.pos + attrs_len in
+  if Codec.pos c <> withdrawn_end then malformed "withdrawn section overran";
+  let attrs_len = Codec.take_u16 c in
+  let attrs_end = Codec.pos c + attrs_len in
   let attributes =
     if attrs_len = 0 then None else Some (take_attributes c ~stop:attrs_end)
   in
-  if c.pos <> attrs_end then malformed "attribute section overran";
+  if Codec.pos c <> attrs_end then malformed "attribute section overran";
   let nlri = ref [] in
-  while c.pos < c.limit do
+  while Codec.remaining c > 0 do
     nlri := take_prefix c :: !nlri
   done;
   if !nlri <> [] && attributes = None then malformed "NLRI without attributes";
@@ -325,8 +303,6 @@ let decode_sub data ~pos ~len =
     attributes;
     nlri = List.rev !nlri;
   }
-
-let decode data = decode_sub data ~pos:0 ~len:(Bytes.length data)
 
 (* ------------------------------------------------------------------ *)
 (* Bridging to the simulator's Update.t *)

@@ -34,13 +34,6 @@ val encode : message -> bytes
 val decode : bytes -> message
 (** Parse a full BGP UPDATE message. @raise Malformed on bad input. *)
 
-val decode_sub : bytes -> pos:int -> len:int -> message
-(** Parse a full BGP UPDATE message lying at [pos, pos+len) of a larger
-    byte string — a framed feed or MRT file — without copying the slice
-    out first.  [decode data] is [decode_sub data ~pos:0 ~len:(length
-    data)].  @raise Malformed on bad input (including a slice outside
-    the byte string). *)
-
 val decode_attributes : bytes -> pos:int -> len:int -> attributes
 (** Parse a bare path-attribute section (the payload of the UPDATE's
     attribute block, or an MRT TABLE_DUMP record's attribute blob) in

@@ -25,12 +25,6 @@ type t = {
   c_runs : int;  (** captures performed *)
 }
 
-val registry_of_scenario : Collect.Scenario.t -> Baselines.Roa_registry.t
-(** The full-coverage ground-truth registry a scenario implies: the
-    legitimate origin for the attacked prefix, both homes for the
-    multihomed prefix, the control origin for the quiet prefix — and
-    never the attacker. *)
-
 val build :
   ?metrics:Obs.Registry.t ->
   ?jobs:int ->

@@ -8,14 +8,6 @@ type context = {
   cx_relationships : Topology.Relationships.t option;
 }
 
-let null_context =
-  {
-    cx_vantages = 1;
-    cx_span = 1;
-    cx_churn = Prefix.Map.empty;
-    cx_relationships = None;
-  }
-
 let churn_of_streams streams =
   List.fold_left
     (fun acc (_, events) ->

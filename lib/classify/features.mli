@@ -21,14 +21,6 @@ type context = {
       (** business relationships, for the origin-pair feature *)
 }
 
-val null_context : context
-(** A degenerate context (one vantage, unit span, no churn, no
-    relationships) — for feature extraction over a bare store. *)
-
-val churn_of_streams :
-  (string * Stream.Monitor.event array) list -> int Prefix.Map.t
-(** Per-prefix event counts summed across the vantage streams. *)
-
 val of_scenario :
   ?relationships:Topology.Relationships.t -> Collect.Scenario.t -> context
 (** The context a captured scenario implies. *)
@@ -41,10 +33,3 @@ val dim : int
 
 val extract : context -> Collect.Correlator.entry -> float array
 (** The feature vector of one episode; length {!dim}. *)
-
-val relation_class : context -> Asn.Set.t -> float
-(** The origin-pair relationship feature alone: [2.] if any origin pair
-    is customer-provider, [1.] if any is peer-peer, [0.] when no pair is
-    adjacent or no relationships are known.  A multihomed customer's two
-    providers are typically related; a hijacker and its victim are not —
-    the paper's Section 5 heuristic. *)

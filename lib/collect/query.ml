@@ -34,7 +34,14 @@ let origin a q = { q with q_origin = Some a }
 let since v q = { q with q_since = Some (nonneg "since" v) }
 let until v q = { q with q_until = Some (nonneg "until" v) }
 
+(* the wire form stores the floor as a u32 *)
+let max_visibility = 0xFFFF_FFFF
+
 let min_visibility v q =
+  if v > max_visibility then
+    invalid_arg
+      (Printf.sprintf "Collect.Query: min_visibility %d above %d" v
+         max_visibility);
   { q with q_min_visibility = Some (nonneg "min_visibility" v) }
 
 let bucket b q = { q with q_bucket = Some b }
@@ -51,7 +58,6 @@ let origin_filter q = q.q_origin
 let since_bound q = q.q_since
 let until_bound q = q.q_until
 let visibility_floor q = q.q_min_visibility
-let bucket_filter q = q.q_bucket
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
@@ -108,7 +114,12 @@ let parse s =
       | "since" -> Result.map (fun v -> since v q) (nonneg_int "since")
       | "until" -> Result.map (fun v -> until v q) (nonneg_int "until")
       | "min_visibility" ->
-        Result.map (fun v -> min_visibility v q) (nonneg_int "min_visibility")
+        Result.bind (nonneg_int "min_visibility") (fun v ->
+            if v > max_visibility then
+              Error
+                (Printf.sprintf "min_visibility=%S is above %d" value
+                   max_visibility)
+            else Ok (min_visibility v q))
       | "bucket" ->
         Result.map
           (fun b -> bucket b q)
@@ -141,8 +152,6 @@ let to_string q =
                    (opt "min_visibility" string_of_int q.q_min_visibility
                       (opt "bucket" Stream.Monitor.bucket_to_string q.q_bucket
                          [])))))))
-
-let pp fmt q = Format.pp_print_string fmt (to_string q)
 
 (* ------------------------------------------------------------------ *)
 (* One binary codec *)

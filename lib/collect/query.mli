@@ -50,7 +50,8 @@ val until : int -> t -> t
 
 val min_visibility : int -> t -> t
 (** At least [k] vantages saw the episode.
-    @raise Invalid_argument on a negative floor. *)
+    @raise Invalid_argument on a negative floor or one above 4294967295
+    (the wire form stores it as a u32). *)
 
 val bucket : Stream.Monitor.bucket -> t -> t
 (** Restrict to episodes whose observed day count falls in the given
@@ -66,10 +67,8 @@ val origin_filter : t -> Asn.t option
 val since_bound : t -> int option
 val until_bound : t -> int option
 val visibility_floor : t -> int option
-val bucket_filter : t -> Stream.Monitor.bucket option
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val matches : t -> Correlator.entry -> bool
 (** Whether an entry satisfies every clause (including the prefix
@@ -86,8 +85,6 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Canonical rendering in the {!parse} syntax (clauses in fixed key
     order; [""] for {!empty}).  [parse (to_string q)] = [Ok q]. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {2 One binary codec} *)
 

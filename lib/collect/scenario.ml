@@ -130,14 +130,6 @@ let arm_to_string = function
   | Fault_churn -> "fault-churn"
   | Scrubbed -> "scrubbed"
 
-let arm_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "baseline" -> Ok Baseline
-  | "partitioned" -> Ok Partitioned
-  | "fault-churn" | "fault_churn" -> Ok Fault_churn
-  | "scrubbed" -> Ok Scrubbed
-  | other -> Error (Printf.sprintf "unknown scenario arm %S" other)
-
 (* [Scrubbed] is appended last so the run indices (and therefore the
    pre-split per-run random streams) of the three original arms never
    move — existing corpus captures stay byte-identical *)

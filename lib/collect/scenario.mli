@@ -44,22 +44,10 @@ type arm =
 val arm_to_string : arm -> string
 (** ["baseline"], ["partitioned"], ["fault-churn"], ["scrubbed"]. *)
 
-val arm_of_string : string -> (arm, string) result
-(** Inverse of {!arm_to_string} (case-insensitive; accepts
-    ["fault_churn"] too). *)
-
 val all_arms : arm list
 (** The four arms — the scenario-corpus axes.  [Scrubbed] is appended
     last so the run indices (and pre-split random streams) of the three
     original arms never move. *)
-
-val design_vantages :
-  ?count:int -> Topology.Paper_topologies.t -> Vantage.spec list
-(** [count] (default 3) vantage specs named ["vp00"], ["vp01"], ….
-    Vantage [i] peers with transit feeds [i] and [i+1] of the
-    degree-ranked transit list (wrapping), so adjacent vantages overlap on
-    one feed.  @raise Invalid_argument on [count < 1] or a topology with
-    no transit AS. *)
 
 (** {2 Workload design}
 
@@ -101,28 +89,8 @@ val fault_plan :
   arm -> Topology.Paper_topologies.t -> design -> Faults.Fault_plan.t
 (** The arm's fault plan (empty for [Baseline] and [Scrubbed]). *)
 
-val arm_policy_of :
-  ?metrics:Obs.Registry.t ->
-  arm ->
-  seed:int64 ->
-  Topology.Paper_topologies.t ->
-  design ->
-  (Asn.t -> Bgp.Policy.t) option
-(** The arm's per-AS routing policy, if it overrides the default: the
-    [Scrubbed] arm runs the {!Bgp.Community_policy} usage model with
-    [d_scrubbers] forced to the scrubbing class. *)
-
 val attack_at : float
 (** Attack origination time ([t=30]). *)
-
-val cut_at : float
-(** Partition time of the [Partitioned] arm ([t=20]). *)
-
-val second_home_at : float
-(** Second home's origination time ([t=5]). *)
-
-val flap_until : float
-(** End of the [Fault_churn] flap window ([t=40]). *)
 
 type t = {
   s_topology : string;  (** topology name *)

@@ -207,8 +207,6 @@ let entries t = t.all
 
 type query = Query.t
 
-let query_all = Query.empty
-
 type candidates =
   | Range of int * int (* positions [first, stop) *)
   | Positions of int array (* ascending *)
@@ -324,8 +322,6 @@ let count_matching t q =
     fold_candidates
       (fun n i -> if Query.matches q t.entries.(i) then n + 1 else n)
       0 (candidates t q)
-
-let parse_query = Query.parse
 
 (* ------------------------------------------------------------------ *)
 (* Binary encoding — Net.Codec discipline, magic MOASSTOR *)

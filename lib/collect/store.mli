@@ -64,9 +64,6 @@ type query = Query.t
     [--query] flag parses and the [Serve.Proto] wire protocol carries.
     Build one with the {!Query} combinators. *)
 
-val query_all : query
-(** {!Query.empty}, kept for callers of the pre-[Query] API. *)
-
 val query : t -> query -> Correlator.entry list
 (** Matching entries, in canonical order.  The candidates come from the
     narrowest index the query names: the run of positions of a prefix
@@ -101,10 +98,6 @@ val blit_selection : selection -> bytes -> int -> unit
 val count_matching : t -> query -> int
 (** [List.length (query t q)] without building the list of matches;
     O(1) for {!Query.empty}. *)
-
-val parse_query : string -> (query, string) result
-(** Thin wrapper over {!Query.parse}, kept for callers of the
-    pre-[Query] stringly API. *)
 
 (** {2 Persistence} *)
 

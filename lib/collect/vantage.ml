@@ -33,7 +33,6 @@ type t = {
 }
 
 let name t = t.name
-let peers t = t.peers
 let event_count t = t.count
 let events t = Array.sub t.evs 0 t.count
 let streams vs = List.map (fun v -> (v.name, events v)) vs

@@ -39,7 +39,6 @@ val attach : ?metrics:Obs.Registry.t -> Bgp.Network.t -> spec list -> t list
     the network's topology. *)
 
 val name : t -> string
-val peers : t -> Asn.Set.t
 
 val events : t -> Stream.Monitor.event array
 (** Everything recorded so far, in capture order (non-decreasing time). *)

@@ -25,8 +25,5 @@ val signature : t -> string
 (** A canonical rendering of (prefix, conflicting lists) used to
     de-duplicate repeated alarms for the same conflict. *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-liner. *)
-
 val to_string : t -> string
 (** {!pp} as a string. *)

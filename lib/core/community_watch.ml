@@ -70,9 +70,6 @@ let create ?(warmup_until = 0.0) ?(metrics = Obs.Registry.noop) ~self () =
     alarm_counter = (fun r -> List.assoc r alarm_counters);
   }
 
-let self t = t.self
-let warmup_until t = t.warmup_until
-
 let state_for t prefix =
   match Prefix.Map.find_opt prefix t.prefixes with
   | Some st -> st
@@ -223,15 +220,6 @@ let observe t ~now ~prefix routes =
           route.Bgp.Route.communities)
     routes
 
-let anomalies t = List.rev t.anomalies_rev
 let anomaly_count t = t.anomaly_count
 let event_count t = t.event_count
 let reason_counts t = t.reason_tally
-
-let reset t =
-  t.prefixes <- Prefix.Map.empty;
-  t.fired <- StringSet.empty;
-  t.anomalies_rev <- [];
-  t.anomaly_count <- 0;
-  t.event_count <- 0;
-  t.reason_tally <- List.map (fun r -> (r, 0)) all_reasons

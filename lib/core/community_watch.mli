@@ -66,12 +66,6 @@ val create :
     [community_events_total] per observation and
     [community_alarms_total] with an extra [reason] label per anomaly. *)
 
-val self : t -> Asn.t
-(** The observing AS. *)
-
-val warmup_until : t -> float
-(** The configured warmup horizon. *)
-
 val observe_route :
   t ->
   now:float ->
@@ -91,9 +85,6 @@ val observe :
     and path are taken from each route.  Locally-originated candidates
     are skipped — only routes learned from the network are telemetry. *)
 
-val anomalies : t -> anomaly list
-(** Anomalies so far, oldest first. *)
-
 val anomaly_count : t -> int
 (** Number of anomalies raised. *)
 
@@ -103,6 +94,3 @@ val event_count : t -> int
 
 val reason_counts : t -> (reason * int) list
 (** Per-rule anomaly counts, in {!all_reasons} order. *)
-
-val reset : t -> unit
-(** Forget all per-prefix state, deduplication and anomalies. *)

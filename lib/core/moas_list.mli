@@ -10,9 +10,6 @@ val ml_val : int
 (** The reserved MOAS List Value (an arbitrary but fixed 16-bit constant,
     as the paper leaves the concrete value to IANA). *)
 
-val member_community : Asn.t -> Bgp.Community.t
-(** [(X : MLVal)]: AS X may originate the route. *)
-
 val encode : Asn.Set.t -> Bgp.Community.Set.t
 (** The communities encoding a MOAS list. *)
 

@@ -10,8 +10,6 @@ let create () = { records = Prefix.Map.empty; queries = 0 }
 let register t prefix origins =
   t.records <- Prefix.Map.add prefix origins t.records
 
-let unregister t prefix = t.records <- Prefix.Map.remove prefix t.records
-
 let peek t prefix = Prefix.Map.find_opt prefix t.records
 
 let query t prefix =
@@ -24,5 +22,3 @@ let entitled t prefix asn =
   | None -> false
 
 let query_count t = t.queries
-
-let reset_query_count t = t.queries <- 0

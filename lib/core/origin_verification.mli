@@ -17,15 +17,9 @@ val create : unit -> t
 val register : t -> Prefix.t -> Asn.Set.t -> unit
 (** Record the entitled origin set for a prefix (overwrites). *)
 
-val unregister : t -> Prefix.t -> unit
-(** Drop a prefix's record. *)
-
 val query : t -> Prefix.t -> Asn.Set.t option
 (** Look up the MOASRR record, counting the query; [None] when the prefix
     has no record (verification impossible — the checker must fail open). *)
-
-val peek : t -> Prefix.t -> Asn.Set.t option
-(** Like {!query} but without counting (for tests and reports). *)
 
 val entitled : t -> Prefix.t -> Asn.t -> bool
 (** [entitled t p asn] — counts one query; [false] when no record exists
@@ -33,6 +27,3 @@ val entitled : t -> Prefix.t -> Asn.t -> bool
 
 val query_count : t -> int
 (** Number of counted lookups so far. *)
-
-val reset_query_count : t -> unit
-(** Zero the counter (between experiment phases). *)

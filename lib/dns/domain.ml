@@ -56,8 +56,6 @@ let reverse_of_prefix prefix =
      significant first, so the most specific octet leads *)
   of_labels (List.map string_of_int (List.rev kept) @ [ "in-addr"; "arpa" ])
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Map = Map.Make (struct
   type nonrec t = t
 

@@ -19,9 +19,6 @@ val to_string : t -> string
 val labels : t -> string list
 (** Labels, least significant first (["www"; "example"; "com"]). *)
 
-val of_labels : string list -> t
-(** Inverse of {!labels}. *)
-
 val parent : t -> t option
 (** The name with its first label removed; [None] for the root. *)
 
@@ -32,9 +29,6 @@ val is_suffix : suffix:t -> t -> bool
 val prepend : string -> t -> t
 (** [prepend label name] is [label.name]. *)
 
-val compare : t -> t -> int
-(** Total order (canonical form). *)
-
 val equal : t -> t -> bool
 (** Case-insensitive equality. *)
 
@@ -42,8 +36,5 @@ val reverse_of_prefix : Net.Prefix.t -> t
 (** The in-addr.arpa name under which a prefix's MOASRR record lives,
     using one label per significant octet: [10.2.0.0/16] maps to
     ["2.10.in-addr.arpa"]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty printer. *)
 
 module Map : Map.S with type key = t

@@ -21,18 +21,11 @@ type t = {
   cfg : config;
   cache : (Domain.t * qtype, cache_entry) Hashtbl.t;
   mutable queries : int;
-  mutable hits : int;
 }
 
-let create cfg = { cfg; cache = Hashtbl.create 64; queries = 0; hits = 0 }
+let create cfg = { cfg; cache = Hashtbl.create 64; queries = 0 }
 
 type error = Unreachable of Domain.t | Nxdomain | No_data | Referral_limit
-
-let error_to_string = function
-  | Unreachable name -> "servers for " ^ Domain.to_string name ^ " unreachable"
-  | Nxdomain -> "NXDOMAIN"
-  | No_data -> "no data"
-  | Referral_limit -> "referral limit exceeded"
 
 let server_by_name t name =
   List.find_opt
@@ -49,9 +42,7 @@ let cache_store t ~now key records =
 
 let cache_find t ~now key =
   match Hashtbl.find_opt t.cache key with
-  | Some entry when entry.expires > now ->
-    t.hits <- t.hits + 1;
-    Some entry.records
+  | Some entry when entry.expires > now -> Some entry.records
   | Some _ ->
     Hashtbl.remove t.cache key;
     None
@@ -123,5 +114,3 @@ let lookup_moasrr t ~now prefix =
   | Error e -> Error e
 
 let queries_sent t = t.queries
-let cache_hits t = t.hits
-let flush_cache t = Hashtbl.reset t.cache

@@ -44,16 +44,6 @@ type error =
   | No_data
   | Referral_limit
 
-val error_to_string : error -> string
-(** Rendering. *)
-
-val resolve :
-  t -> now:float -> Domain.t -> qtype:[ `A | `Ns | `Moasrr ] ->
-  (Zone.rr list, error) result
-(** Iteratively resolve a query, chasing delegations from the roots and
-    consulting the cache.  Positive answers are cached until their TTL
-    expires ([now] is the clock). *)
-
 val lookup_moasrr :
   t -> now:float -> Prefix.t -> (Asn.Set.t option, error) result
 (** The paper's verification query: the MOASRR record set for a prefix's
@@ -62,9 +52,3 @@ val lookup_moasrr :
 
 val queries_sent : t -> int
 (** Server contacts attempted (cache hits excluded). *)
-
-val cache_hits : t -> int
-(** Answers served from cache. *)
-
-val flush_cache : t -> unit
-(** Drop all cached answers. *)

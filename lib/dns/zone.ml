@@ -2,20 +2,11 @@ open Net
 
 type rdata = A of Ipv4.t | Ns of Domain.t | Moasrr of Asn.Set.t
 
-let rdata_to_string = function
-  | A addr -> "A " ^ Ipv4.to_string addr
-  | Ns name -> "NS " ^ Domain.to_string name
-  | Moasrr origins ->
-    "MOASRR "
-    ^ String.concat "," (List.map Asn.to_string (Asn.Set.elements origins))
-
 type rr = { name : Domain.t; ttl : int; rdata : rdata }
 
 type t = { apex : Domain.t; by_name : rr list Domain.Map.t }
 
 let create ~apex = { apex; by_name = Domain.Map.empty }
-
-let apex t = t.apex
 
 let add t rr =
   if not (Domain.is_suffix ~suffix:t.apex rr.name) then
@@ -91,6 +82,3 @@ let lookup t name ~qtype =
         | found -> Answer found)
       | None -> Name_error)
   end
-
-let records t =
-  Domain.Map.fold (fun _ rrs acc -> acc @ rrs) t.by_name []

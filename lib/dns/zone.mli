@@ -9,9 +9,6 @@ type rdata =
       (** the paper's proposed record type: the origin ASes entitled to a
           prefix (Section 4.4) *)
 
-val rdata_to_string : rdata -> string
-(** Rendering for traces. *)
-
 type rr = { name : Domain.t; ttl : int; rdata : rdata }
 (** One resource record. *)
 
@@ -20,9 +17,6 @@ type t
 
 val create : apex:Domain.t -> t
 (** An empty zone rooted at [apex]. *)
-
-val apex : t -> Domain.t
-(** The zone apex. *)
 
 val add : t -> rr -> t
 (** Add a record.  @raise Invalid_argument if the record's name is not at
@@ -38,6 +32,3 @@ type answer =
 val lookup : t -> Domain.t -> qtype:[ `A | `Ns | `Moasrr ] -> answer
 (** Authoritative lookup.  A delegation is returned when an NS record
     exists at a name strictly between the apex and the query name. *)
-
-val records : t -> rr list
-(** All records. *)

@@ -75,17 +75,6 @@ type policy_point = {
   mean_adopting : float;
 }
 
-val policy_routing :
-  ?seed:int64 ->
-  ?jobs:int ->
-  ?n_attackers_list:int list ->
-  topology:Topology.Paper_topologies.t ->
-  unit ->
-  policy_point list
-(** Repeat the Experiment-1 sweep under Gao-Rexford (customer/peer/provider)
-    policies instead of the paper's shortest-path routing: the detection
-    benefit must be robust to the routing-policy model. *)
-
 val mrai_sensitivity :
   ?seed:int64 ->
   ?jobs:int ->

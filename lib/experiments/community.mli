@@ -38,7 +38,8 @@ type result = {
   r_seed : int64;
   r_scores : scores list;
       (** per (arm, detector) then overall, in {!Collect.Scenario.all_arms}
-          × {!detectors} order *)
+          × detector order (community, moas-list, moas-alarm,
+          irr, s-bgp) *)
   r_reasons : (Moas.Community_watch.reason * int) list;
       (** community anomalies per rule, summed over runs and monitors *)
   r_class_tally : (Bgp.Community_policy.usage_class * int) list;
@@ -46,14 +47,6 @@ type result = {
   r_events : int;  (** watch observations processed, the throughput base *)
   r_scrubbed_values : int;  (** community values dropped by scrubbers *)
 }
-
-val detectors : string list
-(** The five detector names, in score order. *)
-
-val warmup_until : float
-(** The watch warmup horizon used by every run ([t=15]: after the second
-    home converges, before partition, attack and the flap window's
-    post-warmup cycles). *)
 
 val default_seed : int64
 (** Seed used when none is given. *)
@@ -70,19 +63,10 @@ val evaluate :
     the merged per-run registries (detector counters, scrub counters,
     [community_events_total], [community_alarms_total{reason}]). *)
 
-val score :
-  result -> ?arm:Collect.Scenario.arm -> string -> Mutil.Stats.confusion
-(** The confusion of a detector, restricted to one arm or (without [arm])
-    overall. *)
-
 val scrubbing_gap_holds : result -> bool
 (** The Section 4.3 demonstration, checked: the MOAS-list check has full
     recall on the baseline arm, zero recall on the scrubbed arm, and the
     community backend keeps full recall under scrubbing. *)
-
-val render : result -> string
-(** The per-arm precision/recall/F1 table plus alarm-reason and scrub
-    totals, byte-identical for equal inputs at any job count. *)
 
 val report :
   ?metrics:Obs.Registry.t ->

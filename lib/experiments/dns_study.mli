@@ -19,9 +19,6 @@
 
 type condition = Oracle | Dns | Dns_with_dns_hijack
 
-val condition_to_string : condition -> string
-(** Report label. *)
-
 type point = {
   condition : condition;
   mean_adopting : float;  (** fraction of remaining ASes on the bogus route *)

@@ -1,41 +1,3 @@
-type reference = { label : string; paper_value : string }
-
-let experiment1 =
-  [
-    { label = "46-AS, ~4% attackers, Normal BGP"; paper_value = ">36% adopt" };
-    { label = "46-AS, ~4% attackers, Full MOAS"; paper_value = "0.15% adopt" };
-    { label = "46-AS, 30% attackers, Normal BGP"; paper_value = "51% adopt" };
-    { label = "46-AS, 30% attackers, Full MOAS"; paper_value = "9.8% adopt" };
-  ]
-
-let experiment2 =
-  [
-    {
-      label = "63-AS, <20% attackers, Full MOAS";
-      paper_value = "only 2.1% adopt";
-    };
-    {
-      label = "63-AS, ~35% attackers, Full MOAS";
-      paper_value = "7.8% adopt (vs 31.2% on 25-AS)";
-    };
-    {
-      label = "Normal BGP across sizes";
-      paper_value = "similar curves (small gap)";
-    };
-  ]
-
-let experiment3 =
-  [
-    {
-      label = "63-AS, 30% attackers, 50% deployment";
-      paper_value = ">63% reduction vs Normal BGP";
-    };
-    {
-      label = "larger topology, partial deployment";
-      paper_value = "better than smaller topology";
-    };
-  ]
-
 let claims =
   [
     "Full MOAS detection cuts false-route adoption by 1-2 orders of magnitude";

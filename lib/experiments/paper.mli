@@ -1,20 +1,5 @@
-(** Reference values reported by the paper, for side-by-side comparison in
-    EXPERIMENTS.md and the benchmark output.  Only numbers stated in the
-    text are listed (the figures themselves are not machine-readable). *)
-
-type reference = {
-  label : string;  (** what the number describes *)
-  paper_value : string;  (** as printed in the paper *)
-}
-
-val experiment1 : reference list
-(** Section 5.2 (46-AS topology). *)
-
-val experiment2 : reference list
-(** Section 5.3 (topology-size comparison). *)
-
-val experiment3 : reference list
-(** Section 5.4 (partial deployment). *)
+(** The paper's qualitative claims, printed beside the reproduced figures
+    (the figures themselves are not machine-readable). *)
 
 val claims : string list
 (** The qualitative claims the reproduction must exhibit. *)

@@ -9,11 +9,11 @@
       between the valid announcement and the attack.  Detection must stay
       at 100% while any path survives and fall to 0 exactly when the
       origin is partitioned (no capable AS can then hold both routes).
-    - {!churn_study} runs Poisson-like link churn across the whole mesh
+    - a churn study runs Poisson-like link churn across the whole mesh
       during the attack, with an attack-free control arm driven by the
       identical fault trajectory: alarms in the control arm are false
       alarms attributable to churn alone.
-    - {!loss_study} subjects every link to probabilistic message loss
+    - a loss study subjects every link to probabilistic message loss
       (the simulator models the channel without TCP retransmission).
 
     Everything is deterministic from the seed: the same study called twice
@@ -45,56 +45,6 @@ val partition_study :
 val every_path_blocking_holds : partition_point list -> bool
 (** The paper's claim, checked: every non-partitioned run detected and no
     partitioned run did. *)
-
-val render_partition : partition_point list -> string
-
-type churn_point = {
-  rate : float;  (** expected link faults per second across the mesh *)
-  runs : int;
-  detection_rate : float;
-  mean_alarms : float;
-  mean_false_alarms : float;  (** alarms in the attack-free control arm *)
-  mean_convergence : float;  (** simulation time at quiescence *)
-  mean_updates : float;
-  mean_session_downs : float;  (** sessions torn down per run *)
-  mean_messages_dropped : float;  (** in-flight losses per run *)
-  all_converged : bool;
-}
-
-val churn_study :
-  ?seed:int64 ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?rates:float list ->
-  topology:Topology.Paper_topologies.t ->
-  unit ->
-  churn_point list
-(** One point per churn rate (default 0, 0.02, 0.05, 0.1 events/s over a
-    115 s window spanning the attack; rate 0 is the fault-free baseline). *)
-
-val render_churn : churn_point list -> string
-
-type loss_point = {
-  loss : float;  (** per-message drop probability on every link *)
-  runs : int;
-  detection_rate : float;
-  mean_adopting : float;
-  mean_messages_dropped : float;
-  mean_convergence : float;
-  all_converged : bool;
-}
-
-val loss_study :
-  ?seed:int64 ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?losses:float list ->
-  topology:Topology.Paper_topologies.t ->
-  unit ->
-  loss_point list
-(** One point per loss probability (default 0, 5%, 10%, 20%). *)
-
-val render_loss : loss_point list -> string
 
 val report : ?seed:int64 -> ?smoke:bool -> ?jobs:int -> unit -> string
 (** All three studies rendered for the paper topologies ([smoke] restricts

@@ -61,12 +61,6 @@ type plan = {
 val calm : plan
 (** All probabilities zero — the identity transport. *)
 
-val lossy : plan
-(** Drops and delays, frames intact. *)
-
-val corrupting : plan
-(** Bit flips and truncation, nothing lost. *)
-
 val hostile : plan
 (** Everything at once, including disconnects. *)
 

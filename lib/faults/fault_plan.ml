@@ -86,9 +86,6 @@ let impair ?duration ?loss ?duplicate ?jitter ~at a b =
 let link_targets graph =
   List.map (fun (a, b) -> Link (a, b)) (Topology.As_graph.edges graph)
 
-let router_targets graph =
-  List.map (fun asn -> Router asn) (Topology.As_graph.node_list graph)
-
 let targets t =
   List.concat_map
     (function

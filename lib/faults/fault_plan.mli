@@ -102,9 +102,6 @@ val impair :
 val link_targets : Topology.As_graph.t -> target list
 (** Every peering of a topology, as churn targets. *)
 
-val router_targets : Topology.As_graph.t -> target list
-(** Every AS of a topology, as churn targets. *)
-
 val targets : t -> target list
 (** Every target a plan mentions (with repetitions). *)
 

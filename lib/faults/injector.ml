@@ -138,5 +138,4 @@ let stop t =
     t.handles <- []
   end
 
-let stopped t = t.stopped
 let injected t = t.injected

@@ -29,9 +29,6 @@ val stop : t -> unit
     targets currently down stay down.  Faults already applied are not
     undone.  Idempotent. *)
 
-val stopped : t -> bool
-(** Whether {!stop} was called. *)
-
 val injected : t -> int
 (** Fault actions actually applied so far (state-changing downs, ups,
     crashes, restarts and impairment installs/removals; skipped churn

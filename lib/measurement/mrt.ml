@@ -14,16 +14,6 @@ let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 let mrt_type_table_dump = 12
 let mrt_subtype_afi_ipv4 = 1
 
-let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
-
-let put_u16 buf v =
-  put_u8 buf (v lsr 8);
-  put_u8 buf v
-
-let put_u32 buf v =
-  put_u16 buf (v lsr 16);
-  put_u16 buf (v land 0xffff)
-
 (* the per-record attribute section reuses the BGP wire codec: ORIGIN,
    AS_PATH, NEXT_HOP, LOCAL_PREF as a standard attribute blob *)
 let attribute_blob as_path =
@@ -50,19 +40,19 @@ let attribute_blob as_path =
 let encode_record r =
   let attrs = attribute_blob r.as_path in
   let buf = Buffer.create (32 + Bytes.length attrs) in
-  put_u32 buf r.timestamp;
-  put_u16 buf mrt_type_table_dump;
-  put_u16 buf mrt_subtype_afi_ipv4;
+  Codec.put_u32 buf r.timestamp;
+  Codec.put_u16 buf mrt_type_table_dump;
+  Codec.put_u16 buf mrt_subtype_afi_ipv4;
   (* record body *)
-  put_u16 buf 0 (* view *);
-  put_u16 buf 0 (* sequence *);
-  put_u32 buf (Ipv4.to_int (Prefix.network r.prefix));
-  put_u8 buf (Prefix.length r.prefix);
-  put_u8 buf 1 (* status *);
-  put_u32 buf r.timestamp (* originated *);
-  put_u32 buf 0 (* peer IP: unmodelled *);
-  put_u16 buf (Asn.to_int r.peer_as);
-  put_u16 buf (Bytes.length attrs);
+  Codec.put_u16 buf 0 (* view *);
+  Codec.put_u16 buf 0 (* sequence *);
+  Codec.put_u32 buf (Ipv4.to_int (Prefix.network r.prefix));
+  Codec.put_u8 buf (Prefix.length r.prefix);
+  Codec.put_u8 buf 1 (* status *);
+  Codec.put_u32 buf r.timestamp (* originated *);
+  Codec.put_u32 buf 0 (* peer IP: unmodelled *);
+  Codec.put_u16 buf (Asn.to_int r.peer_as);
+  Codec.put_u16 buf (Bytes.length attrs);
   Buffer.add_bytes buf attrs;
   Buffer.to_bytes buf
 
@@ -71,49 +61,32 @@ let encode_records records =
   List.iter (fun r -> Buffer.add_bytes buf (encode_record r)) records;
   Buffer.to_bytes buf
 
-let record_size r = Bytes.length (encode_record r)
-
-type cursor = { data : bytes; mutable pos : int }
-
-let take_u8 c =
-  if c.pos >= Bytes.length c.data then malformed "truncated at %d" c.pos;
-  let v = Char.code (Bytes.get c.data c.pos) in
-  c.pos <- c.pos + 1;
-  v
-
-let take_u16 c =
-  let hi = take_u8 c in
-  (hi lsl 8) lor take_u8 c
-
-let take_u32 c =
-  let hi = take_u16 c in
-  (hi lsl 16) lor take_u16 c
-
+(* decoding reads through a Net.Codec cursor that fails with [Malformed] *)
 let decode_record c =
-  let timestamp = take_u32 c in
-  let typ = take_u16 c in
+  let timestamp = Codec.take_u32 c in
+  let typ = Codec.take_u16 c in
   if typ <> mrt_type_table_dump then malformed "MRT type %d" typ;
-  let subtype = take_u16 c in
+  let subtype = Codec.take_u16 c in
   if subtype <> mrt_subtype_afi_ipv4 then malformed "MRT subtype %d" subtype;
-  let _view = take_u16 c in
-  let _seq = take_u16 c in
-  let network = take_u32 c in
-  let mask = take_u8 c in
+  let _view = Codec.take_u16 c in
+  let _seq = Codec.take_u16 c in
+  let network = Codec.take_u32 c in
+  let mask = Codec.take_u8 c in
   if mask > 32 then malformed "mask %d" mask;
-  let _status = take_u8 c in
-  let _originated = take_u32 c in
-  let _peer_ip = take_u32 c in
-  let peer_as = Asn.make (take_u16 c) in
-  let attr_len = take_u16 c in
-  if c.pos + attr_len > Bytes.length c.data then malformed "attributes overrun";
+  let _status = Codec.take_u8 c in
+  let _originated = Codec.take_u32 c in
+  let _peer_ip = Codec.take_u32 c in
+  let peer_as = Codec.take_asn c in
+  let attr_len = Codec.take_u16 c in
+  let pos = Codec.take_run c attr_len in
+  if pos < 0 then malformed "attributes overrun";
   if attr_len = 0 then malformed "record without attributes";
   (* the attribute blob parses where it lies — a zero-copy slice view,
      no rebuilt UPDATE message, no intermediate buffers *)
   let attrs =
-    try Bgp.Wire.decode_attributes c.data ~pos:c.pos ~len:attr_len
+    try Bgp.Wire.decode_attributes (Codec.data c) ~pos ~len:attr_len
     with Bgp.Wire.Malformed m -> malformed "attribute blob: %s" m
   in
-  c.pos <- c.pos + attr_len;
   {
     timestamp;
     peer_as;
@@ -122,9 +95,9 @@ let decode_record c =
   }
 
 let fold_records data ~init ~f =
-  let c = { data; pos = 0 } in
+  let c = Codec.cursor ~fail:(fun m -> Malformed m) data in
   let rec loop acc =
-    if c.pos >= Bytes.length data then acc else loop (f acc (decode_record c))
+    if Codec.remaining c = 0 then acc else loop (f acc (decode_record c))
   in
   loop init
 

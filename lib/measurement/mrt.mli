@@ -41,6 +41,3 @@ val records_of_table :
 val table_of_records : record list -> (Prefix.t * Asn.Set.t) list
 (** Group records back into an origin-set table (prefixes sorted).  The
     origin of a record is its AS-path tail. *)
-
-val record_size : record -> int
-(** Octet size of one encoded record. *)

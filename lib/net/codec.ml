@@ -1,5 +1,6 @@
 (* Shared writers/readers for the MOASSTRM/MOASSTOR/MOASSERV family of
-   binary formats.  See codec.mli for the discipline. *)
+   binary formats and the BGP/MRT codecs.  See codec.mli for the
+   discipline. *)
 
 let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xff))
 
@@ -136,20 +137,6 @@ let cursor_slice ~fail data ~pos ~len =
 let pos c = c.pos
 let remaining c = c.limit - c.pos
 let corrupt c fmt = Printf.ksprintf (fun s -> raise (c.fail s)) fmt
-
-(* A child cursor over the next [len] octets of the parent, sharing the
-   underlying bytes (no [Bytes.sub]); the parent skips past them. *)
-let sub_cursor c len =
-  if len < 0 || c.pos + len > c.limit then
-    corrupt c "truncated slice of %d octets at %d" len c.pos;
-  let child = { data = c.data; pos = c.pos; limit = c.pos + len; fail = c.fail } in
-  c.pos <- c.pos + len;
-  child
-
-let advance c n =
-  if n < 0 || c.pos + n > c.limit then
-    corrupt c "truncated skip of %d octets at %d" n c.pos;
-  c.pos <- c.pos + n
 
 let check_crc c ~seed ~expect =
   let actual = crc32 ~seed c.data ~pos:c.pos ~len:(remaining c) in

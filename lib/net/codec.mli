@@ -1,13 +1,15 @@
 (** Defensive binary codec primitives shared by every length-framed,
     big-endian on-disk and on-wire format in the system
     ({!Stream.Checkpoint} [MOASSTRM], {!Collect.Store} [MOASSTOR],
-    {!Collect.Query}, [Serve.Proto] [MOASSERV]).
+    {!Collect.Query}, [Serve.Proto] [MOASSERV], and the BGP UPDATE and
+    MRT TABLE_DUMP codecs {!Bgp.Wire} and {!Measurement.Mrt}).
 
     Writers append to a [Buffer.t]; readers advance a {!cursor} over
     immutable bytes and report malformed input — truncation, bad tags,
     out-of-range values, trailing octets — through the cursor's [fail]
-    callback, so each format surfaces its own [Corrupt] exception while
-    sharing one implementation of the framing discipline.
+    callback, so each format surfaces its own exception ([Corrupt],
+    [Malformed]) while sharing one implementation of the framing
+    discipline.
 
     Multi-octet fields move a word at a time: each writer is one
     big-endian store into the buffer, each reader one bounds check and
@@ -74,9 +76,9 @@ val crc32 : ?seed:int -> bytes -> pos:int -> len:int -> int
 
 type cursor
 (** A read position over a [pos, limit) window of a byte string, with a
-    per-format failure exception.  Slice cursors ({!cursor_slice},
-    {!sub_cursor}) share the underlying bytes — decoding an embedded
-    region never copies it out first. *)
+    per-format failure exception.  Slice cursors ({!cursor_slice}) share
+    the underlying bytes — decoding an embedded region never copies it
+    out first. *)
 
 val cursor : fail:(string -> exn) -> bytes -> cursor
 (** [cursor ~fail data] starts at offset 0 over the whole byte string.
@@ -85,14 +87,6 @@ val cursor : fail:(string -> exn) -> bytes -> cursor
 val cursor_slice : fail:(string -> exn) -> bytes -> pos:int -> len:int -> cursor
 (** A cursor over the [len] octets starting at [pos], without copying.
     @raise Invalid_argument when the slice exceeds the byte string. *)
-
-val sub_cursor : cursor -> int -> cursor
-(** [sub_cursor c len] is a child cursor over the next [len] octets of
-    [c] (zero-copy view; the replacement for take-bytes copies); [c]
-    itself skips past them.  Fails through [c] on truncation. *)
-
-val advance : cursor -> int -> unit
-(** Skip [n] octets; fails on truncation. *)
 
 val pos : cursor -> int
 val remaining : cursor -> int

@@ -15,10 +15,6 @@
 
 type 'a t
 
-val create : ?size:int -> key:('a -> int) -> unit -> 'a t
-(** A fresh interner.  [key] must be injective up to the caller's notion
-    of equality; [size] is the initial hash-table sizing hint. *)
-
 val id : 'a t -> 'a -> int
 (** The dense id of a value, interning it first if unseen.  Ids count up
     from 0 in first-intern order.  Allocation-free when already interned. *)

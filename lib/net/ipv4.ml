@@ -8,9 +8,6 @@ let of_int n =
 
 let to_int t = t
 
-let of_int32 x = Int32.to_int x land max_value
-let to_int32 t = Int32.of_int t
-
 let of_octets a b c d =
   let check o = if o < 0 || o > 255 then invalid_arg "Ipv4.of_octets: octet out of range" in
   check a; check b; check c; check d;
@@ -37,8 +34,6 @@ let to_string t =
 
 let compare = Int.compare
 let equal = Int.equal
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let bit t i =
   if i < 0 || i > 31 then invalid_arg "Ipv4.bit: index out of range";

@@ -3,12 +3,6 @@
 type t = private int
 (** An address; the private representation guarantees it fits in 32 bits. *)
 
-val of_int32 : int32 -> t
-(** Convert from a raw 32-bit pattern. *)
-
-val to_int32 : t -> int32
-(** Raw 32-bit pattern. *)
-
 val of_int : int -> t
 (** [of_int n] for [0 <= n <= 0xffffffff].
     @raise Invalid_argument outside that range. *)
@@ -34,9 +28,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 (** Equality. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-printer (dotted quad). *)
 
 val bit : t -> int -> bool
 (** [bit a i] is bit [i] counted from the most significant bit (bit 0). *)

@@ -122,8 +122,6 @@ let fold f t init =
   in
   go 0 0 t init
 
-let iter f t = fold (fun p v () -> f p v) t ()
-
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let cardinal t = fold (fun _ _ n -> n + 1) t 0

@@ -43,12 +43,6 @@ val update : Prefix.t -> ('a option -> 'a option) -> 'a t -> 'a t
 (** [update p f t] adjusts the binding for [p] through [f], like
     [Map.update]. *)
 
-val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
-(** Fold over bindings in lexicographic (network, length) trie order. *)
-
-val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
-(** Iterate over bindings. *)
-
 val bindings : 'a t -> (Prefix.t * 'a) list
 (** All bindings as a list. *)
 

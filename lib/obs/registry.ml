@@ -221,16 +221,6 @@ let value_cells = function
     ( "histogram",
       Printf.sprintf "n=%d sum=%g" h.h_count h.h_sum )
 
-let to_table t =
-  let rows =
-    List.map
-      (fun s ->
-        let kind, value = value_cells s.value in
-        [ s.name; labels_cell s.labels; kind; value ])
-      (samples t)
-  in
-  Mutil.Text_table.render ~header:[ "metric"; "labels"; "type"; "value" ] rows
-
 let to_csv t =
   let header = [ "metric"; "labels"; "type"; "value" ] in
   let rows =

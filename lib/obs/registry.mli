@@ -123,9 +123,6 @@ val sum_counters : t -> string -> int
 (** Sum of a counter over all label sets — e.g. total
     ["bgp_updates_sent"] across every per-AS series. *)
 
-val to_table : t -> string
-(** Human-readable rendering via {!Mutil.Text_table}. *)
-
 val to_csv : t -> string list * string list list
 (** [(header, rows)] for {!Mutil.Csv}: one row per sample, histograms
     flattened to count/sum. *)

@@ -46,6 +46,10 @@ type response =
 exception Corrupt of string
 
 (* v3: the query payload grew a trailing bucket clause *)
+(* Version 2 extended the [Stats_are] payload with the health/shed/
+   timeout/eviction fields and added the frame checksum; version 3 grew
+   the query payload by a trailing duration-bucket clause.  Peers speaking
+   older versions are rejected with [Corrupt] at the frame header. *)
 let version = 3
 let magic = "MOASSERV"
 

@@ -79,15 +79,6 @@ type response =
 
 exception Corrupt of string
 
-val version : int
-(** Current protocol version (3).  Version 2 extended the [Stats_are]
-    payload with the health/shed/timeout/eviction fields and added the
-    frame checksum; version 3 grew the query payload by a trailing
-    duration-bucket clause.  Peers speaking older versions are rejected
-    with [Corrupt] at the frame header. *)
-
-val magic : string
-
 val encode_request : request -> bytes
 val decode_request : bytes -> request
 (** @raise Corrupt on malformed input. *)

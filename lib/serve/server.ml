@@ -145,8 +145,6 @@ let create ?(metrics = Registry.noop) ?(limits = default_limits)
     h_request = Registry.histogram metrics "serve_request_seconds";
   }
 
-let store t = t.store
-let limits t = t.limits
 let health t = locked t (fun () -> t.health)
 
 let live_snapshot t = Stream.Sharded.snapshot t.live
@@ -197,8 +195,6 @@ let pending t ~session =
         frames)
 
 (* {2 Stats} *)
-
-let live_batches t = locked t (fun () -> t.live_batches)
 
 let live_stats t =
   locked t (fun () ->

@@ -99,9 +99,6 @@ val create :
     [serve_sessions] gauge, and the resilience instruments listed
     above. *)
 
-val store : t -> Collect.Store.t
-val limits : t -> limits
-
 val health : t -> health
 (** [Serving] until the live tail's source fails, [Degraded reason]
     after.  A degraded server still answers every request from state
@@ -184,10 +181,6 @@ val live_snapshot : t -> Stream.Monitor.snapshot
 (** The live monitor's merged snapshot — what the serve CLI writes as a
     {!Stream.Checkpoint}.  Call it between {!tail} runs (or from
     [on_batch]), not concurrently with one. *)
-
-val live_batches : t -> int
-(** Batches ingested by {!tail} {e in this process} (a resumed server
-    does not count the batches its checkpoint already covered). *)
 
 val live_stats : t -> Proto.stats
 (** The totals behind the [Stats] request (store size, roster size,

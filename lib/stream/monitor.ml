@@ -407,7 +407,6 @@ let create ?(metrics = Registry.noop) cfg =
     m_alerts = Registry.counter metrics "stream_alerts_total";
   }
 
-let config t = t.cfg
 let open_count t = t.open_live
 let update_count t = t.updates
 let day_count t = t.days

@@ -86,8 +86,6 @@ val create : ?metrics:Obs.Registry.t -> config -> t
     [stream_*] counters as the stream is ingested.
     @raise Invalid_argument on a non-positive window or inverted buckets. *)
 
-val config : t -> config
-
 val ingest : t -> event -> unit
 (** Feed one event.  Episode open/close transitions happen immediately
     and raise [Opened]/[Closed] alerts; MOAS-list validation is deferred
@@ -232,9 +230,6 @@ val restore : ?metrics:Obs.Registry.t -> snapshot -> t
 (** Rebuild a live monitor from a snapshot; the inverse of {!snapshot}.
     Restored totals are re-credited to [metrics] so a restarted monitor's
     counters line up with an uninterrupted run. *)
-
-val compare_episode : episode -> episode -> int
-(** The (prefix, started, seq) order of [s_closed]. *)
 
 val origins_validated : Asn.Set.t option Asn.Map.t -> bool
 (** The consistency predicate behind {!settle}, exposed for tests: with

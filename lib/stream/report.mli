@@ -68,10 +68,6 @@ val section3 : Source.t -> section3
     ends with {!Monitor.mark_day}, any other with {!Monitor.settle}.
     The archive's days come from {!Source.of_archive}. *)
 
-val max_daily : section3 -> Mutil.Day.t * int
-(** The first day with the highest count, and the count.
-    @raise Invalid_argument when no day was observed. *)
-
 val cases_on : section3 -> Mutil.Day.t -> int
 (** The count on a day (0 when unobserved). *)
 

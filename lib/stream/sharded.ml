@@ -91,7 +91,6 @@ let create ?metrics ?jobs config =
     ~init_shard:(fun ~metrics _ -> Monitor.create ~metrics config)
 
 let jobs t = t.jobs
-let config t = Monitor.config t.shards.(0)
 
 let open_count t =
   Array.fold_left (fun acc m -> acc + Monitor.open_count m) 0 t.shards

@@ -20,7 +20,6 @@ val create : ?metrics:Obs.Registry.t -> ?jobs:int -> Monitor.config -> t
     [stream_open_episodes] gauge. *)
 
 val jobs : t -> int
-val config : t -> Monitor.config
 
 val ingest_batch : ?day_end:bool -> t -> time:int -> Monitor.event array -> unit
 (** Partition one batch across the shards and process it in parallel.

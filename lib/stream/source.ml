@@ -132,13 +132,6 @@ let of_wire ~time ~peer (message : Bgp.Wire.message) =
   in
   Array.of_list (withdraws @ announces)
 
-let of_wire_feed feed =
-  of_seq
-    (Seq.map
-       (fun (time, peer, message) ->
-         { time; day = None; events = of_wire ~time ~peer message })
-       (List.to_seq feed))
-
 let of_table ~time ~peer routes =
   Array.of_list
     (List.map
@@ -174,5 +167,3 @@ let of_mrt data =
         (ev :: acc, max last r.Measurement.Mrt.timestamp))
   in
   { time = last; day = None; events = Array.of_list (List.rev events) }
-
-let of_mrt_blobs blobs = of_seq (Seq.map of_mrt (List.to_seq blobs))

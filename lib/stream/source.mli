@@ -68,13 +68,6 @@ val of_batches : batch array -> t
 val of_seq : batch Seq.t -> t
 (** Any single-pass batch producer. *)
 
-val of_wire_feed : (int * Asn.t * Bgp.Wire.message) list -> t
-(** One batch per decoded BGP UPDATE, as [(time, peer, message)]
-    (events via {!of_wire}). *)
-
-val of_mrt_blobs : bytes list -> t
-(** One batch per MRT TABLE_DUMP blob (events via {!of_mrt}). *)
-
 val trusted_annotator : ?distrusted:Asn.Set.t -> unit -> annotator
 (** Cooperating origins advertise the full (consistent) origin set —
     legitimate multi-homing conflicts validate cleanly — except when the

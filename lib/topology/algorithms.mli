@@ -20,9 +20,6 @@ val is_connected : As_graph.t -> bool
 val largest_component : As_graph.t -> Asn.Set.t
 (** Node set of the largest component (empty for the empty graph). *)
 
-val eccentricity : As_graph.t -> Asn.t -> int
-(** Largest hop distance from the AS to any reachable AS. *)
-
 val diameter : As_graph.t -> int
 (** Largest eccentricity over the graph; 0 for graphs with <2 nodes.
     Assumes connectivity (unreached pairs are ignored). *)

@@ -51,8 +51,6 @@ let degree t asn = Asn.Set.cardinal (neighbors t asn)
 let nodes t =
   Asn.Map.fold (fun asn _ acc -> Asn.Set.add asn acc) t.adj Asn.Set.empty
 
-let node_list t = Asn.Map.fold (fun asn _ acc -> asn :: acc) t.adj [] |> List.rev
-
 let node_count t = Asn.Map.cardinal t.adj
 
 let edges t =
@@ -82,6 +80,3 @@ let fold_nodes f t init = Asn.Map.fold (fun asn _ acc -> f asn acc) t.adj init
 
 let of_edges edge_list =
   List.fold_left (fun t (a, b) -> add_edge t a b) empty edge_list
-
-let pp fmt t =
-  Format.fprintf fmt "AS graph: %d nodes, %d edges" (node_count t) (edge_count t)

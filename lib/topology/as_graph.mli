@@ -35,9 +35,6 @@ val degree : t -> Asn.t -> int
 val nodes : t -> Asn.Set.t
 (** All ASes. *)
 
-val node_list : t -> Asn.t list
-(** All ASes in increasing order. *)
-
 val node_count : t -> int
 (** Number of ASes. *)
 
@@ -56,6 +53,3 @@ val fold_nodes : (Asn.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val of_edges : (Asn.t * Asn.t) list -> t
 (** Build a graph from an edge list. *)
-
-val pp : Format.formatter -> t -> unit
-(** Summary printer: node and edge counts. *)

@@ -26,20 +26,3 @@ let classify (graph, transit) =
 
 let infer paths =
   classify (List.fold_left fold_path (As_graph.empty, Asn.Set.empty) paths)
-
-let infer_with_vantage ~vantage paths =
-  let graph, transit =
-    List.fold_left fold_path (As_graph.empty, Asn.Set.empty) paths
-  in
-  let graph =
-    List.fold_left
-      (fun g path ->
-        match path with
-        | first :: _ when not (Asn.equal first vantage) ->
-          As_graph.add_edge g vantage first
-        | _ -> g)
-      (As_graph.add_node graph vantage)
-      paths
-  in
-  (* the vantage offers its table to us, so it acts as a transit AS *)
-  classify (graph, Asn.Set.add vantage transit)

@@ -16,8 +16,3 @@ type classified = {
 val infer : Route_table.path list -> classified
 (** Run the inference over a set of table paths.  Empty paths are ignored;
     repeated adjacencies collapse into a single peering. *)
-
-val infer_with_vantage : vantage:Asn.t -> Route_table.path list -> classified
-(** Like {!infer} but also records the vantage AS itself and its peerings
-    to the first hop of each path (the vantage sees those sessions even
-    though it never appears inside its own table paths). *)

@@ -54,10 +54,3 @@ let sample rng (classified : Inference.classified) ~stub_count =
           stub = Asn.Set.inter surviving classified.stub;
         }
   end
-
-let sample_fraction rng (classified : Inference.classified) ~stub_fraction =
-  if stub_fraction <= 0.0 || stub_fraction > 1.0 then
-    invalid_arg "Sampling.sample_fraction: fraction out of (0,1]";
-  let total = Asn.Set.cardinal classified.stub in
-  let count = max 1 (int_of_float (Float.round (stub_fraction *. float_of_int total))) in
-  sample rng classified ~stub_count:count

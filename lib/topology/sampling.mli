@@ -29,10 +29,3 @@ val sample :
 (** Run steps 1-4 with an explicit number of sampled stubs.  Returns [None]
     when the pruned graph is disconnected or empty (the paper would redo
     the selection; callers retry with fresh randomness). *)
-
-val sample_fraction :
-  Mutil.Rng.t ->
-  Inference.classified ->
-  stub_fraction:float ->
-  t option
-(** [sample_fraction] with [x%] of the stubs, the paper's parameterisation. *)

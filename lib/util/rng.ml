@@ -48,8 +48,6 @@ let bits64 t =
     (Int64.shift_left hi 32)
     (Int64.logand lo 0xffffffffL)
 
-let split t = create ~seed:(bits64 t)
-
 let split_at t i =
   let mixed = splitmix64 (Int64.logxor t.state (Int64.of_int (0x1234567 + i))) in
   create ~seed:(Int64.add mixed (Int64.of_int i))
@@ -77,8 +75,6 @@ let int_in t lo hi =
 let float t bound =
   let v = uint32_to_int (bits32 t) in
   bound *. (float_of_int v /. 4294967296.0)
-
-let bool t = Int32.logand (bits32 t) 1l = 1l
 
 let chance t p =
   if p <= 0.0 then false
@@ -109,11 +105,6 @@ let sample t arr k =
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
 
 let geometric t p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p out of (0,1]";

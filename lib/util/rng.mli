@@ -20,10 +20,6 @@ val copy : t -> t
 (** [copy t] is an independent generator that starts at [t]'s current
     state. *)
 
-val split : t -> t
-(** [split t] derives a statistically independent child generator and
-    advances [t].  Used to give each simulation run its own stream. *)
-
 val split_at : t -> int -> t
 (** [split_at t i] derives the [i]-th child of [t] without advancing [t];
     distinct [i] give independent streams.  This keeps run [i]'s randomness
@@ -45,9 +41,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform on [0, bound). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val chance : t -> float -> bool
 (** [chance t p] is [true] with probability [p] (clamped to [0,1]). *)
 
@@ -60,9 +53,6 @@ val sample : t -> 'a array -> int -> 'a array
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
 
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of a

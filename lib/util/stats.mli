@@ -26,9 +26,6 @@ val percentile : float -> float list -> float
 val min_max : float list -> float * float
 (** Smallest and largest value.  @raise Invalid_argument on empty input. *)
 
-val sum : float list -> float
-(** Sum of the list. *)
-
 type histogram = { bucket_edges : float array; counts : int array }
 (** A histogram with [n+1] edges delimiting [n] buckets; bucket [i] counts
     values in [[edges.(i), edges.(i+1))], the last bucket being closed. *)

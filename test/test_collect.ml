@@ -750,7 +750,7 @@ let test_store_rejects_corruption () =
 let test_store_queries () =
   let s = sample_store () in
   let q qstr =
-    match Store.parse_query qstr with
+    match Collect.Query.parse qstr with
     | Ok q -> List.map (fun e -> Prefix.to_string e.Corr.x_prefix) (Store.query s q)
     | Error msg -> Alcotest.failf "query %S rejected: %s" qstr msg
   in
@@ -775,7 +775,7 @@ let test_store_queries () =
     (List.length (q "bucket=short"));
   Alcotest.(check (list string)) "bucket=long matches none" []
     (q "bucket=long");
-  match Store.parse_query "bucket=medium" with
+  match Collect.Query.parse "bucket=medium" with
   | Error m -> Alcotest.failf "bucket=medium rejected: %s" m
   | Ok qm ->
     Alcotest.(check string) "printer restores the bucket clause"
@@ -784,7 +784,7 @@ let test_store_queries () =
 
 let test_store_parse_errors () =
   let rejected s =
-    match Store.parse_query s with Ok _ -> false | Error _ -> true
+    match Collect.Query.parse s with Ok _ -> false | Error _ -> true
   in
   Alcotest.(check bool) "unknown key" true (rejected "frobnicate=1");
   Alcotest.(check bool) "missing value" true (rejected "prefix");

@@ -26,8 +26,6 @@ let test_well_known_rendering () =
   (* reserved-range values without an assigned name keep the numeric form *)
   Alcotest.(check string) "unassigned reserved value" "65535:999"
     (Community.to_string (Community.make Community.well_known_asn 999));
-  Alcotest.(check bool) "ordinary value has no name" true
-    (Community.well_known_name (Community.make (Asn.make 7) 100) = None);
   Alcotest.(check bool) "NO_EXPORT is 65535:65281" true
     (Community.equal Community.no_export
        (Community.make Community.well_known_asn 0xff01))

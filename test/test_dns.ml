@@ -62,7 +62,7 @@ let test_zone_lookup () =
   let zone = example_zone () in
   (match Zone.lookup zone (d "www.example.com") ~qtype:`A with
   | Zone.Answer [ rr ] ->
-    Alcotest.(check string) "answer" "A 10.0.0.1" (Zone.rdata_to_string rr.Zone.rdata)
+    Alcotest.(check bool) "answer" true (rr.Zone.rdata = Zone.A (Ipv4.of_string "10.0.0.1"))
   | _ -> Alcotest.fail "expected an answer");
   (match Zone.lookup zone (d "nope.example.com") ~qtype:`A with
   | Zone.Name_error -> ()
@@ -125,20 +125,16 @@ let test_resolver_cache () =
   ignore (Resolver.lookup_moasrr r ~now:0.0 victim);
   ignore (Resolver.lookup_moasrr r ~now:10.0 victim);
   Alcotest.(check int) "second lookup from cache" 2 (Resolver.queries_sent r);
-  Alcotest.(check int) "cache hit recorded" 1 (Resolver.cache_hits r);
   (* after the TTL the resolver re-queries *)
   ignore (Resolver.lookup_moasrr r ~now:1000.0 victim);
-  Alcotest.(check int) "expired entry re-queried" 4 (Resolver.queries_sent r);
-  Resolver.flush_cache r;
-  ignore (Resolver.lookup_moasrr r ~now:1000.0 victim);
-  Alcotest.(check int) "flush forces re-query" 6 (Resolver.queries_sent r)
+  Alcotest.(check int) "expired entry re-queried" 4 (Resolver.queries_sent r)
 
 let test_resolver_no_data_fails_open () =
   let r = setup () in
   match Resolver.lookup_moasrr r ~now:0.0 (Prefix.of_string "203.0.113.0/24") with
   | Ok None | Error Resolver.Nxdomain -> ()
   | Ok (Some _) -> Alcotest.fail "unexpected record"
-  | Error e -> Alcotest.failf "unexpected error: %s" (Resolver.error_to_string e)
+  | Error _ -> Alcotest.fail "unexpected error"
 
 let test_resolver_unreachable () =
   (* the arpa server is unreachable: resolution must fail, not hang *)
@@ -146,7 +142,7 @@ let test_resolver_unreachable () =
   (match Resolver.lookup_moasrr r ~now:0.0 victim with
   | Error (Resolver.Unreachable _) -> ()
   | Ok _ -> Alcotest.fail "resolved through an unreachable server"
-  | Error e -> Alcotest.failf "unexpected error: %s" (Resolver.error_to_string e));
+  | Error _ -> Alcotest.fail "unexpected error");
   (* the root unreachable: same *)
   let r = setup ~reach:(fun _ -> false) () in
   match Resolver.lookup_moasrr r ~now:0.0 victim with

@@ -1,10 +1,17 @@
 (* Tests for session failure and recovery (Router.peer_down/peer_up and
-   Network.fail_link/restore_link), plus failure injection during an
-   attack. *)
+   link cuts armed through Fault_plan and Injector), plus failure injection
+   during an attack. *)
 
 open Net
 module Network = Bgp.Network
 module Router = Bgp.Router
+module Plan = Faults.Fault_plan
+
+(* cut the link a-b at [at], repairing it after [duration] when given *)
+let cut ?duration ~at net a b =
+  ignore
+    (Faults.Injector.arm ~rng:(Mutil.Rng.create ~seed:1L) net
+       (Plan.fail ?duration ~at (Plan.link (Asn.make a) (Asn.make b))))
 
 let victim = Testutil.victim
 
@@ -47,7 +54,7 @@ let line () = Topology.As_graph.of_edges [ (1, 2); (2, 3); (3, 4) ]
 let test_fail_link_loses_reachability () =
   let net = Network.make (line ()) in
   Network.originate ~at:0.0 net 1 victim;
-  Network.fail_link ~at:50.0 net 2 3;
+  cut ~at:50.0 net 2 3;
   Alcotest.(check bool) "converged" true (Network.run net = Sim.Engine.Quiescent);
   Alcotest.(check bool) "near side keeps the route" true
     (Network.best_route net 2 victim <> None);
@@ -60,8 +67,7 @@ let test_fail_link_loses_reachability () =
 let test_restore_link_recovers () =
   let net = Network.make (line ()) in
   Network.originate ~at:0.0 net 1 victim;
-  Network.fail_link ~at:50.0 net 2 3;
-  Network.restore_link ~at:100.0 net 2 3;
+  cut ~duration:50.0 ~at:50.0 net 2 3;
   ignore (Network.run net);
   List.iter
     (fun asn ->
@@ -77,7 +83,7 @@ let test_fail_link_reroutes () =
   let g = Topology.As_graph.of_edges [ (1, 2); (2, 3); (3, 4); (4, 1) ] in
   let net = Network.make g in
   Network.originate ~at:0.0 net 1 victim;
-  Network.fail_link ~at:50.0 net 1 2 ;
+  cut ~at:50.0 net 1 2;
   ignore (Network.run net);
   (match Network.best_route net 2 victim with
   | Some route ->
@@ -90,7 +96,7 @@ let test_fail_unknown_link_rejected () =
   let net = Network.make (line ()) in
   Alcotest.check_raises "non-peering rejected"
     (Invalid_argument "Network: AS1 and AS3 do not peer") (fun () ->
-      Network.fail_link net 1 3)
+      Network.fail_link_now net 1 3)
 
 let test_attack_during_partition () =
   (* the origin's only link fails while an attacker is active: the cut-off
@@ -106,7 +112,7 @@ let test_attack_during_partition () =
   in
   let net = Network.make ~config:Network.Config.(default |> with_validator_of validator_of) g in
   Network.originate ~at:0.0 net 1 victim;
-  Network.fail_link ~at:50.0 net 1 2;
+  cut ~at:50.0 net 1 2;
   (* attacker AS5 announces after the partition *)
   Network.originate ~at:100.0 net 5 victim;
   ignore (Network.run net);
@@ -136,9 +142,8 @@ let test_recovery_exposes_conflict () =
   in
   let net = Network.make ~config:Network.Config.(default |> with_validator_of validator_of) g in
   Network.originate ~at:0.0 net 1 victim;
-  Network.fail_link ~at:50.0 net 1 2;
+  cut ~duration:150.0 ~at:50.0 net 1 2;
   Network.originate ~at:100.0 net 5 victim;
-  Network.restore_link ~at:200.0 net 1 2;
   ignore (Network.run net);
   List.iter
     (fun asn ->

@@ -78,9 +78,7 @@ let test_plan_composition () =
 let test_plan_graph_target_pools () =
   let g = line () in
   Alcotest.(check int) "one target per edge" 3
-    (List.length (Plan.link_targets g));
-  Alcotest.(check int) "one target per AS" 4
-    (List.length (Plan.router_targets g))
+    (List.length (Plan.link_targets g))
 
 (* ------------------------------ injector ------------------------------- *)
 
@@ -103,10 +101,11 @@ let reachability net =
 
 let test_one_shot_matches_direct_call () =
   (* a plan-driven cut must leave the network in exactly the state a
-     direct Network.fail_link call does *)
+     direct Network.fail_link_now call at the same time does *)
   let direct = Network.make (line ()) in
   Network.originate ~at:0.0 direct 1 victim;
-  Network.fail_link ~at:50.0 direct 2 3;
+  Engine.schedule_at (Network.engine direct) ~time:50.0 (fun _ ->
+      Network.fail_link_now direct (asn 2) (asn 3));
   ignore (Network.run direct);
   let injected = Network.make (line ()) in
   Network.originate ~at:0.0 injected 1 victim;
@@ -188,7 +187,6 @@ let test_stop_cancels_pending () =
   Engine.schedule_at (Network.engine net) ~time:10.0 (fun _ ->
       Injector.stop inj);
   ignore (Network.run net);
-  Alcotest.(check bool) "stopped" true (Injector.stopped inj);
   Alcotest.(check int) "nothing applied" 0 (Injector.injected inj);
   Alcotest.(check bool) "link never cut" true (Network.link_is_up net 2 3);
   Alcotest.(check (list bool)) "routing untouched" [ true; true; true; true ]

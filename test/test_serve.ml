@@ -244,7 +244,7 @@ let prop_single_octet_corruption_caught =
 
 (* ---------------- the unified query ---------------- *)
 
-let query_gen =
+let query_gen_with visibility_gen =
   QCheck2.Gen.(
     map2
       (fun (p, cov, o) (s, u, k, b) -> (p, cov, o, s, u, k, b))
@@ -252,9 +252,15 @@ let query_gen =
       (quad
          (option (int_range 0 200_000))
          (option (int_range 0 200_000))
-         (option (int_range 0 5))
+         (option visibility_gen)
          (option
             (oneofl Stream.Monitor.[ Short; Medium; Long ]))))
+
+let query_gen = query_gen_with (QCheck2.Gen.int_range 0 5)
+
+(* the visibility floor travels as a u32: the largest one is accepted,
+   anything above it is refused by the builder and by the parser *)
+let visibility_fits = function Some k -> k <= 0xFFFF_FFFF | None -> true
 
 let build_query (p, cov, o, s, u, k, b) =
   let q = Q.empty in
@@ -269,13 +275,24 @@ let build_query (p, cov, o, s, u, k, b) =
 
 let prop_builder_parse_equivalence =
   Testutil.qtest ~count:300
-    "builder == parse (to_string q) == decode (encode q)" query_gen
-    (fun spec ->
-      let q = build_query spec in
-      (match Store.parse_query (Q.to_string q) with
-      | Ok q' -> Q.equal q q'
-      | Error _ -> false)
-      && Q.equal q (Q.decode (Q.encode q)))
+    "builder == parse (to_string q) == decode (encode q)"
+    (query_gen_with
+       QCheck2.Gen.(
+         oneof
+           [ int_range 0 5; oneofl [ 0xFFFF_FFFF; 0x1_0000_0000; 0x1_0000_0001 ] ]))
+    (fun ((_, _, _, _, _, k, _) as spec) ->
+      if visibility_fits k then
+        let q = build_query spec in
+        (match Q.parse (Q.to_string q) with
+        | Ok q' -> Q.equal q q'
+        | Error _ -> false)
+        && Q.equal q (Q.decode (Q.encode q))
+      else
+        let k = Option.get k in
+        (match build_query spec with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+        && Result.is_error (Q.parse (Printf.sprintf "min_visibility=%d" k)))
 
 let prop_query_wire_roundtrip =
   Testutil.qtest ~count:300 "query survives the request frame" query_gen
@@ -375,6 +392,7 @@ let test_builder_validation () =
       ("negative since", Q.since (-1));
       ("negative until", Q.until (-5));
       ("negative visibility floor", Q.min_visibility (-2));
+      ("visibility floor above u32", Q.min_visibility 0x1_0000_0000);
     ];
   match Q.parse "since=-3" with
   | Ok _ -> Alcotest.fail "negative since parsed"

@@ -1,9 +1,8 @@
-(* Tests for the discrete-event engine: Event_queue ordering, Engine
-   scheduling semantics, and Trace. *)
+(* Tests for the discrete-event engine: Event_queue ordering and Engine
+   scheduling semantics. *)
 
 module Eq = Sim.Event_queue
 module Engine = Sim.Engine
-module Trace = Sim.Trace
 
 let test_queue_empty () =
   let q = Eq.create () in
@@ -332,18 +331,6 @@ let test_engine_cancel_after_fire_is_inert () =
   ignore (Engine.run engine);
   Alcotest.(check int) "fresh events unaffected" 2 !ran
 
-let test_trace () =
-  let tr = Trace.create () in
-  Trace.record tr ~time:1.0 "a";
-  Trace.record tr ~time:2.0 "b";
-  Trace.record tr ~time:3.0 "a";
-  Alcotest.(check int) "length" 3 (Trace.length tr);
-  Alcotest.(check (list string)) "order preserved" [ "a"; "b"; "a" ]
-    (List.map (fun r -> r.Trace.event) (Trace.to_list tr));
-  Alcotest.(check int) "filter" 2 (List.length (Trace.filter (( = ) "a") tr));
-  Trace.clear tr;
-  Alcotest.(check int) "cleared" 0 (Trace.length tr)
-
 let () =
   Alcotest.run "sim"
     [
@@ -375,7 +362,6 @@ let () =
           Alcotest.test_case "cancel after fire is inert" `Quick
             test_engine_cancel_after_fire_is_inert;
         ] );
-      ("trace", [ Alcotest.test_case "record/filter" `Quick test_trace ]);
       ( "properties",
         [
           prop_queue_sorted;
