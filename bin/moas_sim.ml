@@ -3,6 +3,19 @@
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* A corrupt store or checkpoint ends the run with one line on stderr
+   and exit status 1. *)
+let corrupt_input path what msg =
+  Printf.eprintf "moas_sim: %s: corrupt %s: %s\n%!" path what msg;
+  exit 1
+
+let read_store_file path =
+  try Collect.Store.read_file path with Collect.Store.Corrupt msg -> corrupt_input path "store" msg
+
+let read_checkpoint path =
+  try Stream.Checkpoint.read_file path
+  with Stream.Checkpoint.Corrupt msg -> corrupt_input path "checkpoint" msg
+
 let write_csv_opt out_dir figure =
   match out_dir with
   | None -> ()
@@ -197,7 +210,7 @@ let run_monitor smoke jobs window annotate seed checkpoint checkpoint_every
   let monitor, resume_time =
     match resume with
     | Some path ->
-      let snap = Stream.Checkpoint.read_file path in
+      let snap = read_checkpoint path in
       (Stream.Sharded.of_snapshot ~metrics ?jobs snap, snap.Stream.Monitor.s_last_time)
     | None -> (Stream.Sharded.create ~metrics ?jobs config, min_int)
   in
@@ -240,7 +253,7 @@ let collect_config = { Stream.Monitor.default_config with Stream.Monitor.window 
 let run_collect_query store_path query_str =
   let store =
     match store_path with
-    | Some path when Sys.file_exists path -> Collect.Store.read_file path
+    | Some path when Sys.file_exists path -> read_store_file path
     | Some path -> failwith (Printf.sprintf "no episode store at %s" path)
     | None -> failwith "--query needs --store FILE"
   in
@@ -353,7 +366,7 @@ let run_community smoke jobs seed report_out metrics_out =
 (* serve: the query/alert daemon over the MOASSERV wire protocol *)
 
 let read_store = function
-  | Some path when Sys.file_exists path -> Collect.Store.read_file path
+  | Some path when Sys.file_exists path -> read_store_file path
   | Some path -> failwith (Printf.sprintf "no episode store at %s" path)
   | None -> failwith "--store FILE is required"
 
@@ -432,7 +445,7 @@ let run_serve store_path script smoke jobs seed checkpoint checkpoint_every
     match resume with
     | None -> None
     | Some path ->
-      let snap = Stream.Checkpoint.read_file path in
+      let snap = read_checkpoint path in
       say "resumed live tail from %s (stream clock %d)" path
         snap.Stream.Monitor.s_last_time;
       Some snap

@@ -92,176 +92,172 @@ let of_result (r : Mesh.result) =
   correlate ~vantages:r.Mesh.r_per_vantage ~merged:r.Mesh.r_merged
 
 (* ------------------------------------------------------------------ *)
-(* Binary codec for one entry, shared by the MOASSTOR store format and
-   the MOASSERV wire protocol (Net.Codec discipline). *)
+(* The compact entry layout, shared by the MOASSTOR store and MOASSERV
+   [Entries] replies (Net.Codec discipline).  A name table precedes the
+   entries, and an entry names its vantages by index into it:
 
-let write_entry buf e =
-  Codec.put_prefix buf e.x_prefix;
-  Codec.put_i63 buf e.x_seq;
-  Codec.put_i63 buf e.x_started;
-  Codec.put_option buf Codec.put_i63 e.x_ended;
-  Codec.put_i63 buf e.x_days;
-  Codec.put_u32 buf e.x_max_origins;
-  Codec.put_asn_set buf e.x_origins;
-  Codec.put_bool buf e.x_clean;
-  Codec.put_list buf Codec.put_string e.x_seen_by;
-  Codec.put_option buf Codec.put_i63 e.x_first_detect;
-  Codec.put_option buf Codec.put_i63 e.x_last_detect
+     prefix      u32 network, u8 length
+     flags       u8: clean, ended, first and last detection present,
+                 last = first (the last is then not written)
+     seq, started, [ended], days, max_origins      varints
+     origins     varint count, then u16s strictly ascending
+     seen_by     varint count, then varint indices, in order
+     [first], [last]                               varints
 
-(* octets of [write_entry]'s output, field by field *)
-let entry_size e =
-  let opt = function None -> 1 | Some _ -> 9 in
-  let seen = List.fold_left (fun n v -> n + 2 + String.length v) 4 e.x_seen_by in
-  5 + 8 + 8 + opt e.x_ended + 8 + 4
-  + (4 + (2 * Asn.Set.cardinal e.x_origins))
-  + 1 + seen + opt e.x_first_detect + opt e.x_last_detect
+   Every value has one encoding: a varint is shortest-form, origins
+   ascend, and equal first and last detections set the flag. *)
 
-(* The generic reader, one Codec reader per field.  The lean reader
-   below falls back to it when the input ends inside an entry, so such an
-   entry fails at the octet and with the message it always did. *)
-let read_entry_generic c =
-  let x_prefix = Codec.take_prefix c in
-  let x_seq = Codec.take_i63 c in
-  let x_started = Codec.take_i63 c in
-  let x_ended = Codec.take_option c Codec.take_i63 in
-  let x_days = Codec.take_i63 c in
-  let x_max_origins = Codec.take_u32 c in
-  let x_origins = Codec.take_asn_set c in
-  let x_clean = Codec.take_bool c in
-  let x_seen_by = Codec.take_list c Codec.take_string in
-  let x_first_detect = Codec.take_option c Codec.take_i63 in
-  let x_last_detect = Codec.take_option c Codec.take_i63 in
-  {
-    x_prefix;
-    x_seq;
-    x_started;
-    x_ended;
-    x_days;
-    x_max_origins;
-    x_origins;
-    x_clean;
-    x_seen_by;
-    x_first_detect;
-    x_last_detect;
-  }
+let flag_clean = 1
+let flag_ended = 2
+let flag_first = 4
+let flag_last = 8
+let flag_same = 16
 
-(* The lean reader.  A reply or a store file repeats a handful of vantage
-   names and name lists thousands of times, so a long decode shares them
-   through two bounded tables (Codec.share): a repeated list costs one
-   hash and one comparison, and no allocation.  A single origin is one
-   set node, and equal first and last detection times are one option.
-   A malformed field fails with the generic readers' message.
-
-   The decoder also notes whether every entry it read would re-encode to
-   the octets it came from: a prefix without host bits, i63 fields with
-   bits 63 and 62 clear, origins strictly ascending.  A store keeps a
-   file's entry octets only when they are canonical. *)
-
-type tables = { names : string Codec.share; lists : string list Codec.share }
-
-(* Sharing trades an allocation for a hash and a comparison, and
-   allocating is cheap until the decoded entries outlive a minor
-   collection: under a table's worth of entries, reading every list
-   afresh is as fast or faster (a one-entry reply decodes in about six
-   tenths of the time), so such a decode has no tables. *)
-type decoder = { tables : tables option; mutable canonical : bool }
-
-let slots = 64
-
-let decoder ~entries =
-  let tables =
-    if entries < slots then None
-    else Some { names = Codec.share ~slots; lists = Codec.share ~slots }
-  in
-  { tables; canonical = true }
-
-let canonical d = d.canonical
-
-(* the input ends inside the entry *)
-exception Short
-
-(* [n] octets read with one bounds check: their offset in the data *)
-let run c n =
-  let o = Codec.take_run c n in
-  if o < 0 then raise_notrace Short;
-  o
-
-let i63_at data o = Int64.to_int (Bytes.get_int64_be data o)
-let u32_at data o = Int32.to_int (Bytes.get_int32_be data o) land 0xFFFFFFFF
-
-(* [Codec.take_i63] keeps the low 63 bits: the field re-encodes to its
-   octets only when its top octet is below 0x40 *)
-let int_at d data o =
-  if Bytes.get_uint8 data o >= 0x40 then d.canonical <- false;
-  i63_at data o
-
-let option_of_tag d c = function
-  | 0 -> None
-  | 1 -> Some (int_at d (Codec.data c) (run c 8))
-  | t -> Codec.corrupt c "option tag %d" t
-
-(* mostly one detection time: then first and last are one value *)
-let last_of_tag d c first = function
-  | 0 -> None
-  | 1 -> (
-    let v = int_at d (Codec.data c) (run c 8) in
-    match first with Some f when f = v -> first | _ -> Some v)
-  | t -> Codec.corrupt c "option tag %d" t
-
-let prefix_at d c data o =
-  let net = u32_at data o and len = Bytes.get_uint8 data (o + 4) in
-  if len > 32 then Codec.corrupt c "prefix length %d" len;
-  if net land ((1 lsl (32 - len)) - 1) <> 0 then d.canonical <- false;
-  Prefix.make (Ipv4.of_int net) len
-
-(* once the count is checked, the 2n octets are there *)
-let origins d c data n =
-  Codec.check_count c ~elt_size:2 n;
-  let o = run c (2 * n) in
-  if n = 1 then Asn.Set.singleton (Asn.make (Bytes.get_uint16_be data o))
+(* A reply's few names are sorted as a list; the thousands a store's
+   entries carry, of a handful of vantages, are first made distinct in a
+   hash table, which allocates once per distinct name. *)
+let name_table names =
+  if List.compare_length_with names 64 < 0 then Array.of_list (List.sort_uniq String.compare names)
   else begin
-    let set = ref Asn.Set.empty and last = ref (-1) in
-    for k = 0 to n - 1 do
-      let a = Bytes.get_uint16_be data (o + (2 * k)) in
-      if a <= !last then d.canonical <- false;
-      last := a;
-      set := Asn.Set.add (Asn.make a) !set
-    done;
-    !set
+    let seen = Hashtbl.create 16 in
+    List.iter (fun n -> Hashtbl.replace seen n ()) names;
+    let table = Array.of_seq (Hashtbl.to_seq_keys seen) in
+    Array.sort String.compare table;
+    table
   end
 
-let read_name () c = Codec.take_string c
+(* bisection: the table ascends *)
+let rec index_in table name lo hi =
+  if lo >= hi then invalid_arg ("Correlator: vantage " ^ name ^ " is not in the name table")
+  else
+    let mid = (lo + hi) / 2 in
+    let c = String.compare table.(mid) name in
+    if c = 0 then mid else if c < 0 then index_in table name (mid + 1) hi else index_in table name lo mid
 
-let[@tail_mod_cons] rec take_names t c k =
+let name_index table name = index_in table name 0 (Array.length table)
+
+let write_names buf table = Codec.put_list buf Codec.put_string (Array.to_list table)
+let read_names c = Array.of_list (Codec.take_list c Codec.take_string)
+
+let flags e =
+  let bit b f = if b then f else 0 in
+  bit e.x_clean flag_clean
+  lor bit (Option.is_some e.x_ended) flag_ended
+  lor
+  match (e.x_first_detect, e.x_last_detect) with
+  | Some f, Some l when f = l -> flag_first lor flag_last lor flag_same
+  | f, l -> bit (Option.is_some f) flag_first lor bit (Option.is_some l) flag_last
+
+let put_option buf = function Some v -> Codec.put_varint buf v | None -> ()
+
+let rec put_indices table buf = function
+  | [] -> ()
+  | name :: rest ->
+    Codec.put_varint buf (name_index table name);
+    put_indices table buf rest
+
+let write_entry table buf e =
+  let fl = flags e in
+  Codec.put_prefix buf e.x_prefix;
+  Codec.put_u8 buf fl;
+  Codec.put_varint buf e.x_seq;
+  Codec.put_varint buf e.x_started;
+  put_option buf e.x_ended;
+  Codec.put_varint buf e.x_days;
+  Codec.put_varint buf e.x_max_origins;
+  Codec.put_varint buf (Asn.Set.cardinal e.x_origins);
+  Asn.Set.iter (Codec.put_asn buf) e.x_origins;
+  Codec.put_varint buf (List.length e.x_seen_by);
+  put_indices table buf e.x_seen_by;
+  put_option buf e.x_first_detect;
+  if fl land flag_same = 0 then put_option buf e.x_last_detect
+
+(* The reader: one Codec reader per field; a name is the table's own
+   string, found by its index.  A reply repeats a few vantage lists
+   thousands of times, and what a decode keeps is what a minor
+   collection promotes, so a list of up to six names of a table of at
+   most 128 is packed into an int key (the count in three bits, then
+   seven bits an index), and a cache of 64 slots, direct-mapped on the
+   key, hands out the list decoded before.  Each index is read and
+   checked before the lookup, so the cache changes no failure. *)
+type decoder = { c : Codec.cursor; table : string array; lists : (int * string list) array }
+
+(* one slot serves a decode of a few entries: a bigger cache costs more
+   than it saves *)
+let decoder ~entries table c =
+  { c; table; lists = Array.make (if entries < 64 then 1 else 64) (-1, []) }
+
+let rec more_origins c set last k =
+  if k = 0 then set
+  else
+    let a = Codec.take_asn c in
+    if a <= last then Codec.corrupt c "origin %d out of order at octet %d" a (Codec.pos c - 2);
+    more_origins c (Asn.Set.add a set) a (k - 1)
+
+let origins c =
+  let n = Codec.take_varint c in
+  Codec.check_count c ~elt_size:2 n;
+  more_origins c Asn.Set.empty (-1) n
+
+let index d =
+  let i = Codec.take_varint d.c in
+  if i >= Array.length d.table then
+    Codec.corrupt d.c "vantage %d of a table of %d names" i (Array.length d.table);
+  i
+
+let[@tail_mod_cons] rec names d k =
   if k = 0 then []
   else
-    let v = Codec.take_shared t.names () c ~skip:Codec.skip_string ~read:read_name in
-    v :: take_names t c (k - 1)
+    let i = index d in
+    d.table.(i) :: names d (k - 1)
 
-let read_names t c = take_names t c (Codec.take_u32 c)
+let rec list_of_key table key j acc =
+  if j < 0 then acc else list_of_key table key (j - 1) (table.((key lsr (3 + (7 * j))) land 127) :: acc)
 
-(* The fixed-width fields come in two runs, each read with one bounds
-   check: prefix, sequence, start and the end's option tag; then days,
-   the most origins and the origin count. *)
-let read_entry_lean d c =
-  let data = Codec.data c in
-  let o = run c 22 in
-  let x_prefix = prefix_at d c data o in
-  let x_seq = int_at d data (o + 5) in
-  let x_started = int_at d data (o + 13) in
-  let x_ended = option_of_tag d c (Bytes.get_uint8 data (o + 21)) in
-  let o = run c 16 in
-  let x_days = int_at d data o in
-  let x_max_origins = u32_at data (o + 8) in
-  let x_origins = origins d c data (u32_at data (o + 12)) in
-  let x_clean = Codec.take_bool c in
-  let x_seen_by =
-    match d.tables with
-    | Some t -> Codec.take_shared t.lists t c ~skip:Codec.skip_strings ~read:read_names
-    | None -> Codec.take_list c Codec.take_string
+let seen_by d =
+  let k = Codec.take_varint d.c in
+  Codec.check_count d.c ~elt_size:1 k;
+  if k > 6 || Array.length d.table > 128 then names d k
+  else begin
+    let key = ref k in
+    for j = 0 to k - 1 do
+      key := !key lor (index d lsl (3 + (7 * j)))
+    done;
+    let slot = ((!key * 0x2545F4914F6CDD1D) lsr 40) land (Array.length d.lists - 1) in
+    match d.lists.(slot) with
+    | cached, list when cached = !key -> list
+    | _ ->
+      let list = list_of_key d.table !key (k - 1) [] in
+      d.lists.(slot) <- (!key, list);
+      list
+  end
+
+let flagged c fl bit = if fl land bit = 0 then None else Some (Codec.take_varint c)
+
+let read_entry d =
+  let c = d.c in
+  let x_prefix = Codec.take_prefix c in
+  let fl = Codec.take_u8 c in
+  let both = flag_first lor flag_last in
+  if fl > 31 || (fl land flag_same <> 0 && fl land both <> both) then
+    Codec.corrupt c "entry flags %#x" fl;
+  let x_seq = Codec.take_varint c in
+  let x_started = Codec.take_varint c in
+  let x_ended = flagged c fl flag_ended in
+  let x_days = Codec.take_varint c in
+  let x_max_origins = Codec.take_varint c in
+  let x_origins = origins c in
+  let x_seen_by = seen_by d in
+  let x_first_detect = flagged c fl flag_first in
+  let x_last_detect =
+    if fl land flag_same <> 0 then x_first_detect
+    else
+      let last = flagged c fl flag_last in
+      match (x_first_detect, last) with
+      | Some f, Some l when f = l ->
+        Codec.corrupt c "last detection repeats the first at octet %d" (Codec.pos c)
+      | _ -> last
   in
-  let x_first_detect = option_of_tag d c (Codec.take_u8 c) in
-  let x_last_detect = last_of_tag d c x_first_detect (Codec.take_u8 c) in
   {
     x_prefix;
     x_seq;
@@ -270,29 +266,28 @@ let read_entry_lean d c =
     x_days;
     x_max_origins;
     x_origins;
-    x_clean;
+    x_clean = fl land flag_clean <> 0;
     x_seen_by;
     x_first_detect;
     x_last_detect;
   }
 
-let read_entry d c =
-  let start = Codec.pos c in
-  try read_entry_lean d c
-  with Short ->
-    Codec.rewind c start;
-    read_entry_generic c
+let write_entries buf es =
+  let table = name_table (List.concat_map (fun e -> e.x_seen_by) es) in
+  write_names buf table;
+  Codec.put_u32 buf (List.length es);
+  List.iter (write_entry table buf) es
 
 (* Reversed, then reversed once more.  Built front to back instead (by
    [tail_mod_cons]), a list that outlives a minor collection keeps
    growing from an old cell, and every cell added after it is promoted
-   even when the caller drops the list straight away: a floor-2 reply
-   promoted twice the words. *)
+   even when the caller drops the list straight away. *)
 let read_entries c =
+  let table = read_names c in
   let n = Codec.take_u32 c in
   Codec.check_count c ~elt_size:1 n;
-  let d = decoder ~entries:n in
-  let rec loop acc k = if k = 0 then List.rev acc else loop (read_entry d c :: acc) (k - 1) in
+  let d = decoder ~entries:n table c in
+  let rec loop acc k = if k = 0 then List.rev acc else loop (read_entry d :: acc) (k - 1) in
   loop [] n
 
 let render_entry ~vantage_count e =

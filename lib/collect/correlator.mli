@@ -49,43 +49,56 @@ val correlate :
 val of_result : Mesh.result -> t
 (** {!correlate} over a mesh run. *)
 
-val write_entry : Buffer.t -> entry -> unit
-(** Append one entry in the shared binary layout ({!Net.Codec}
-    discipline) — the representation used inside both the [MOASSTOR]
-    store format and the [MOASSERV] wire protocol. *)
+(** {2 The compact entry layout}
 
-val entry_size : entry -> int
-(** The number of octets {!write_entry} appends for this entry, so an
-    encoder can allocate its buffer once at the final size. *)
+    The representation of entries inside both the [MOASSTOR] store
+    format and the [MOASSERV] wire protocol: a name table, then entries
+    that name their vantages by index into it ({!Net.Codec} varints and
+    discipline).  Each entry value has exactly one encoding. *)
+
+val name_table : string list -> string array
+(** The distinct names, ascending: the table {!write_entry} indexes. *)
+
+val name_index : string array -> string -> int
+(** The position of a name in an ascending table, by bisection.
+    @raise Invalid_argument when the table does not hold it. *)
+
+val write_names : Buffer.t -> string array -> unit
+(** A u32 count, then each name ({!Net.Codec.put_string}). *)
+
+val read_names : Net.Codec.cursor -> string array
+
+val write_entry : string array -> Buffer.t -> entry -> unit
+(** Append one entry, its vantages as indices into the table, which must
+    ascend ({!name_table}).
+    @raise Invalid_argument on a negative integer field or a vantage
+    that is not in the table. *)
 
 type decoder
-(** The state of one decode: for a long one, two bounded share tables
-    ({!Net.Codec.share}), for vantage names and for whole name lists; and
-    whether every entry read so far is canonical. *)
+(** One decode of a run of entries from a cursor: the cursor, the name
+    table and a bounded cache of vantage lists. *)
 
-val decoder : entries:int -> decoder
-(** A fresh decoder for about [entries] entries.  From 64 entries on it
-    shares, through tables of 64 slots, so the work per entry stays
-    constant whatever the input holds; below that every name list is
-    read afresh, which is faster while the entries decoded are few. *)
+val decoder : entries:int -> string array -> Net.Codec.cursor -> decoder
+(** A decoder of about [entries] entries against a name table, reading
+    at the cursor. *)
 
-val read_entry : decoder -> Net.Codec.cursor -> entry
-(** Decode one entry; malformed input raises through the cursor's
-    failure exception, at the octet and with the message the generic
-    {!Net.Codec} readers give.  Equal vantage names and equal name lists
-    met in one decode of 64 entries or more are one shared value; a
-    single origin is [Asn.Set.singleton]; equal first and last detection
-    times are one option value.  The per-entry path allocates no
-    closure. *)
+val read_entry : decoder -> entry
+(** Decode the entry at the cursor, one {!Net.Codec} reader per field.
+    Malformed input raises through the cursor's failure exception:
+    truncation, an overlong or oversized varint, unknown or inconsistent
+    flags, origins not strictly ascending, a name index outside the
+    table, a last detection written out although it equals the first,
+    or a prefix with host bits.  A vantage name is the table's own
+    string; a list of up to six names of a table of at most 128 is the
+    one the decoder handed out before for the same indices; equal first
+    and last detections are one option value. *)
 
-val canonical : decoder -> bool
-(** Whether {!write_entry} gives back exactly the octets of every entry
-    the decoder read: no host bits in a prefix, no i63 field with bit 63
-    or 62 set, origins strictly ascending. *)
+val write_entries : Buffer.t -> entry list -> unit
+(** The table of the entries' names ({!name_table}), a u32 count and
+    the entries. *)
 
 val read_entries : Net.Codec.cursor -> entry list
-(** A u32 count and that many entries ({!Net.Codec.take_list}'s layout
-    and checks), read with one fresh {!decoder}. *)
+(** What {!write_entries} writes. *)
 
 val render_entry : vantage_count:int -> entry -> string
 (** One deterministic text line for an entry (no trailing newline), with

@@ -1,10 +1,11 @@
 open Net
 
 (* Encode once.  The store never changes after it is built, so every
-   entry's octets ([Correlator.write_entry], the MOASSTOR entry layout)
+   entry's octets ([Correlator.write_entry] under the store's name table)
    are written once, into one [bytes] in canonical order, and an entry is
    known by its position in that order.  [encode] is a header and one
-   blit; a served [Entries] reply blits the octets of its matches.  Every
+   blit; a served [Entries] reply blits the octets of its matches when
+   they name every name of the table ([section]).  Every
    index holds positions in canonical order.  Canonical order sorts by
    prefix key, so a prefix's entries are one run of positions, and so
    are those of a prefix and all its more-specifics: the prefix index is
@@ -14,8 +15,11 @@ type t = {
   roster : string list; (* sorted, deduped *)
   entries : Correlator.entry array; (* canonical order *)
   all : Correlator.entry list; (* the same entries, for [entries] *)
+  names : string; (* the name table's octets ([Correlator.write_names]) *)
   octets : bytes; (* every entry's octets, in canonical order *)
   offsets : int array; (* entry [i] is [offsets.(i), offsets.(i + 1)) *)
+  masks : int array; (* [i]: the table positions entry [i] names, as bits *)
+  every_name : int; (* the mask of the whole table; -1 past 62 names *)
   keys : int array; (* the distinct [Prefix.to_key]s, ascending *)
   starts : int array; (* [i]: first position of keys.(i); then [count] *)
   origins : int array; (* the distinct origin ASes, ascending *)
@@ -25,8 +29,9 @@ type t = {
 
 exception Corrupt of string
 
-let magic = "MOASSTOR"
-let version = 1
+(* version 2: one checksummed Codec.Frame, and the compact entry layout *)
+let format = Codec.Frame.format ~magic:"MOASSTOR" ~version:2 ~fail:(fun m -> Corrupt m)
+let kind = 1
 
 let key (e : Correlator.entry) = Prefix.to_key e.Correlator.x_prefix
 
@@ -128,15 +133,38 @@ let runs entries =
   let starts = Array.of_list !starts in
   (Array.init (Array.length starts - 1) (fun j -> key entries.(starts.(j))), starts)
 
-let index ~vantages entries (octets, offsets) =
+(* A reply may blit the cached octets only under the store's own table,
+   and the table a list of entries is written with holds just the names
+   they carry ([Correlator.write_entries]): the two agree when the
+   matches between them name every name of the table.  Each entry's
+   names are kept as bits, so a selection's names are one [lor] per
+   match. *)
+let rec mask_of table m = function
+  | [] -> m
+  | name :: rest -> mask_of table (m lor (1 lsl Correlator.name_index table name)) rest
+
+let name_masks table entries =
+  let n = Array.length table in
+  if n > 62 then (Array.make (Array.length entries) 0, -1)
+  else
+    ( Array.map (fun (e : Correlator.entry) -> mask_of table 0 e.Correlator.x_seen_by) entries,
+      (1 lsl n) - 1 )
+
+let index ~vantages ~table entries (octets, offsets) =
   let origins, by_origin = origin_index entries in
   let keys, starts = runs entries in
+  let masks, every_name = name_masks table entries in
+  let names = Buffer.create 64 in
+  Correlator.write_names names table;
   {
     roster = List.sort_uniq String.compare vantages;
     entries;
     all = Array.to_list entries;
+    names = Buffer.contents names;
     octets;
     offsets;
+    masks;
+    every_name;
     keys;
     starts;
     origins;
@@ -144,18 +172,24 @@ let index ~vantages entries (octets, offsets) =
     by_floor = floor_index entries;
   }
 
-(* The canonical octets, written once: [put_string] and [put_i63] reject
-   what the layout cannot hold, so a store that builds can be encoded. *)
-let write_octets entries =
+(* the store's name table: the roster and every other name an entry
+   carries, ascending *)
+let table_of ~vantages entries =
+  Correlator.name_table
+    (Array.fold_left (fun acc (e : Correlator.entry) -> e.Correlator.x_seen_by @ acc) vantages
+       entries)
+
+(* The canonical octets, written once: [put_string] and [put_varint]
+   reject what the layout cannot hold, so a store that builds can be
+   encoded. *)
+let write_octets table entries =
   let n = Array.length entries in
   let offsets = Array.make (n + 1) 0 in
-  let buf =
-    Buffer.create (Array.fold_left (fun size e -> size + Correlator.entry_size e) 0 entries)
-  in
+  let buf = Buffer.create (32 * n) in
   Array.iteri
     (fun i e ->
       offsets.(i) <- Buffer.length buf;
-      Correlator.write_entry buf e)
+      Correlator.write_entry table buf e)
     entries;
   offsets.(n) <- Buffer.length buf;
   (Buffer.to_bytes buf, offsets)
@@ -185,7 +219,8 @@ let of_entries ~vantages es =
     if ascending entries then entries
     else Array.of_list (dedup (List.stable_sort compare_full (List.rev es)))
   in
-  index ~vantages entries (write_octets entries)
+  let table = table_of ~vantages entries in
+  index ~vantages ~table entries (write_octets table entries)
 
 let empty ~vantages = of_entries ~vantages []
 
@@ -261,117 +296,121 @@ let fold_candidates f acc = function
     !acc
   | Positions a -> Array.fold_left f acc a
 
-type selection = { store : t; positions : int array; selected : int }
+(* A query that is nothing but the clause its candidate array was picked
+   by: the array is its answer, with no [Query.matches] to run. *)
+let answered_by_index q =
+  let only clause = Query.equal q (clause Query.empty) in
+  match (Query.target q, Query.origin_filter q, Query.visibility_floor q) with
+  | None, None, None -> Query.equal q Query.empty
+  | None, Some a, None -> only (Query.origin a)
+  | None, None, Some k -> only (Query.min_visibility k)
+  | _ -> false
 
+(* the matches of a query, as ascending positions: the first [n] of the
+   array *)
 let select t q =
   let matches i = Query.matches q t.entries.(i) in
-  let positions, selected =
-    match candidates t q with
-    | Positions a when Array.for_all matches a ->
-      (* an index array every candidate of which matches (a bare floor
-         or origin query, or the empty query) is its own answer: nothing
-         to allocate *)
-      (a, Array.length a)
-    | cands ->
-      let positions = Array.make (candidate_count cands) 0 in
-      ( positions,
-        fold_candidates
-          (fun n i ->
-            if matches i then begin
-              positions.(n) <- i;
-              n + 1
-            end
-            else n)
-          0 cands )
-  in
-  { store = t; positions; selected }
+  match candidates t q with
+  | Positions a when answered_by_index q -> (a, Array.length a)
+  | cands ->
+    let positions = Array.make (candidate_count cands) 0 in
+    ( positions,
+      fold_candidates
+        (fun n i ->
+          if matches i then begin
+            positions.(n) <- i;
+            n + 1
+          end
+          else n)
+        0 cands )
 
-let selection_count s = s.selected
+let build t (positions, n) =
+  let rec go acc k = if k < 0 then acc else go (t.entries.(positions.(k)) :: acc) (k - 1) in
+  go [] (n - 1)
 
-let selection_octets s =
-  let t = s.store and size = ref 0 in
-  for k = 0 to s.selected - 1 do
-    let i = s.positions.(k) in
-    size := !size + t.offsets.(i + 1) - t.offsets.(i)
-  done;
-  !size
-
-(* consecutive positions are consecutive octets: one blit per run *)
-let blit_selection s dst off =
-  let t = s.store and p = s.positions in
-  let dst_off = ref off and k = ref 0 in
-  while !k < s.selected do
-    let first = p.(!k) in
-    incr k;
-    while !k < s.selected && p.(!k) = p.(!k - 1) + 1 do
-      incr k
-    done;
-    let lo = t.offsets.(first) and hi = t.offsets.(p.(!k - 1) + 1) in
-    Bytes.blit t.octets lo dst !dst_off (hi - lo);
-    dst_off := !dst_off + hi - lo
-  done
-
-let query t q =
-  let s = select t q in
-  let rec build acc k = if k < 0 then acc else build (t.entries.(s.positions.(k)) :: acc) (k - 1) in
-  build [] (s.selected - 1)
+let query t q = build t (select t q)
 
 let count_matching t q =
-  if Query.equal q Query.empty then count t
-  else
-    fold_candidates
-      (fun n i -> if Query.matches q t.entries.(i) then n + 1 else n)
-      0 (candidates t q)
+  match candidates t q with
+  | Positions a when answered_by_index q -> Array.length a
+  | cands -> fold_candidates (fun n i -> if Query.matches q t.entries.(i) then n + 1 else n) 0 cands
+
+(* The matches' section: when they name every name of the table, the
+   table's octets, the count and one blit per run of consecutive
+   positions; otherwise the matches written afresh under the table of
+   the names they carry.  Either way, the octets of
+   [Correlator.write_entries (query t q)]. *)
+let section t q =
+  let ((p, n) as sel) = select t q in
+  let named = ref 0 and size = ref 0 in
+  for k = 0 to n - 1 do
+    named := !named lor t.masks.(p.(k));
+    size := !size + t.offsets.(p.(k) + 1) - t.offsets.(p.(k))
+  done;
+  if !named = t.every_name then
+    ( String.length t.names + 4 + !size,
+      fun dst off ->
+        let names = String.length t.names in
+        Bytes.blit_string t.names 0 dst off names;
+        Codec.set_u32 dst (off + names) n;
+        let dst_off = ref (off + names + 4) and k = ref 0 in
+        while !k < n do
+          let first = p.(!k) in
+          incr k;
+          while !k < n && p.(!k) = p.(!k - 1) + 1 do
+            incr k
+          done;
+          let lo = t.offsets.(first) and hi = t.offsets.(p.(!k - 1) + 1) in
+          Bytes.blit t.octets lo dst !dst_off (hi - lo);
+          dst_off := !dst_off + hi - lo
+        done )
+  else begin
+    let buf = Buffer.create 256 in
+    Correlator.write_entries buf (build t sel);
+    (Buffer.length buf, fun dst off -> Buffer.blit buf 0 dst off (Buffer.length buf))
+  end
 
 (* ------------------------------------------------------------------ *)
-(* Binary encoding — Net.Codec discipline, magic MOASSTOR *)
+(* Binary encoding: one Codec.Frame, magic MOASSTOR, holding the roster
+   and the entry section (the name table, a u32 count, the entries) *)
 
 let encode t =
-  let header = Buffer.create 64 in
-  Buffer.add_string header magic;
-  Codec.put_u8 header version;
-  Codec.put_list header Codec.put_string t.roster;
-  Codec.put_u32 header (count t);
-  let hlen = Buffer.length header and len = Bytes.length t.octets in
-  let out = Bytes.create (hlen + len) in
-  Buffer.blit header 0 out 0 hlen;
-  Bytes.blit t.octets 0 out hlen len;
-  out
+  let head = Buffer.create 64 in
+  Codec.put_list head Codec.put_string t.roster;
+  Buffer.add_string head t.names;
+  Codec.put_u32 head (count t);
+  let hlen = Buffer.length head and len = Bytes.length t.octets in
+  Codec.Frame.make format ~kind ~size:(hlen + len) (fun out pos ->
+      Buffer.blit head 0 out pos hlen;
+      Bytes.blit t.octets 0 out (pos + hlen) len)
 
 (* The entry section is read once: its octets are copied out (the
    caller's bytes are mutable, so the store never aliases them) and each
    entry's offset recorded on the way.  A file whose entries are out of
-   order, repeat a key or would re-encode differently goes through
-   [of_entries] instead, which sorts them and writes their octets
-   afresh. *)
+   order or repeat a key, or whose table is not the roster and the names
+   the entries carry, ascending, goes through [of_entries] instead, which
+   sorts the entries and writes their octets afresh: a store always
+   holds the octets [of_entries] would write. *)
 let decode data =
-  let c = Codec.cursor ~fail:(fun m -> Corrupt m) data in
-  if Bytes.length data < String.length magic then
-    raise (Corrupt "not an episode store");
-  Codec.expect_magic c magic;
-  (match Codec.take_u8 c with
-  | v when v = version -> ()
-  | v -> raise (Corrupt (Printf.sprintf "unsupported store version %d" v)));
+  let c, k = Codec.Frame.open_ format data in
+  if k <> kind then Codec.corrupt c "unknown store kind %d" k;
   let roster = Codec.take_list c Codec.take_string in
+  let table = Correlator.read_names c in
   let n = Codec.take_u32 c in
   Codec.check_count c ~elt_size:1 n;
-  let d = Correlator.decoder ~entries:n in
   let base = Codec.pos c in
   let offsets = Array.make (n + 1) 0 in
+  let d = Correlator.decoder ~entries:n table c in
   let entries =
     Array.init n (fun i ->
         offsets.(i) <- Codec.pos c - base;
-        Correlator.read_entry d c)
+        Correlator.read_entry d)
   in
   offsets.(n) <- Codec.pos c - base;
   Codec.expect_end c;
-  if Correlator.canonical d && ascending entries then
-    index ~vantages:roster entries (Bytes.sub data base offsets.(n), offsets)
-  else
-    (* a field the layout cannot hold (an i63 with bit 62 set reads as a
-       negative int) is an invalid value *)
-    try of_entries ~vantages:roster (Array.to_list entries)
-    with Invalid_argument m -> raise (Corrupt ("entry cannot be re-encoded: " ^ m))
+  if ascending entries && table = table_of ~vantages:roster entries then
+    index ~vantages:roster ~table entries (Bytes.sub data base offsets.(n), offsets)
+  else of_entries ~vantages:roster (Array.to_list entries)
 
 let write_file path t =
   let oc = open_out_bin path in

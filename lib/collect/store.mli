@@ -9,11 +9,13 @@
     insert, so everything is computed once, when it is built
     ({!of_entries}, which {!of_correlation} goes through, or {!decode}):
     - the entries in canonical order, so {!entries} costs nothing;
-    - the canonical entry section: each entry's {!Correlator.write_entry}
-      octets, one after another in one [bytes], with an offset per entry.
-      These are exactly the octets the [MOASSTOR] file holds, so
-      {!encode} is a header and one blit, and a served reply copies the
-      octets of its matches ({!select}, {!blit_selection});
+    - the entry section: a name table (the roster and every other name
+      an entry carries, ascending) and each entry's
+      {!Correlator.write_entry} octets under it, one after another in
+      one [bytes], with an offset per entry.  These are exactly the
+      octets the [MOASSTOR] file holds, so {!encode} is a header and one
+      blit, and a served reply copies the octets of its matches
+      ({!section});
     - the indexes, as entry positions in canonical order: the distinct
       prefixes beside the first position of each one's run (a prefix
       and its more-specifics are one run of positions), the positions
@@ -21,10 +23,11 @@
       seen by at least [k] vantages.
     No index can go stale.
 
-    On disk it uses the same defensive binary idiom as
-    {!Stream.Checkpoint}: magic ["MOASSTOR"], a version octet, big-endian
-    fixed-width fields, and a decoder that rejects truncation, trailing
-    octets, bad tags and version mismatches with {!Corrupt}. *)
+    On disk it is one {!Net.Codec.Frame} (magic ["MOASSTOR"], version 2,
+    checksummed) holding the roster and the entry section.  The decoder
+    rejects a bad magic, another version, a checksum or length mismatch,
+    truncation, trailing octets and any field the compact layout does
+    not allow with {!Corrupt}. *)
 
 type t
 (** An immutable episode store. *)
@@ -69,53 +72,44 @@ val query : t -> query -> Correlator.entry list
     narrowest index the query names: the run of positions of a prefix
     clause (with its more-specifics for {!Query.wants_covered}), else the
     shorter of the origin and visibility-floor lists, else every entry.
-    {!Query.matches} then filters every candidate, so the answer is
-    always [List.filter (Query.matches q) (entries t)].  Open episodes
-    extend to the end of time for the range test. *)
+    A query that is nothing but the origin or floor clause that picked
+    the list is answered by the list itself; otherwise {!Query.matches}
+    filters every candidate.  Either way the answer is
+    [List.filter (Query.matches q) (entries t)].  Open episodes extend
+    to the end of time for the range test. *)
 
 (** {2 Serving the octets of a query} *)
 
-type selection
-(** The entries [query t q] returns, as positions in the store. *)
-
-val select : t -> query -> selection
-(** The matches of a query, found as {!query} finds them, without
-    building a list of entries. *)
-
-val selection_count : selection -> int
-(** [List.length (query t q)]. *)
-
-val selection_octets : selection -> int
-(** The octets {!Correlator.write_entry} writes for the matches, summed. *)
-
-val blit_selection : selection -> bytes -> int -> unit
-(** [blit_selection s dst off] copies the matches' octets into [dst] from
-    [off], in canonical order: the octets [write_entry] would write for
-    [query t q], one blit per run of consecutive positions.
-    @raise Invalid_argument when [dst] has fewer than
-    [selection_octets s] octets from [off]. *)
+val section : t -> query -> int * (bytes -> int -> unit)
+(** [section t q] is the size of, and a writer for, the octets
+    {!Correlator.write_entries} writes for [query t q]: [write dst off]
+    puts them at [off].  When the matches together name every name of
+    the store's table, they are the table's octets, the count and one
+    blit of cached octets per run of consecutive positions; otherwise
+    the matches are written afresh.
+    @raise Invalid_argument when [dst] is too short. *)
 
 val count_matching : t -> query -> int
 (** [List.length (query t q)] without building the list of matches;
-    O(1) for {!Query.empty}. *)
+    O(1) for a query that is nothing but an origin or a visibility
+    floor, or {!Query.empty}. *)
 
 (** {2 Persistence} *)
 
 val encode : t -> bytes
-(** The header and roster, then one blit of the canonical entry
-    section. *)
+(** The frame around the roster, the table's octets, the count and one
+    blit of the cached entry octets. *)
 
 val decode : bytes -> t
-(** Reads the entries once with one {!Correlator.decoder}, copies the
-    entry section out of [data] and records each entry's offset on the
-    way: later changes to [data] do not reach the store.  A file whose
-    entries are out of canonical order, repeat a key, or would not
-    re-encode to the same octets ({!Correlator.canonical}) goes through
-    {!of_entries} instead, so no input file can make decoding quadratic
-    and the store always holds canonical octets.
-    @raise Corrupt on bad magic, version mismatch, truncation, trailing
-    octets or invalid field values, among them an i63 field with bit 62
-    set, which reads as a negative integer no entry can hold. *)
+(** Reads the entries once, copies the entry section out of [data] and
+    records each entry's offset on the way: later changes to [data] do
+    not reach the store.  A file whose entries are out of canonical
+    order or repeat a key, or whose name table is not the roster and
+    the names the entries carry, ascending, goes through {!of_entries}
+    instead: the store holds the octets {!of_entries} would write, and
+    no input file can make decoding quadratic.
+    @raise Corrupt on any frame or field error ({!Net.Codec.Frame.open_},
+    {!Correlator.read_entry}). *)
 
 val write_file : string -> t -> unit
 val read_file : string -> t

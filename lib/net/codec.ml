@@ -41,6 +41,19 @@ let put_string buf s =
   put_u16 buf (String.length s);
   Buffer.add_string buf s
 
+(* Unsigned LEB128 in its shortest form: seven bits an octet, the low
+   group first, the top bit set on every octet but the last. *)
+let rec put_varint_from buf v =
+  if v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (v land 0x7f lor 0x80));
+    put_varint_from buf (v lsr 7)
+  end
+
+let put_varint buf v =
+  if v < 0 then invalid_arg "Net.Codec: negative integer";
+  put_varint_from buf v
+
 (* ------------------------------------------------------------------ *)
 
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for frame
@@ -116,8 +129,6 @@ let crc32 ?(seed = 0) data ~pos ~len =
 (* Direct writers into preallocated bytes, for callers that assemble a
    frame in place (single allocation, no Buffer-to-bytes copy). *)
 
-let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xff))
-let set_u16 b off v = Bytes.set_uint16_be b off (v land 0xffff)
 let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
 
 type cursor = {
@@ -137,12 +148,6 @@ let cursor_slice ~fail data ~pos ~len =
 let pos c = c.pos
 let remaining c = c.limit - c.pos
 let corrupt c fmt = Printf.ksprintf (fun s -> raise (c.fail s)) fmt
-
-let check_crc c ~seed ~expect =
-  let actual = crc32 ~seed c.data ~pos:c.pos ~len:(remaining c) in
-  if actual <> expect then
-    corrupt c "frame checksum mismatch (header %08x, computed %08x)" expect
-      actual
 
 let take_u8 c =
   if c.pos >= c.limit then corrupt c "truncated at octet %d" c.pos;
@@ -204,10 +209,14 @@ let take_asn_set c =
   in
   loop Asn.Set.empty n
 
+(* a prefix has one encoding: host bits set are a corrupt field, not
+   bits to mask off *)
 let take_prefix c =
   let net = take_u32 c in
   let len = take_u8 c in
   if len > 32 then corrupt c "prefix length %d" len;
+  if net land ((1 lsl (32 - len)) - 1) <> 0 then
+    corrupt c "prefix %s/%d has host bits set" (Ipv4.to_string (Ipv4.of_int net)) len;
   Prefix.make (Ipv4.of_int net) len
 
 let take_option c take =
@@ -231,23 +240,23 @@ let take_string c =
   c.pos <- c.pos + n;
   s
 
-let skip_string c =
-  let n = take_u16 c in
-  if c.pos + n > c.limit then corrupt c "truncated string at %d" c.pos;
-  c.pos <- c.pos + n
+(* A non-negative [int] holds 62 bits: nine octets carry 63, so the
+   ninth must be below 0x40.  A last octet of zero in a longer encoding
+   is overlong: each value has one encoding. *)
+let rec take_varint_from c start acc shift =
+  let b = take_u8 c in
+  if shift = 56 && b >= 0x40 then corrupt c "varint at octet %d exceeds 62 bits" start
+  else if b < 0x80 then begin
+    if b = 0 then corrupt c "overlong varint at octet %d" start;
+    acc lor (b lsl shift)
+  end
+  else take_varint_from c start (acc lor ((b land 0x7f) lsl shift)) (shift + 7)
 
-let skip_strings c =
-  let n = take_u32 c in
-  check_count c ~elt_size:1 n;
-  for _ = 1 to n do
-    skip_string c
-  done
+let take_varint c =
+  let b = take_u8 c in
+  if b < 0x80 then b else take_varint_from c (c.pos - 1) (b land 0x7f) 7
 
 let data c = c.data
-
-let rewind c pos =
-  if pos < 0 || pos > c.pos then invalid_arg "Net.Codec.rewind: not a position already passed";
-  c.pos <- pos
 
 let take_run c n =
   if n < 0 || c.limit - c.pos < n then -1
@@ -257,93 +266,63 @@ let take_run c n =
     o
   end
 
-(* A table of a fixed number of slots from octet strings to the values
-   decoded from them.  A key may sit in one of two slots, picked by two
-   parts of one hash: a miss fills an empty one of the two, else evicts
-   the first.  So the table never grows, a lookup costs one hash and at
-   most two comparisons of the octets whatever the input holds, and a
-   few keys that meet in one slot do not evict each other. *)
-type 'a share = { keys : string array; values : 'a option array; mask : int }
-
-let share ~slots =
-  let n = ref 2 in
-  while !n < slots do
-    n := 2 * !n
-  done;
-  { keys = Array.make !n ""; values = Array.make !n None; mask = !n - 1 }
-
-(* Eight octets at a time, the last word overlapping the one before it;
-   each word's high half is folded into its low half before the multiply,
-   so every octet reaches the bits a slot is taken from. *)
-let mix h w = (h lxor w lxor (w lsr 32)) * 0x2545F4914F6CDD1D
-
-let hash_octets data pos len =
-  if len < 8 then begin
-    let h = ref len in
-    for i = pos to pos + len - 1 do
-      h := mix !h (Char.code (Bytes.unsafe_get data i))
-    done;
-    !h
-  end
-  else begin
-    let h = ref len and i = ref pos in
-    while !i + 8 < pos + len do
-      h := mix !h (Int64.to_int (Bytes.get_int64_le data !i));
-      i := !i + 8
-    done;
-    mix !h (Int64.to_int (Bytes.get_int64_le data (pos + len - 8)))
-  end
-
-let rec equal_short key data pos i len =
-  i >= len
-  || String.unsafe_get key i = Bytes.unsafe_get data (pos + i)
-     && equal_short key data pos (i + 1) len
-
-let equal_octets key data pos len =
-  String.length key = len
-  &&
-  if len < 8 then equal_short key data pos 0 len
-  else begin
-    let i = ref 0 in
-    while !i + 8 < len && String.get_int64_ne key !i = Bytes.get_int64_ne data (pos + !i) do
-      i := !i + 8
-    done;
-    !i + 8 >= len
-    && String.get_int64_ne key (len - 8) = Bytes.get_int64_ne data (pos + len - 8)
-  end
-
-let found s slot data pos len =
-  match s.values.(slot) with
-  | Some _ -> equal_octets s.keys.(slot) data pos len
-  | None -> false
-
-let take_shared s ctx c ~skip ~read =
-  let from = c.pos in
-  skip c;
-  let stop = c.pos in
-  let len = stop - from in
-  let h = hash_octets c.data from len in
-  let a = (h lsr 32) land s.mask and b = (h lsr 48) land s.mask in
-  let hit = if found s a c.data from len then a else if found s b c.data from len then b else -1 in
-  if hit >= 0 then Option.get s.values.(hit)
-  else begin
-    c.pos <- from;
-    let v = read ctx c in
-    if c.pos <> stop then invalid_arg "Net.Codec.take_shared: read and skip disagree";
-    let slot = if Option.is_some s.values.(a) && Option.is_none s.values.(b) then b else a in
-    s.keys.(slot) <- Bytes.sub_string c.data from len;
-    s.values.(slot) <- Some v;
-    v
-  end
-
-let expect_magic c magic =
-  String.iter
-    (fun ch -> if take_u8 c <> Char.code ch then corrupt c "bad magic")
-    magic
-
-let expect_version c version =
-  let v = take_u8 c in
-  if v <> version then corrupt c "unsupported version %d" v
 
 let expect_end c =
   if remaining c <> 0 then corrupt c "%d trailing octets" (remaining c)
+
+(* ------------------------------------------------------------------ *)
+(* The one frame: magic · version · kind · u32 payload length · u32 CRC-32
+   of (kind octet ‖ payload) · payload.  The length is redundant with the
+   extent of a frame held in memory, but it is what lets a stream
+   transport delimit frames, and the reader checks it against the octets
+   it has, so a length lie is corruption.  The checksum covers the kind
+   octet too, so no single corrupted octet can turn one valid frame into
+   a different valid one. *)
+
+module Frame = struct
+  type format = { magic : string; version : int; fail : string -> exn }
+
+  let format ~magic ~version ~fail =
+    if String.length magic <> 8 then invalid_arg "Net.Codec.Frame.format: magic of 8 octets";
+    { magic; version; fail }
+
+  let header_len = 18
+
+  (* the CRC of each kind octet, the seed its payload's CRC chains onto *)
+  let kind_crcs = Array.init 256 (fun k -> crc32 (Bytes.make 1 (Char.chr k)) ~pos:0 ~len:1)
+
+  let make f ~kind ~size write =
+    let out = Bytes.create (header_len + size) in
+    write out header_len;
+    Bytes.blit_string f.magic 0 out 0 8;
+    Bytes.set_uint8 out 8 f.version;
+    Bytes.set_uint8 out 9 kind;
+    set_u32 out 10 size;
+    set_u32 out 14 (crc32 ~seed:kind_crcs.(kind land 0xff) out ~pos:header_len ~len:size);
+    out
+
+  let encode f ~kind put =
+    let buf = Buffer.create 64 in
+    put buf;
+    make f ~kind ~size:(Buffer.length buf) (fun out pos ->
+        Buffer.blit buf 0 out pos (Buffer.length buf))
+
+  let open_ f data =
+    let c = cursor ~fail:f.fail data in
+    String.iter
+      (fun ch -> if take_u8 c <> Char.code ch then corrupt c "bad magic: not a %s frame" f.magic)
+      f.magic;
+    let v = take_u8 c in
+    if v <> f.version then
+      corrupt c "%s version %d is not supported (this build reads version %d)" f.magic v
+        f.version;
+    let kind = take_u8 c in
+    let len = take_u32 c in
+    let expect = take_u32 c in
+    if len <> remaining c then
+      corrupt c "payload length %d does not match %d remaining octets" len (remaining c);
+    let actual = crc32 ~seed:kind_crcs.(kind) data ~pos:c.pos ~len in
+    if actual <> expect then
+      corrupt c "frame checksum mismatch (header %08x, computed %08x)" expect actual;
+    (c, kind)
+end

@@ -4,18 +4,23 @@
     {!Collect.Query}, [Serve.Proto] [MOASSERV], and the BGP UPDATE and
     MRT TABLE_DUMP codecs {!Bgp.Wire} and {!Measurement.Mrt}).
 
+    The three MOAS formats share one container, {!Frame}: magic, version
+    octet, kind octet, u32 payload length and a CRC-32 of the kind octet
+    and the payload.  Opening a frame checks all five before a payload
+    field is read, so a flipped octet, a cut, a length lie or an old
+    version is the format's own [Corrupt] error, never a wrong value.
+
     Writers append to a [Buffer.t]; readers advance a {!cursor} over
     immutable bytes and report malformed input — truncation, bad tags,
-    out-of-range values, trailing octets — through the cursor's [fail]
-    callback, so each format surfaces its own exception ([Corrupt],
-    [Malformed]) while sharing one implementation of the framing
-    discipline.
+    out-of-range values, overlong varints, trailing octets — through the
+    cursor's [fail] callback, so each format surfaces its own exception
+    ([Corrupt], [Malformed]) while sharing one implementation.
 
-    Multi-octet fields move a word at a time: each writer is one
-    big-endian store into the buffer, each reader one bounds check and
-    one load.  The bytes are exactly those of the octet-by-octet layout,
-    and a short read fails at the same octet, with the same message
-    ([truncated at octet N]), as reading it octet by octet. *)
+    Fixed-width fields are big-endian and move a word at a time: each
+    writer is one store into the buffer, each reader one bounds check
+    and one load, failing at the octet, and with the message
+    ([truncated at octet N]), an octet-by-octet read stops at.  Counts
+    and times inside a record may instead be {!put_varint}s. *)
 
 (** {2 Writers} *)
 
@@ -45,14 +50,18 @@ val put_string : Buffer.t -> string -> unit
     @raise Invalid_argument on a string of 65,536 octets or more, which
     the length field cannot describe. *)
 
+val put_varint : Buffer.t -> int -> unit
+(** A non-negative [int] as shortest-form unsigned LEB128: seven bits an
+    octet, low group first, the top bit set on all but the last octet;
+    one to nine octets.
+    @raise Invalid_argument on a negative value. *)
+
 (** {2 In-place writers}
 
     Direct stores into preallocated bytes, for callers that assemble a
     frame in a single allocation (header fields patched after the payload
     is measured) instead of chaining [Buffer.to_bytes] copies. *)
 
-val set_u8 : bytes -> int -> int -> unit
-val set_u16 : bytes -> int -> int -> unit
 val set_u32 : bytes -> int -> int -> unit
 
 (** {2 Frame integrity} *)
@@ -95,10 +104,6 @@ val remaining : cursor -> int
 val corrupt : cursor -> ('a, unit, string, 'b) format4 -> 'a
 (** Raise the cursor's failure exception with a formatted message. *)
 
-val check_crc : cursor -> seed:int -> expect:int -> unit
-(** Fail unless {!crc32} over the cursor's {e remaining} octets (chained
-    onto [seed]) equals [expect].  The cursor does not advance. *)
-
 val take_u8 : cursor -> int
 val take_u16 : cursor -> int
 val take_u32 : cursor -> int
@@ -113,6 +118,9 @@ val take_bool : cursor -> bool
 val take_asn : cursor -> Asn.t
 val take_asn_set : cursor -> Asn.Set.t
 val take_prefix : cursor -> Prefix.t
+(** Fails on a length above 32 and on host bits set: each prefix has
+    one encoding. *)
+
 val take_option : cursor -> (cursor -> 'a) -> 'a option
 
 val take_list : cursor -> (cursor -> 'a) -> 'a list
@@ -131,20 +139,16 @@ val check_count : cursor -> elt_size:int -> int -> unit
 
 val take_string : cursor -> string
 
-val skip_string : cursor -> unit
-(** Step over one {!take_string} field, failing where it would. *)
-
-val skip_strings : cursor -> unit
-(** Step over one [take_list c take_string] field, failing where it
-    would. *)
+val take_varint : cursor -> int
+(** One {!put_varint} field.  Fails on truncation, on an overlong
+    encoding (a last octet of zero after the first) and on a value that
+    does not fit 62 bits (a ninth octet of 0x40 or more). *)
 
 (** {2 Runs of fixed-width fields}
 
     A hot decoder may read a run of fixed-width fields with one bounds
     check: it takes the run and reads the fields with the [Bytes] getters
-    on {!data}.  When a run is short it can {!rewind} to where it began
-    and read again with the [take_*] readers, which fail at the octet and
-    with the message they always do. *)
+    on {!data}. *)
 
 val take_run : cursor -> int -> int
 (** [take_run c n] consumes the next [n] octets and returns the offset of
@@ -155,47 +159,41 @@ val data : cursor -> bytes
 (** The bytes under the cursor.  A decoder reads them; it never writes
     them. *)
 
-val rewind : cursor -> int -> unit
-(** [rewind c pos] moves the cursor back to [pos], a {!pos} it has
-    already been at.
-    @raise Invalid_argument when [pos] lies ahead of the cursor or below
-    zero. *)
-
-(** {2 Sharing repeated values}
-
-    A decoder that meets the same octets many times ({e e.g.} the vantage
-    names of thousands of entries) can decode them once and hand out the
-    same value each time. *)
-
-type 'a share
-(** A table of a fixed number of slots from octet strings to values
-    decoded from them.  A key may sit in one of two slots picked by its
-    hash; a new key fills an empty one of the two or evicts an old key.
-    So the table never grows and a lookup costs one hash and at most two
-    comparisons of the octets, whatever the input holds: decoding stays
-    linear. *)
-
-val share : slots:int -> 'a share
-(** An empty table of at least [slots] slots (rounded up to a power of
-    two). *)
-
-val take_shared :
-  'a share -> 'ctx -> cursor -> skip:(cursor -> unit) -> read:('ctx -> cursor -> 'a) -> 'a
-(** [take_shared s ctx c ~skip ~read] steps over one encoded value with
-    [skip c], which validates it and fails as [read] would.  If the table
-    holds the octets [skip] stepped over, the value decoded from them
-    before is returned.  Otherwise [read ctx c] decodes them from the
-    same start and the result is remembered.  [ctx] lets [read] take
-    state without a closure being allocated per call.
-    @raise Invalid_argument when [read] and [skip] consume different
-    lengths. *)
-
-val expect_magic : cursor -> string -> unit
-(** Consume and check a magic string; fails octet by octet so truncation
-    and mismatch both report precisely. *)
-
-val expect_version : cursor -> int -> unit
-(** Consume the version octet; fails unless it equals the expected one. *)
-
 val expect_end : cursor -> unit
 (** Fails unless the cursor consumed every octet (trailing-octet check). *)
+
+(** {2 The frame}
+
+{v
+    offset  size  field
+         0     8  magic
+         8     1  version
+         9     1  kind
+        10     4  payload length n, big-endian u32
+        14     4  CRC-32 of the kind octet followed by the payload
+        18     n  payload
+v}
+
+    There is one reader per format version: a frame of any other version
+    is [Corrupt], with a message naming both versions. *)
+
+module Frame : sig
+  type format
+  (** A format's magic, current version and failure exception. *)
+
+  val format : magic:string -> version:int -> fail:(string -> exn) -> format
+  (** @raise Invalid_argument unless the magic is 8 octets. *)
+
+  val make : format -> kind:int -> size:int -> (bytes -> int -> unit) -> bytes
+  (** [make f ~kind ~size write] is the frame of a [size]-octet payload
+      that [write dst pos] puts at [pos] in [dst]: one [bytes] of the
+      final size, the header and checksum filled in around the payload. *)
+
+  val encode : format -> kind:int -> (Buffer.t -> unit) -> bytes
+  (** The frame of the payload the writer appends. *)
+
+  val open_ : format -> bytes -> cursor * int
+  (** Check the magic, the version, the length and the checksum, and
+      return a cursor at the payload's first octet, with the kind.  The
+      caller reads the payload and ends with {!expect_end}. *)
+end

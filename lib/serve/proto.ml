@@ -45,71 +45,15 @@ type response =
 
 exception Corrupt of string
 
-(* v3: the query payload grew a trailing bucket clause *)
 (* Version 2 extended the [Stats_are] payload with the health/shed/
    timeout/eviction fields and added the frame checksum; version 3 grew
-   the query payload by a trailing duration-bucket clause.  Peers speaking
-   older versions are rejected with [Corrupt] at the frame header. *)
-let version = 3
-let magic = "MOASSERV"
+   the query payload by a trailing duration-bucket clause; version 4 is
+   the shared Codec.Frame and the compact entry layout in [Entries].
+   Peers speaking older versions are rejected with [Corrupt] at the
+   frame header. *)
+let format = Codec.Frame.format ~magic:"MOASSERV" ~version:4 ~fail:(fun m -> Corrupt m)
 
-(* {2 Framing}
-
-   Every frame is magic · version · kind octet · u32 payload length ·
-   u32 CRC-32 of (kind octet ‖ payload) · payload.  The length is
-   redundant with the byte-string extent for the in-process transport,
-   but it is what lets a socket transport delimit frames — and the
-   decoder cross-checks it against the actual payload so a length lie is
-   caught as corruption, not silently tolerated.  The checksum covers
-   the kind octet too, so no single corrupted octet — kind flip or
-   payload mutation — can turn one valid frame into a different valid
-   one: it is caught as [Corrupt] instead (chaos-harness invariant). *)
-
-(* CRC of each possible kind octet, computed once instead of hashing a
-   freshly allocated one-octet byte string per frame *)
-let kind_crcs =
-  lazy
-    (let b = Bytes.create 1 in
-     Array.init 256 (fun k ->
-         Bytes.set b 0 (Char.chr k);
-         Codec.crc32 b ~pos:0 ~len:1))
-
-let kind_crc kind = (Lazy.force kind_crcs).(kind)
-
-let header_len = 18 (* magic 8 · version 1 · kind 1 · u32 length · u32 CRC *)
-
-(* Frames are written in place: the payload goes straight into the frame's
-   one [bytes] after the header, and the header fields, length and CRC
-   included, are filled in around it. *)
-let seal kind out =
-  let plen = Bytes.length out - header_len in
-  Bytes.blit_string magic 0 out 0 8;
-  set_u8 out 8 version;
-  set_u8 out 9 kind;
-  set_u32 out 10 plen;
-  set_u32 out 14 (Codec.crc32 ~seed:(kind_crc kind) out ~pos:header_len ~len:plen);
-  out
-
-let frame kind put_payload =
-  let payload = Buffer.create 64 in
-  put_payload payload;
-  let plen = Buffer.length payload in
-  let out = Bytes.create (header_len + plen) in
-  Buffer.blit payload 0 out header_len plen;
-  seal kind out
-
-let open_frame data =
-  let c = cursor ~fail:(fun m -> Corrupt m) data in
-  expect_magic c magic;
-  expect_version c version;
-  let kind = take_u8 c in
-  let len = take_u32 c in
-  let crc = take_u32 c in
-  if len <> remaining c then
-    corrupt c "payload length %d does not match %d remaining octets" len
-      (remaining c);
-  check_crc c ~seed:(kind_crc kind) ~expect:crc;
-  (c, kind)
+let frame kind put = Frame.encode format ~kind put
 
 (* {2 Requests} *)
 
@@ -129,7 +73,7 @@ let encode_request = function
   | Stats -> frame tag_stats (fun _ -> ())
 
 let decode_request data =
-  let c, kind = open_frame data in
+  let c, kind = Frame.open_ format data in
   let req =
     if kind = tag_ping then Ping
     else if kind = tag_query then Query (Collect.Query.read c)
@@ -224,25 +168,19 @@ let take_stats c =
     st_evicted;
   }
 
-(* The one [Entries] layout: u32 vantage count, u32 entry count, then the
-   entries' octets, which [write] puts in place *)
-let entries_frame ~vantage_count ~count ~size write =
-  let out = Bytes.create (header_len + 8 + size) in
-  set_u32 out header_len vantage_count;
-  set_u32 out (header_len + 4) count;
-  write out (header_len + 8);
-  seal tag_entries out
+(* The one [Entries] layout: u32 vantage count, then the entry section
+   ([Correlator.write_entries]), which [write] puts in place *)
+let entries_frame ~vantage_count ~size write =
+  Frame.make format ~kind:tag_entries ~size:(4 + size) (fun out pos ->
+      set_u32 out pos vantage_count;
+      write out (pos + 4))
 
 let encode_response = function
   | Pong -> frame tag_pong (fun _ -> ())
   | Entries { vantage_count; entries } ->
-    let size =
-      List.fold_left (fun n e -> n + Collect.Correlator.entry_size e) 0 entries
-    in
-    entries_frame ~vantage_count ~count:(List.length entries) ~size (fun out pos ->
-        let buf = Buffer.create size in
-        List.iter (Collect.Correlator.write_entry buf) entries;
-        Buffer.blit buf 0 out pos size)
+    frame tag_entries (fun b ->
+        put_u32 b vantage_count;
+        Collect.Correlator.write_entries b entries)
   | Count_is n -> frame tag_count_is (fun b -> put_i63 b n)
   | Subscribed id -> frame tag_subscribed (fun b -> put_u32 b id)
   | Unsubscribed id -> frame tag_unsubscribed (fun b -> put_u32 b id)
@@ -254,7 +192,7 @@ let encode_response = function
   | Rejected reason -> frame tag_rejected (fun b -> put_string b reason)
 
 let decode_response data =
-  let c, kind = open_frame data in
+  let c, kind = Frame.open_ format data in
   let resp =
     if kind = tag_pong then Pong
     else if kind = tag_entries then begin

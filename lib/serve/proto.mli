@@ -1,23 +1,23 @@
 (** The MOASSERV wire protocol: versioned, length-framed request and
     response messages for the MOAS query/alert serving daemon.
 
-    Every frame is [magic "MOASSERV"] · [version octet] · [kind octet] ·
-    [u32 payload length] · [u32 CRC-32 of kind+payload] · [payload], all
-    fields big-endian in the {!Net.Codec} discipline.  The decoder
-    rejects bad magic, version mismatches, unknown kinds, truncation,
-    payload-length lies, checksum mismatches and trailing octets with
-    {!Corrupt} — same defensive posture as the [MOASSTOR] store and
-    [MOASSTRM] checkpoint formats.  The checksum means no single
-    corrupted octet can turn a valid frame into a {e different} valid
-    frame: in-flight corruption is always surfaced as [Corrupt], which
-    the retrying {!Client} treats as a transient transport failure.
+    Every frame is one {!Net.Codec.Frame}: magic ["MOASSERV"], version
+    4, kind octet, u32 payload length, CRC-32 of kind and payload.  The
+    decoder rejects bad magic, other versions, unknown kinds,
+    truncation, payload-length lies, checksum mismatches and trailing
+    octets with {!Corrupt} — the same container, and the same checks, as
+    the [MOASSTOR] store and [MOASSTRM] checkpoint formats.  The
+    checksum means no single corrupted octet can turn a valid frame into
+    a {e different} valid frame: in-flight corruption is always surfaced
+    as [Corrupt], which the retrying {!Client} treats as a transient
+    transport failure.
 
-    An [Entries] frame is written in place ({!entries_frame}): its size
-    is known first, its payload goes straight into the frame's one
-    [bytes], and the header and checksum are filled in around it.  The
-    server writes a query's reply from the store's cached entry octets
-    ({!Collect.Store.blit_selection}), byte for byte the frame
-    {!encode_response} gives for the same entries.
+    An [Entries] payload is the vantage count and the compact entry
+    section ({!Collect.Correlator.write_entries}): a name table, then
+    entries that name their vantages by index.  The frame is written in
+    place ({!entries_frame}); the server writes a query's reply from the
+    store's cached entry octets ({!Collect.Store.section}), byte for
+    byte the frame {!encode_response} gives for the same entries.
 
     The query message carries {!Collect.Query.t} {e unchanged}: the wire
     protocol, the CLI [--query] flag and {!Collect.Store.query} all
@@ -83,13 +83,12 @@ val encode_request : request -> bytes
 val decode_request : bytes -> request
 (** @raise Corrupt on malformed input. *)
 
-val entries_frame :
-  vantage_count:int -> count:int -> size:int -> (bytes -> int -> unit) -> bytes
-(** [entries_frame ~vantage_count ~count ~size write] is the [Entries]
-    frame of [count] entries whose octets ({!Collect.Correlator.write_entry}
-    layout, in order) take [size] octets: [write dst pos] must put
-    exactly those octets at [pos] in [dst].  The frame is one [bytes] of
-    its final size, written in place. *)
+val entries_frame : vantage_count:int -> size:int -> (bytes -> int -> unit) -> bytes
+(** [entries_frame ~vantage_count ~size write] is the [Entries] frame
+    whose entry section ({!Collect.Correlator.write_entries} layout)
+    takes [size] octets: [write dst pos] must put exactly those octets
+    at [pos] in [dst].  The frame is one [bytes] of its final size,
+    written in place. *)
 
 val encode_response : response -> bytes
 val decode_response : bytes -> response

@@ -224,11 +224,10 @@ let execute t session req =
   | Ping -> reply Proto.Pong
   | Query q ->
     (* the matches' octets, cached in the store, go straight into the
-       frame: no entry list, no re-encoding *)
-    let s = Store.select t.store q in
-    Proto.entries_frame ~vantage_count:(vantage_count t)
-      ~count:(Store.selection_count s) ~size:(Store.selection_octets s)
-      (Store.blit_selection s)
+       frame: no entry list, no re-encoding, when the matches name every
+       vantage of the store's name table *)
+    let size, write = Store.section t.store q in
+    Proto.entries_frame ~vantage_count:(vantage_count t) ~size write
   | Count q -> reply (Proto.Count_is (Store.count_matching t.store q))
   | Subscribe q ->
     reply @@ locked t (fun () ->

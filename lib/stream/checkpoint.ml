@@ -3,8 +3,9 @@ open Monitor
 
 exception Corrupt of string
 
-let magic = "MOASSTRM"
-let version = 1
+(* version 2: the MOASSTRM payload inside one checksummed Codec.Frame *)
+let format = Codec.Frame.format ~magic:"MOASSTRM" ~version:2 ~fail:(fun m -> Corrupt m)
+let kind = 1
 
 (* ------------------------------------------------------------------ *)
 (* Writers — Net.Codec primitives, MOASSTRM layout *)
@@ -62,16 +63,13 @@ let put_window buf (idx, w) =
   put_i63 buf w.w_alerts
 
 let encode snap =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  put_u8 buf version;
-  put_config buf snap.s_config;
-  put_counters buf snap.s_counters;
-  put_i63 buf snap.s_last_time;
-  put_list buf put_prefix_state snap.s_prefixes;
-  put_list buf put_episode snap.s_closed;
-  put_list buf put_window snap.s_windows;
-  Buffer.to_bytes buf
+  Frame.encode format ~kind (fun buf ->
+      put_config buf snap.s_config;
+      put_counters buf snap.s_counters;
+      put_i63 buf snap.s_last_time;
+      put_list buf put_prefix_state snap.s_prefixes;
+      put_list buf put_episode snap.s_closed;
+      put_list buf put_window snap.s_windows)
 
 (* ------------------------------------------------------------------ *)
 (* Readers *)
@@ -134,12 +132,8 @@ let take_window c =
   (idx, { w_updates; w_opened; w_closed; w_alerts })
 
 let decode data =
-  let c = Codec.cursor ~fail:(fun m -> Corrupt m) data in
-  if Bytes.length data < String.length magic then raise (Corrupt "not a checkpoint");
-  expect_magic c magic;
-  (match Codec.take_u8 c with
-  | v when v = version -> ()
-  | v -> raise (Corrupt (Printf.sprintf "unsupported checkpoint version %d" v)));
+  let c, k = Frame.open_ format data in
+  if k <> kind then corrupt c "unknown checkpoint kind %d" k;
   let s_config = take_config c in
   (try ignore (Monitor.create s_config)
    with Invalid_argument m -> raise (Corrupt ("config: " ^ m)));

@@ -6,12 +6,14 @@
     and a monitor restored from it ({!Sharded.of_snapshot}) converges to
     the exact report an uninterrupted run would have produced.
 
-    Format: the magic ["MOASSTRM"], a version octet, then the snapshot
+    Format: one {!Net.Codec.Frame} (magic ["MOASSTRM"], version 2,
+    kind 1, CRC-32 of kind and payload) whose payload is the snapshot
     fields in order (config, counters, stream clock, per-prefix states,
     closed episodes, windows) using fixed-width big-endian integers. *)
 
 exception Corrupt of string
-(** Raised by {!decode}/{!read_file} on truncated or inconsistent input. *)
+(** Raised by {!decode}/{!read_file} on a checksum, length or version
+    mismatch, and on truncated or inconsistent input. *)
 
 val encode : Monitor.snapshot -> bytes
 val decode : bytes -> Monitor.snapshot

@@ -217,6 +217,40 @@ let test_put_i63_rejects_negative () =
       | exception Invalid_argument _ -> ())
     [ -1; min_int ]
 
+(* every length from one octet to nine, at both ends *)
+let test_varint_roundtrip () =
+  let values =
+    List.concat_map (fun k -> [ (1 lsl (7 * k)) - 1; 1 lsl (7 * k) ]) [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  List.iter
+    (fun v ->
+      let s = written Codec.put_varint v in
+      let rec size v = if v < 0x80 then 1 else 1 + size (v lsr 7) in
+      Alcotest.(check int) (Printf.sprintf "%#x size" v) (size v) (String.length s);
+      let c = Codec.cursor ~fail (Bytes.of_string s) in
+      Alcotest.(check int) (Printf.sprintf "%#x" v) v (Codec.take_varint c);
+      Codec.expect_end c)
+    (0 :: max_int :: values);
+  Alcotest.(check string) "300 is two octets, low group first" "\xac\x02"
+    (written Codec.put_varint 300);
+  Alcotest.(check int) "max_int takes nine octets" 9 (String.length (written Codec.put_varint max_int));
+  (match written Codec.put_varint (-1) with
+  | _ -> Alcotest.fail "put_varint accepted -1"
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun (what, s, msg) ->
+      match Codec.take_varint (Codec.cursor ~fail (Bytes.of_string s)) with
+      | v -> Alcotest.failf "%s read as %d" what v
+      | exception Bad m -> Alcotest.(check string) what msg m)
+    [
+      ("empty", "", "truncated at octet 0");
+      ("cut after a continuation", "\x80", "truncated at octet 1");
+      ("overlong zero", "\x80\x00", "overlong varint at octet 0");
+      ("overlong one", "\x81\x80\x00", "overlong varint at octet 0");
+      ("bit 62", "\xff\xff\xff\xff\xff\xff\xff\xff\x40", "varint at octet 0 exceeds 62 bits");
+      ("a tenth octet", "\xff\xff\xff\xff\xff\xff\xff\xff\x80\x01", "varint at octet 0 exceeds 62 bits");
+    ]
+
 let sample_entry =
   {
     Collect.Correlator.x_prefix = Prefix.of_string "192.0.2.0/24";
@@ -266,7 +300,6 @@ let prop_writers_match_reference =
       written Codec.put_u16 v = written ref_put_u16 v
       && written Codec.put_u32 v = written ref_put_u32 v
       && (v < 0 || written Codec.put_i63 v = written ref_put_i63 v)
-      && stored Codec.set_u16 2 = around (written ref_put_u16 v)
       && stored Codec.set_u32 4 = around (written ref_put_u32 v))
 
 (* ---------------- byte pins ---------------- *)
@@ -390,6 +423,126 @@ let test_smoke_store_roundtrip () =
   Alcotest.(check bool) "encode (decode b) = b" true
     (Bytes.equal (Collect.Store.encode (Collect.Store.decode b)) b)
 
+(* ---------------- corruption ---------------- *)
+
+(* Each format's decoder: [Error m] when it raises its own Corrupt. *)
+let decoders =
+  let store b = match Collect.Store.decode b with _ -> Ok () | exception Collect.Store.Corrupt m -> Error m
+  and checkpoint b =
+    match Stream.Checkpoint.decode b with _ -> Ok () | exception Stream.Checkpoint.Corrupt m -> Error m
+  and request b =
+    match Serve.Proto.decode_request b with _ -> Ok () | exception Serve.Proto.Corrupt m -> Error m
+  and response b =
+    match Serve.Proto.decode_response b with _ -> Ok () | exception Serve.Proto.Corrupt m -> Error m
+  in
+  [ ("MOASSTOR", store); ("MOASSTRM", checkpoint); ("request", request); ("response", response) ]
+
+(* the smoke store, the smoke checkpoint and every pinned frame, each
+   with the decoder of its format *)
+let corpus () =
+  ("MOASSTOR collect --smoke", List.assoc "MOASSTOR" decoders, Collect.Store.encode (Lazy.force collect_smoke_store))
+  :: ("MOASSTRM monitor --smoke", List.assoc "MOASSTRM" decoders, monitor_smoke_checkpoint ())
+  :: List.map
+       (fun (name, frame) ->
+         ("MOASSERV " ^ name, List.assoc (List.hd (String.split_on_char ' ' name)) decoders, frame))
+       (frames ())
+
+(* Every octet of every input XORed with one seeded non-zero value, and
+   every proper prefix: each must raise its format's Corrupt, and
+   nothing else escapes. *)
+let test_mutation_sweep () =
+  let rng = Random.State.make [| 22 |] in
+  List.iter
+    (fun (name, decode, data) ->
+      let must_fail what b =
+        match decode b with
+        | Ok () -> Alcotest.failf "%s: %s decoded" name what
+        | Error _ -> ()
+        | exception e -> Alcotest.failf "%s: %s raised %s" name what (Printexc.to_string e)
+      in
+      Alcotest.(check bool) (name ^ " decodes") true (decode data = Ok ());
+      for i = 0 to Bytes.length data - 1 do
+        let b = Bytes.copy data in
+        let x = 1 + Random.State.int rng 255 in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor x);
+        must_fail (Printf.sprintf "octet %d xor %#x" i x) b;
+        must_fail (Printf.sprintf "the first %d octets" i) (Bytes.sub data 0 i)
+      done)
+    (corpus ())
+
+(* A frame of the version before this one is refused at its header, with
+   a message that names both versions. *)
+let test_old_version () =
+  List.iter
+    (fun (name, decode, data) ->
+      let magic = Bytes.sub_string data 0 8 and current = Bytes.get_uint8 data 8 in
+      let old = Bytes.copy data in
+      Bytes.set_uint8 old 8 (current - 1);
+      Alcotest.(check (result unit string)) name
+        (Error
+           (Printf.sprintf "%s version %d is not supported (this build reads version %d)" magic
+              (current - 1) current))
+        (decode old))
+    (corpus ())
+
+(* A name-table count or an entry count of 0xFFFFFFFF, in a frame
+   resealed around it, fails at the count check, before anything sized
+   by the count is allocated. *)
+let test_count_lies () =
+  let store = Lazy.force collect_smoke_store in
+  let octets put =
+    let b = Buffer.create 64 in
+    put b;
+    Buffer.length b
+  in
+  let roster = octets (fun b -> Codec.put_list b Codec.put_string (Collect.Store.vantages store)) in
+  let names =
+    octets (fun b ->
+        Collect.Correlator.write_names b
+          (Collect.Correlator.name_table
+             (List.concat_map (fun e -> e.Collect.Correlator.x_seen_by) (Collect.Store.entries store))))
+  in
+  let file = Collect.Store.encode store
+  and reply =
+    Serve.Proto.encode_response
+      (Serve.Proto.Entries { vantage_count = 3; entries = Collect.Store.entries store })
+  in
+  List.iter
+    (fun (what, format, data, at) ->
+      let lie = Bytes.copy data in
+      Alcotest.(check bool) (what ^ " is a small count") true (Bytes.get_int32_be lie at < 100l);
+      Bytes.set_int32_be lie at 0xFFFFFFFFl;
+      Testutil.reseal lie;
+      let before = Gc.minor_words () in
+      match List.assoc format decoders lie with
+      | Ok () -> Alcotest.failf "%s of 0xFFFFFFFF decoded" what
+      | Error m ->
+        let words = Gc.minor_words () -. before in
+        Testutil.check_contains ~what m "element count 4294967295 exceeds";
+        if words > 2_000. then Alcotest.failf "%s: %.0f words allocated before failing" what words)
+    [
+      ("store name-table count", "MOASSTOR", file, 18 + roster);
+      ("store entry count", "MOASSTOR", file, 18 + roster + names);
+      ("reply name-table count", "response", reply, 18 + 4);
+      ("reply entry count", "response", reply, 18 + 4 + names);
+    ]
+
+(* The length of the reply to [min_visibility=2] on the smoke store, in
+   this format and in the one before (MOASSERV v3, whose entries carried
+   fixed-width fields and every vantage name in full). *)
+let smoke_floor2_reply_v3 = 287
+
+let test_reply_length_pin () =
+  let store = Lazy.force collect_smoke_store in
+  let server = Serve.Server.create ~store () in
+  let reply =
+    Serve.Server.handle server ~session:(Serve.Server.open_session server)
+      (Serve.Proto.encode_request (Serve.Proto.Query Collect.Query.(empty |> min_visibility 2)))
+  in
+  Alcotest.(check int) "octets of the min_visibility=2 reply" 132 (Bytes.length reply);
+  Alcotest.(check bool) "at most half the v3 reply" true
+    (2 * Bytes.length reply <= smoke_floor2_reply_v3)
+
 let test_byte_pins () =
   let store = Lazy.force collect_smoke_store in
   Alcotest.(check bool) "the entries frame carries several entries" true
@@ -401,23 +554,23 @@ let test_byte_pins () =
   in
   let pinned =
     [
-      ("MOASSTOR collect --smoke", "1373efd69fe60f0236d66b4cdcc269ba");
-      ("MOASSTRM monitor --smoke", "8e1a0f72eab9bd709cf1944d1421371e");
-      ("MOASSERV request ping", "b966eba63dbe65de0cb0af5689db046e");
-      ("MOASSERV request query", "dfa8d639eccd6d31491b9a87d90600cc");
-      ("MOASSERV request count", "f631006f547e0b37d036d2a05a3d4390");
-      ("MOASSERV request subscribe", "f9727ffb5e7e0513590bf37e2834a74e");
-      ("MOASSERV request unsubscribe", "b04687947f53244adec4202f4e78f8c4");
-      ("MOASSERV request stats", "0bf1ece313438c2ea04c0eb07b6c8e55");
-      ("MOASSERV response pong", "b966eba63dbe65de0cb0af5689db046e");
-      ("MOASSERV response entries", "a5eeb7b2d6b77be95a0512e8d2dc66eb");
-      ("MOASSERV response entries-empty", "cf2309951eea0f860fbc76497b0ad4ac");
-      ("MOASSERV response count_is", "715c9e98179515ec238dc0f30b60c533");
-      ("MOASSERV response subscribed", "2a1a564a98f02f8fd607d8f5bd7e4d43");
-      ("MOASSERV response unsubscribed", "4165a5c741934d3fbc7410ed195962b2");
-      ("MOASSERV response alert", "f0eb437ce9dd326396afa64dcdaf24d1");
-      ("MOASSERV response stats_are", "2c0bf073bea6e35ebc67933a22f51d98");
-      ("MOASSERV response rejected", "61509155f1eb065907942d8395964fd8");
+      ("MOASSTOR collect --smoke", "ea0447e32991ae706f212f79202bda71");
+      ("MOASSTRM monitor --smoke", "4efcbbbad17c37ea697413cb924b6839");
+      ("MOASSERV request ping", "3a66f347abd853b115e3c9595e9dd42c");
+      ("MOASSERV request query", "aa662db0be0498950435460eb4eb8de3");
+      ("MOASSERV request count", "7ae954af323828d6f3e6e1e67be0aa8d");
+      ("MOASSERV request subscribe", "e24f9561373fc805a8ef87c6b1f07c5f");
+      ("MOASSERV request unsubscribe", "9e98bd1906aad333408dba0b3844b4a5");
+      ("MOASSERV request stats", "4300ae46c6fa2446c275bb14726b908b");
+      ("MOASSERV response pong", "3a66f347abd853b115e3c9595e9dd42c");
+      ("MOASSERV response entries", "5d4dd1f0038d9ecbe102ba50df754b3d");
+      ("MOASSERV response entries-empty", "e07013062afc94ea9468a214cab24dc6");
+      ("MOASSERV response count_is", "0b52a51caf4bfcc472c210c1664cc051");
+      ("MOASSERV response subscribed", "24fc33254c771d0c2a042a58b81b5465");
+      ("MOASSERV response unsubscribed", "d64f6954b829fad2f602ccf719b2a062");
+      ("MOASSERV response alert", "65c147da3fa6bd5faceee742f7cb4130");
+      ("MOASSERV response stats_are", "15a3e3a2c228c130e68fb24b73e59413");
+      ("MOASSERV response rejected", "3af5bec7d1dec31fd718c192ede48e62");
     ]
   in
   Alcotest.(check (list (pair string string))) "MD5 of every pinned byte string"
@@ -446,6 +599,7 @@ let () =
           Alcotest.test_case "put_i63 rejects negatives" `Quick
             test_put_i63_rejects_negative;
           Alcotest.test_case "put_string length limit" `Quick test_put_string_length_limit;
+          Alcotest.test_case "varint round-trips and rejections" `Quick test_varint_roundtrip;
           prop_writers_match_reference;
         ] );
       ( "decoders",
@@ -454,5 +608,15 @@ let () =
             test_distinct_names_decode_linearly;
           Alcotest.test_case "smoke store round-trips" `Quick test_smoke_store_roundtrip;
         ] );
-      ("pins", [ Alcotest.test_case "byte pins" `Quick test_byte_pins ]);
+      ( "corruption",
+        [
+          Alcotest.test_case "every octet mutated, every prefix cut" `Quick test_mutation_sweep;
+          Alcotest.test_case "the previous version is refused" `Quick test_old_version;
+          Alcotest.test_case "count lies fail before allocating" `Quick test_count_lies;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "byte pins" `Quick test_byte_pins;
+          Alcotest.test_case "smoke reply length" `Quick test_reply_length_pin;
+        ] );
     ]

@@ -377,13 +377,20 @@ let sample_store () =
 
 (* A MOASSTOR file holding [es] exactly as given: unsorted, with
    duplicates, the way a crafted file could. *)
-let raw_store_bytes ~vantages es =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "MOASSTOR";
-  Codec.put_u8 buf 1;
-  Codec.put_list buf Codec.put_string vantages;
-  Codec.put_list buf Corr.write_entry es;
-  Buffer.to_bytes buf
+let moasstor = Codec.Frame.format ~magic:"MOASSTOR" ~version:2 ~fail:(fun m -> Store.Corrupt m)
+
+let names_of es = List.concat_map (fun (e : Corr.entry) -> e.Corr.x_seen_by) es
+
+(* A MOASSTOR file written field by field, its entries in the order
+   given: the roster, a name table (by default the store's own: the
+   roster and every name an entry carries), the count and the entries. *)
+let raw_store_bytes ?table ~vantages es =
+  let table = Option.value table ~default:(Corr.name_table (vantages @ names_of es)) in
+  Codec.Frame.encode moasstor ~kind:1 (fun buf ->
+      Codec.put_list buf Codec.put_string vantages;
+      Corr.write_names buf table;
+      Codec.put_u32 buf (List.length es);
+      List.iter (Corr.write_entry table buf) es)
 
 (* The list model of a store: a later entry replaces an earlier one with
    the same (prefix, start, seq) key, then everything is sorted into
@@ -509,32 +516,86 @@ let prop_indexes_answer_like_a_scan =
             (Collect.Query.empty :: queries))
         [ built; decoded ])
 
-let prop_entry_size_is_exact =
-  Testutil.qtest ~count:200 "entry_size = octets written" indexed_store_gen
-    (fun es ->
+(* A query that is nothing but a visibility floor or an origin is
+   answered by the index array that picked its candidates, with no
+   filter run; every query, bare or not, answers like a full scan, and
+   its served section is the octets of the scan's entries. *)
+let bare_query_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Collect.Query.empty;
+        map (fun k -> Collect.Query.(min_visibility k empty)) (int_range 0 6);
+        map (fun a -> Collect.Query.(origin (Asn.make a) empty)) (int_range 9 16);
+      ])
+
+let prop_select_equals_scan =
+  Testutil.qtest ~count:300 "select = full-scan filter, bare clauses included"
+    QCheck2.Gen.(
+      pair indexed_store_gen (list_size (int_range 1 8) (oneof [ bare_query_gen; query_gen ])))
+    (fun (es, queries) ->
+      let vantages = [ "vp00"; "vp01"; "vp02"; "vp03" ] in
+      let built = Store.of_entries ~vantages es in
       List.for_all
-        (fun e ->
-          let buf = Buffer.create 16 in
-          Corr.write_entry buf e;
-          Buffer.length buf = Corr.entry_size e)
-        es)
+        (fun t ->
+          List.for_all
+            (fun q ->
+              let want = List.filter (Collect.Query.matches q) (Store.entries t) in
+              let size, write = Store.section t q in
+              let served = Bytes.create size in
+              write served 0;
+              let scanned = Buffer.create 64 in
+              Corr.write_entries scanned want;
+              List.equal entry_equal (Store.query t q) want
+              && Store.count_matching t q = List.length want
+              && Bytes.equal served (Buffer.to_bytes scanned))
+            queries)
+        [ built; Store.decode (Store.encode built) ])
 
-(* ---------------- the lean entry reader ---------------- *)
+(* ---------------- the entry reader ---------------- *)
 
-(* The reader the lean one replaced, built from the generic Codec
-   readers: the reference for values, failure octets and messages. *)
-let ref_read_entry c =
+(* The compact layout read with the generic Codec readers, one field
+   at a time: the reference for values, failure octets and messages. *)
+let ref_read_entry table c =
   let x_prefix = Codec.take_prefix c in
-  let x_seq = Codec.take_i63 c in
-  let x_started = Codec.take_i63 c in
-  let x_ended = Codec.take_option c Codec.take_i63 in
-  let x_days = Codec.take_i63 c in
-  let x_max_origins = Codec.take_u32 c in
-  let x_origins = Codec.take_asn_set c in
-  let x_clean = Codec.take_bool c in
-  let x_seen_by = Codec.take_list c Codec.take_string in
-  let x_first_detect = Codec.take_option c Codec.take_i63 in
-  let x_last_detect = Codec.take_option c Codec.take_i63 in
+  let fl = Codec.take_u8 c in
+  if fl > 31 || (fl land 16 <> 0 && fl land 12 <> 12) then Codec.corrupt c "entry flags %#x" fl;
+  let flagged bit = if fl land bit <> 0 then Some (Codec.take_varint c) else None in
+  let x_seq = Codec.take_varint c in
+  let x_started = Codec.take_varint c in
+  let x_ended = flagged 2 in
+  let x_days = Codec.take_varint c in
+  let x_max_origins = Codec.take_varint c in
+  let n = Codec.take_varint c in
+  Codec.check_count c ~elt_size:2 n;
+  let rec origins set last k =
+    if k = 0 then set
+    else
+      let a = Codec.take_asn c in
+      if a <= last then Codec.corrupt c "origin %d out of order at octet %d" a (Codec.pos c - 2);
+      origins (Asn.Set.add a set) a (k - 1)
+  in
+  let x_origins = origins Asn.Set.empty (-1) n in
+  let k = Codec.take_varint c in
+  Codec.check_count c ~elt_size:1 k;
+  let rec names acc k =
+    if k = 0 then List.rev acc
+    else
+      let i = Codec.take_varint c in
+      if i >= Array.length table then
+        Codec.corrupt c "vantage %d of a table of %d names" i (Array.length table);
+      names (table.(i) :: acc) (k - 1)
+  in
+  let x_seen_by = names [] k in
+  let x_first_detect = flagged 4 in
+  let x_last_detect =
+    if fl land 16 <> 0 then x_first_detect
+    else
+      let last = flagged 8 in
+      if last <> None && last = x_first_detect then
+        Codec.corrupt c "last detection repeats the first at octet %d" (Codec.pos c);
+      last
+  in
   {
     Corr.x_prefix;
     x_seq;
@@ -543,11 +604,18 @@ let ref_read_entry c =
     x_days;
     x_max_origins;
     x_origins;
-    x_clean;
+    x_clean = fl land 1 <> 0;
     x_seen_by;
     x_first_detect;
     x_last_detect;
   }
+
+let ref_read_entries c =
+  let table = Array.of_list (Codec.take_list c Codec.take_string) in
+  let n = Codec.take_u32 c in
+  Codec.check_count c ~elt_size:1 n;
+  let rec loop acc k = if k = 0 then List.rev acc else loop (ref_read_entry table c :: acc) (k - 1) in
+  loop [] n
 
 exception Bad of string
 
@@ -585,7 +653,7 @@ let decoder_entry_gen =
 
 let entries_octets es =
   let buf = Buffer.create 256 in
-  Codec.put_list buf Corr.write_entry es;
+  Corr.write_entries buf es;
   Buffer.to_bytes buf
 
 (* the entries, or the message and octet the read stops at *)
@@ -595,7 +663,7 @@ let decode_outcome read data =
   | exception Bad m -> Error m
 
 let lean data = decode_outcome Corr.read_entries data
-let reference data = decode_outcome (fun c -> Codec.take_list c ref_read_entry) data
+let reference data = decode_outcome ref_read_entries data
 
 let prop_lean_reader_matches_reference =
   Testutil.qtest ~count:300 "lean reader = generic reader on valid entries"
@@ -639,36 +707,20 @@ let test_lean_reader_every_truncation () =
     Alcotest.(check bool) (Printf.sprintf "cut at %d" len) true (lean d = reference d)
   done
 
-(* The store keeps no octet of the caller's bytes: scribbling over them
-   after the decode changes neither the store's encoding nor a reply. *)
-(* A crafted file may hold octets that decode fine but re-encode
-   differently: host bits in a prefix, bit 63 set in a time (dropped on
-   read), origins out of order.  The store serves canonical octets
-   anyway: its encoding and its replies are those of the decoded
-   entries. *)
+(* A file this program would not write, but whose every field is
+   valid, decodes to the store of its entries: entries out of canonical
+   order or repeating a key, and a name table that names a vantage no
+   entry carries or is out of order, are normalised, and the store's
+   encoding and replies are those of the decoded entries.  A field that
+   breaks the layout's one-encoding rule is Corrupt instead: host bits
+   in a prefix, an overlong or oversized varint, origins out of order,
+   unknown flags, a vantage index past the table. *)
 let test_store_decode_normalises () =
-  let raw ~net ~seq_hi ~origins =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf "MOASSTOR";
-    Codec.put_u8 buf 1;
-    Codec.put_list buf Codec.put_string [ "vp00" ];
-    Codec.put_u32 buf 1;
-    Codec.put_u32 buf net;
-    Codec.put_u8 buf 24;
-    Codec.put_u32 buf seq_hi;
-    Codec.put_u32 buf 1;
-    Codec.put_i63 buf 100;
-    Codec.put_u8 buf 0;
-    Codec.put_i63 buf 1;
-    Codec.put_u32 buf 2;
-    Codec.put_list buf Codec.put_u16 origins;
-    Codec.put_bool buf true;
-    Codec.put_list buf Codec.put_string [ "vp00" ];
-    Codec.put_u8 buf 0;
-    Codec.put_u8 buf 0;
-    Buffer.to_bytes buf
-  in
-  let canonical = raw ~net:0xC0000200 ~seq_hi:0 ~origins:[ 10; 20 ] in
+  let e1 = entry ~prefix:p1 ~origins:[ 10; 20 ] ~started:100 ~seen:[ "vp00" ] () in
+  let e1' = { e1 with Corr.x_days = 7 } in
+  let e2 = entry ~prefix:p2 ~origins:[ 30; 40 ] ~started:50 ~seen:[ "vp00"; "vp00" ] () in
+  let vantages = [ "vp00"; "vp01" ] in
+  let canonical = raw_store_bytes ~vantages [ e1'; e2 ] in
   List.iter
     (fun (what, data) ->
       let t = Store.decode data in
@@ -682,23 +734,68 @@ let test_store_decode_normalises () =
       Alcotest.(check bool) (what ^ ": reply of the decoded entries") true
         (Bytes.equal reply
            (Serve.Proto.encode_response
-              (Serve.Proto.Entries { vantage_count = 1; entries = Store.entries t }))))
+              (Serve.Proto.Entries { vantage_count = 2; entries = Store.entries t }))))
     [
       ("canonical", canonical);
-      ("host bits", raw ~net:0xC0000201 ~seq_hi:0 ~origins:[ 10; 20 ]);
-      ("bit 63 of a time", raw ~net:0xC0000200 ~seq_hi:0x80000000 ~origins:[ 10; 20 ]);
-      ("origins out of order", raw ~net:0xC0000200 ~seq_hi:0 ~origins:[ 20; 10 ]);
-    ]
-  ;
-  (* bit 62 makes the time negative: no entry holds it, and decoding says
-     so instead of letting the re-encode's Invalid_argument escape *)
+      ("out of order", raw_store_bytes ~vantages [ e2; e1' ]);
+      ("repeated key", raw_store_bytes ~vantages [ e1; e2; e1' ]);
+      ("unused name", raw_store_bytes ~table:[| "vp00"; "vp01"; "vp99" |] ~vantages [ e1'; e2 ]);
+      ( "table out of order",
+        Codec.Frame.encode moasstor ~kind:1 (fun buf ->
+            Codec.put_list buf Codec.put_string vantages;
+            Corr.write_names buf [| "vp01"; "vp00" |];
+            Codec.put_u32 buf 2;
+            (* vp00 is index 1 of this table *)
+            let octets e =
+              let b = Buffer.create 32 in
+              Corr.write_entry [| "vp00"; "vp01" |] b e;
+              Buffer.to_bytes b
+            in
+            List.iter
+              (fun e ->
+                let o = octets e in
+                (* the one-octet indices sit before the absent detections *)
+                let k = List.length e.Corr.x_seen_by in
+                for j = Bytes.length o - k to Bytes.length o - 1 do
+                  Bytes.set o j '\001'
+                done;
+                Buffer.add_bytes buf o)
+              [ e1'; e2 ]) );
+    ];
+  (* the octets of [e1] under a table of one name: prefix 0-4, flags 5,
+     seq 6, start 7, days 8, most origins 9, the origin count 10, the
+     origins 11-14, the name count 15 and its index 16 *)
+  let octets =
+    let b = Buffer.create 32 in
+    Corr.write_entry [| "vp00" |] b e1;
+    Buffer.contents b
+  in
+  Alcotest.(check int) "the entry's octets" 17 (String.length octets);
+  let file octets =
+    Codec.Frame.encode moasstor ~kind:1 (fun buf ->
+        Codec.put_list buf Codec.put_string [ "vp00" ];
+        Corr.write_names buf [| "vp00" |];
+        Codec.put_u32 buf 1;
+        Buffer.add_string buf octets)
+  in
+  let splice at len by = String.sub octets 0 at ^ by ^ String.sub octets (at + len) (17 - at - len) in
+  ignore (Store.decode (file octets));
   List.iter
-    (fun seq_hi ->
-      match Store.decode (raw ~net:0xC0000200 ~seq_hi ~origins:[ 10; 20 ]) with
-      | _ -> Alcotest.failf "seq_hi %08x: decoded" seq_hi
-      | exception Store.Corrupt _ -> ())
-    [ 0x40000000; 0x7FFFFFFF; 0xC0000000 ]
+    (fun (what, octets, msg) ->
+      match Store.decode (file octets) with
+      | _ -> Alcotest.failf "%s: decoded" what
+      | exception Store.Corrupt m -> Testutil.check_contains ~what m msg)
+    [
+      ("host bits", splice 3 1 "\001", "host bits");
+      ("overlong varint", splice 6 1 "\x81\x00", "overlong varint");
+      ("varint past 62 bits", splice 6 1 "\xff\xff\xff\xff\xff\xff\xff\xff\x40", "exceeds 62 bits");
+      ("origins out of order", splice 11 4 "\000\020\000\010", "out of order");
+      ("unknown flag", splice 5 1 (String.make 1 (Char.chr (Char.code octets.[5] lor 0x20))), "entry flags");
+      ("index past the table", splice 16 1 "\001", "of a table of 1 names");
+    ]
 
+(* The store keeps no octet of the caller's bytes: scribbling over them
+   after the decode changes neither the store's encoding nor a reply. *)
 let test_store_decode_copies () =
   let bytes = Store.encode (sample_store ()) in
   let original = Bytes.copy bytes in
@@ -742,10 +839,18 @@ let test_store_rejects_corruption () =
   let bad = Bytes.copy bytes in
   Bytes.set bad 0 'X';
   expect_corrupt "bad magic" bad;
-  (* version bump *)
-  let bad = Bytes.copy bytes in
-  Bytes.set bad 8 '\x02';
-  expect_corrupt "version mismatch" bad
+  (* the version before this one, and the one after *)
+  List.iter
+    (fun v ->
+      let bad = Bytes.copy bytes in
+      Bytes.set bad 8 (Char.chr v);
+      expect_corrupt (Printf.sprintf "version %d" v) bad;
+      match Store.decode bad with
+      | _ -> ()
+      | exception Store.Corrupt m ->
+        Testutil.check_contains ~what:"version message" m
+          (Printf.sprintf "MOASSTOR version %d is not supported" v))
+    [ 1; 3 ]
 
 let test_store_queries () =
   let s = sample_store () in
@@ -929,7 +1034,7 @@ let () =
             test_store_decode_one_prefix;
           prop_bulk_store_matches_add;
           prop_indexes_answer_like_a_scan;
-          prop_entry_size_is_exact;
+          prop_select_equals_scan;
         ] );
       ( "decoder",
         [

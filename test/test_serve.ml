@@ -379,7 +379,7 @@ let prop_reply_equals_encoded_entries =
 let test_smoke_reply_pin () =
   let store = Lazy.force Testutil.collect_smoke_store in
   Alcotest.(check string) "MD5 of the reply to the empty query"
-    "a5eeb7b2d6b77be95a0512e8d2dc66eb"
+    "5d4dd1f0038d9ecbe102ba50df754b3d"
     (Digest.to_hex (Digest.bytes (query_reply store Q.empty)))
 
 let test_builder_validation () =

@@ -254,7 +254,8 @@ let wide_snapshot n =
   M.snapshot m
 
 (* MOASSTRM on adversarial sizes: a count the remaining octets cannot
-   hold is refused before anything is read, and ten times the prefixes
+   hold (in a frame resealed around it, so the checksum passes) is
+   refused before anything is read, and ten times the prefixes
    may cost about ten times the decode, far from the hundred a quadratic
    path would. *)
 let test_checkpoint_adversarial_sizes () =
@@ -273,6 +274,7 @@ let test_checkpoint_adversarial_sizes () =
         expected (Bytes.get_int32_be bytes at);
       let lie = Bytes.copy bytes in
       Bytes.set_int32_be lie at 0xFFFFFFFFl;
+      Testutil.reseal lie;
       match Ck.decode lie with
       | exception Ck.Corrupt msg ->
         Testutil.check_contains ~what msg "exceeds"

@@ -1,4 +1,5 @@
-(* Tests for the text-rendering utilities: Text_table, Csv, Ascii_plot. *)
+(* Tests for the text-rendering utilities: Text_table, Csv, Ascii_plot;
+   and the one line moas_sim prints when an input file is corrupt. *)
 
 module Table = Mutil.Text_table
 module Csv = Mutil.Csv
@@ -121,6 +122,55 @@ let prop_csv_row_arity =
       in
       commas_outside = List.length cells - 1)
 
+(* ---------------- moas_sim on a corrupt input ---------------- *)
+
+(* Run moas_sim (built beside the tests) with stdout dropped: its exit
+   status and what it wrote to stderr. *)
+let moas_sim args =
+  let err = Filename.temp_file "moas_sim" ".err" in
+  let status =
+    Sys.command
+      (Printf.sprintf "%s %s > /dev/null 2> %s"
+         (Filename.quote
+            (Filename.concat (Filename.dirname Sys.executable_name) "../bin/moas_sim.exe"))
+         args (Filename.quote err))
+  in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, text)
+
+(* One octet in the middle of the file flipped. *)
+let corrupt_copy write =
+  let path = Filename.temp_file "moas_sim" ".bin" in
+  write path;
+  let data = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string in
+  let mid = Bytes.length data / 2 in
+  Bytes.set_uint8 data mid (Bytes.get_uint8 data mid lxor 0x5a);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data);
+  path
+
+let test_corrupt_inputs () =
+  List.iter
+    (fun (what, write, args) ->
+      let path = corrupt_copy write in
+      let status, err = moas_sim (args path) in
+      Sys.remove path;
+      Alcotest.(check int) (what ^ ": exit status") 1 status;
+      let prefix = Printf.sprintf "moas_sim: %s: corrupt %s: " path what in
+      Alcotest.(check bool) (what ^ ": " ^ err) true
+        (String.starts_with ~prefix err
+        && String.index err '\n' = String.length err - 1))
+    [
+      ( "store",
+        (fun path -> Collect.Store.write_file path (Lazy.force Testutil.collect_smoke_store)),
+        Printf.sprintf "collect --store %s --query min_visibility=1" );
+      ( "checkpoint",
+        (fun path ->
+          Stream.Checkpoint.write_file path
+            (Stream.Monitor.empty_snapshot Stream.Monitor.default_config)),
+        Printf.sprintf "monitor --smoke --resume %s" );
+    ]
+
 let () =
   Alcotest.run "text_output"
     [
@@ -146,4 +196,6 @@ let () =
           Alcotest.test_case "bar chart" `Quick test_bar_chart;
         ] );
       ("properties", [ prop_csv_row_arity ]);
+      ( "moas_sim",
+        [ Alcotest.test_case "corrupt store and checkpoint" `Quick test_corrupt_inputs ] );
     ]

@@ -91,6 +91,15 @@ let best_of_five f =
   done;
   !best
 
+(* A Codec.Frame whose payload a test edited in place, with its
+   checksum made good again: the CRC-32 at octet 14 covers the kind
+   octet (9) and the payload (from 18), so a lie in a count field
+   reaches the payload's decoder instead of failing at the checksum. *)
+let reseal frame =
+  let kind = Net.Codec.crc32 frame ~pos:9 ~len:1 in
+  let crc = Net.Codec.crc32 ~seed:kind frame ~pos:18 ~len:(Bytes.length frame - 18) in
+  Bytes.set_int32_be frame 14 (Int32.of_int crc)
+
 (* the store [moas_sim collect --smoke --store FILE] writes *)
 let collect_smoke_store =
   lazy
