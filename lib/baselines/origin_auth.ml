@@ -34,5 +34,7 @@ let route_verifies t ~self route =
   in
   origin_ok && signature_ok
 
+(* [Route.filter] returns the list itself when every route verifies,
+   which lets the router judge an UPDATE against its incumbent alone *)
 let validator t ~self : Bgp.Router.validator =
- fun ~now:_ ~prefix:_ routes -> List.filter (route_verifies t ~self) routes
+ fun ~now:_ ~prefix:_ routes -> Bgp.Route.filter (route_verifies t ~self) routes

@@ -19,9 +19,7 @@ let compare_routes a a_len b b_len =
 
 let path_length r = As_path.length r.Route.as_path
 
-let prefer ~self a b =
-  ignore self;
-  compare_routes a (path_length a) b (path_length b)
+let prefer a b = compare_routes a (path_length a) b (path_length b)
 
 let prefer_attrs a b = compare_attrs a (path_length a) b (path_length b)
 
@@ -33,16 +31,14 @@ let rec best_of b b_len = function
     if compare_routes r r_len b b_len < 0 then best_of r r_len rest
     else best_of b b_len rest
 
-let best ~self = function
+let best = function
   | [] -> None
-  | first :: rest ->
-    ignore self;
-    Some (best_of first (path_length first) rest)
+  | first :: rest -> Some (best_of first (path_length first) rest)
 
-let rank ~self routes = List.sort (prefer ~self) routes
+let rank routes = List.sort prefer routes
 
-let best_with_incumbent ~self ~incumbent candidates =
-  let challenger = best ~self candidates in
+let best_with_incumbent ~incumbent candidates =
+  let challenger = best candidates in
   match incumbent with
   | Some current when List.exists (Route.equal current) candidates ->
     (match challenger with

@@ -8,18 +8,15 @@
     3. lowest ORIGIN attribute (IGP < EGP < INCOMPLETE);
     4. lowest peer AS number (stands in for the lowest-router-id rule). *)
 
-open Net
+val prefer : Route.t -> Route.t -> int
+(** [prefer a b] is negative when [a] is preferred over [b], positive
+    when [b] wins, 0 only for routes identical under every criterion. *)
 
-val prefer : self:Asn.t -> Route.t -> Route.t -> int
-(** [prefer ~self a b] is negative when [a] is preferred over [b], positive
-    when [b] wins, 0 only for routes identical under every criterion.
-    [self] resolves the tie-break identity of locally originated routes. *)
-
-val best : self:Asn.t -> Route.t list -> Route.t option
+val best : Route.t list -> Route.t option
 (** The most preferred route of a candidate list, [None] for the empty
     list. *)
 
-val rank : self:Asn.t -> Route.t list -> Route.t list
+val rank : Route.t list -> Route.t list
 (** Candidates sorted most-preferred first. *)
 
 val prefer_attrs : Route.t -> Route.t -> int
@@ -27,8 +24,7 @@ val prefer_attrs : Route.t -> Route.t -> int
     path length, ORIGIN) without the final peer tie-break: 0 means the two
     routes are equally good on paper. *)
 
-val best_with_incumbent :
-  self:Asn.t -> incumbent:Route.t option -> Route.t list -> Route.t option
+val best_with_incumbent : incumbent:Route.t option -> Route.t list -> Route.t option
 (** Route selection with the oldest-route rule used by deployed BGP
     implementations (and SSFnet): the currently installed best route is
     kept unless a candidate beats it strictly on {!prefer_attrs}.  When the

@@ -6,7 +6,9 @@ open Net
 
 type t = {
   import : peer:Asn.t -> Route.t -> Route.t option;
-      (** Applied to a route received from [peer]; [None] rejects it. *)
+      (** Applied to a route received from [peer]; [None] rejects it.  The
+          result must keep the route's [learned_from] ([peer]): the
+          Adj-RIB-In files a route under it. *)
   export : peer:Asn.t -> Route.t -> Route.t option;
       (** Applied before advertising a route to [peer]; [None] filters it. *)
 }

@@ -1,10 +1,12 @@
 open Net
 
-(* One prefix's Adj-RIB-In: the peers that sent a route and their routes,
-   two parallel lists in ascending peer order.  The route list is the
+(* One prefix's Adj-RIB-In: the latest route from each peer, in
+   ascending order of the peer it was learned from.  A route's
+   [learned_from] is its peer, so the list is the whole entry; it is the
    decision process's candidate list as it stands, so a decision reads it
-   without building one; an UPDATE rebuilds the cells up to its peer. *)
-type candidates = { mutable peers : Asn.t list; mutable routes : Route.t list }
+   without building one, and an UPDATE rebuilds the cells up to its
+   peer. *)
+type candidates = { mutable routes : Route.t list }
 
 type t = {
   mutable adj_in : candidates Prefix.Map.t;
@@ -16,107 +18,52 @@ type t = {
   (* the Loc-RIB as a longest-match trie, built on the first forwarding
      lookup and dropped by any best-route change *)
   mutable loc_trie : Route.t Prefix_trie.t option;
-  (* inverted Adj-RIB-In index: the prefixes each peer currently
-     contributes a candidate for, so a session loss flushes only that
-     peer's entries instead of scanning every prefix *)
-  mutable by_peer : Prefix.Set.t Asn.Map.t;
 }
 
 let create () =
-  {
-    adj_in = Prefix.Map.empty;
-    loc = Prefix.Map.empty;
-    loc_count = 0;
-    loc_trie = None;
-    by_peer = Asn.Map.empty;
-  }
+  { adj_in = Prefix.Map.empty; loc = Prefix.Map.empty; loc_count = 0; loc_trie = None }
 
-(* [peers] and [routes] below are one prefix's parallel lists *)
+let peer_of r = r.Route.learned_from
 
-let rec mem_peer peer = function
-  | [] -> false
-  | p :: peers -> Asn.equal p peer || mem_peer peer peers
+(* [route] in place of its peer's entry, or inserted in peer order *)
+let rec put route = function
+  | r :: rest as routes ->
+    let c = Asn.compare (peer_of r) (peer_of route) in
+    if c < 0 then r :: put route rest else if c = 0 then route :: rest else route :: routes
+  | [] -> [ route ]
 
-let rec replace_route peer route peers routes =
-  match (peers, routes) with
-  | p :: peers, r :: routes ->
-    if Asn.equal p peer then route :: routes
-    else r :: replace_route peer route peers routes
-  | _ -> invalid_arg "Rib: peer and route lists out of step"
-
-let rec insert_peer peer = function
-  | p :: peers when Asn.compare p peer < 0 -> p :: insert_peer peer peers
-  | peers -> peer :: peers
-
-let rec insert_route peer route peers routes =
-  match (peers, routes) with
-  | p :: peers, r :: routes when Asn.compare p peer < 0 ->
-    r :: insert_route peer route peers routes
-  | _ -> route :: routes
-
-let rec remove_peer peer = function
+(* the list without [peer]'s entry; the list itself when it has none *)
+let rec drop peer = function
+  | r :: rest as routes ->
+    let c = Asn.compare (peer_of r) peer in
+    if c < 0 then
+      let kept = drop peer rest in
+      if kept == rest then routes else r :: kept
+    else if c = 0 then rest
+    else routes
   | [] -> []
-  | p :: peers -> if Asn.equal p peer then peers else p :: remove_peer peer peers
 
-let rec remove_route peer peers routes =
-  match (peers, routes) with
-  | p :: peers, r :: routes ->
-    if Asn.equal p peer then routes else r :: remove_route peer peers routes
-  | _ -> routes
-
-let index_peer t ~peer prefix =
-  t.by_peer <-
-    Asn.Map.update peer
-      (function
-        | Some prefixes -> Some (Prefix.Set.add prefix prefixes)
-        | None -> Some (Prefix.Set.singleton prefix))
-      t.by_peer
-
-(* a replacement from a peer already indexed for the prefix leaves the
-   peer list and [by_peer] as they are *)
-let set_in t ~peer route =
+(* The lookups below run once or twice per UPDATE; [find] allocates no
+   option. *)
+let set_in t route =
   let prefix = route.Route.prefix in
-  match Prefix.Map.find_opt prefix t.adj_in with
-  | Some c ->
-    if mem_peer peer c.peers then c.routes <- replace_route peer route c.peers c.routes
-    else begin
-      c.routes <- insert_route peer route c.peers c.routes;
-      c.peers <- insert_peer peer c.peers;
-      index_peer t ~peer prefix
-    end
-  | None ->
-    t.adj_in <- Prefix.Map.add prefix { peers = [ peer ]; routes = [ route ] } t.adj_in;
-    index_peer t ~peer prefix
+  match Prefix.Map.find prefix t.adj_in with
+  | c -> c.routes <- put route c.routes
+  | exception Not_found ->
+    t.adj_in <- Prefix.Map.add prefix { routes = [ route ] } t.adj_in
 
 let withdraw_in t ~peer prefix =
-  match Prefix.Map.find_opt prefix t.adj_in with
-  | Some c when mem_peer peer c.peers ->
-    (match remove_peer peer c.peers with
+  match Prefix.Map.find prefix t.adj_in with
+  | c ->
+    (match drop peer c.routes with
     | [] -> t.adj_in <- Prefix.Map.remove prefix t.adj_in
-    | peers ->
-      c.routes <- remove_route peer c.peers c.routes;
-      c.peers <- peers);
-    t.by_peer <-
-      Asn.Map.update peer
-        (function
-          | Some prefixes ->
-            let prefixes = Prefix.Set.remove prefix prefixes in
-            if Prefix.Set.is_empty prefixes then None else Some prefixes
-          | None -> None)
-        t.by_peer
-  | Some _ | None -> ()
+    | routes -> c.routes <- routes)
+  | exception Not_found -> ()
 
 let routes_in t prefix =
-  match Prefix.Map.find_opt prefix t.adj_in with
-  | Some c -> c.routes
-  | None -> []
-
-let fold_routes_in t prefix f init = List.fold_left f init (routes_in t prefix)
-
-let peers_with_route t prefix =
-  match Prefix.Map.find_opt prefix t.adj_in with
-  | Some c -> c.peers
-  | None -> []
+  match Prefix.Map.find prefix t.adj_in with
+  | c -> c.routes
+  | exception Not_found -> []
 
 let set_best t route =
   let prefix = route.Route.prefix in
@@ -154,14 +101,20 @@ let clear t =
   t.adj_in <- Prefix.Map.empty;
   t.loc <- Prefix.Map.empty;
   t.loc_count <- 0;
-  t.loc_trie <- None;
-  t.by_peer <- Asn.Map.empty
+  t.loc_trie <- None
 
+(* A teardown scans every prefix's entry.  The simulations here hold a
+   handful of prefixes per router (a victim prefix, its attackers'
+   subprefixes, an aggregate), so a per-peer index would cost every first
+   announcement more than it saves the rare teardown. *)
 let flush_peer t ~peer =
   let affected =
-    match Asn.Map.find_opt peer t.by_peer with
-    | Some prefixes -> Prefix.Set.elements prefixes
-    | None -> []
+    Prefix.Map.fold
+      (fun prefix c acc ->
+        if List.exists (fun r -> Asn.equal (peer_of r) peer) c.routes then prefix :: acc
+        else acc)
+      t.adj_in []
+    |> List.rev
   in
   List.iter (fun prefix -> withdraw_in t ~peer prefix) affected;
   affected

@@ -6,9 +6,10 @@
 
     Both are laid out for the decision process, which runs once per
     UPDATE:
-    - a prefix's Adj-RIB-In is its candidate list itself, in peer-AS
-      order, so {!routes_in} hands the decision its candidates without
-      building a list;
+    - a prefix's Adj-RIB-In is its candidate list itself, ordered by the
+      peer each route was learned from ([Route.learned_from]), so
+      {!routes_in} hands the decision its candidates without building a
+      list;
     - the Loc-RIB is a prefix map: {!best}, {!set_best} and {!clear_best}
       are one balanced-tree operation each.  The longest-match view
       {!loc_rib_trie} is derived from it on demand and cached until the
@@ -24,9 +25,10 @@ type t
 val create : unit -> t
 (** Empty RIBs. *)
 
-val set_in : t -> peer:Asn.t -> Route.t -> unit
-(** Record the latest announcement from [peer] for the route's prefix,
-    replacing any previous one (implicit withdrawal). *)
+val set_in : t -> Route.t -> unit
+(** Record the latest announcement for the route's prefix from the peer
+    it was learned from, replacing that peer's previous one (implicit
+    withdrawal). *)
 
 val withdraw_in : t -> peer:Asn.t -> Prefix.t -> unit
 (** Remove [peer]'s entry for [prefix], if any. *)
@@ -34,12 +36,6 @@ val withdraw_in : t -> peer:Asn.t -> Prefix.t -> unit
 val routes_in : t -> Prefix.t -> Route.t list
 (** All Adj-RIB-In candidates for a prefix, ordered by peer AS number.
     The list is stored, not built: O(1) and allocation-free. *)
-
-val fold_routes_in : t -> Prefix.t -> ('acc -> Route.t -> 'acc) -> 'acc -> 'acc
-(** [List.fold_left] over {!routes_in}. *)
-
-val peers_with_route : t -> Prefix.t -> Asn.t list
-(** Peers currently contributing a candidate for the prefix. *)
 
 val set_best : t -> Route.t -> unit
 (** Install a best route in the Loc-RIB. *)
@@ -72,4 +68,6 @@ val clear : t -> unit
 
 val flush_peer : t -> peer:Asn.t -> Prefix.t list
 (** Drop every Adj-RIB-In entry learned from [peer] (session loss) and
-    return the prefixes that were affected. *)
+    return the prefixes that were affected, in ascending order.  It scans
+    every prefix's entry: O(prefixes + routes), for the handful of
+    prefixes a simulated router holds. *)

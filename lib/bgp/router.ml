@@ -27,6 +27,10 @@ type flap_state = {
   mutable first_seen : bool; (* the initial announcement is not a flap *)
 }
 
+(* damping parameters and the flap states they judge, allocated only for
+   a router that damps *)
+type damper = { params : damping; flaps : (Asn.t * Prefix.t, flap_state) Hashtbl.t }
+
 (* One BGP session's export state: what the peer last heard, to suppress
    duplicate updates and to know when an explicit withdrawal is due, and
    the MRAI state -- the time of the last advertisement batch and the
@@ -46,9 +50,14 @@ type t = {
   policy : Policy.t;
   mutable validator : validator option;
   mrai : float;
-  damping : damping option;
-  flaps : (Asn.t * Prefix.t, flap_state) Hashtbl.t;
+  damping : damper option;
   rib : Rib.t;
+  (* the prefixes whose next decision must scan every candidate: at its
+     last decision the validator dropped one, or a crash left the Loc-RIB
+     without the originated routes.  Every other prefix's best route is
+     a most preferred candidate (on attributes), which is what lets one
+     changed candidate be judged against it alone. *)
+  mutable must_scan : Prefix.Set.t;
   (* the peers with an established session in increasing AS order, and
      each one's export state at the same index *)
   mutable peer_ids : Asn.t array;
@@ -82,9 +91,10 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     policy;
     validator;
     mrai;
-    damping;
-    flaps = Hashtbl.create 16;
+    damping =
+      Option.map (fun params -> { params; flaps = Hashtbl.create 16 }) damping;
     rib = Rib.create ();
+    must_scan = Prefix.Set.empty;
     peer_ids = [||];
     sessions = [||];
     originated = Prefix.Map.empty;
@@ -156,36 +166,36 @@ let decayed_penalty damping state ~now =
   let dt = Float.max 0.0 (now -. state.stamped_at) in
   state.penalty *. (0.5 ** (dt /. damping.half_life))
 
-let flap_state t ~peer prefix =
+let flap_state { flaps; _ } ~peer prefix =
   let key = (peer, prefix) in
-  match Hashtbl.find_opt t.flaps key with
+  match Hashtbl.find_opt flaps key with
   | Some state -> state
   | None ->
     let state =
       { penalty = 0.0; stamped_at = 0.0; suppressed = false; first_seen = false }
     in
-    Hashtbl.add t.flaps key state;
+    Hashtbl.add flaps key state;
     state
 
 let flap_penalty t ~peer prefix ~now =
   match t.damping with
   | None -> 0.0
-  | Some damping ->
-    (match Hashtbl.find_opt t.flaps (peer, prefix) with
+  | Some { params; flaps } ->
+    (match Hashtbl.find_opt flaps (peer, prefix) with
     | None -> 0.0
-    | Some state -> decayed_penalty damping state ~now)
+    | Some state -> decayed_penalty params state ~now)
 
 let is_suppressed t ~peer prefix ~now =
   match t.damping with
   | None -> false
-  | Some damping ->
-    (match Hashtbl.find_opt t.flaps (peer, prefix) with
+  | Some { params; flaps } ->
+    (match Hashtbl.find_opt flaps (peer, prefix) with
     | None -> false
     | Some state ->
       if not state.suppressed then false
       else begin
-        let penalty = decayed_penalty damping state ~now in
-        if penalty < damping.reuse_threshold then begin
+        let penalty = decayed_penalty params state ~now in
+        if penalty < params.reuse_threshold then begin
           state.suppressed <- false;
           state.penalty <- penalty;
           state.stamped_at <- now;
@@ -195,27 +205,24 @@ let is_suppressed t ~peer prefix ~now =
       end)
 
 (* record one flap; returns true when the route just became suppressed *)
-let note_flap t ~now ~peer prefix ~increment =
-  match t.damping with
-  | None -> false
-  | Some damping ->
-    let state = flap_state t ~peer prefix in
-    if not state.first_seen then begin
-      (* the very first announcement is legitimate birth, not a flap *)
-      state.first_seen <- true;
-      state.stamped_at <- now;
-      false
+let note_flap damper ~now ~peer prefix ~increment =
+  let state = flap_state damper ~peer prefix in
+  if not state.first_seen then begin
+    (* the very first announcement is legitimate birth, not a flap *)
+    state.first_seen <- true;
+    state.stamped_at <- now;
+    false
+  end
+  else begin
+    let penalty = decayed_penalty damper.params state ~now +. increment in
+    state.penalty <- penalty;
+    state.stamped_at <- now;
+    if (not state.suppressed) && penalty >= damper.params.suppress_threshold then begin
+      state.suppressed <- true;
+      true
     end
-    else begin
-      let penalty = decayed_penalty damping state ~now +. increment in
-      state.penalty <- penalty;
-      state.stamped_at <- now;
-      if (not state.suppressed) && penalty >= damping.suppress_threshold then begin
-        state.suppressed <- true;
-        true
-      end
-      else false
-    end
+    else false
+  end
 
 (* damping admission: a suppressed route from a peer is not a candidate;
    checking it may lift the suppression, so the flap states are visited
@@ -254,7 +261,10 @@ let updates_sent t = t.sent_count
    callers pass the prefix's best route, looked up once per change rather
    than once per peer.                                                    *)
 
-let desired_advertisement t ~peer best =
+(* [shared] holds the best route as this AS advertises it: the first peer
+   whose export returns the route itself builds it, and every later peer
+   of the same change reuses it. *)
+let desired_advertisement t ~peer ~shared best =
   match best with
   | None -> None
   | Some route ->
@@ -266,10 +276,17 @@ let desired_advertisement t ~peer best =
     else
       (match t.policy.Policy.export ~peer route with
       | None -> None
-      | Some exported -> Some (Route.advertised_by t.asn exported))
+      | Some exported when exported != route -> Some (Route.advertised_by t.asn exported)
+      | Some _ ->
+        (match !shared with
+        | Some _ as advertised -> advertised
+        | None ->
+          let advertised = Some (Route.advertised_by t.asn route) in
+          shared := advertised;
+          advertised))
 
-let sync_peer_prefix t session ~peer prefix best =
-  let desired = desired_advertisement t ~peer best in
+let sync_peer_prefix t session ~peer ~shared prefix best =
+  let desired = desired_advertisement t ~peer ~shared best in
   let current = Prefix.Map.find_opt prefix session.heard in
   match (desired, current) with
   | None, None -> ()
@@ -284,10 +301,10 @@ let sync_peer_prefix t session ~peer prefix best =
 (* MRAI gating: a peer whose last batch is too recent gets the prefix
    queued; a timer fires when the interval expires and syncs every queued
    prefix at once. *)
-let rec advertise_to_peer t ~now peer session prefix best =
-  if t.mrai <= 0.0 then sync_peer_prefix t session ~peer prefix best
+let rec advertise_to_peer t ~now ~shared peer session prefix best =
+  if t.mrai <= 0.0 then sync_peer_prefix t session ~peer ~shared prefix best
   else if now -. session.last_batch >= t.mrai then begin
-    sync_peer_prefix t session ~peer prefix best;
+    sync_peer_prefix t session ~peer ~shared prefix best;
     session.last_batch <- now
   end
   else begin
@@ -311,28 +328,71 @@ and flush_deferred t ~now peer =
     if not (Prefix.Set.is_empty queued) then begin
       session.last_batch <- now;
       Prefix.Set.iter
-        (fun prefix -> sync_peer_prefix t session ~peer prefix (Rib.best t.rib prefix))
+        (fun prefix ->
+          sync_peer_prefix t session ~peer ~shared:(ref None) prefix
+            (Rib.best t.rib prefix))
         queued
     end
 
 let advertise_all t ~now prefix best =
+  let shared = ref None in
   for slot = 0 to Array.length t.peer_ids - 1 do
-    advertise_to_peer t ~now t.peer_ids.(slot) t.sessions.(slot) prefix best
+    advertise_to_peer t ~now ~shared t.peer_ids.(slot) t.sessions.(slot) prefix best
   done
 
 (* ------------------------------------------------------------------ *)
 (* Decision *)
 
+(* The validator's verdict on the admitted candidates.  One that drops a
+   candidate bars the prefix's next shortcut (see [must_scan]). *)
+let validated t ~now prefix all =
+  let kept =
+    match t.validator with
+    | Some validate -> validate ~now ~prefix all
+    | None -> all
+  in
+  t.must_scan <-
+    (if kept == all then Prefix.Set.remove prefix t.must_scan
+     else Prefix.Set.add prefix t.must_scan);
+  kept
+
+(* A decision over every candidate, with the oldest-route rule. *)
 let rec reselect t ~now prefix =
   Obs.Registry.Counter.incr t.decisions_c;
   let old_best = Rib.best t.rib prefix in
+  let kept = validated t ~now prefix (admitted_candidates t ~now prefix) in
+  install t ~now prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
+
+(* The decision after one candidate moved: [peer]'s entry for [prefix] is
+   now [route] ([None]: gone).  The scan's result is known without the
+   scan when nothing else can have moved the best route: no damping
+   (suppression lifts with time alone), a validator that keeps every
+   candidate now and kept every one at the prefix's last decision, and
+   an incumbent not learned from [peer].  The incumbent is then a most
+   preferred candidate on attributes, so the moved route replaces it
+   exactly when it is strictly better on [Decision.prefer_attrs], and
+   nothing else can; without an incumbent there was no candidate, so the
+   moved route is the only one. *)
+and reselect_after t ~now ~peer route prefix =
+  Obs.Registry.Counter.incr t.decisions_c;
+  let old_best = Rib.best t.rib prefix in
+  let unfiltered_before = not (Prefix.Set.mem prefix t.must_scan) in
   let all = admitted_candidates t ~now prefix in
+  let kept = validated t ~now prefix all in
+  let shortcut = Option.is_none t.damping && unfiltered_before && kept == all in
   let new_best =
-    Decision.best_with_incumbent ~self:t.asn ~incumbent:old_best
-      (match t.validator with
-      | Some validate -> validate ~now ~prefix all
-      | None -> all)
+    match old_best with
+    | Some incumbent when shortcut && not (Asn.equal incumbent.Route.learned_from peer) ->
+      (match route with
+      | Some moved when Decision.prefer_attrs moved incumbent < 0 -> route
+      | Some _ | None -> old_best)
+    | None when shortcut -> route
+    | Some _ | None -> Decision.best_with_incumbent ~incumbent:old_best kept
   in
+  install t ~now prefix old_best new_best
+
+(* install a decision's result and propagate it if it changed *)
+and install t ~now prefix old_best new_best =
   let changed =
     match (new_best, old_best) with
     | None, None -> false
@@ -349,11 +409,12 @@ let rec reselect t ~now prefix =
     advertise_all t ~now prefix new_best;
     (* a change to a child route may alter a configured aggregate; the
        summary is strictly shorter, so this recursion terminates *)
-    Prefix.Set.iter
-      (fun summary ->
-        if Prefix.is_strict_subprefix ~sub:prefix ~of_:summary then
-          refresh_aggregate t ~now summary)
-      t.aggregates
+    if not (Prefix.Set.is_empty t.aggregates) then
+      Prefix.Set.iter
+        (fun summary ->
+          if Prefix.is_strict_subprefix ~sub:prefix ~of_:summary then
+            refresh_aggregate t ~now summary)
+        t.aggregates
   end
 
 and refresh_aggregate t ~now summary =
@@ -421,7 +482,8 @@ let peer_up t ~now peer =
     let session = t.sessions.(session_index t peer) in
     (* initial table exchange: everything in the Loc-RIB goes out *)
     List.iter
-      (fun (prefix, best) -> advertise_to_peer t ~now peer session prefix (Some best))
+      (fun (prefix, best) ->
+        advertise_to_peer t ~now ~shared:(ref None) peer session prefix (Some best))
       (Rib.best_bindings t.rib)
   end
 
@@ -430,9 +492,13 @@ let crash t =
      configuration — originated prefixes, aggregation rules, policy,
      validator — survives in NVRAM for [restart] *)
   Rib.clear t.rib;
+  (* the originated routes stay candidates while the Loc-RIB is empty, so
+     their prefixes' next decisions must scan *)
+  t.must_scan <-
+    Prefix.Map.fold (fun prefix _ s -> Prefix.Set.add prefix s) t.originated Prefix.Set.empty;
   t.peer_ids <- [||];
   t.sessions <- [||];
-  Hashtbl.reset t.flaps
+  Option.iter (fun { flaps; _ } -> Hashtbl.reset flaps) t.damping
 
 let restart t ~now =
   (* re-install the configured originations; with no sessions yet nothing
@@ -462,44 +528,43 @@ let handle_update t ~now (update : Update.t) =
   t.received_count <- t.received_count + 1;
   Obs.Registry.Counter.incr t.received_c;
   let peer = update.Update.sender in
+  let prefix = Update.prefix update in
   (* damping bookkeeping: announcements after the first and withdrawals
      count as flaps; a route crossing the suppress threshold schedules its
      own re-evaluation at the projected reuse time *)
   (match t.damping with
   | None -> ()
-  | Some damping ->
-    let prefix = Update.prefix update in
+  | Some damper ->
     let increment =
       match update.Update.payload with
-      | Update.Announce _ -> damping.penalty_update
-      | Update.Withdraw _ -> damping.penalty_withdraw
+      | Update.Announce _ -> damper.params.penalty_update
+      | Update.Withdraw _ -> damper.params.penalty_withdraw
     in
-    if note_flap t ~now ~peer prefix ~increment then begin
+    if note_flap damper ~now ~peer prefix ~increment then begin
       (* later flaps may push the penalty further up, so the timer re-arms
          itself until the route actually becomes reusable *)
       let rec recheck fire_time =
         if is_suppressed t ~peer prefix ~now:fire_time then begin
-          let state = flap_state t ~peer prefix in
-          let delay = Float.max 0.1 (reuse_delay damping state ~now:fire_time) in
+          let state = flap_state damper ~peer prefix in
+          let delay = Float.max 0.1 (reuse_delay damper.params state ~now:fire_time) in
           transport_schedule t ~delay recheck
         end
         else reselect t ~now:fire_time prefix
       in
-      let state = flap_state t ~peer prefix in
-      let delay = Float.max 0.1 (reuse_delay damping state ~now) in
+      let state = flap_state damper ~peer prefix in
+      let delay = Float.max 0.1 (reuse_delay damper.params state ~now) in
       transport_schedule t ~delay recheck
     end);
-  (match update.Update.payload with
-  | Update.Announce route ->
-    if As_path.contains route.Route.as_path t.asn then
+  let accepted =
+    match update.Update.payload with
+    | Update.Announce route ->
       (* loop detection: a route that already crossed this AS is dropped,
          implicitly withdrawing any previous route from that peer *)
-      Rib.withdraw_in t.rib ~peer (Update.prefix update)
-    else begin
-      let route = Route.received ~from:peer route in
-      match t.policy.Policy.import ~peer route with
-      | Some accepted -> Rib.set_in t.rib ~peer accepted
-      | None -> Rib.withdraw_in t.rib ~peer (Update.prefix update)
-    end
-  | Update.Withdraw prefix -> Rib.withdraw_in t.rib ~peer prefix);
-  reselect t ~now (Update.prefix update)
+      if As_path.contains route.Route.as_path t.asn then None
+      else t.policy.Policy.import ~peer (Route.received ~from:peer route)
+    | Update.Withdraw _ -> None
+  in
+  (match accepted with
+  | Some route -> Rib.set_in t.rib route
+  | None -> Rib.withdraw_in t.rib ~peer prefix);
+  reselect_after t ~now ~peer accepted prefix

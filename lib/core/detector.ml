@@ -164,16 +164,29 @@ let raise_alarm t ~now ~prefix ~lists ~origins =
     t.on_alarm alarm
   end
 
+(* Each filter below first checks that every route passes, the common
+   case, which allocates nothing; the filter's predicate is a closure
+   built per call. *)
+let rec all_entitled t entitled = function
+  | [] -> true
+  | r :: rest -> Asn.Set.mem (origin t r) entitled && all_entitled t entitled rest
+
 let filter_entitled t entitled routes =
-  let kept = Bgp.Route.filter (fun r -> Asn.Set.mem (origin t r) entitled) routes in
-  Obs.Registry.Counter.add t.discarded_c
-    (if kept == routes then 0 else List.length routes - List.length kept);
-  kept
+  if all_entitled t entitled routes then routes
+  else begin
+    let kept = Bgp.Route.filter (fun r -> Asn.Set.mem (origin t r) entitled) routes in
+    Obs.Registry.Counter.add t.discarded_c (List.length routes - List.length kept);
+    kept
+  end
 
 let self_consistent t r =
   match decode t r.Bgp.Route.communities with
   | None -> true
   | Some members -> Asn.Set.mem (origin t r) members
+
+let rec all_self_consistent t = function
+  | [] -> true
+  | r :: rest -> self_consistent t r && all_self_consistent t rest
 
 (* the Community backend replaces the list-consistency machinery wholesale:
    the watch judges community dynamics, each anomaly becomes an alarm (the
@@ -201,7 +214,8 @@ let validator t : Bgp.Router.validator =
   | Some watch -> community_validator t watch ~now ~prefix routes
   | None ->
   let routes =
-    if t.check_self_consistency then Bgp.Route.filter (self_consistent t) routes
+    if t.check_self_consistency && not (all_self_consistent t routes) then
+      Bgp.Route.filter (self_consistent t) routes
     else routes
   in
   (* a verdict already obtained from the registry applies permanently *)

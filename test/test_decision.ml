@@ -12,44 +12,44 @@ let test_local_pref_wins () =
   let high = r ~local_pref:200 ~from:2 [ 2; 3; 4; 5; 10 ] in
   (* higher local-pref wins despite the longer path *)
   Alcotest.check Testutil.route_testable "local pref dominates" high
-    (Option.get (D.best ~self [ low; high ]))
+    (Option.get (D.best [ low; high ]))
 
 let test_shorter_path_wins () =
   let short = r ~from:5 [ 5; 10 ] in
   let long = r ~from:2 [ 2; 3; 10 ] in
   Alcotest.check Testutil.route_testable "shorter AS path" short
-    (Option.get (D.best ~self [ long; short ]))
+    (Option.get (D.best [ long; short ]))
 
 let test_origin_attr_breaks_tie () =
   let igp = r ~origin:Bgp.Route.Igp ~from:5 [ 5; 10 ] in
   let egp = r ~origin:Bgp.Route.Egp ~from:2 [ 2; 10 ] in
   let incomplete = r ~origin:Bgp.Route.Incomplete ~from:1 [ 1; 10 ] in
   Alcotest.check Testutil.route_testable "IGP < EGP < INCOMPLETE" igp
-    (Option.get (D.best ~self [ incomplete; egp; igp ]))
+    (Option.get (D.best [ incomplete; egp; igp ]))
 
 let test_peer_tiebreak () =
   let a = r ~from:7 [ 7; 10 ] in
   let b = r ~from:3 [ 3; 10 ] in
   Alcotest.check Testutil.route_testable "lowest peer AS wins full ties" b
-    (Option.get (D.best ~self [ a; b ]))
+    (Option.get (D.best [ a; b ]))
 
 let test_originated_beats_learned () =
   let originated = Bgp.Route.originate ~self (Testutil.victim) in
   let learned = r ~from:3 [ 3; 10 ] in
   Alcotest.check Testutil.route_testable "empty path wins" originated
-    (Option.get (D.best ~self [ learned; originated ]))
+    (Option.get (D.best [ learned; originated ]))
 
 let test_best_empty () =
-  Alcotest.(check bool) "no candidate" true (D.best ~self [] = None)
+  Alcotest.(check bool) "no candidate" true (D.best [] = None)
 
 let test_rank_consistent_with_best () =
   let candidates =
     [ r ~from:1 [ 1; 2; 10 ]; r ~from:2 [ 2; 10 ]; r ~from:3 [ 3; 4; 5; 10 ] ]
   in
-  match D.rank ~self candidates with
+  match D.rank candidates with
   | best :: _ ->
     Alcotest.check Testutil.route_testable "rank head = best" best
-      (Option.get (D.best ~self candidates))
+      (Option.get (D.best candidates))
   | [] -> Alcotest.fail "rank dropped candidates"
 
 let test_incumbent_keeps_equal () =
@@ -58,7 +58,7 @@ let test_incumbent_keeps_equal () =
   (* same attributes; without history the lower peer would win, but the
      installed route is kept (oldest-route rule) *)
   let kept =
-    D.best_with_incumbent ~self ~incumbent:(Some incumbent)
+    D.best_with_incumbent ~incumbent:(Some incumbent)
       [ challenger; incumbent ]
   in
   Alcotest.check Testutil.route_testable "incumbent retained on tie" incumbent
@@ -68,7 +68,7 @@ let test_incumbent_loses_to_strictly_better () =
   let incumbent = r ~from:7 [ 7; 6; 10 ] in
   let challenger = r ~from:3 [ 3; 10 ] in
   let chosen =
-    D.best_with_incumbent ~self ~incumbent:(Some incumbent)
+    D.best_with_incumbent ~incumbent:(Some incumbent)
       [ challenger; incumbent ]
   in
   Alcotest.check Testutil.route_testable "strictly shorter path replaces"
@@ -79,7 +79,7 @@ let test_incumbent_gone () =
   let challenger = r ~from:3 [ 3; 9; 10 ] in
   (* the incumbent is no longer a candidate: plain selection applies *)
   let chosen =
-    D.best_with_incumbent ~self ~incumbent:(Some incumbent) [ challenger ]
+    D.best_with_incumbent ~incumbent:(Some incumbent) [ challenger ]
   in
   Alcotest.check Testutil.route_testable "falls back to best" challenger
     (Option.get chosen)
@@ -87,7 +87,7 @@ let test_incumbent_gone () =
 let test_incumbent_none () =
   let challenger = r ~from:3 [ 3; 10 ] in
   Alcotest.check Testutil.route_testable "no incumbent = plain best" challenger
-    (Option.get (D.best_with_incumbent ~self ~incumbent:None [ challenger ]))
+    (Option.get (D.best_with_incumbent ~incumbent:None [ challenger ]))
 
 let route_gen =
   QCheck2.Gen.(
@@ -100,23 +100,23 @@ let prop_prefer_antisymmetric =
   Testutil.qtest "prefer is antisymmetric"
     QCheck2.Gen.(pair route_gen route_gen)
     (fun (a, b) ->
-      let ab = D.prefer ~self a b and ba = D.prefer ~self b a in
+      let ab = D.prefer a b and ba = D.prefer b a in
       (ab > 0 && ba < 0) || (ab < 0 && ba > 0) || (ab = 0 && ba = 0))
 
 let prop_prefer_transitive =
   Testutil.qtest "prefer is transitive"
     QCheck2.Gen.(triple route_gen route_gen route_gen)
     (fun (a, b, c) ->
-      let le x y = D.prefer ~self x y <= 0 in
+      let le x y = D.prefer x y <= 0 in
       (not (le a b && le b c)) || le a c)
 
 let prop_best_is_minimum =
   Testutil.qtest "best is preferred over every candidate"
     QCheck2.Gen.(list_size (int_range 1 10) route_gen)
     (fun candidates ->
-      match D.best ~self candidates with
+      match D.best candidates with
       | None -> false
-      | Some b -> List.for_all (fun c -> D.prefer ~self b c <= 0) candidates)
+      | Some b -> List.for_all (fun c -> D.prefer b c <= 0) candidates)
 
 let prop_incumbent_never_worse =
   Testutil.qtest "incumbent rule never selects a strictly worse route"
@@ -124,7 +124,7 @@ let prop_incumbent_never_worse =
     (fun (incumbent, others) ->
       let candidates = incumbent :: others in
       match
-        D.best_with_incumbent ~self ~incumbent:(Some incumbent) candidates
+        D.best_with_incumbent ~incumbent:(Some incumbent) candidates
       with
       | None -> false
       | Some chosen ->

@@ -9,15 +9,16 @@ let victim = Testutil.victim
 
 let test_rib_set_and_get () =
   let rib = Rib.create () in
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib ~peer:(Asn.make 2) (r ~from:2 [ 2; 10 ]);
+  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
+  Rib.set_in rib (r ~from:2 [ 2; 10 ]);
   Alcotest.(check int) "two candidates" 2 (List.length (Rib.routes_in rib victim));
-  Alcotest.(check (list int)) "peer listing" [ 1; 2 ] (Rib.peers_with_route rib victim)
+  Alcotest.(check (list int)) "candidates in peer order" [ 1; 2 ]
+    (List.map (fun r -> r.Bgp.Route.learned_from) (Rib.routes_in rib victim))
 
 let test_rib_implicit_withdrawal () =
   let rib = Rib.create () in
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 2; 10 ]);
+  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
+  Rib.set_in rib (r ~from:1 [ 1; 2; 10 ]);
   match Rib.routes_in rib victim with
   | [ only ] ->
     Alcotest.(check int) "latest announcement replaces" 3
@@ -26,7 +27,7 @@ let test_rib_implicit_withdrawal () =
 
 let test_rib_withdraw () =
   let rib = Rib.create () in
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 10 ]);
+  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
   Rib.withdraw_in rib ~peer:(Asn.make 1) victim;
   Alcotest.(check int) "gone" 0 (List.length (Rib.routes_in rib victim));
   (* withdrawing twice is harmless *)
@@ -84,27 +85,15 @@ let test_rib_loc_rib_size () =
   Rib.clear rib;
   Alcotest.(check int) "reset" 0 (Rib.loc_rib_size rib)
 
-let test_rib_fold_matches_routes_in () =
-  let rib = Rib.create () in
-  Rib.set_in rib ~peer:(Asn.make 3) (r ~from:3 [ 3; 10 ]);
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib ~peer:(Asn.make 2) (r ~from:2 [ 2; 10 ]);
-  let folded =
-    List.rev (Rib.fold_routes_in rib victim (fun acc r -> r :: acc) [])
-  in
-  Alcotest.(check (list Testutil.route_testable))
-    "fold visits the same routes in the same order" (Rib.routes_in rib victim)
-    folded
-
 let test_rib_flush_peer () =
   let rib = Rib.create () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
   let p3 = Prefix.of_string "172.16.0.0/12" in
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~prefix:p2 ~from:1 [ 1; 20 ]);
-  Rib.set_in rib ~peer:(Asn.make 2) (r ~prefix:p3 ~from:2 [ 2; 30 ]);
+  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
+  Rib.set_in rib (r ~prefix:p2 ~from:1 [ 1; 20 ]);
+  Rib.set_in rib (r ~prefix:p3 ~from:2 [ 2; 30 ]);
   (* re-announcing then withdrawing must leave the index consistent *)
-  Rib.set_in rib ~peer:(Asn.make 1) (r ~prefix:p2 ~from:1 [ 1; 2; 20 ]);
+  Rib.set_in rib (r ~prefix:p2 ~from:1 [ 1; 2; 20 ]);
   let affected = Rib.flush_peer rib ~peer:(Asn.make 1) in
   Alcotest.(check (list Testutil.prefix_testable))
     "affected prefixes, ascending" [ p2; victim ] affected;
@@ -113,7 +102,7 @@ let test_rib_flush_peer () =
   Alcotest.(check int) "peer 2 untouched" 1 (List.length (Rib.routes_in rib p3));
   Alcotest.(check (list Testutil.prefix_testable))
     "second flush finds nothing" [] (Rib.flush_peer rib ~peer:(Asn.make 1));
-  Rib.set_in rib ~peer:(Asn.make 2) (r ~prefix:p2 ~from:2 [ 2; 20 ]);
+  Rib.set_in rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
   Rib.withdraw_in rib ~peer:(Asn.make 2) p2;
   Alcotest.(check (list Testutil.prefix_testable))
     "withdrawn routes are not re-flushed" [ p3 ]
@@ -296,7 +285,7 @@ let prop_adj_rib_in_model =
             match op with
             | Announce (peer, p, v) ->
               let route = r ~prefix:prefix_pool.(p) ~from:peer [ peer; 100 + v ] in
-              Rib.set_in rib ~peer route;
+              Rib.set_in rib route;
               set prefix_pool.(p) (Asn.Map.add peer route (per_peer prefix_pool.(p)));
               true
             | Withdraw (peer, p) ->
@@ -318,9 +307,7 @@ let prop_adj_rib_in_model =
                (fun p ->
                  let m = per_peer p in
                  List.equal Bgp.Route.equal (Rib.routes_in rib p)
-                   (List.map snd (Asn.Map.bindings m))
-                 && List.equal Asn.equal (Rib.peers_with_route rib p)
-                      (List.map fst (Asn.Map.bindings m)))
+                   (List.map snd (Asn.Map.bindings m)))
                prefix_pool
           && Prefix.Set.equal (Rib.prefixes_in rib)
                (Prefix.Set.of_list (List.map fst (Prefix.Map.bindings !reference))))
@@ -337,8 +324,6 @@ let () =
           Alcotest.test_case "loc-rib" `Quick test_rib_best;
           Alcotest.test_case "multiple prefixes + lpm" `Quick test_rib_multiple_prefixes;
           Alcotest.test_case "loc-rib cardinality" `Quick test_rib_loc_rib_size;
-          Alcotest.test_case "fold matches routes_in" `Quick
-            test_rib_fold_matches_routes_in;
           Alcotest.test_case "flush peer" `Quick test_rib_flush_peer;
           prop_loc_rib_model;
           prop_adj_rib_in_model;

@@ -1,15 +1,20 @@
-(* A naive reference for the offline MOAS verdict, written from the
-   paper and not from Stream.Monitor: per prefix the current origins and
-   their advertised lists in a Map, and conflict episodes as immutable
-   records.  Only the event, batch, episode-view and case types are shared
-   with lib/stream.
+(* Naive references that the optimised library code is checked against.
+
+   The offline MOAS verdict, written from the paper and not from
+   Stream.Monitor: per prefix the current origins and their advertised
+   lists in a Map, and conflict episodes as immutable records.  Only the
+   event, batch, episode-view and case types are shared with lib/stream.
 
    - An episode opens when a prefix's origin set grows past one AS and
      closes when it falls back to at most one.
    - At each settle point an open episode whose origins fail the paper's
      list check is flagged, for good.
    - At each day's end every open episode is credited one day, and the
-     count of open episodes is the day's Figure 4 value. *)
+     count of open episodes is the day's Figure 4 value.
+
+   A router's decision, by a full scan over its candidates and written
+   from the decision order in Bgp.Decision's interface, not from its
+   code: see [router_best] at the end. *)
 
 open Net
 module M = Stream.Monitor
@@ -142,3 +147,36 @@ let cases t =
               List.fold_left (fun s e -> Asn.Set.union s e.Rp.v_origins) Asn.Set.empty eps;
           })
     (Prefix.Map.bindings t.prefixes)
+
+(* ---- a router's decision, by a full scan ---- *)
+
+(* the attributes in decision order, smallest most preferred: higher
+   LOCAL_PREF, shorter AS path, lower ORIGIN *)
+let attrs (r : Bgp.Route.t) =
+  ( -r.Bgp.Route.local_pref,
+    Bgp.As_path.length r.Bgp.Route.as_path,
+    match r.Bgp.Route.origin with Bgp.Route.Igp -> 0 | Egp -> 1 | Incomplete -> 2 )
+
+(* The most preferred candidate (attributes, then the lowest peer AS),
+   under the oldest-route rule: an incumbent still among the candidates
+   stays unless that candidate beats it strictly on attributes. *)
+let decide ~incumbent candidates =
+  let key (r : Bgp.Route.t) = (attrs r, r.Bgp.Route.learned_from) in
+  match List.stable_sort (fun a b -> compare (key a) (key b)) candidates with
+  | [] -> None
+  | best :: _ -> (
+    match incumbent with
+    | Some current
+      when List.exists (Bgp.Route.equal current) candidates
+           && not (attrs best < attrs current) ->
+      incumbent
+    | Some _ | None -> Some best)
+
+(* What a router's best route for [prefix] must be after a decision at
+   [now]: its originated route and its Adj-RIB-In entries, the ones
+   [admitted] lets through (damping), then the validator's verdict on
+   them, then [decide] against the previous best. *)
+let router_best ~validate ~admitted ~originated ~incumbent ~now rib prefix =
+  List.filter admitted (Option.to_list originated @ Bgp.Rib.routes_in rib prefix)
+  |> validate ~now ~prefix
+  |> decide ~incumbent
