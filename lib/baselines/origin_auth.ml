@@ -36,5 +36,6 @@ let route_verifies t ~self route =
 
 (* [Route.filter] returns the list itself when every route verifies,
    which lets the router judge an UPDATE against its incumbent alone *)
-let validator t ~self : Bgp.Router.validator =
- fun ~now:_ ~prefix:_ routes -> Bgp.Route.filter (route_verifies t ~self) routes
+let validator t ~self =
+  Bgp.Router.scan_only (fun ~now:_ ~prefix:_ routes ->
+      Bgp.Route.filter (route_verifies t ~self) routes)

@@ -16,10 +16,19 @@ let impairment ?(loss = 0.0) ?(duplicate = 0.0) ?(jitter = 0.0) () =
 
 type update_tap = time:float -> src:Asn.t -> dst:Asn.t -> Update.t -> unit
 
+(* the routers by AS number *)
+module Routers = Hashtbl.Make (struct
+  type t = Asn.t
+
+  let equal = Asn.equal
+  let hash asn = Asn.to_int asn
+end)
+
 type t = {
   engine : Sim.Engine.t;
   graph : Topology.As_graph.t;
-  routers : Router.t Asn.Map.t;
+  routers : Router.t Routers.t;
+  link_delay : link_delay;
   (* failed peerings, stored under the (min, max) endpoint pair *)
   down_links : (Asn.t * Asn.t, unit) Hashtbl.t;
   (* crashed routers *)
@@ -81,27 +90,89 @@ let link_key a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
 let link_is_up t a b = not (Hashtbl.mem t.down_links (link_key a b))
 let router_is_up t asn = not (Hashtbl.mem t.down_routers asn)
 
+let router t asn = Routers.find t.routers asn
+
+(* A router's far ends, resolved once when the network is built: each
+   neighbour's AS, in increasing order, and at the same slot its
+   router. *)
+type far_ends = { peers : Asn.t array; receivers : Router.t array }
+
+(* the slot of [peer] in [peers] (increasing), or -1; each of the Rib,
+   the router and this module keeps its own copy of this search, since
+   a shared one is a call into another module on every UPDATE *)
+let rec find_peer peers (peer : Asn.t) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let at = peers.(mid) in
+    if at = peer then mid
+    else if at < peer then find_peer peers peer (mid + 1) hi
+    else find_peer peers peer lo mid
+
+(* Hand [update] to the router at [slot] of [src]'s far ends after [delay],
+   unless the session fails or an endpoint crashes first: a message in
+   flight then is lost with the TCP connection.  The fault tables are
+   empty unless a fault is active, and then nothing is hashed. *)
+let deliver t ~src ends slot update delay =
+  if slot >= 0 then begin
+    let dst = ends.peers.(slot) and receiver = ends.receivers.(slot) in
+    Sim.Engine.schedule t.engine ~delay (fun engine ->
+        if Hashtbl.length t.down_links > 0 && Hashtbl.mem t.down_links (link_key src dst)
+        then note_drop t "link_down"
+        else if
+          Hashtbl.length t.down_routers > 0
+          && (Hashtbl.mem t.down_routers dst || Hashtbl.mem t.down_routers src)
+        then note_drop t "router_down"
+        else Router.handle_update receiver ~now:(Sim.Engine.now engine) update)
+  end
+
+(* [src]'s transport *)
+let send t ~src ends ~peer update =
+  let delay = t.link_delay src peer in
+  if delay <= 0.0 then invalid_arg "Network: link delay must be positive";
+  (* the tap sees the Adj-RIB-Out stream as emitted, before any
+     impairment decides the message's fate on the wire *)
+  (match t.tap with
+  | Some tap -> tap ~time:(Sim.Engine.now t.engine) ~src ~dst:peer update
+  | None -> ());
+  let slot = find_peer ends.peers peer 0 (Array.length ends.peers) in
+  match
+    if Hashtbl.length t.impairments = 0 then None
+    else Hashtbl.find_opt t.impairments (link_key src peer)
+  with
+  | None -> deliver t ~src ends slot update delay
+  | Some (imp, rng) ->
+    if imp.loss > 0.0 && Rng.chance rng imp.loss then note_drop t "loss"
+    else begin
+      let jittered () =
+        if imp.jitter > 0.0 then delay +. Rng.float rng imp.jitter else delay
+      in
+      deliver t ~src ends slot update (jittered ());
+      if imp.duplicate > 0.0 && Rng.chance rng imp.duplicate then begin
+        bump t "net_messages_duplicated";
+        deliver t ~src ends slot update (jittered ())
+      end
+    end
+
 let make ?(config = Config.default) graph =
   let { Config.policy_of; validator_of; mrai_of; damping_of; link_delay; metrics }
       =
     config
   in
   let engine = Sim.Engine.create ~metrics () in
-  let routers =
-    Topology.As_graph.fold_nodes
-      (fun asn acc ->
-        let router =
-          Router.create ~policy:(policy_of asn) ?validator:(validator_of asn)
-            ~mrai:(mrai_of asn) ?damping:(damping_of asn) ~metrics asn
-        in
-        Asn.Map.add asn router acc)
-      graph Asn.Map.empty
-  in
+  let routers = Routers.create (Topology.As_graph.node_count graph) in
+  Topology.As_graph.fold_nodes
+    (fun asn () ->
+      Routers.replace routers asn
+        (Router.create ~policy:(policy_of asn) ?validator:(validator_of asn)
+           ~mrai:(mrai_of asn) ?damping:(damping_of asn) ~metrics asn))
+    graph ();
   let t =
     {
       engine;
       graph;
       routers;
+      link_delay;
       down_links = Hashtbl.create 8;
       down_routers = Hashtbl.create 8;
       impairments = Hashtbl.create 8;
@@ -109,70 +180,32 @@ let make ?(config = Config.default) graph =
       metrics;
     }
   in
-  Asn.Map.iter
-    (fun asn router ->
-      Router.add_peers router (Topology.As_graph.neighbors graph asn);
-      let link = link_key asn in
-      let deliver ~peer update delay =
-        Sim.Engine.schedule engine ~delay (fun engine ->
-            (* a message in flight when the session fails or an endpoint
-               crashes is lost with the TCP connection; the tables are
-               empty unless a fault is active, and then nothing is hashed *)
-            if Hashtbl.length t.down_links > 0 && Hashtbl.mem t.down_links (link peer)
-            then note_drop t "link_down"
-            else if
-              Hashtbl.length t.down_routers > 0
-              && (Hashtbl.mem t.down_routers peer || Hashtbl.mem t.down_routers asn)
-            then note_drop t "router_down"
-            else
-              match Asn.Map.find_opt peer t.routers with
-              | Some receiver ->
-                Router.handle_update receiver ~now:(Sim.Engine.now engine) update
-              | None -> ())
-      in
-      let send ~peer update =
-        let delay = link_delay asn peer in
-        if delay <= 0.0 then invalid_arg "Network: link delay must be positive";
-        (* the tap sees the Adj-RIB-Out stream as emitted, before any
-           impairment decides the message's fate on the wire *)
-        (match t.tap with
-        | Some tap ->
-          tap ~time:(Sim.Engine.now engine) ~src:asn ~dst:peer update
-        | None -> ());
-        match
-          if Hashtbl.length t.impairments = 0 then None
-          else Hashtbl.find_opt t.impairments (link peer)
-        with
-        | None -> deliver ~peer update delay
-        | Some (imp, rng) ->
-          if imp.loss > 0.0 && Rng.chance rng imp.loss then note_drop t "loss"
-          else begin
-            let jittered () =
-              if imp.jitter > 0.0 then delay +. Rng.float rng imp.jitter
-              else delay
-            in
-            deliver ~peer update (jittered ());
-            if imp.duplicate > 0.0 && Rng.chance rng imp.duplicate then begin
-              bump t "net_messages_duplicated";
-              deliver ~peer update (jittered ())
-            end
-          end
-      in
-      let schedule ~delay k =
-        Sim.Engine.schedule engine ~delay (fun engine -> k (Sim.Engine.now engine))
-      in
-      Router.set_transport router ~send ~schedule)
-    routers;
+  let schedule ~delay k =
+    Sim.Engine.schedule engine ~delay (fun engine -> k (Sim.Engine.now engine))
+  in
+  Topology.As_graph.fold_nodes
+    (fun src () ->
+      let sender = Routers.find routers src in
+      let neighbors = Topology.As_graph.neighbors graph src in
+      Router.add_peers sender neighbors;
+      let n = Asn.Set.cardinal neighbors in
+      let ends = { peers = Array.make n src; receivers = Array.make n sender } in
+      ignore
+        (Asn.Set.fold
+           (fun peer slot ->
+             ends.peers.(slot) <- peer;
+             ends.receivers.(slot) <- Routers.find routers peer;
+             slot + 1)
+           neighbors 0);
+      Router.set_transport sender
+        ~send:(fun ~peer update -> send t ~src ends ~peer update)
+        ~schedule)
+    graph ();
   t
 
 let engine t = t.engine
 let graph t = t.graph
 let set_update_tap t tap = t.tap <- tap
-
-let router t asn =
-  match Asn.Map.find_opt asn t.routers with
-  | Some r -> r
-  | None -> raise Not_found
 
 let originate ?(at = 0.0) ?origin ?local_pref ?communities ?as_path t asn
     prefix =
@@ -279,7 +312,7 @@ let best_route t asn prefix = Router.best (router t asn) prefix
 let best_origin t asn prefix = Router.best_origin (router t asn) prefix
 
 let forward_path t ~from addr =
-  let max_hops = Asn.Map.cardinal t.routers + 1 in
+  let max_hops = Routers.length t.routers + 1 in
   let rec walk asn acc hops =
     if hops > max_hops then None (* forwarding loop *)
     else begin
@@ -297,7 +330,7 @@ let forward_path t ~from addr =
         end
     end
   in
-  if Asn.Map.mem from t.routers then walk from [] 0 else None
+  if Routers.mem t.routers from then walk from [] 0 else None
 
 let delivered_to t ~from addr =
   match forward_path t ~from addr with
@@ -308,7 +341,7 @@ let delivered_to t ~from addr =
   | None -> None
 
 let total_updates_sent t =
-  Asn.Map.fold (fun _ r acc -> acc + Router.updates_sent r) t.routers 0
+  Routers.fold (fun _ r acc -> acc + Router.updates_sent r) t.routers 0
 
 let total_updates_received t =
-  Asn.Map.fold (fun _ r acc -> acc + Router.updates_received r) t.routers 0
+  Routers.fold (fun _ r acc -> acc + Router.updates_received r) t.routers 0

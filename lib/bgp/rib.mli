@@ -6,10 +6,10 @@
 
     Both are laid out for the decision process, which runs once per
     UPDATE:
-    - a prefix's Adj-RIB-In is its candidate list itself, ordered by the
-      peer each route was learned from ([Route.learned_from]), so
-      {!routes_in} hands the decision its candidates without building a
-      list;
+    - a prefix's Adj-RIB-In is an array with one slot per peer, in
+      increasing peer-AS order, so an UPDATE writes one slot whatever the
+      number of peers; {!routes_in} builds the candidate list from it
+      only for a decision that scans;
     - the Loc-RIB is a prefix map: {!best}, {!set_best} and {!clear_best}
       are one balanced-tree operation each.  The longest-match view
       {!loc_rib_trie} is derived from it on demand and cached until the
@@ -25,17 +25,22 @@ type t
 val create : unit -> t
 (** Empty RIBs. *)
 
-val set_in : t -> Route.t -> unit
-(** Record the latest announcement for the route's prefix from the peer
-    it was learned from, replacing that peer's previous one (implicit
-    withdrawal). *)
+val add_peers : t -> Asn.t array -> unit
+(** Give each AS of the array (increasing, not mutated afterwards) an
+    Adj-RIB-In slot.  A slot outlives the session: {!clear} and
+    {!flush_peer} keep it.  Realigning the stored entries costs
+    O(prefixes x slots), paid only when an AS gets its first slot after
+    routes are stored. *)
 
-val withdraw_in : t -> peer:Asn.t -> Prefix.t -> unit
-(** Remove [peer]'s entry for [prefix], if any. *)
+val replace_in : t -> peer:Asn.t -> Prefix.t -> Route.t option -> Route.t option
+(** [replace_in t ~peer prefix route] makes [route] [peer]'s entry for
+    [prefix] ([None]: withdraw it) and returns the entry it replaced.
+    One slot write, after an O(log prefixes) and an O(log peers) lookup
+    that allocate nothing; a peer without a slot gets one. *)
 
 val routes_in : t -> Prefix.t -> Route.t list
-(** All Adj-RIB-In candidates for a prefix, ordered by peer AS number.
-    The list is stored, not built: O(1) and allocation-free. *)
+(** All Adj-RIB-In candidates for a prefix, ordered by peer AS number:
+    a fresh list of the filled slots, O(peers). *)
 
 val set_best : t -> Route.t -> unit
 (** Install a best route in the Loc-RIB. *)
@@ -64,10 +69,10 @@ val prefixes_in : t -> Prefix.Set.t
 (** Prefixes that currently have at least one Adj-RIB-In candidate. *)
 
 val clear : t -> unit
-(** Drop everything — Adj-RIB-In and Loc-RIB alike (router crash). *)
+(** Drop every route — Adj-RIB-In and Loc-RIB alike (router crash). *)
 
 val flush_peer : t -> peer:Asn.t -> Prefix.t list
 (** Drop every Adj-RIB-In entry learned from [peer] (session loss) and
-    return the prefixes that were affected, in ascending order.  It scans
-    every prefix's entry: O(prefixes + routes), for the handful of
+    return the prefixes that were affected, in ascending order.  It
+    visits every prefix's entry once: O(prefixes), for the handful of
     prefixes a simulated router holds. *)

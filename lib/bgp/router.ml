@@ -1,6 +1,19 @@
 open Net
 
-type validator = now:float -> prefix:Prefix.t -> Route.t list -> Route.t list
+type verdict = Keep | Drop | Rescan
+
+type validator = {
+  filter : now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
+  judge :
+    (prefix:Prefix.t ->
+    incumbent:Route.t option ->
+    previous:Route.t option ->
+    Route.t option ->
+    verdict)
+    option;
+}
+
+let scan_only filter = { filter; judge = None }
 
 type damping = {
   penalty_withdraw : float;
@@ -53,10 +66,10 @@ type t = {
   damping : damper option;
   rib : Rib.t;
   (* the prefixes whose next decision must scan every candidate: at its
-     last decision the validator dropped one, or a crash left the Loc-RIB
-     without the originated routes.  Every other prefix's best route is
-     a most preferred candidate (on attributes), which is what lets one
-     changed candidate be judged against it alone. *)
+     last decision a validator without a verdict dropped one, or a crash
+     emptied the RIBs under the validator's state.  Every other prefix's
+     best route is a most preferred kept candidate (on attributes), which
+     is what lets one changed candidate be judged against it alone. *)
   mutable must_scan : Prefix.Set.t;
   (* the peers with an established session in increasing AS order, and
      each one's export state at the same index *)
@@ -111,23 +124,31 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
   }
 
 (* the slot of the peer's session, or -1 without one *)
-let rec find_slot ids peer lo hi =
+let rec find_slot ids (peer : Asn.t) lo hi =
   if lo >= hi then -1
   else
     let mid = (lo + hi) / 2 in
-    let c = Asn.compare ids.(mid) peer in
-    if c = 0 then mid
-    else if c < 0 then find_slot ids peer (mid + 1) hi
+    let at = ids.(mid) in
+    if at = peer then mid
+    else if at < peer then find_slot ids peer (mid + 1) hi
     else find_slot ids peer lo mid
 
 let session_index t peer = find_slot t.peer_ids peer 0 (Array.length t.peer_ids)
 
+let array_of_set t s =
+  let ids = Array.make (Asn.Set.cardinal s) t.asn in
+  ignore (Asn.Set.fold (fun peer i -> ids.(i) <- peer; i + 1) s 0);
+  ids
+
 (* the sessions of [peers] and of the current peers, in increasing AS
-   order; a current peer keeps its session *)
+   order; a current peer keeps its session.  The Adj-RIB-In gets a slot
+   for every new peer. *)
 let add_peers t peers =
   if Asn.Set.mem t.asn peers then invalid_arg "Router.add_peer: self peering";
-  let current = Array.fold_left (fun s p -> Asn.Set.add p s) Asn.Set.empty t.peer_ids in
-  let ids = Array.of_list (Asn.Set.elements (Asn.Set.union peers current)) in
+  let ids =
+    if Array.length t.peer_ids = 0 then array_of_set t peers
+    else array_of_set t (Array.fold_right Asn.Set.add t.peer_ids peers)
+  in
   if Array.length ids > Array.length t.peer_ids then begin
     t.sessions <-
       Array.map
@@ -136,7 +157,8 @@ let add_peers t peers =
           | -1 -> fresh_session ()
           | slot -> t.sessions.(slot))
         ids;
-    t.peer_ids <- ids
+    t.peer_ids <- ids;
+    Rib.add_peers t.rib ids
   end
 
 let add_peer t peer = add_peers t (Asn.Set.singleton peer)
@@ -232,8 +254,7 @@ let admitted t ~now prefix r =
   || not (is_suppressed t ~peer:r.Route.learned_from prefix ~now)
 
 (* All candidates: the locally originated route first, then the
-   Adj-RIB-In entries in peer-AS order -- the Adj-RIB-In's own list, plus
-   one cell for an originated route. *)
+   Adj-RIB-In entries in peer-AS order. *)
 let candidates t prefix =
   let learned = Rib.routes_in t.rib prefix in
   match Prefix.Map.find_opt prefix t.originated with
@@ -343,53 +364,77 @@ let advertise_all t ~now prefix best =
 (* ------------------------------------------------------------------ *)
 (* Decision *)
 
-(* The validator's verdict on the admitted candidates.  One that drops a
-   candidate bars the prefix's next shortcut (see [must_scan]). *)
+(* The validator's filter over the admitted candidates.  A validator
+   without a verdict that drops a candidate bars the prefix's next
+   shortcut (see [must_scan]); one with a verdict keeps its own state. *)
 let validated t ~now prefix all =
-  let kept =
-    match t.validator with
-    | Some validate -> validate ~now ~prefix all
-    | None -> all
-  in
-  t.must_scan <-
-    (if kept == all then Prefix.Set.remove prefix t.must_scan
-     else Prefix.Set.add prefix t.must_scan);
-  kept
+  match t.validator with
+  | Some { filter; judge } ->
+    let kept = filter ~now ~prefix all in
+    t.must_scan <-
+      (if kept != all && Option.is_none judge then Prefix.Set.add prefix t.must_scan
+       else Prefix.Set.remove prefix t.must_scan);
+    kept
+  | None ->
+    t.must_scan <- Prefix.Set.remove prefix t.must_scan;
+    all
+
+(* the best route after one candidate moved and the kept set changed by
+   that candidate alone: [incumbent] is a most preferred kept candidate
+   on attributes, so [moved] replaces it exactly when it is strictly
+   better, and nothing else can; without an incumbent nothing was kept,
+   so the moved route is the only candidate *)
+let after_move ~incumbent moved =
+  match (incumbent, moved) with
+  | Some current, Some route when Decision.prefer_attrs route current < 0 -> moved
+  | Some _, _ -> incumbent
+  | None, _ -> moved
 
 (* A decision over every candidate, with the oldest-route rule. *)
 let rec reselect t ~now prefix =
   Obs.Registry.Counter.incr t.decisions_c;
-  let old_best = Rib.best t.rib prefix in
+  decide t ~now prefix (Rib.best t.rib prefix)
+
+and decide t ~now prefix old_best =
   let kept = validated t ~now prefix (admitted_candidates t ~now prefix) in
   install t ~now prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
 
 (* The decision after one candidate moved: [peer]'s entry for [prefix] is
-   now [route] ([None]: gone).  The scan's result is known without the
-   scan when nothing else can have moved the best route: no damping
-   (suppression lifts with time alone), a validator that keeps every
-   candidate now and kept every one at the prefix's last decision, and
-   an incumbent not learned from [peer].  The incumbent is then a most
-   preferred candidate on attributes, so the moved route replaces it
-   exactly when it is strictly better on [Decision.prefer_attrs], and
-   nothing else can; without an incumbent there was no candidate, so the
-   moved route is the only one. *)
-and reselect_after t ~now ~peer route prefix =
+   now [route] ([None]: gone), in place of [previous].  The scan's result
+   is known without the scan when nothing else can have moved the best
+   route: no damping (suppression lifts with time alone), no crash since
+   the prefix's last decision, and an incumbent not learned from [peer]
+   (the holder of the best route withdrawing or changing it rescans).
+   Then the validator decides on the moved route alone: its verdict
+   keeps it or drops it, or asks for the scan; without a verdict, it
+   filters every candidate, and must have kept every one now and at the
+   prefix's last decision. *)
+and reselect_after t ~now ~peer ~previous route prefix =
   Obs.Registry.Counter.incr t.decisions_c;
   let old_best = Rib.best t.rib prefix in
-  let unfiltered_before = not (Prefix.Set.mem prefix t.must_scan) in
-  let all = admitted_candidates t ~now prefix in
-  let kept = validated t ~now prefix all in
-  let shortcut = Option.is_none t.damping && unfiltered_before && kept == all in
-  let new_best =
+  let shortcut =
+    Option.is_none t.damping
+    && (not (Prefix.Set.mem prefix t.must_scan))
+    &&
     match old_best with
-    | Some incumbent when shortcut && not (Asn.equal incumbent.Route.learned_from peer) ->
-      (match route with
-      | Some moved when Decision.prefer_attrs moved incumbent < 0 -> route
-      | Some _ | None -> old_best)
-    | None when shortcut -> route
-    | Some _ | None -> Decision.best_with_incumbent ~incumbent:old_best kept
+    | Some incumbent -> not (Asn.equal incumbent.Route.learned_from peer)
+    | None -> true
   in
-  install t ~now prefix old_best new_best
+  match t.validator with
+  | Some { judge = None; _ } ->
+    let all = admitted_candidates t ~now prefix in
+    let kept = validated t ~now prefix all in
+    install t ~now prefix old_best
+      (if shortcut && kept == all then after_move ~incumbent:old_best route
+       else Decision.best_with_incumbent ~incumbent:old_best kept)
+  | Some { judge = Some judge; _ } when shortcut ->
+    (match judge ~prefix ~incumbent:old_best ~previous route with
+    | Keep -> install t ~now prefix old_best (after_move ~incumbent:old_best route)
+    | Drop -> ()
+    | Rescan -> decide t ~now prefix old_best)
+  | None when shortcut ->
+    install t ~now prefix old_best (after_move ~incumbent:old_best route)
+  | Some _ | None -> decide t ~now prefix old_best
 
 (* install a decision's result and propagate it if it changed *)
 and install t ~now prefix old_best new_best =
@@ -491,11 +536,15 @@ let crash t =
   (* everything protocol-level dies with the process; the static
      configuration — originated prefixes, aggregation rules, policy,
      validator — survives in NVRAM for [restart] *)
-  Rib.clear t.rib;
-  (* the originated routes stay candidates while the Loc-RIB is empty, so
-     their prefixes' next decisions must scan *)
+  (* the originated routes stay candidates while the Loc-RIB is empty,
+     and a validator's state still describes the candidates before the
+     crash, so the next decision of each of these prefixes must scan *)
   t.must_scan <-
-    Prefix.Map.fold (fun prefix _ s -> Prefix.Set.add prefix s) t.originated Prefix.Set.empty;
+    Prefix.Map.fold
+      (fun prefix _ s -> Prefix.Set.add prefix s)
+      t.originated
+      (Prefix.Set.union t.must_scan (Rib.prefixes_in t.rib));
+  Rib.clear t.rib;
   t.peer_ids <- [||];
   t.sessions <- [||];
   Option.iter (fun { flaps; _ } -> Hashtbl.reset flaps) t.damping
@@ -564,7 +613,5 @@ let handle_update t ~now (update : Update.t) =
       else t.policy.Policy.import ~peer (Route.received ~from:peer route)
     | Update.Withdraw _ -> None
   in
-  (match accepted with
-  | Some route -> Rib.set_in t.rib route
-  | None -> Rib.withdraw_in t.rib ~peer prefix);
-  reselect_after t ~now ~peer accepted prefix
+  let previous = Rib.replace_in t.rib ~peer prefix accepted in
+  reselect_after t ~now ~peer ~previous accepted prefix

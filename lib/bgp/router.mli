@@ -9,11 +9,49 @@
 
 open Net
 
-type validator = now:float -> prefix:Prefix.t -> Route.t list -> Route.t list
-(** A validator sees every candidate route for a prefix (locally originated
-    and Adj-RIB-In) and returns the subset the decision process may use.
-    The MOAS detector is implemented as such a function; [None] on the
-    router means every candidate is eligible (plain BGP). *)
+type verdict =
+  | Keep  (** the moved route is kept (a withdrawal is always [Keep]) *)
+  | Drop  (** the moved route is discarded *)
+  | Rescan  (** no verdict on one route: filter every candidate *)
+
+type validator = {
+  filter : now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
+      (** sees every candidate route for a prefix (locally originated
+          first, then the Adj-RIB-In in peer-AS order) and returns the
+          subset the decision process may use, the list itself when it
+          keeps every route *)
+  judge :
+    (prefix:Prefix.t ->
+    incumbent:Route.t option ->
+    previous:Route.t option ->
+    Route.t option ->
+    verdict)
+    option;
+      (** the verdict on one moved candidate, if the validator offers
+          one: [judge ~prefix ~incumbent ~previous moved] *)
+}
+(** A route validator: the hook the MOAS detector plugs into.  [None] on
+    the router means every candidate is eligible (plain BGP).
+
+    The verdict contract.  The router asks [judge] only after an UPDATE
+    from a peer, without damping, when the prefix's previous decision
+    saw the same candidates but for that peer's entry: its last decision
+    called [filter] or [judge], and nothing else changed the candidates
+    since (a crash forces [filter]).  [previous] is the peer's old entry,
+    [moved] its new one ([None]: withdrawn), and [incumbent] the
+    installed best route, which the last decision kept and which is not
+    the peer's.  [judge] must answer exactly as [filter] over the new
+    candidates would: [Keep] when that [filter] keeps every route it kept
+    before, less [previous], plus [moved]; [Drop] when it keeps the same
+    but for [moved]; otherwise [Rescan], after which the router calls
+    [filter].  [Keep] and [Drop] must leave the validator's state, counts
+    and alarms as that [filter] call would, and [Rescan] must leave them
+    untouched.  A validator whose verdicts
+    keep incremental state per prefix belongs to the one router that uses
+    it. *)
+
+val scan_only : (now:float -> prefix:Prefix.t -> Route.t list -> Route.t list) -> validator
+(** A validator without a verdict: [filter] runs at every decision. *)
 
 type t
 (** Mutable router state. *)

@@ -10,6 +10,17 @@ type backend =
   | Detect_only
   | Community of Community_watch.t
 
+(* One prefix's last pass.  [clean]: after the self-consistency and
+   entitlement filters every remaining candidate agreed, so there was no
+   alarm and no verification; [entitled] is the verdict the entitlement
+   filter applied ([None]: no filter), and [dropped] the number of
+   candidates it discarded. *)
+type pass = {
+  mutable clean : bool;
+  mutable entitled : Asn.Set.t option;
+  mutable dropped : int;
+}
+
 type t = {
   self : Asn.t;
   verifier : verify option;
@@ -24,6 +35,9 @@ type t = {
      every later candidate — this also keeps the filter monotone, which
      guarantees BGP convergence under partial deployment *)
   mutable verified : Asn.Set.t Prefix.Map.t;
+  (* what the last full pass over each prefix's candidates found, the
+     state the verdict on one moved route starts from *)
+  mutable passes : pass Prefix.Map.t;
   (* decoded MOAS lists of recently seen community sets, keyed by
      physical identity: a route keeps the set it was announced with as it
      propagates, so one decode serves every later decision that sees it *)
@@ -60,6 +74,7 @@ let create ?(backend = Detect_only) ?(on_alarm = fun _ -> ())
     alarms_rev = [];
     alarm_count = 0;
     verified = Prefix.Map.empty;
+    passes = Prefix.Map.empty;
     memo_sets = [||];
     memo_lists = [||];
     memo_used = 0;
@@ -126,29 +141,21 @@ let is_singleton_of asn s =
   && Asn.equal (Asn.Set.min_elt s) asn
   && Asn.equal (Asn.Set.max_elt s) asn
 
-(* Moas_list.consistent of each route's effective list with a first
-   route's: its explicit list [l], or its implicit {o} *)
-let rec agree_with_list t l = function
-  | [] -> true
-  | r :: rest ->
-    let lr = listed t r in
-    (if Asn.Set.is_empty lr then is_singleton_of (origin t r) l
-     else lr == l || Asn.Set.equal lr l)
-    && agree_with_list t l rest
+(* Moas_list.consistent of two routes' effective lists: an explicit
+   list, or the implicit {origin} *)
+let agree t a b =
+  let la = listed t a and lb = listed t b in
+  if Asn.Set.is_empty la then
+    if Asn.Set.is_empty lb then Asn.equal (origin t a) (origin t b)
+    else is_singleton_of (origin t a) lb
+  else if Asn.Set.is_empty lb then is_singleton_of (origin t b) la
+  else la == lb || Asn.Set.equal la lb
 
-let rec agree_with_origin t o = function
+let rec all_agree_with t first = function
   | [] -> true
-  | r :: rest ->
-    let lr = listed t r in
-    (if Asn.Set.is_empty lr then Asn.equal (origin t r) o else is_singleton_of o lr)
-    && agree_with_origin t o rest
+  | r :: rest -> agree t first r && all_agree_with t first rest
 
-let all_agree t = function
-  | [] -> true
-  | first :: rest ->
-    let l = listed t first in
-    if Asn.Set.is_empty l then agree_with_origin t (origin t first) rest
-    else agree_with_list t l rest
+let all_agree t = function [] -> true | first :: rest -> all_agree_with t first rest
 
 let raise_alarm t ~now ~prefix ~lists ~origins =
   let alarm =
@@ -171,11 +178,13 @@ let rec all_entitled t entitled = function
   | [] -> true
   | r :: rest -> Asn.Set.mem (origin t r) entitled && all_entitled t entitled rest
 
-let filter_entitled t entitled routes =
+(* the entitled routes; the pass notes how many were discarded *)
+let filter_entitled t pass entitled routes =
   if all_entitled t entitled routes then routes
   else begin
     let kept = Bgp.Route.filter (fun r -> Asn.Set.mem (origin t r) entitled) routes in
-    Obs.Registry.Counter.add t.discarded_c (List.length routes - List.length kept);
+    pass.dropped <- List.length routes - List.length kept;
+    Obs.Registry.Counter.add t.discarded_c pass.dropped;
     kept
   end
 
@@ -193,8 +202,7 @@ let rec all_self_consistent t = function
    established vs observed tagger sets standing in for conflicting lists),
    and routing is never filtered — community telemetry alone cannot say
    which origin is entitled, only that something moved *)
-let community_validator t watch : Bgp.Router.validator =
- fun ~now ~prefix routes ->
+let community_validator t watch ~now ~prefix routes =
   let anomalies = Community_watch.observe watch ~now ~prefix routes in
   List.iter
     (fun a ->
@@ -208,23 +216,32 @@ let community_validator t watch : Bgp.Router.validator =
     anomalies;
   routes
 
-let validator t : Bgp.Router.validator =
- fun ~now ~prefix routes ->
-  match t.watch with
-  | Some watch -> community_validator t watch ~now ~prefix routes
-  | None ->
+let pass_of t prefix =
+  match Prefix.Map.find prefix t.passes with
+  | pass -> pass
+  | exception Not_found ->
+    let pass = { clean = false; entitled = None; dropped = 0 } in
+    t.passes <- Prefix.Map.add prefix pass t.passes;
+    pass
+
+let filter t ~now ~prefix routes =
   let routes =
     if t.check_self_consistency && not (all_self_consistent t routes) then
       Bgp.Route.filter (self_consistent t) routes
     else routes
   in
+  let pass = pass_of t prefix in
   (* a verdict already obtained from the registry applies permanently *)
+  let entitled = Prefix.Map.find_opt prefix t.verified in
+  pass.entitled <- entitled;
+  pass.dropped <- 0;
   let routes =
-    match Prefix.Map.find_opt prefix t.verified with
-    | Some entitled -> filter_entitled t entitled routes
+    match entitled with
+    | Some entitled -> filter_entitled t pass entitled routes
     | None -> routes
   in
-  if all_agree t routes then routes
+  pass.clean <- all_agree t routes;
+  if pass.clean then routes
   else begin
     let lists = distinct_lists (List.map (effective_set t) routes) in
     let origins =
@@ -239,8 +256,77 @@ let validator t : Bgp.Router.validator =
       | None -> routes (* no verdict obtainable: fail open *)
       | Some entitled ->
         t.verified <- Prefix.Map.add prefix entitled t.verified;
-        filter_entitled t entitled routes)
+        filter_entitled t pass entitled routes)
   end
+
+(* whether a route passes the self-consistency filter, and the
+   entitlement filter of [pass] *)
+let consistent t r = (not t.check_self_consistency) || self_consistent t r
+
+let entitled_by pass t r =
+  match pass.entitled with
+  | None -> true
+  | Some entitled -> Asn.Set.mem (origin t r) entitled
+
+(* A verdict's effect on the pass and the discard counter, as the pass
+   it stands for would have them: [previous] leaves the candidates, and
+   [discarded] (0 or 1) is whether the entitlement filter discards the
+   moved route. *)
+let follow t pass ~previous ~discarded (verdict : Bgp.Router.verdict) =
+  (match pass.entitled with
+  | None -> ()
+  | Some _ ->
+    let left =
+      match previous with
+      | Some r when consistent t r && not (entitled_by pass t r) -> 1
+      | Some _ | None -> 0
+    in
+    pass.dropped <- pass.dropped - left + discarded;
+    Obs.Registry.Counter.add t.discarded_c pass.dropped);
+  verdict
+
+(* the verdict on a moved route that passed the filters *)
+let agreeing t ~incumbent r : Bgp.Router.verdict =
+  match incumbent with
+  | Some current when not (agree t r current) -> Rescan
+  | Some _ | None -> Keep
+
+(* The verdict on one moved route, after a clean pass: every kept
+   candidate carries the incumbent's list, so a moved route that passes
+   the filters and agrees with the incumbent (or is alone) keeps the
+   pass clean, one that fails a filter is discarded as the pass would
+   discard it, and a withdrawal leaves the rest agreeing.  A prefix with
+   no pass yet has had only verdicts: its candidates agree and none was
+   verified, as after a clean pass without an entitlement filter. *)
+let judge t ~prefix ~incumbent ~previous moved : Bgp.Router.verdict =
+  match Prefix.Map.find prefix t.passes with
+  | exception Not_found ->
+    (match moved with
+    | Some r when not (consistent t r) -> Drop
+    | Some r -> agreeing t ~incumbent r
+    | None -> Keep)
+  | pass when not pass.clean -> Rescan
+  | pass ->
+    (match moved with
+    | None -> follow t pass ~previous ~discarded:0 Keep
+    | Some r when not (consistent t r) -> follow t pass ~previous ~discarded:0 Drop
+    | Some r when not (entitled_by pass t r) -> follow t pass ~previous ~discarded:1 Drop
+    | Some r ->
+      (match agreeing t ~incumbent r with
+      | Rescan -> Rescan
+      | verdict -> follow t pass ~previous ~discarded:0 verdict))
+
+let validator t : Bgp.Router.validator =
+  match t.watch with
+  | Some watch -> Bgp.Router.scan_only (community_validator t watch)
+  | None ->
+    {
+      filter = (fun ~now ~prefix routes -> filter t ~now ~prefix routes);
+      judge =
+        Some
+          (fun ~prefix ~incumbent ~previous moved ->
+            judge t ~prefix ~incumbent ~previous moved);
+    }
 
 let alarms t = List.rev t.alarms_rev
 

@@ -61,7 +61,15 @@ val create :
     [moas_routes_discarded]. *)
 
 val validator : t -> Bgp.Router.validator
-(** The validation function to install on the router. *)
+(** The validator to install on the router.  Every backend but
+    {!Community} also gives verdicts on one moved route: after a clean
+    pass over a prefix's candidates (no alarm, no verification: every
+    candidate left by the self-consistency and entitlement filters
+    agreed) it keeps a moved route that passes the filters and agrees
+    with the incumbent, drops one that fails a filter, and keeps a
+    withdrawal; anything else asks for a full pass.  The verdicts read
+    the per-prefix state of the detector's last pass, so a detector
+    serves one router. *)
 
 val alarms : t -> Alarm.t list
 (** Alarms raised so far, oldest first. *)

@@ -150,7 +150,7 @@ let run_one spec =
       let community_v = Moas.Detector.validator community_det in
       let moas_v = Moas.Detector.validator moas_det in
       Some
-        (fun ~now ~prefix routes ->
+        (Bgp.Router.scan_only @@ fun ~now ~prefix routes ->
           let e = evidence_for prefix in
           List.iter
             (fun r ->
@@ -165,8 +165,8 @@ let run_one spec =
                   e.e_lists <-
                     List.sort Asn.Set.compare (list :: e.e_lists))
             routes;
-          let routes = moas_v ~now ~prefix routes in
-          community_v ~now ~prefix routes)
+          let routes = moas_v.filter ~now ~prefix routes in
+          community_v.filter ~now ~prefix routes)
     end
   in
   let config =

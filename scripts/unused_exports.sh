@@ -14,7 +14,7 @@ set -eu
 
 # The count after the last interface audit.  Lower it when an unused
 # export goes; never raise it to admit a new one.
-CEILING=100
+CEILING=99
 
 cd "$(dirname "$0")/.."
 

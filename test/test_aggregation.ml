@@ -123,7 +123,7 @@ let test_aggregate_moas_list_merged () =
 let test_detector_accepts_consistent_aggregates () =
   (* two bare aggregated routes with the same AS_SET: implicit lists agree *)
   let d = Moas.Detector.create ~self:(Asn.make 99) () in
-  let v = Moas.Detector.validator d in
+  let v = (Moas.Detector.validator d).Bgp.Router.filter in
   let aggregated from =
     {
       Bgp.Route.prefix = summary;
@@ -141,7 +141,7 @@ let test_detector_accepts_consistent_aggregates () =
 
 let test_detector_flags_divergent_aggregates () =
   let d = Moas.Detector.create ~self:(Asn.make 99) () in
-  let v = Moas.Detector.validator d in
+  let v = (Moas.Detector.validator d).Bgp.Router.filter in
   let aggregated from origins =
     {
       Bgp.Route.prefix = summary;

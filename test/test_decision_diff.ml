@@ -1,17 +1,23 @@
-(* Differential test of Bgp.Router's decision against a full scan.  The
-   router judges an UPDATE's route against the incumbent alone when
-   nothing else can have moved the best route, and scans every candidate
-   otherwise; the reference (Reference.router_best) always scans.  On
-   generated sequences of announcements, withdrawals, looped routes,
-   originations, session losses and restorations, crashes and restarts
-   -- under an identity
-   validator, a validator that filters by time, and the MOAS detector
-   with a registry, each with and without route-flap damping -- the
-   router's best route for every prefix must equal the reference's after
-   every step. *)
+(* Differential test of Bgp.Router's decision.  The router judges an
+   UPDATE's route against the incumbent alone when nothing else can have
+   moved the best route, asks a validator with a verdict about the moved
+   route alone, and scans every candidate otherwise.  On generated
+   sequences of announcements, withdrawals, looped routes, originations,
+   session losses and restorations, crashes and restarts -- under an
+   identity validator, a validator that filters by time, and the MOAS
+   detector with a registry, detect-only, or a verifier that never
+   answers, with and without its self-consistency check, each with and
+   without route-flap damping -- two routers run side by side: one whose
+   detector gives verdicts and one that filters every candidate at every
+   decision.  After every step both routers' best routes for every prefix
+   must equal a full-scan reference (Reference.router_best); at the end
+   their detectors must have raised the same alarms, made the same
+   verifier calls and oracle queries, and discarded the same number of
+   routes. *)
 
 open Net
 module Router = Bgp.Router
+module D = Moas.Detector
 
 let self = Asn.make 50
 let peers = [ 1; 2; 3; 4 ]
@@ -24,7 +30,12 @@ let registry () =
   Moas.Origin_verification.register oracle prefixes.(0) (Asn.Set.of_list [ 10; 11 ]);
   oracle
 
-type validator_kind = Identity | Time_filter | Detector
+type backend = Oracle | Detect_only | Fails_open
+
+type validator_kind =
+  | Identity
+  | Time_filter
+  | Detector of { backend : backend; self_consistency : bool }
 
 (* drops origin 7 during every other 100-second window; Route.filter
    returns its input itself when it drops nothing *)
@@ -33,12 +44,43 @@ let time_filter ~now ~prefix:_ routes =
     Bgp.Route.filter (fun r -> not (Asn.equal (Bgp.Route.origin_as ~self r) 7)) routes
   else routes
 
-let make_validator = function
-  | Identity -> fun ~now:_ ~prefix:_ routes -> routes
-  | Time_filter -> time_filter
-  | Detector ->
-    Moas.Detector.validator
-      (Moas.Detector.create ~backend:(Moas.Detector.Oracle (registry ())) ~self ())
+(* One validator instance and what it counted: a detector has its own
+   registry, metrics and oracle, so the instances compared never share
+   state. *)
+type instance = {
+  validator : Router.validator;
+  alarms : unit -> Moas.Alarm.t list;
+  metrics : Obs.Registry.t;
+  queries : unit -> int;
+}
+
+let stateless filter =
+  {
+    validator = Router.scan_only filter;
+    alarms = (fun () -> []);
+    metrics = Obs.Registry.noop;
+    queries = (fun () -> 0);
+  }
+
+let instance = function
+  | Identity -> stateless (fun ~now:_ ~prefix:_ routes -> routes)
+  | Time_filter -> stateless time_filter
+  | Detector { backend; self_consistency } ->
+    let oracle = registry () in
+    let metrics = Obs.Registry.create () in
+    let backend =
+      match backend with
+      | Oracle -> D.Oracle oracle
+      | Detect_only -> D.Detect_only
+      | Fails_open -> D.Custom (fun ~now:_ _ -> None)
+    in
+    let d = D.create ~backend ~check_self_consistency:self_consistency ~metrics ~self () in
+    {
+      validator = D.validator d;
+      alarms = (fun () -> D.alarms d);
+      metrics;
+      queries = (fun () -> Moas.Origin_verification.query_count oracle);
+    }
 
 type announce = {
   peer : int;
@@ -95,9 +137,22 @@ let gap_gen = QCheck2.Gen.(frequency [ (6, float_bound_inclusive 30.); (1, pure 
 
 type scenario = { validator : validator_kind; damping : bool; steps : (float * step) list }
 
+let validator_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pure Identity);
+        (1, pure Time_filter);
+        ( 4,
+          map2
+            (fun backend self_consistency -> Detector { backend; self_consistency })
+            (oneofl [ Oracle; Oracle; Detect_only; Fails_open ])
+            bool );
+      ])
+
 let scenario_gen =
   QCheck2.Gen.(
-    let* validator = oneofl [ Identity; Time_filter; Detector ] in
+    let* validator = validator_gen in
     let* damping = bool in
     let+ steps = list_size (int_range 1 60) (pair gap_gen step_gen) in
     { validator; damping; steps })
@@ -152,13 +207,9 @@ let apply router ~now = function
   | Crash -> Router.crash router
   | Restart -> Router.restart router ~now
 
-(* Drive one router through the steps; after each, re-decide every
-   prefix the step touched by the reference and compare every prefix's
-   best route. *)
-let agrees { validator; damping; steps } =
-  let validate = make_validator validator in
+let router ~damping validator =
   let router =
-    Router.create ~validator:validate
+    Router.create ~validator
       ?damping:(if damping then Some Router.default_damping else None)
       self
   in
@@ -166,6 +217,26 @@ let agrees { validator; damping; steps } =
      suppressed route comes back at its prefix's next decision *)
   Router.set_transport router ~send:(fun ~peer:_ _ -> ()) ~schedule:(fun ~delay:_ _ -> ());
   Router.add_peers router (Asn.Set.of_list peers);
+  router
+
+let alarm_key (a : Moas.Alarm.t) = (a.Moas.Alarm.time, Moas.Alarm.signature a)
+
+let counted { alarms; metrics; queries; _ } =
+  let count = Obs.Registry.counter_value metrics ~labels:[ ("as", Asn.to_string self) ] in
+  ( List.map alarm_key (alarms ()),
+    count "moas_verify_calls",
+    count "moas_routes_discarded",
+    queries () )
+
+(* Drive the two routers through the steps; after each, re-decide every
+   prefix the step touched by the reference and compare every prefix's
+   best route of both routers with it.  The reference filters with its
+   own validator instance, called as the scanning router calls its own. *)
+let agrees { validator; damping; steps } =
+  let judged = instance validator and scanned = instance validator in
+  let reference = (instance validator).validator.Router.filter in
+  let with_verdict = router ~damping judged.validator in
+  let scan_only = router ~damping (Router.scan_only scanned.validator.Router.filter) in
   let origins = Array.make (Array.length prefixes) None in
   let expected = Array.make (Array.length prefixes) None in
   let now = ref 0. in
@@ -173,8 +244,9 @@ let agrees { validator; damping; steps } =
     (fun (gap, step) ->
       now := !now +. gap;
       let now = !now in
-      let touched = decided router origins step in
-      apply router ~now step;
+      let touched = decided scan_only origins step in
+      apply with_verdict ~now step;
+      apply scan_only ~now step;
       (match step with
       | Originate (p, listed) -> origins.(p) <- Some (originated p listed)
       | Withdraw_origin p -> origins.(p) <- None
@@ -183,22 +255,60 @@ let agrees { validator; damping; steps } =
       List.iter
         (fun prefix ->
           let i = if Prefix.equal prefix prefixes.(0) then 0 else 1 in
-          let admitted r =
-            Asn.equal r.Bgp.Route.learned_from self
-            || not (Router.is_suppressed router ~peer:r.Bgp.Route.learned_from prefix ~now)
+          let admitted (r : Bgp.Route.t) =
+            Asn.equal r.learned_from self
+            || not (Router.is_suppressed scan_only ~peer:r.learned_from prefix ~now)
           in
           expected.(i) <-
-            Testutil.Reference.router_best ~validate ~admitted ~originated:origins.(i)
-              ~incumbent:expected.(i) ~now (Router.rib router) prefix)
+            Testutil.Reference.router_best ~validate:reference ~admitted
+              ~originated:origins.(i) ~incumbent:expected.(i) ~now (Router.rib scan_only)
+              prefix)
         touched;
       Array.for_all2
-        (fun prefix want -> Option.equal Bgp.Route.equal (Router.best router prefix) want)
+        (fun prefix want ->
+          Option.equal Bgp.Route.equal (Router.best with_verdict prefix) want
+          && Option.equal Bgp.Route.equal (Router.best scan_only prefix) want)
         prefixes expected)
     steps
+  && counted judged = counted scanned
+
+let show_step = function
+  | Announce a ->
+    Printf.sprintf "announce peer=%d prefix=%d path=%s origin=%d lp=%d%s%s" a.peer a.prefix
+      (String.concat "," (List.map string_of_int a.middle))
+      a.origin_as a.local_pref
+      (if a.egp then " egp" else "")
+      (if a.listed then " listed" else "")
+  | Loop (peer, p) -> Printf.sprintf "loop peer=%d prefix=%d" peer p
+  | Withdraw (peer, p) -> Printf.sprintf "withdraw peer=%d prefix=%d" peer p
+  | Originate (p, listed) -> Printf.sprintf "originate prefix=%d listed=%b" p listed
+  | Withdraw_origin p -> Printf.sprintf "withdraw_origin prefix=%d" p
+  | Peer_down peer -> Printf.sprintf "peer_down %d" peer
+  | Peer_up peer -> Printf.sprintf "peer_up %d" peer
+  | Crash -> "crash"
+  | Restart -> "restart"
+
+let show { validator; damping; steps } =
+  let kind =
+    match validator with
+    | Identity -> "identity"
+    | Time_filter -> "time filter"
+    | Detector { backend; self_consistency } ->
+      Printf.sprintf "detector %s self_consistency=%b"
+        (match backend with
+        | Oracle -> "oracle"
+        | Detect_only -> "detect-only"
+        | Fails_open -> "fails open")
+        self_consistency
+  in
+  String.concat "\n"
+    (Printf.sprintf "%s damping=%b" kind damping
+    :: List.map (fun (gap, step) -> Printf.sprintf "+%g %s" gap (show_step step)) steps)
 
 let prop_router_matches_reference =
-  Testutil.qtest ~count:1000 "router best route agrees with a full-scan reference"
-    scenario_gen agrees
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~print:show
+       ~name:"router best route agrees with a full-scan reference" scenario_gen agrees)
 
 (* The shortcut's two guards on one hand-made sequence each: a route the
    validator dropped at the last decision, and a suppressed route coming

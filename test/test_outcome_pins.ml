@@ -3,7 +3,9 @@
    in test_golden absorb drifts below 0.0005; these pins catch any change
    at all in what the simulation computes — adoption fraction, alarms,
    UPDATE count, convergence time, the adopter set and the first alarm.
-   A deliberate behaviour change re-pins from the failure output. *)
+   The verdict pins cover what the detectors decide beyond that: the
+   MOASRR lookups and the set of ASes that alarmed.  A deliberate
+   behaviour change re-pins from the failure output. *)
 
 open Net
 module A = Attack.Attacker
@@ -56,13 +58,23 @@ let scenario ?(policy_mode = S.Shortest_path) ?(deployment = Moas.Deployment.Ful
     ~attackers:(List.map (A.make ~forgery ?target_override) attacker_ases)
     ()
 
-let run ?prepare s = line (S.run ?prepare (Mutil.Rng.of_int 7) s)
+(* the detectors' verdicts: MOASRR lookups and the ASes that alarmed *)
+let verdict_line (o : S.outcome) =
+  Printf.sprintf "%d;%s" o.S.oracle_queries (asns o.S.alarming_ases)
+
+let run ?prepare s = S.run ?prepare (Mutil.Rng.of_int 7) s
+
+(* each arm runs once; its outcome pin and its verdict pin both read it *)
+let once arm =
+  let outcomes = lazy (arm ()) in
+  fun () -> Lazy.force outcomes
 
 let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
 (* policies x deployments x forgeries x {one origin, two origins, one
    origin with its list attached anyway} *)
-let matrix () =
+let matrix =
+  once @@ fun () ->
   List.concat_map
     (fun policy_mode ->
       List.concat_map
@@ -83,22 +95,26 @@ let matrix () =
 let per_policy f =
   List.concat_map (fun policy_mode -> List.map (f policy_mode) forgeries) policies
 
-let droppers () =
+let droppers =
+  once @@ fun () ->
   per_policy (fun policy_mode forgery ->
       run (scenario ~policy_mode ~origins:[ origin_a; origin_b ] ~dropper:0.3 forgery))
 
-let mrai () =
+let mrai =
+  once @@ fun () ->
   per_policy (fun policy_mode forgery ->
       run (scenario ~policy_mode ~origins:[ origin_a; origin_b ] ~mrai:2.0 forgery))
 
-let subprefix () =
+let subprefix =
+  once @@ fun () ->
   let sub, _ = Prefix.split victim in
   per_policy (fun policy_mode forgery ->
       run (scenario ~policy_mode ~target_override:sub forgery))
 
 (* one link failing and coming back across the attack, and one transit
    router crashing and restarting *)
-let faults () =
+let faults =
+  once @@ fun () ->
   let a, b = List.hd (Topology.As_graph.edges graph) in
   let plan =
     Faults.Fault_plan.(
@@ -212,19 +228,35 @@ let community () =
     arm ~warmup_until:10.0 ~prepare:flapping (model ~scrub_fraction:1.0 ());
   ]
 
+let outcomes arm () = List.map line (arm ())
+let verdicts arm () = List.map verdict_line (arm ())
+
 let pins =
   [
     ( "policy x deployment x forgery x origins",
-      matrix,
+      outcomes matrix,
       "9b43bfe7186491fc84aed35ed98bb1f5" );
-    ("community droppers", droppers, "19759a53c49f60c57db96bbb7531a181");
-    ("mrai > 0", mrai, "8363c9d1d839bbceb3167b12614c4cd5");
-    ("sub-prefix target", subprefix, "16bcf2f441b1d952bfa92005f544cdc9");
+    ("community droppers", outcomes droppers, "19759a53c49f60c57db96bbb7531a181");
+    ("mrai > 0", outcomes mrai, "8363c9d1d839bbceb3167b12614c4cd5");
+    ("sub-prefix target", outcomes subprefix, "16bcf2f441b1d952bfa92005f544cdc9");
     ( "link fail/restore and router crash/restart",
-      faults,
+      outcomes faults,
       "1178b5b495682c599888e0666a2c29b0" );
     ("route-flap damping", damping, "28eb2abb081bdc7ebaa1caf10e5cd823");
     ("community backend", community, "18f652a6927822e6a63415186ecb3568");
+  ]
+
+let verdict_pins =
+  [
+    ( "policy x deployment x forgery x origins",
+      verdicts matrix,
+      "51c331bae73ba56a70aeaef9629367b9" );
+    ("community droppers", verdicts droppers, "4a77a82c4c12d80dab4a8ab4ac36f18b");
+    ("mrai > 0", verdicts mrai, "3533bc7cf7b3309ba887d0cba4c67a0a");
+    ("sub-prefix target", verdicts subprefix, "0f452bd9ff02d3bcc0c4b179c7d3bb70");
+    ( "link fail/restore and router crash/restart",
+      verdicts faults,
+      "d9a0cf84957627745cdd2afd44961d9c" );
   ]
 
 let test (name, lines, expected) =
@@ -235,4 +267,6 @@ let test (name, lines, expected) =
         Alcotest.failf "%s: digest %s, pinned %s; outcomes:\n%s" name got expected
           (String.concat "\n" lines))
 
-let () = Alcotest.run "outcome_pins" [ ("outcome pins", List.map test pins) ]
+let () =
+  Alcotest.run "outcome_pins"
+    [ ("outcome pins", List.map test pins); ("verdict pins", List.map test verdict_pins) ]

@@ -7,18 +7,28 @@ module Policy = Bgp.Policy
 let r = Testutil.route
 let victim = Testutil.victim
 
+(* the Adj-RIB-In writes of an announcement and of a withdrawal *)
+let set_in rib (route : Bgp.Route.t) =
+  ignore (Rib.replace_in rib ~peer:route.learned_from route.prefix (Some route))
+
+let withdraw_in rib ~peer prefix = ignore (Rib.replace_in rib ~peer prefix None)
+
 let test_rib_set_and_get () =
   let rib = Rib.create () in
-  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib (r ~from:2 [ 2; 10 ]);
+  (* the second peer's slot goes before the first's *)
+  set_in rib (r ~from:2 [ 2; 10 ]);
+  set_in rib (r ~from:1 [ 1; 10 ]);
   Alcotest.(check int) "two candidates" 2 (List.length (Rib.routes_in rib victim));
   Alcotest.(check (list int)) "candidates in peer order" [ 1; 2 ]
     (List.map (fun r -> r.Bgp.Route.learned_from) (Rib.routes_in rib victim))
 
 let test_rib_implicit_withdrawal () =
   let rib = Rib.create () in
-  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib (r ~from:1 [ 1; 2; 10 ]);
+  let first = r ~from:1 [ 1; 10 ] in
+  set_in rib first;
+  (match Rib.replace_in rib ~peer:(Asn.make 1) victim (Some (r ~from:1 [ 1; 2; 10 ])) with
+  | Some replaced when replaced == first -> ()
+  | _ -> Alcotest.fail "the replaced entry is returned");
   match Rib.routes_in rib victim with
   | [ only ] ->
     Alcotest.(check int) "latest announcement replaces" 3
@@ -27,11 +37,11 @@ let test_rib_implicit_withdrawal () =
 
 let test_rib_withdraw () =
   let rib = Rib.create () in
-  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
-  Rib.withdraw_in rib ~peer:(Asn.make 1) victim;
+  set_in rib (r ~from:1 [ 1; 10 ]);
+  withdraw_in rib ~peer:(Asn.make 1) victim;
   Alcotest.(check int) "gone" 0 (List.length (Rib.routes_in rib victim));
   (* withdrawing twice is harmless *)
-  Rib.withdraw_in rib ~peer:(Asn.make 1) victim;
+  withdraw_in rib ~peer:(Asn.make 1) victim;
   Alcotest.(check bool) "prefix fully forgotten" true
     (Prefix.Set.is_empty (Rib.prefixes_in rib))
 
@@ -89,11 +99,11 @@ let test_rib_flush_peer () =
   let rib = Rib.create () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
   let p3 = Prefix.of_string "172.16.0.0/12" in
-  Rib.set_in rib (r ~from:1 [ 1; 10 ]);
-  Rib.set_in rib (r ~prefix:p2 ~from:1 [ 1; 20 ]);
-  Rib.set_in rib (r ~prefix:p3 ~from:2 [ 2; 30 ]);
+  set_in rib (r ~from:1 [ 1; 10 ]);
+  set_in rib (r ~prefix:p2 ~from:1 [ 1; 20 ]);
+  set_in rib (r ~prefix:p3 ~from:2 [ 2; 30 ]);
   (* re-announcing then withdrawing must leave the index consistent *)
-  Rib.set_in rib (r ~prefix:p2 ~from:1 [ 1; 2; 20 ]);
+  set_in rib (r ~prefix:p2 ~from:1 [ 1; 2; 20 ]);
   let affected = Rib.flush_peer rib ~peer:(Asn.make 1) in
   Alcotest.(check (list Testutil.prefix_testable))
     "affected prefixes, ascending" [ p2; victim ] affected;
@@ -102,8 +112,8 @@ let test_rib_flush_peer () =
   Alcotest.(check int) "peer 2 untouched" 1 (List.length (Rib.routes_in rib p3));
   Alcotest.(check (list Testutil.prefix_testable))
     "second flush finds nothing" [] (Rib.flush_peer rib ~peer:(Asn.make 1));
-  Rib.set_in rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
-  Rib.withdraw_in rib ~peer:(Asn.make 2) p2;
+  set_in rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
+  withdraw_in rib ~peer:(Asn.make 2) p2;
   Alcotest.(check (list Testutil.prefix_testable))
     "withdrawn routes are not re-flushed" [ p3 ]
     (Rib.flush_peer rib ~peer:(Asn.make 2))
@@ -285,11 +295,11 @@ let prop_adj_rib_in_model =
             match op with
             | Announce (peer, p, v) ->
               let route = r ~prefix:prefix_pool.(p) ~from:peer [ peer; 100 + v ] in
-              Rib.set_in rib route;
+              set_in rib route;
               set prefix_pool.(p) (Asn.Map.add peer route (per_peer prefix_pool.(p)));
               true
             | Withdraw (peer, p) ->
-              Rib.withdraw_in rib ~peer prefix_pool.(p);
+              withdraw_in rib ~peer prefix_pool.(p);
               set prefix_pool.(p) (Asn.Map.remove peer (per_peer prefix_pool.(p)));
               true
             | Flush peer ->

@@ -148,7 +148,7 @@ let test_validator_filters () =
       (fun route -> Bgp.Route.origin_as ~self:(Asn.make 1) route <> Asn.make 666)
       routes
   in
-  let router = Router.create ~validator (Asn.make 1) in
+  let router = Router.create ~validator:(Router.scan_only validator) (Asn.make 1) in
   Router.add_peer router (Asn.make 2);
   let (_ : unit -> (Net.Asn.t * Update.t) list) = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 666 ] ());
