@@ -79,11 +79,13 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
     Asn.Set.of_list (List.map (fun a -> a.Attacker.asn) scenario.attackers)
   in
   let legit_set = Asn.Set.of_list scenario.legit_origins in
+  (* every AS but the attackers: the ASes that may deploy detection, and
+     those whose adoption of a bogus route is counted *)
+  let eligible_set = Asn.Set.diff nodes attacker_set in
   (* deployment and community-dropping assignments use independent child
      streams so that changing one knob never perturbs the other *)
   let capable =
-    let candidates = Asn.Set.diff nodes attacker_set in
-    Moas.Deployment.capable_set (Rng.split_at rng 1) candidates
+    Moas.Deployment.capable_set (Rng.split_at rng 1) eligible_set
       scenario.deployment
   in
   let droppers =
@@ -167,7 +169,6 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
   (match prepare with Some f -> f network | None -> ());
   let outcome_state = Bgp.Network.run network in
   let converged = outcome_state = Sim.Engine.Quiescent in
-  let eligible_set = Asn.Set.diff nodes attacker_set in
   let adopters =
     Asn.Set.filter
       (fun asn ->
@@ -248,12 +249,13 @@ let random rng ~graph ~stub ~n_origins ~n_attackers ~deployment =
   in
   let origin_set = Asn.Set.of_list origins in
   let attacker_pool =
-    Asn.Set.elements (Asn.Set.diff (Topology.As_graph.nodes graph) origin_set)
+    Array.of_list
+      (Asn.Set.elements (Asn.Set.diff (Topology.As_graph.nodes graph) origin_set))
   in
-  if n_attackers < 0 || n_attackers > List.length attacker_pool then
+  if n_attackers < 0 || n_attackers > Array.length attacker_pool then
     invalid_arg "Scenario.random: not enough ASes for the attackers";
   let attackers =
-    Rng.sample (Rng.split_at rng 11) (Array.of_list attacker_pool) n_attackers
+    Rng.sample (Rng.split_at rng 11) attacker_pool n_attackers
     |> Array.to_list
     |> List.map (fun asn -> Attacker.make asn)
   in

@@ -16,19 +16,33 @@ let impairment ?(loss = 0.0) ?(duplicate = 0.0) ?(jitter = 0.0) () =
 
 type update_tap = time:float -> src:Asn.t -> dst:Asn.t -> Update.t -> unit
 
-(* the routers by AS number *)
-module Routers = Hashtbl.Make (struct
-  type t = Asn.t
+(* A directed link, resolved once: the receiving router, the receiver's
+   slot for the sender, and the delay.  The slot is kept as the option
+   [Router.handle_update] takes, and the delay, a field of a mixed
+   record, boxed: a delivery passes both on without allocating. *)
+type link = { receiver : int; sender_slot : int option; delay : float }
 
-  let equal = Asn.equal
-  let hash asn = Asn.to_int asn
-end)
+(* A graph's routers and sessions as arrays, resolved once: router [i]
+   is the [i]-th AS in increasing order, its slot [s] the [s]-th of its
+   neighbours in increasing order (the router's own slot order), and the
+   directed link from that slot is [links.(first.(i) + s)].  Nothing here
+   depends on a scenario, so a network built over the same graph with
+   the same link delay reuses the wiring. *)
+type wiring = {
+  wired_graph : Topology.As_graph.t;
+  wired_delay : link_delay;
+  ases : Asn.t array;
+  peers : Asn.t array array;
+  first : int array;
+  links : link array;
+}
 
 type t = {
   engine : Sim.Engine.t;
   graph : Topology.As_graph.t;
-  routers : Router.t Routers.t;
-  link_delay : link_delay;
+  wiring : wiring;
+  (* router [i] stands for [wiring.ases.(i)] *)
+  routers : Router.t array;
   (* failed peerings, stored under the (min, max) endpoint pair *)
   down_links : (Asn.t * Asn.t, unit) Hashtbl.t;
   (* crashed routers *)
@@ -90,67 +104,120 @@ let link_key a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
 let link_is_up t a b = not (Hashtbl.mem t.down_links (link_key a b))
 let router_is_up t asn = not (Hashtbl.mem t.down_routers asn)
 
-let router t asn = Routers.find t.routers asn
-
-(* A router's far ends, resolved once when the network is built: each
-   neighbour's AS, in increasing order, and at the same slot its
-   router. *)
-type far_ends = { peers : Asn.t array; receivers : Router.t array }
-
-(* the slot of [peer] in [peers] (increasing), or -1; each of the Rib,
-   the router and this module keeps its own copy of this search, since
-   a shared one is a call into another module on every UPDATE *)
-let rec find_peer peers (peer : Asn.t) lo hi =
+(* the index of [asn] in [ases] (increasing), or -1 *)
+let rec find_index ases (asn : Asn.t) lo hi =
   if lo >= hi then -1
   else
     let mid = (lo + hi) / 2 in
-    let at = peers.(mid) in
-    if at = peer then mid
-    else if at < peer then find_peer peers peer (mid + 1) hi
-    else find_peer peers peer lo mid
+    let at = ases.(mid) in
+    if at = asn then mid
+    else if at < asn then find_index ases asn (mid + 1) hi
+    else find_index ases asn lo mid
 
-(* Hand [update] to the router at [slot] of [src]'s far ends after [delay],
-   unless the session fails or an endpoint crashes first: a message in
-   flight then is lost with the TCP connection.  The fault tables are
-   empty unless a fault is active, and then nothing is hashed. *)
-let deliver t ~src ends slot update delay =
-  if slot >= 0 then begin
-    let dst = ends.peers.(slot) and receiver = ends.receivers.(slot) in
-    Sim.Engine.schedule t.engine ~delay (fun engine ->
-        if Hashtbl.length t.down_links > 0 && Hashtbl.mem t.down_links (link_key src dst)
-        then note_drop t "link_down"
-        else if
-          Hashtbl.length t.down_routers > 0
-          && (Hashtbl.mem t.down_routers dst || Hashtbl.mem t.down_routers src)
-        then note_drop t "router_down"
-        else Router.handle_update receiver ~now:(Sim.Engine.now engine) update)
+let index_of w asn = find_index w.ases asn 0 (Array.length w.ases)
+
+let router t asn =
+  match index_of t.wiring asn with
+  | -1 -> raise Not_found
+  | i -> t.routers.(i)
+
+let wire graph link_delay =
+  let n = Topology.As_graph.node_count graph in
+  let ases = Array.make n 0 and peers = Array.make n [||] in
+  let first = Array.make (n + 1) 0 in
+  ignore
+    (Topology.As_graph.fold_nodes
+       (fun asn i ->
+         let neighbors = Topology.As_graph.neighbors graph asn in
+         let ids = Array.make (Asn.Set.cardinal neighbors) asn in
+         ignore (Asn.Set.fold (fun peer s -> ids.(s) <- peer; s + 1) neighbors 0);
+         ases.(i) <- asn;
+         peers.(i) <- ids;
+         first.(i + 1) <- first.(i) + Array.length ids;
+         i + 1)
+       graph 0);
+  let links = Array.make first.(n) { receiver = 0; sender_slot = None; delay = 1.0 } in
+  Array.iteri
+    (fun i ids ->
+      Array.iteri
+        (fun s peer ->
+          let r = find_index ases peer 0 n in
+          let delay = link_delay ases.(i) peer in
+          if not (delay > 0.0) then invalid_arg "Network: link delay must be positive";
+          links.(first.(i) + s) <-
+            {
+              receiver = r;
+              sender_slot = Some (find_index peers.(r) ases.(i) 0 (Array.length peers.(r)));
+              delay;
+            })
+        ids)
+    peers;
+  { wired_graph = graph; wired_delay = link_delay; ases; peers; first; links }
+
+(* the wiring of the last graph this domain built a network over *)
+let last_wiring : wiring option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let wiring_of graph link_delay =
+  match Domain.DLS.get last_wiring with
+  | Some w when w.wired_graph == graph && w.wired_delay == link_delay -> w
+  | Some _ | None ->
+    let w = wire graph link_delay in
+    Domain.DLS.set last_wiring (Some w);
+    w
+
+(* Whether a message arriving at router [r] was lost: a message in
+   flight when its session fails or an endpoint crashes is lost with the
+   TCP connection.  The fault tables are empty unless a fault is active,
+   and then nothing is hashed. *)
+let lost t r update =
+  (Hashtbl.length t.down_links > 0 || Hashtbl.length t.down_routers > 0)
+  &&
+  let dst = t.wiring.ases.(r) and src = update.Update.sender in
+  if Hashtbl.mem t.down_links (link_key src dst) then begin
+    note_drop t "link_down";
+    true
   end
+  else if Hashtbl.mem t.down_routers dst || Hashtbl.mem t.down_routers src then begin
+    note_drop t "router_down";
+    true
+  end
+  else false
 
-(* [src]'s transport *)
-let send t ~src ends ~peer update =
-  let delay = t.link_delay src peer in
-  if delay <= 0.0 then invalid_arg "Network: link delay must be positive";
+(* Hand [update] to the receiving end of [link], with the receiver's slot
+   for the sender, unless it was lost on the way. *)
+let arrive t link update engine =
+  if not (lost t link.receiver update) then
+    Router.handle_update ?slot:link.sender_slot t.routers.(link.receiver)
+      ~now:(Sim.Engine.now engine) update
+
+let deliver t link update delay =
+  Sim.Engine.schedule t.engine ~delay (fun engine -> arrive t link update engine)
+
+(* router [i]'s transport *)
+let send t i ~peer ~slot update =
+  let w = t.wiring in
+  let link = w.links.(w.first.(i) + slot) in
   (* the tap sees the Adj-RIB-Out stream as emitted, before any
      impairment decides the message's fate on the wire *)
   (match t.tap with
-  | Some tap -> tap ~time:(Sim.Engine.now t.engine) ~src ~dst:peer update
+  | Some tap -> tap ~time:(Sim.Engine.now t.engine) ~src:w.ases.(i) ~dst:peer update
   | None -> ());
-  let slot = find_peer ends.peers peer 0 (Array.length ends.peers) in
   match
     if Hashtbl.length t.impairments = 0 then None
-    else Hashtbl.find_opt t.impairments (link_key src peer)
+    else Hashtbl.find_opt t.impairments (link_key w.ases.(i) peer)
   with
-  | None -> deliver t ~src ends slot update delay
+  | None -> deliver t link update link.delay
   | Some (imp, rng) ->
+    let delay = link.delay in
     if imp.loss > 0.0 && Rng.chance rng imp.loss then note_drop t "loss"
     else begin
       let jittered () =
         if imp.jitter > 0.0 then delay +. Rng.float rng imp.jitter else delay
       in
-      deliver t ~src ends slot update (jittered ());
+      deliver t link update (jittered ());
       if imp.duplicate > 0.0 && Rng.chance rng imp.duplicate then begin
         bump t "net_messages_duplicated";
-        deliver t ~src ends slot update (jittered ())
+        deliver t link update (jittered ())
       end
     end
 
@@ -160,19 +227,21 @@ let make ?(config = Config.default) graph =
     config
   in
   let engine = Sim.Engine.create ~metrics () in
-  let routers = Routers.create (Topology.As_graph.node_count graph) in
-  Topology.As_graph.fold_nodes
-    (fun asn () ->
-      Routers.replace routers asn
-        (Router.create ~policy:(policy_of asn) ?validator:(validator_of asn)
-           ~mrai:(mrai_of asn) ?damping:(damping_of asn) ~metrics asn))
-    graph ();
+  let wiring = wiring_of graph link_delay in
+  let routers =
+    Array.mapi
+      (fun i asn ->
+        Router.create ~policy:(policy_of asn) ?validator:(validator_of asn)
+          ~mrai:(mrai_of asn) ?damping:(damping_of asn) ~metrics
+          ~peers:wiring.peers.(i) asn)
+      wiring.ases
+  in
   let t =
     {
       engine;
       graph;
+      wiring;
       routers;
-      link_delay;
       down_links = Hashtbl.create 8;
       down_routers = Hashtbl.create 8;
       impairments = Hashtbl.create 8;
@@ -183,24 +252,9 @@ let make ?(config = Config.default) graph =
   let schedule ~delay k =
     Sim.Engine.schedule engine ~delay (fun engine -> k (Sim.Engine.now engine))
   in
-  Topology.As_graph.fold_nodes
-    (fun src () ->
-      let sender = Routers.find routers src in
-      let neighbors = Topology.As_graph.neighbors graph src in
-      Router.add_peers sender neighbors;
-      let n = Asn.Set.cardinal neighbors in
-      let ends = { peers = Array.make n src; receivers = Array.make n sender } in
-      ignore
-        (Asn.Set.fold
-           (fun peer slot ->
-             ends.peers.(slot) <- peer;
-             ends.receivers.(slot) <- Routers.find routers peer;
-             slot + 1)
-           neighbors 0);
-      Router.set_transport sender
-        ~send:(fun ~peer update -> send t ~src ends ~peer update)
-        ~schedule)
-    graph ();
+  Array.iteri
+    (fun i r -> Router.set_transport r ~send:(send t i) ~schedule)
+    routers;
   t
 
 let engine t = t.engine
@@ -312,7 +366,7 @@ let best_route t asn prefix = Router.best (router t asn) prefix
 let best_origin t asn prefix = Router.best_origin (router t asn) prefix
 
 let forward_path t ~from addr =
-  let max_hops = Routers.length t.routers + 1 in
+  let max_hops = Array.length t.routers + 1 in
   let rec walk asn acc hops =
     if hops > max_hops then None (* forwarding loop *)
     else begin
@@ -330,7 +384,7 @@ let forward_path t ~from addr =
         end
     end
   in
-  if Routers.mem t.routers from then walk from [] 0 else None
+  if index_of t.wiring from >= 0 then walk from [] 0 else None
 
 let delivered_to t ~from addr =
   match forward_path t ~from addr with
@@ -341,7 +395,7 @@ let delivered_to t ~from addr =
   | None -> None
 
 let total_updates_sent t =
-  Routers.fold (fun _ r acc -> acc + Router.updates_sent r) t.routers 0
+  Array.fold_left (fun acc r -> acc + Router.updates_sent r) 0 t.routers
 
 let total_updates_received t =
-  Routers.fold (fun _ r acc -> acc + Router.updates_received r) t.routers 0
+  Array.fold_left (fun acc r -> acc + Router.updates_received r) 0 t.routers

@@ -17,7 +17,9 @@ type t
 
 type link_delay = Asn.t -> Asn.t -> float
 (** Message latency of the session between two ASes (called with the
-    sender first); must be positive. *)
+    sender first); must be positive, and pure: {!make} reads it once per
+    directed link, and a later network over the same graph with the same
+    function (physically) may reuse what an earlier one read. *)
 
 type impairment = {
   loss : float;  (** probability each message is dropped, in [0,1] *)
@@ -73,7 +75,19 @@ end
 
 val make : ?config:Config.t -> Topology.As_graph.t -> t
 (** Build a router per AS and a session per edge, configured by
-    [config] (default {!Config.default}). *)
+    [config] (default {!Config.default}).
+
+    The wiring is resolved once per graph: every router gets its peers
+    at creation (its session slots, in increasing AS order), and for
+    each directed link the receiving router, the receiver's slot for the
+    sender and the link delay are computed up front.  A send then costs
+    no lookup: the router names its slot, and the message goes to the
+    receiver's slot directly.  The wiring depends on the graph and the
+    link delay alone, so the last one built on a domain is kept and
+    reused by the next network over the same graph (physically) with the
+    same [link_delay]: a sweep of scenarios over one topology pays for
+    its routers, not for its topology.
+    @raise Invalid_argument when [link_delay] is not positive on a link. *)
 
 val engine : t -> Sim.Engine.t
 (** The underlying event engine (for custom scheduling). *)

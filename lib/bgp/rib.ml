@@ -1,21 +1,27 @@
 open Net
 
-(* One prefix's Adj-RIB-In: the latest route from each peer, at the
-   peer's slot, and how many slots are filled.  An UPDATE writes one
-   slot; the candidate list, in slot order, is built only for a decision
-   that scans. *)
-type entry = { mutable slots : Route.t option array; mutable filled : int }
+(* One prefix's routing state at this speaker, kept together so that an
+   UPDATE finds all of it with one lookup: the Adj-RIB-In (the latest
+   route from each peer, at the peer's slot, and how many slots are
+   filled), the Adj-RIB-Out (the last UPDATE sent to each peer, at the
+   same slot) and the Loc-RIB entry, kept as the option {!best} returns.
+   An UPDATE writes one Adj-RIB-In slot, an export to one peer one
+   Adj-RIB-Out slot; the candidate list, in slot order, is built only
+   for a decision that scans. *)
+type entry = {
+  mutable ins : Route.t option array;
+  mutable filled : int;
+  mutable outs : Update.t array;
+  mutable best : Route.t option;
+}
 
 type t = {
-  (* every AS given an Adj-RIB-In slot, in increasing order: the slot
-     order of every entry.  A slot outlives its peer's session, so a
-     session that comes back finds its slot; only a peer never seen
-     before realigns the entries. *)
+  (* every AS given a slot, in increasing order: the slot order of every
+     entry.  A slot outlives its peer's session, so a session that comes
+     back finds its slot; only a peer never seen before realigns the
+     entries. *)
   mutable peers : Asn.t array;
-  mutable adj_in : entry Prefix.Map.t;
-  (* each best route kept as the option {!best} returns, so that the
-     lookup, which runs once per UPDATE, allocates nothing *)
-  mutable loc : Route.t option Prefix.Map.t;
+  mutable entries : entry Prefix.Map.t;
   (* Loc-RIB cardinality, maintained incrementally: the decision process
      updates a size gauge on every best-route change and must not pay an
      O(n) walk for it *)
@@ -25,14 +31,13 @@ type t = {
   mutable loc_trie : Route.t Prefix_trie.t option;
 }
 
+(* the Adj-RIB-Out content of a peer that holds no route from us *)
+let unheard = Update.withdraw ~sender:(Asn.make 0) (Prefix.of_string "0.0.0.0/0")
+
 let create () =
-  {
-    peers = [||];
-    adj_in = Prefix.Map.empty;
-    loc = Prefix.Map.empty;
-    loc_count = 0;
-    loc_trie = None;
-  }
+  { peers = [||]; entries = Prefix.Map.empty; loc_count = 0; loc_trie = None }
+
+let peers t = t.peers
 
 (* the peer's slot, or -1 without one *)
 let rec find_slot peers (peer : Asn.t) lo hi =
@@ -46,12 +51,12 @@ let rec find_slot peers (peer : Asn.t) lo hi =
 
 let slot t peer = find_slot t.peers peer 0 (Array.length t.peers)
 
-(* [ids] merged into the slot order; each entry's routes move to their
-   peers' new slots.  The first call, on an empty RIB, adopts [ids]
+(* [ids] merged into the slot order; each entry's slots move to their
+   peers' new places.  The first call, on an empty RIB, adopts [ids]
    itself. *)
 let add_peers t ids =
   let old = t.peers in
-  if Array.length old = 0 then t.peers <- ids
+  if Array.length old = 0 && Prefix.Map.is_empty t.entries then t.peers <- ids
   else if not (Array.for_all (fun peer -> slot t peer >= 0) ids) then begin
     let merged =
       Array.of_list
@@ -61,40 +66,36 @@ let add_peers t ids =
     let moved =
       Array.map (fun peer -> find_slot merged peer 0 (Array.length merged)) old
     in
+    let n = Array.length merged in
     Prefix.Map.iter
       (fun _ e ->
-        let slots = Array.make (Array.length merged) None in
-        Array.iteri (fun i route -> slots.(moved.(i)) <- route) e.slots;
-        e.slots <- slots)
-      t.adj_in;
+        let ins = Array.make n None and outs = Array.make n unheard in
+        Array.iteri (fun i route -> ins.(moved.(i)) <- route) e.ins;
+        Array.iteri (fun i sent -> outs.(moved.(i)) <- sent) e.outs;
+        e.ins <- ins;
+        e.outs <- outs)
+      t.entries;
     t.peers <- merged
   end
 
+let entry t prefix =
+  match Prefix.Map.find prefix t.entries with
+  | e -> e
+  | exception Not_found ->
+    let n = Array.length t.peers in
+    let e =
+      { ins = Array.make n None; filled = 0; outs = Array.make n unheard; best = None }
+    in
+    t.entries <- Prefix.Map.add prefix e t.entries;
+    e
+
 let occupied = function Some _ -> 1 | None -> 0
 
-(* The lookups below run once per UPDATE; [find] allocates no option. *)
-let rec replace_in t ~peer prefix route =
-  match slot t peer with
-  | -1 ->
-    (match route with
-    | None -> None
-    | Some _ ->
-      add_peers t [| peer |];
-      replace_in t ~peer prefix route)
-  | i ->
-    (match Prefix.Map.find prefix t.adj_in with
-    | e ->
-      let previous = e.slots.(i) in
-      e.slots.(i) <- route;
-      e.filled <- e.filled + occupied route - occupied previous;
-      previous
-    | exception Not_found ->
-      if Option.is_some route then begin
-        let slots = Array.make (Array.length t.peers) None in
-        slots.(i) <- route;
-        t.adj_in <- Prefix.Map.add prefix { slots; filled = 1 } t.adj_in
-      end;
-      None)
+let write_in e slot route =
+  let previous = e.ins.(slot) in
+  e.ins.(slot) <- route;
+  e.filled <- e.filled + occupied route - occupied previous;
+  previous
 
 let rec cons_slots slots i acc =
   if i < 0 then acc
@@ -102,33 +103,33 @@ let rec cons_slots slots i acc =
     cons_slots slots (i - 1)
       (match slots.(i) with Some r -> r :: acc | None -> acc)
 
-let routes_in t prefix =
-  match Prefix.Map.find prefix t.adj_in with
-  | e -> cons_slots e.slots (Array.length e.slots - 1) []
-  | exception Not_found -> []
+let candidates e = cons_slots e.ins (Array.length e.ins - 1) []
 
-let set_best t route =
-  let prefix = route.Route.prefix in
-  if not (Prefix.Map.mem prefix t.loc) then t.loc_count <- t.loc_count + 1;
-  t.loc <- Prefix.Map.add prefix (Some route) t.loc;
+let heard e slot = e.outs.(slot)
+let set_heard e slot update = e.outs.(slot) <- update
+
+let entry_best e = e.best
+
+let install t e best =
+  (match (e.best, best) with
+  | None, Some _ -> t.loc_count <- t.loc_count + 1
+  | Some _, None -> t.loc_count <- t.loc_count - 1
+  | _ -> ());
+  e.best <- best;
   t.loc_trie <- None
 
-let clear_best t prefix =
-  if Prefix.Map.mem prefix t.loc then begin
-    t.loc_count <- t.loc_count - 1;
-    t.loc <- Prefix.Map.remove prefix t.loc;
-    t.loc_trie <- None
-  end
-
 let best t prefix =
-  match Prefix.Map.find prefix t.loc with
-  | best -> best
+  match Prefix.Map.find prefix t.entries with
+  | e -> e.best
   | exception Not_found -> None
 
 (* Prefix order is the trie's pre-order: a prefix precedes its
    subprefixes, and the zero branch precedes the one branch. *)
 let best_bindings t =
-  Prefix.Map.fold (fun p best acc -> (p, Option.get best) :: acc) t.loc [] |> List.rev
+  Prefix.Map.fold
+    (fun p e acc -> match e.best with Some r -> (p, r) :: acc | None -> acc)
+    t.entries []
+  |> List.rev
 
 let loc_rib_size t = t.loc_count
 
@@ -137,8 +138,10 @@ let loc_rib_trie t =
   | Some trie -> trie
   | None ->
     let trie =
-      Prefix.Map.fold (fun p best trie -> Prefix_trie.add p (Option.get best) trie) t.loc
-        Prefix_trie.empty
+      Prefix.Map.fold
+        (fun p e trie ->
+          match e.best with Some r -> Prefix_trie.add p r trie | None -> trie)
+        t.entries Prefix_trie.empty
     in
     t.loc_trie <- Some trie;
     trie
@@ -146,12 +149,11 @@ let loc_rib_trie t =
 let prefixes_in t =
   Prefix.Map.fold
     (fun p e acc -> if e.filled > 0 then Prefix.Set.add p acc else acc)
-    t.adj_in Prefix.Set.empty
+    t.entries Prefix.Set.empty
 
 (* the slot order survives: it is the session layout, not RIB content *)
 let clear t =
-  t.adj_in <- Prefix.Map.empty;
-  t.loc <- Prefix.Map.empty;
+  t.entries <- Prefix.Map.empty;
   t.loc_count <- 0;
   t.loc_trie <- None
 
@@ -164,11 +166,12 @@ let flush_peer t ~peer =
   | i ->
     Prefix.Map.fold
       (fun prefix e acc ->
-        match e.slots.(i) with
+        e.outs.(i) <- unheard;
+        match e.ins.(i) with
         | Some _ ->
-          e.slots.(i) <- None;
+          e.ins.(i) <- None;
           e.filled <- e.filled - 1;
           prefix :: acc
         | None -> acc)
-      t.adj_in []
+      t.entries []
     |> List.rev

@@ -23,9 +23,11 @@ let originate ?(origin = Igp) ?(local_pref = 100)
 
 let origin_as ~self t = As_path.origin_or ~default:self t.as_path
 
-let received ~from t = { t with learned_from = from }
+let received ~from t =
+  if Asn.equal t.learned_from from then t else { t with learned_from = from }
 
-let advertised_by asn t = { t with as_path = As_path.prepend asn t.as_path }
+let advertised_by asn t =
+  { t with as_path = As_path.prepend asn t.as_path; learned_from = asn }
 
 let with_communities communities t = { t with communities }
 

@@ -38,10 +38,12 @@ val origin_as : self:Asn.t -> t -> Asn.t
     locally originated route (empty path). *)
 
 val received : from:Asn.t -> t -> t
-(** Stamp a route as learned from a peer. *)
+(** Stamp a route as learned from a peer: the route itself when it
+    already is, as every route {!advertised_by} the peer is. *)
 
 val advertised_by : Asn.t -> t -> t
-(** The route as re-announced by an AS: its number prepended to the path. *)
+(** The route as re-announced by an AS: its number prepended to the path,
+    stamped as learned from it, which is how every receiver stores it. *)
 
 val with_communities : Community.Set.t -> t -> t
 (** Replace the communities. *)

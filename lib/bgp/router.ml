@@ -44,19 +44,26 @@ type flap_state = {
    a router that damps *)
 type damper = { params : damping; flaps : (Asn.t * Prefix.t, flap_state) Hashtbl.t }
 
-(* One BGP session's export state: what the peer last heard, to suppress
-   duplicate updates and to know when an explicit withdrawal is due, and
-   the MRAI state -- the time of the last advertisement batch and the
-   prefixes whose advertisement is deferred until the interval expires
-   (both read only when [mrai > 0]). *)
-type session = {
-  mutable heard : Route.t Prefix.Map.t;
-  mutable last_batch : float;
-  mutable deferred : Prefix.Set.t;
+(* the observability handles of one router, inert when the registry is
+   the noop; every router of an uninstrumented network shares [inert] *)
+type obs = {
+  live : bool;
+  sent_c : Obs.Registry.Counter.t;
+  received_c : Obs.Registry.Counter.t;
+  decisions_c : Obs.Registry.Counter.t;
+  loc_rib_g : Obs.Registry.Gauge.t;
 }
 
-let fresh_session () =
-  { heard = Prefix.Map.empty; last_batch = neg_infinity; deferred = Prefix.Set.empty }
+let obs_of metrics ~labels =
+  {
+    live = not (Obs.Registry.is_noop metrics);
+    sent_c = Obs.Registry.counter metrics ~labels "bgp_updates_sent";
+    received_c = Obs.Registry.counter metrics ~labels "bgp_updates_received";
+    decisions_c = Obs.Registry.counter metrics ~labels "bgp_decisions";
+    loc_rib_g = Obs.Registry.gauge metrics ~labels "bgp_loc_rib_size";
+  }
+
+let inert = obs_of Obs.Registry.noop ~labels:[]
 
 type t = {
   asn : Asn.t;
@@ -71,34 +78,49 @@ type t = {
      best route is a most preferred kept candidate (on attributes), which
      is what lets one changed candidate be judged against it alone. *)
   mutable must_scan : Prefix.Set.t;
-  (* the peers with an established session in increasing AS order, and
-     each one's export state at the same index *)
+  (* the session slots: the Rib's peers (the same array, in increasing
+     AS order), and at the same index whether the session is
+     established.  A slot outlives its session, so the slot the transport
+     was given for a peer stays valid across session loss and crashes. *)
   mutable peer_ids : Asn.t array;
-  mutable sessions : session array;
+  mutable up : Bytes.t;
+  (* MRAI state per slot, allocated only when [mrai > 0]: the time of the
+     last advertisement batch, and the prefixes whose advertisement is
+     deferred until the interval expires *)
+  mutable last_batch : Float.Array.t;
+  mutable deferred : Prefix.Set.t array;
   mutable originated : Route.t Prefix.Map.t;
   mutable aggregates : Prefix.Set.t;
-  mutable send : (peer:Asn.t -> Update.t -> unit) option;
-  mutable schedule : (delay:float -> (float -> unit) -> unit) option;
+  mutable send : peer:Asn.t -> slot:int -> Update.t -> unit;
+  mutable schedule : delay:float -> (float -> unit) -> unit;
   mutable received_count : int;
   mutable sent_count : int;
-  (* per-AS observability handles; inert when the registry is the noop *)
-  metrics_live : bool;
-  sent_c : Obs.Registry.Counter.t;
-  received_c : Obs.Registry.Counter.t;
-  decisions_c : Obs.Registry.Counter.t;
-  loc_rib_g : Obs.Registry.Gauge.t;
+  obs : obs;
 }
 
+let unwired ~peer:_ ~slot:_ _ = failwith "Router: transport not wired (call set_transport)"
+let unwired_schedule ~delay:_ _ = failwith "Router: transport not wired (call set_transport)"
+
+let established t slot = Bytes.get t.up slot = '\001'
+
+(* [peers] may not contain [self]: a linear scan without a closure *)
+let rec check_no_self self peers i =
+  if i < Array.length peers then begin
+    if Asn.equal peers.(i) self then invalid_arg "Router.add_peer: self peering";
+    check_no_self self peers (i + 1)
+  end
+
 let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
-    ?(metrics = Obs.Registry.noop) asn =
+    ?(metrics = Obs.Registry.noop) ?(peers = [||]) asn =
   if mrai < 0.0 then invalid_arg "Router.create: negative mrai";
   (match damping with
   | Some d when d.reuse_threshold >= d.suppress_threshold ->
     invalid_arg "Router.create: damping reuse must be below suppress"
   | _ -> ());
-  let labels =
-    if Obs.Registry.is_noop metrics then [] else [ ("as", Asn.to_string asn) ]
-  in
+  check_no_self asn peers 0;
+  let n = Array.length peers in
+  let rib = Rib.create () in
+  Rib.add_peers rib peers;
   {
     asn;
     policy;
@@ -106,81 +128,88 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     mrai;
     damping =
       Option.map (fun params -> { params; flaps = Hashtbl.create 16 }) damping;
-    rib = Rib.create ();
+    rib;
     must_scan = Prefix.Set.empty;
-    peer_ids = [||];
-    sessions = [||];
+    peer_ids = peers;
+    up = Bytes.make n '\001';
+    last_batch = (if mrai > 0.0 then Float.Array.make n neg_infinity else Float.Array.create 0);
+    deferred = (if mrai > 0.0 then Array.make n Prefix.Set.empty else [||]);
     originated = Prefix.Map.empty;
     aggregates = Prefix.Set.empty;
-    send = None;
-    schedule = None;
+    send = unwired;
+    schedule = unwired_schedule;
     received_count = 0;
     sent_count = 0;
-    metrics_live = not (Obs.Registry.is_noop metrics);
-    sent_c = Obs.Registry.counter metrics ~labels "bgp_updates_sent";
-    received_c = Obs.Registry.counter metrics ~labels "bgp_updates_received";
-    decisions_c = Obs.Registry.counter metrics ~labels "bgp_decisions";
-    loc_rib_g = Obs.Registry.gauge metrics ~labels "bgp_loc_rib_size";
+    obs =
+      (if Obs.Registry.is_noop metrics then inert
+       else obs_of metrics ~labels:[ ("as", Asn.to_string asn) ]);
   }
 
-(* the slot of the peer's session, or -1 without one *)
-let rec find_slot ids (peer : Asn.t) lo hi =
-  if lo >= hi then -1
-  else
-    let mid = (lo + hi) / 2 in
-    let at = ids.(mid) in
-    if at = peer then mid
-    else if at < peer then find_slot ids peer (mid + 1) hi
-    else find_slot ids peer lo mid
-
-let session_index t peer = find_slot t.peer_ids peer 0 (Array.length t.peer_ids)
-
-let array_of_set t s =
-  let ids = Array.make (Asn.Set.cardinal s) t.asn in
-  ignore (Asn.Set.fold (fun peer i -> ids.(i) <- peer; i + 1) s 0);
-  ids
-
-(* the sessions of [peers] and of the current peers, in increasing AS
-   order; a current peer keeps its session.  The Adj-RIB-In gets a slot
-   for every new peer. *)
-let add_peers t peers =
-  if Asn.Set.mem t.asn peers then invalid_arg "Router.add_peer: self peering";
-  let ids =
-    if Array.length t.peer_ids = 0 then array_of_set t peers
-    else array_of_set t (Array.fold_right Asn.Set.add t.peer_ids peers)
-  in
-  if Array.length ids > Array.length t.peer_ids then begin
-    t.sessions <-
-      Array.map
-        (fun peer ->
-          match session_index t peer with
-          | -1 -> fresh_session ()
-          | slot -> t.sessions.(slot))
-        ids;
-    t.peer_ids <- ids;
-    Rib.add_peers t.rib ids
+(* a session's export state as it is before its first advertisement *)
+let reset_session t slot =
+  if t.mrai > 0.0 then begin
+    Float.Array.set t.last_batch slot neg_infinity;
+    t.deferred.(slot) <- Prefix.Set.empty
   end
 
-let add_peer t peer = add_peers t (Asn.Set.singleton peer)
+(* Slots for the ASes of [ids] (increasing) that have none, without a
+   session: the Rib realigns its entries, and the per-slot state moves
+   with its peer.  Only a router given peers after it was built pays
+   this. *)
+let add_slots t ids =
+  let old = t.peer_ids in
+  Rib.add_peers t.rib ids;
+  let merged = Rib.peers t.rib in
+  if merged != old then begin
+    let n = Array.length merged in
+    let up = Bytes.make n '\000' in
+    let last_batch =
+      if t.mrai > 0.0 then Float.Array.make n neg_infinity else t.last_batch
+    in
+    let deferred = if t.mrai > 0.0 then Array.make n Prefix.Set.empty else t.deferred in
+    Array.iteri
+      (fun i peer ->
+        let j = Rib.slot t.rib peer in
+        Bytes.set up j (Bytes.get t.up i);
+        if t.mrai > 0.0 then begin
+          Float.Array.set last_batch j (Float.Array.get t.last_batch i);
+          deferred.(j) <- t.deferred.(i)
+        end)
+      old;
+    t.peer_ids <- merged;
+    t.up <- up;
+    t.last_batch <- last_batch;
+    t.deferred <- deferred
+  end
 
-let peers t = Array.to_list t.peer_ids
+(* the slot of [peer], given one (without a session) if it has none *)
+let slot_of t peer =
+  match Rib.slot t.rib peer with
+  | -1 ->
+    if Asn.equal peer t.asn then invalid_arg "Router.add_peer: self peering";
+    add_slots t [| peer |];
+    Rib.slot t.rib peer
+  | slot -> slot
+
+let add_peer t peer = Bytes.set t.up (slot_of t peer) '\001'
+
+let peers t =
+  let rec collect slot acc =
+    if slot < 0 then acc
+    else collect (slot - 1) (if established t slot then t.peer_ids.(slot) :: acc else acc)
+  in
+  collect (Array.length t.peer_ids - 1) []
 
 let set_transport t ~send ~schedule =
-  t.send <- Some send;
-  t.schedule <- Some schedule
+  t.send <- send;
+  t.schedule <- schedule
 
-let transport_send t ~peer update =
-  match t.send with
-  | Some send ->
-    t.sent_count <- t.sent_count + 1;
-    Obs.Registry.Counter.incr t.sent_c;
-    send ~peer update
-  | None -> failwith "Router: transport not wired (call set_transport)"
+let transport_send t slot update =
+  t.sent_count <- t.sent_count + 1;
+  Obs.Registry.Counter.incr t.obs.sent_c;
+  t.send ~peer:t.peer_ids.(slot) ~slot update
 
-let transport_schedule t ~delay k =
-  match t.schedule with
-  | Some schedule -> schedule ~delay k
-  | None -> failwith "Router: transport not wired (call set_transport)"
+let transport_schedule t ~delay k = t.schedule ~delay k
 
 (* ---------------- route-flap damping (RFC 2439) ---------------- *)
 
@@ -255,16 +284,16 @@ let admitted t ~now prefix r =
 
 (* All candidates: the locally originated route first, then the
    Adj-RIB-In entries in peer-AS order. *)
-let candidates t prefix =
-  let learned = Rib.routes_in t.rib prefix in
+let candidates t e prefix =
+  let learned = Rib.candidates e in
   match Prefix.Map.find_opt prefix t.originated with
   | Some r -> r :: learned
   | None -> learned
 
-let admitted_candidates t ~now prefix =
+let admitted_candidates t ~now e prefix =
   match t.damping with
-  | None -> candidates t prefix
-  | Some _ -> Route.filter (admitted t ~now prefix) (candidates t prefix)
+  | None -> candidates t e prefix
+  | Some _ -> Route.filter (admitted t ~now prefix) (candidates t e prefix)
 
 let best t prefix = Rib.best t.rib prefix
 
@@ -278,88 +307,118 @@ let updates_sent t = t.sent_count
 
 (* ------------------------------------------------------------------ *)
 (* Advertisement: compute what a peer should currently hear for a prefix
-   and emit an UPDATE only if it differs from what it last heard.  The
-   callers pass the prefix's best route, looked up once per change rather
-   than once per peer.                                                    *)
+   and emit an UPDATE only if it differs from what it last heard, which
+   the prefix's Adj-RIB-Out slot for the peer records.  The callers pass
+   the prefix's entry and best route, looked up once per change rather
+   than once per peer.
 
-(* [shared] holds the best route as this AS advertises it: the first peer
-   whose export returns the route itself builds it, and every later peer
-   of the same change reuses it. *)
-let desired_advertisement t ~peer ~shared best =
+   [shared] is the announcement of the best route as this AS advertises
+   it unchanged: the first peer whose export returns the route itself
+   builds it ([Rib.unheard] stands for "not built yet"), and every later
+   peer of the same change is sent the same message.  Each function
+   below returns it for the next peer. *)
+
+(* whether the peer holds a route other than [route] from us *)
+let stale heard route =
+  match heard.Update.payload with
+  | Update.Announce held -> not (Route.equal route held)
+  | Update.Withdraw _ -> true
+
+let send_to t e slot update =
+  Rib.set_heard e slot update;
+  transport_send t slot update
+
+let withdraw_from t e slot prefix =
+  match (Rib.heard e slot).Update.payload with
+  | Update.Announce _ -> send_to t e slot (Update.withdraw ~sender:t.asn prefix)
+  | Update.Withdraw _ -> ()
+
+let sync_peer_prefix t e ~shared slot prefix best =
   match best with
-  | None -> None
+  | None ->
+    withdraw_from t e slot prefix;
+    shared
   | Some route ->
+    let peer = t.peer_ids.(slot) in
     (* split horizon: never advertise a route back to the peer that
        supplied it *)
     if (not (As_path.length route.Route.as_path = 0))
        && Asn.equal route.Route.learned_from peer
-    then None
+    then begin
+      withdraw_from t e slot prefix;
+      shared
+    end
     else
       (match t.policy.Policy.export ~peer route with
-      | None -> None
-      | Some exported when exported != route -> Some (Route.advertised_by t.asn exported)
+      | None ->
+        withdraw_from t e slot prefix;
+        shared
+      | Some exported when exported != route ->
+        let advertised = Route.advertised_by t.asn exported in
+        if stale (Rib.heard e slot) advertised then
+          send_to t e slot (Update.announce ~sender:t.asn advertised);
+        shared
       | Some _ ->
-        (match !shared with
-        | Some _ as advertised -> advertised
-        | None ->
-          let advertised = Some (Route.advertised_by t.asn route) in
-          shared := advertised;
-          advertised))
-
-let sync_peer_prefix t session ~peer ~shared prefix best =
-  let desired = desired_advertisement t ~peer ~shared best in
-  let current = Prefix.Map.find_opt prefix session.heard in
-  match (desired, current) with
-  | None, None -> ()
-  | Some d, Some c when Route.equal d c -> ()
-  | Some d, _ ->
-    session.heard <- Prefix.Map.add prefix d session.heard;
-    transport_send t ~peer (Update.announce ~sender:t.asn d)
-  | None, Some _ ->
-    session.heard <- Prefix.Map.remove prefix session.heard;
-    transport_send t ~peer (Update.withdraw ~sender:t.asn prefix)
+        let shared =
+          if shared != Rib.unheard then shared
+          else Update.announce ~sender:t.asn (Route.advertised_by t.asn route)
+        in
+        (match shared.Update.payload with
+        | Update.Announce advertised when stale (Rib.heard e slot) advertised ->
+          send_to t e slot shared
+        | Update.Announce _ | Update.Withdraw _ -> ());
+        shared)
 
 (* MRAI gating: a peer whose last batch is too recent gets the prefix
    queued; a timer fires when the interval expires and syncs every queued
    prefix at once. *)
-let rec advertise_to_peer t ~now ~shared peer session prefix best =
-  if t.mrai <= 0.0 then sync_peer_prefix t session ~peer ~shared prefix best
-  else if now -. session.last_batch >= t.mrai then begin
-    sync_peer_prefix t session ~peer ~shared prefix best;
-    session.last_batch <- now
+let rec advertise_to_peer t ~now e ~shared slot prefix best =
+  if t.mrai <= 0.0 then sync_peer_prefix t e ~shared slot prefix best
+  else if now -. Float.Array.get t.last_batch slot >= t.mrai then begin
+    let shared = sync_peer_prefix t e ~shared slot prefix best in
+    Float.Array.set t.last_batch slot now;
+    shared
   end
   else begin
-    let was_empty = Prefix.Set.is_empty session.deferred in
-    session.deferred <- Prefix.Set.add prefix session.deferred;
-    if was_empty then
-      transport_schedule t
-        ~delay:(session.last_batch +. t.mrai -. now)
-        (fun fire_time -> flush_deferred t ~now:fire_time peer)
+    let was_empty = Prefix.Set.is_empty t.deferred.(slot) in
+    t.deferred.(slot) <- Prefix.Set.add prefix t.deferred.(slot);
+    (if was_empty then
+       let peer = t.peer_ids.(slot) in
+       transport_schedule t
+         ~delay:(Float.Array.get t.last_batch slot +. t.mrai -. now)
+         (fun fire_time -> flush_deferred t ~now:fire_time peer));
+    shared
   end
 
-(* the timer names the peer, not the session: a session that went down
-   and came back up in the meantime is flushed as it is now *)
+(* the timer names the peer, not the slot, which a peer new to a
+   standalone router may shift: a session that went down and came back
+   up in the meantime is flushed as it is now, and one still down has
+   nothing queued *)
 and flush_deferred t ~now peer =
-  match session_index t peer with
+  match Rib.slot t.rib peer with
   | -1 -> ()
   | slot ->
-    let session = t.sessions.(slot) in
-    let queued = session.deferred in
-    session.deferred <- Prefix.Set.empty;
+    let queued = t.deferred.(slot) in
+    t.deferred.(slot) <- Prefix.Set.empty;
     if not (Prefix.Set.is_empty queued) then begin
-      session.last_batch <- now;
+      Float.Array.set t.last_batch slot now;
       Prefix.Set.iter
         (fun prefix ->
-          sync_peer_prefix t session ~peer ~shared:(ref None) prefix
-            (Rib.best t.rib prefix))
+          let e = Rib.entry t.rib prefix in
+          ignore (sync_peer_prefix t e ~shared:Rib.unheard slot prefix (Rib.entry_best e)))
         queued
     end
 
-let advertise_all t ~now prefix best =
-  let shared = ref None in
-  for slot = 0 to Array.length t.peer_ids - 1 do
-    advertise_to_peer t ~now ~shared t.peer_ids.(slot) t.sessions.(slot) prefix best
-  done
+let rec advertise_from t ~now e ~shared slot prefix best =
+  if slot < Array.length t.peer_ids then
+    advertise_from t ~now e
+      ~shared:
+        (if established t slot then advertise_to_peer t ~now e ~shared slot prefix best
+         else shared)
+      (slot + 1) prefix best
+
+let advertise_all t ~now e prefix best =
+  advertise_from t ~now e ~shared:Rib.unheard 0 prefix best
 
 (* ------------------------------------------------------------------ *)
 (* Decision *)
@@ -392,12 +451,13 @@ let after_move ~incumbent moved =
 
 (* A decision over every candidate, with the oldest-route rule. *)
 let rec reselect t ~now prefix =
-  Obs.Registry.Counter.incr t.decisions_c;
-  decide t ~now prefix (Rib.best t.rib prefix)
+  Obs.Registry.Counter.incr t.obs.decisions_c;
+  let e = Rib.entry t.rib prefix in
+  decide t ~now e prefix (Rib.entry_best e)
 
-and decide t ~now prefix old_best =
-  let kept = validated t ~now prefix (admitted_candidates t ~now prefix) in
-  install t ~now prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
+and decide t ~now e prefix old_best =
+  let kept = validated t ~now prefix (admitted_candidates t ~now e prefix) in
+  install t ~now e prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
 
 (* The decision after one candidate moved: [peer]'s entry for [prefix] is
    now [route] ([None]: gone), in place of [previous].  The scan's result
@@ -409,9 +469,9 @@ and decide t ~now prefix old_best =
    keeps it or drops it, or asks for the scan; without a verdict, it
    filters every candidate, and must have kept every one now and at the
    prefix's last decision. *)
-and reselect_after t ~now ~peer ~previous route prefix =
-  Obs.Registry.Counter.incr t.decisions_c;
-  let old_best = Rib.best t.rib prefix in
+and reselect_after t ~now e ~peer ~previous route prefix =
+  Obs.Registry.Counter.incr t.obs.decisions_c;
+  let old_best = Rib.entry_best e in
   let shortcut =
     Option.is_none t.damping
     && (not (Prefix.Set.mem prefix t.must_scan))
@@ -422,22 +482,22 @@ and reselect_after t ~now ~peer ~previous route prefix =
   in
   match t.validator with
   | Some { judge = None; _ } ->
-    let all = admitted_candidates t ~now prefix in
+    let all = admitted_candidates t ~now e prefix in
     let kept = validated t ~now prefix all in
-    install t ~now prefix old_best
+    install t ~now e prefix old_best
       (if shortcut && kept == all then after_move ~incumbent:old_best route
        else Decision.best_with_incumbent ~incumbent:old_best kept)
   | Some { judge = Some judge; _ } when shortcut ->
     (match judge ~prefix ~incumbent:old_best ~previous route with
-    | Keep -> install t ~now prefix old_best (after_move ~incumbent:old_best route)
+    | Keep -> install t ~now e prefix old_best (after_move ~incumbent:old_best route)
     | Drop -> ()
-    | Rescan -> decide t ~now prefix old_best)
+    | Rescan -> decide t ~now e prefix old_best)
   | None when shortcut ->
-    install t ~now prefix old_best (after_move ~incumbent:old_best route)
-  | Some _ | None -> decide t ~now prefix old_best
+    install t ~now e prefix old_best (after_move ~incumbent:old_best route)
+  | Some _ | None -> decide t ~now e prefix old_best
 
 (* install a decision's result and propagate it if it changed *)
-and install t ~now prefix old_best new_best =
+and install t ~now e prefix old_best new_best =
   let changed =
     match (new_best, old_best) with
     | None, None -> false
@@ -445,13 +505,11 @@ and install t ~now prefix old_best new_best =
     | Some _, None | None, Some _ -> true
   in
   if changed then begin
-    (match new_best with
-    | Some route -> Rib.set_best t.rib route
-    | None -> Rib.clear_best t.rib prefix);
-    if t.metrics_live then
-      Obs.Registry.Gauge.set t.loc_rib_g
+    Rib.install t.rib e new_best;
+    if t.obs.live then
+      Obs.Registry.Gauge.set t.obs.loc_rib_g
         (float_of_int (Rib.loc_rib_size t.rib));
-    advertise_all t ~now prefix new_best;
+    advertise_all t ~now e prefix new_best;
     (* a change to a child route may alter a configured aggregate; the
        summary is strictly shorter, so this recursion terminates *)
     if not (Prefix.Set.is_empty t.aggregates) then
@@ -510,25 +568,26 @@ let remove_aggregate t ~now summary =
   end
 
 let peer_down t ~now peer =
-  let slot = session_index t peer in
-  if slot >= 0 then begin
-    (* what the peer heard from us is void with the session *)
-    let keep i = if i < slot then i else i + 1 in
-    let n = Array.length t.peer_ids - 1 in
-    t.peer_ids <- Array.init n (fun i -> t.peer_ids.(keep i));
-    t.sessions <- Array.init n (fun i -> t.sessions.(keep i));
+  match Rib.slot t.rib peer with
+  | slot when slot >= 0 && established t slot ->
+    (* the slot stays; what the peer heard from us is void with the
+       session *)
+    Bytes.set t.up slot '\000';
+    reset_session t slot;
     let affected = Rib.flush_peer t.rib ~peer in
     List.iter (fun prefix -> reselect t ~now prefix) affected
-  end
+  | _ -> ()
 
 let peer_up t ~now peer =
-  if session_index t peer < 0 then begin
-    add_peer t peer;
-    let session = t.sessions.(session_index t peer) in
+  let slot = slot_of t peer in
+  if not (established t slot) then begin
+    Bytes.set t.up slot '\001';
     (* initial table exchange: everything in the Loc-RIB goes out *)
     List.iter
       (fun (prefix, best) ->
-        advertise_to_peer t ~now ~shared:(ref None) peer session prefix (Some best))
+        ignore
+          (advertise_to_peer t ~now (Rib.entry t.rib prefix) ~shared:Rib.unheard slot
+             prefix (Some best)))
       (Rib.best_bindings t.rib)
   end
 
@@ -545,8 +604,9 @@ let crash t =
       t.originated
       (Prefix.Set.union t.must_scan (Rib.prefixes_in t.rib));
   Rib.clear t.rib;
-  t.peer_ids <- [||];
-  t.sessions <- [||];
+  (* every session goes down; the slots stay *)
+  Bytes.fill t.up 0 (Bytes.length t.up) '\000';
+  Array.iteri (fun slot _ -> reset_session t slot) t.peer_ids;
   Option.iter (fun { flaps; _ } -> Hashtbl.reset flaps) t.damping
 
 let restart t ~now =
@@ -573,9 +633,10 @@ let reuse_delay damping state ~now =
   if penalty <= damping.reuse_threshold then 0.0
   else damping.half_life *. (Float.log (penalty /. damping.reuse_threshold) /. Float.log 2.0)
 
-let handle_update t ~now (update : Update.t) =
+(* [update] from the peer at [slot] *)
+let receive t ~now slot (update : Update.t) =
   t.received_count <- t.received_count + 1;
-  Obs.Registry.Counter.incr t.received_c;
+  Obs.Registry.Counter.incr t.obs.received_c;
   let peer = update.Update.sender in
   let prefix = Update.prefix update in
   (* damping bookkeeping: announcements after the first and withdrawals
@@ -613,5 +674,11 @@ let handle_update t ~now (update : Update.t) =
       else t.policy.Policy.import ~peer (Route.received ~from:peer route)
     | Update.Withdraw _ -> None
   in
-  let previous = Rib.replace_in t.rib ~peer prefix accepted in
-  reselect_after t ~now ~peer ~previous accepted prefix
+  let e = Rib.entry t.rib prefix in
+  let previous = Rib.write_in e slot accepted in
+  reselect_after t ~now e ~peer ~previous accepted prefix
+
+let handle_update ?slot t ~now (update : Update.t) =
+  match slot with
+  | Some slot -> receive t ~now slot update
+  | None -> receive t ~now (slot_of t update.Update.sender) update

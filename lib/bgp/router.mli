@@ -75,11 +75,19 @@ val create :
   ?mrai:float ->
   ?damping:damping ->
   ?metrics:Obs.Registry.t ->
+  ?peers:Asn.t array ->
   Asn.t ->
   t
 (** A router for the given AS.  [mrai] is the per-peer minimum interval
     between advertisement batches (default 0: advertise immediately);
     [damping] enables route-flap damping (default off).
+
+    [peers] (default none) are the router's sessions, all established:
+    increasing, without the router's own AS, and never mutated
+    afterwards, since the router and its RIB keep the array itself as
+    their slot order.  Peers given at creation cost no realignment, so a
+    network gives each router all of its neighbours here; {!add_peer}
+    and the other ways of meeting a new AS realign every stored entry.
 
     [metrics] (default {!Obs.Registry.noop}) receives per-AS
     instrumentation, each labelled [("as", asn)]: counters
@@ -96,20 +104,35 @@ val is_suppressed : t -> peer:Asn.t -> Prefix.t -> now:float -> bool
 val add_peer : t -> Asn.t -> unit
 (** Declare a BGP session with a neighbouring AS (idempotent). *)
 
-val add_peers : t -> Asn.Set.t -> unit
-(** {!add_peer} for every AS of the set, in one step. *)
-
 val peers : t -> Asn.t list
-(** Current peers in increasing AS order. *)
+(** Peers with an established session, in increasing AS order. *)
+
+(** {2 Transport}
+
+    A router has one session slot per AS it has met, in increasing AS
+    order: the peers given to {!create}, then any AS added by
+    {!add_peer}, {!peer_up} or an UPDATE from it.  A slot is never
+    removed: {!peer_down} and {!crash} mark its session down, and
+    {!peer_up} brings the same slot back, so a transport may resolve a
+    slot once (to the receiving router and the link) and keep the result
+    for the router's life.  Only a new AS shifts the slots above it,
+    which a router built with all its peers never meets.
+
+    The router sends on established sessions only, each UPDATE once,
+    naming the peer and its slot; an UPDATE is immutable and may be
+    sent to several peers.  A transport that delivers an UPDATE to a
+    router hands it to {!handle_update} with the receiver's slot for the
+    sender, which saves the lookup. *)
 
 val set_transport :
   t ->
-  send:(peer:Asn.t -> Update.t -> unit) ->
+  send:(peer:Asn.t -> slot:int -> Update.t -> unit) ->
   schedule:(delay:float -> (float -> unit) -> unit) ->
   unit
-(** Wire the router to the network: [send] delivers an update towards a
-    peer; [schedule] runs a callback after a delay (used by MRAI timers).
-    Must be called before any traffic is processed. *)
+(** Wire the router to the network: [send ~peer ~slot update] delivers
+    an update towards the peer at [slot]; [schedule] runs a callback
+    after a delay (used by MRAI timers and damping).  Must be called
+    before any traffic is processed. *)
 
 val originate : t -> now:float -> Route.t -> unit
 (** Start originating a route (built with {!Route.originate}); announces to
@@ -118,9 +141,12 @@ val originate : t -> now:float -> Route.t -> unit
 val withdraw_origin : t -> now:float -> Prefix.t -> unit
 (** Stop originating a prefix. *)
 
-val handle_update : t -> now:float -> Update.t -> unit
+val handle_update : ?slot:int -> t -> now:float -> Update.t -> unit
 (** Process one incoming UPDATE (loop detection, policy, validation,
-    decision, propagation). *)
+    decision, propagation).  [slot] is the sender's slot, which a
+    transport knows (see {!set_transport}); without it the sender is
+    looked up by AS, and a sender without a slot gets one, without a
+    session. *)
 
 val best : t -> Prefix.t -> Route.t option
 (** Loc-RIB entry for the prefix. *)

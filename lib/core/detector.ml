@@ -61,8 +61,9 @@ let create ?(backend = Detect_only) ?(on_alarm = fun _ -> ())
     | Detect_only | Community _ -> None
   in
   let watch = match backend with Community w -> Some w | _ -> None in
+  (* no labels, hence no option to allocate, for the noop registry *)
   let labels =
-    if Obs.Registry.is_noop metrics then [] else [ ("as", Asn.to_string self) ]
+    if Obs.Registry.is_noop metrics then None else Some [ ("as", Asn.to_string self) ]
   in
   {
     self;
@@ -79,10 +80,10 @@ let create ?(backend = Detect_only) ?(on_alarm = fun _ -> ())
     memo_lists = [||];
     memo_used = 0;
     memo_next = 0;
-    alarms_c = Obs.Registry.counter metrics ~labels "moas_alarms";
-    verify_calls_c = Obs.Registry.counter metrics ~labels "moas_verify_calls";
+    alarms_c = Obs.Registry.counter metrics ?labels "moas_alarms";
+    verify_calls_c = Obs.Registry.counter metrics ?labels "moas_verify_calls";
     discarded_c =
-      Obs.Registry.counter metrics ~labels "moas_routes_discarded";
+      Obs.Registry.counter metrics ?labels "moas_routes_discarded";
   }
 
 let distinct_lists lists =

@@ -1,9 +1,7 @@
-(* the clock sits in an all-float record, stored unboxed: advancing it
-   once per event allocates nothing *)
-type clock = { mutable now : float }
-
 type t = {
-  clock : clock;
+  (* a float ref is an all-float record, stored unboxed: the queue
+     advances it once per event and allocates nothing *)
+  clock : float ref;
   mutable executed : int;
   queue : handler Event_queue.t;
   mutable queue_hwm : int;
@@ -21,14 +19,17 @@ type t = {
 
 and handler = t -> unit
 
+(* the queue's filler: a top-level closure, statically allocated *)
+let idle : handler = fun _ -> ()
+
 (* one histogram observation per this many executed events *)
 let wall_block = 10_000
 
 let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
   {
-    clock = { now = 0.0 };
+    clock = ref 0.0;
     executed = 0;
-    queue = Event_queue.create ();
+    queue = Event_queue.create ~filler:idle ();
     queue_hwm = 0;
     metrics;
     live = not (Obs.Registry.is_noop metrics);
@@ -39,7 +40,7 @@ let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
     wall_per_10k_h = Obs.Registry.histogram metrics "sim_wall_s_per_10k_events";
   }
 
-let now t = t.clock.now
+let now t = !(t.clock)
 let metrics t = t.metrics
 
 let note_depth t =
@@ -49,11 +50,11 @@ let note_depth t =
 let schedule t ~delay h =
   if delay < 0.0 || Float.is_nan delay then
     invalid_arg "Engine.schedule: negative delay";
-  Event_queue.push t.queue ~time:(t.clock.now +. delay) h;
+  Event_queue.push_after t.queue t.clock ~delay h;
   note_depth t
 
 let schedule_at t ~time h =
-  if time < t.clock.now || Float.is_nan time then
+  if time < !(t.clock) || Float.is_nan time then
     invalid_arg "Engine.schedule_at: time in the past";
   Event_queue.push t.queue ~time h;
   note_depth t
@@ -93,11 +94,9 @@ let run ?(max_events = max_int) ?(until = infinity) t =
     if budget <= 0 then Event_limit_reached
     else if Event_queue.is_empty t.queue then Quiescent
     else begin
-      let time = Event_queue.min_time t.queue in
-      if time > until then Time_limit_reached
+      if Event_queue.min_time_exceeds t.queue until then Time_limit_reached
       else begin
-        let h = Event_queue.pop_min t.queue in
-        t.clock.now <- time;
+        let h = Event_queue.pop_min_into t.queue t.clock in
         t.executed <- t.executed + 1;
         h t;
         if t.live && (t.executed - start_executed) mod wall_block = 0 then begin
@@ -119,6 +118,6 @@ let run ?(max_events = max_int) ?(until = infinity) t =
 
 let reset t =
   Event_queue.clear t.queue;
-  t.clock.now <- 0.0;
+  t.clock := 0.0;
   t.executed <- 0;
   t.queue_hwm <- 0

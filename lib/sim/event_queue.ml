@@ -1,17 +1,26 @@
 (* A binary min-heap on (time, seq), slot 0 unused, stored as three
    parallel arrays so that a push allocates nothing once the arrays have
    grown: times unboxed in a float array, insertion sequence numbers and
-   payloads beside them. *)
+   payloads beside them.  Every payload slot outside the heap holds
+   [filler], so a popped payload is not kept reachable by the queue. *)
 type 'a t = {
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () =
-  { times = Float.Array.create 0; seqs = [||]; payloads = [||]; size = 0; next_seq = 0 }
+let create ~filler () =
+  {
+    times = Float.Array.create 0;
+    seqs = [||];
+    payloads = [||];
+    size = 0;
+    next_seq = 0;
+    filler;
+  }
 
 let is_empty t = t.size = 0
 let length t = t.size
@@ -31,9 +40,10 @@ let[@inline] place t i time seq payload =
   t.seqs.(i) <- seq;
   t.payloads.(i) <- payload
 
-(* the filler of fresh payload slots is a payload already in the queue,
-   so growing keeps no dead value alive *)
-let grow t filler =
+(* Past 256 words a fresh array is allocated in the major heap, and
+   [Array.make] with a young initial value would force a minor collection
+   first; the filler is long-lived, so growing forces none. *)
+let grow t =
   let cap = Array.length t.payloads in
   if t.size + 1 >= cap then begin
     let ncap = max 16 (2 * cap) in
@@ -41,18 +51,20 @@ let grow t filler =
     Float.Array.blit t.times 0 times 0 cap;
     let seqs = Array.make ncap 0 in
     Array.blit t.seqs 0 seqs 0 cap;
-    let payloads = Array.make ncap filler in
+    let payloads = Array.make ncap t.filler in
     Array.blit t.payloads 0 payloads 0 cap;
     t.times <- times;
     t.seqs <- seqs;
     t.payloads <- payloads
   end
 
-let push t ~time payload =
+(* the entry's insertion, inlined into both pushes so that [time] is
+   never boxed *)
+let[@inline] insert t time payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  grow t payload;
+  grow t;
   t.size <- t.size + 1;
   (* sift up from the new last slot *)
   let i = ref t.size in
@@ -62,9 +74,12 @@ let push t ~time payload =
   done;
   place t !i time seq payload
 
-let min_time t =
-  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
-  Float.Array.get t.times 1
+let push t ~time payload = insert t time payload
+let push_after t clock ~delay payload = insert t (!clock +. delay) payload
+
+let min_time_exceeds t limit =
+  if t.size = 0 then invalid_arg "Event_queue.min_time_exceeds: empty queue";
+  Float.Array.get t.times 1 > limit
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
@@ -74,6 +89,7 @@ let pop_min t =
   and seq = t.seqs.(t.size)
   and payload = t.payloads.(t.size) in
   t.size <- n;
+  t.payloads.(n + 1) <- t.filler;
   if n > 0 then begin
     (* sift the old last entry down from the root *)
     let i = ref 1 and settled = ref false in
@@ -93,6 +109,11 @@ let pop_min t =
     place t !i time seq payload
   end;
   top
+
+let pop_min_into t clock =
+  if t.size = 0 then invalid_arg "Event_queue.pop_min_into: empty queue";
+  clock := Float.Array.get t.times 1;
+  pop_min t
 
 let pop t =
   if t.size = 0 then None

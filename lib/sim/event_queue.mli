@@ -5,8 +5,12 @@
 type 'a t
 (** A mutable queue of events carrying payloads of type ['a]. *)
 
-val create : unit -> 'a t
-(** A fresh empty queue. *)
+val create : filler:'a -> unit -> 'a t
+(** A fresh empty queue.  Every payload slot the queue holds outside its
+    pending events is set to [filler], so a popped payload is
+    collectable as soon as the caller drops it; give a long-lived value
+    (a top-level constant), which also lets the arrays grow without
+    forcing a minor collection. *)
 
 val is_empty : 'a t -> bool
 (** Whether no event is pending. *)
@@ -25,14 +29,19 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 (** Timestamp of the earliest event without removing it. *)
 
-val min_time : 'a t -> float
-(** Timestamp of the earliest event: the allocation-free {!peek_time}
-    for a caller that has checked {!is_empty}.
+val push_after : 'a t -> float ref -> delay:float -> 'a -> unit
+(** [push_after t clock ~delay payload] is [push t ~time:(!clock +.
+    delay) payload], computed without boxing the time: what an engine
+    whose clock is [clock] calls once per scheduled event. *)
+
+val min_time_exceeds : 'a t -> float -> bool
+(** Whether the earliest event's time is above the limit, for a caller
+    that has checked {!is_empty}.
     @raise Invalid_argument on an empty queue. *)
 
-val pop_min : 'a t -> 'a
-(** Remove the earliest event and return its payload, in the order of
-    {!pop}; read its time with {!min_time} first.
+val pop_min_into : 'a t -> float ref -> 'a
+(** Remove the earliest event, in the order of {!pop}, store its time in
+    the ref and return its payload: {!pop} without allocation.
     @raise Invalid_argument on an empty queue. *)
 
 val clear : 'a t -> unit

@@ -1,12 +1,14 @@
 open Net
 
-type t = { adj : Asn.Set.t Asn.Map.t }
+(* [nodes] is the key set of [adj], kept beside it so that asking for
+   the node set, once or more per simulation run, costs nothing *)
+type t = { adj : Asn.Set.t Asn.Map.t; nodes : Asn.Set.t }
 
-let empty = { adj = Asn.Map.empty }
+let empty = { adj = Asn.Map.empty; nodes = Asn.Set.empty }
 
 let add_node t asn =
   if Asn.Map.mem asn t.adj then t
-  else { adj = Asn.Map.add asn Asn.Set.empty t.adj }
+  else { adj = Asn.Map.add asn Asn.Set.empty t.adj; nodes = Asn.Set.add asn t.nodes }
 
 let add_edge t a b =
   if Asn.equal a b then invalid_arg "As_graph.add_edge: self-loop";
@@ -18,7 +20,7 @@ let add_edge t a b =
         | None -> Some (Asn.Set.singleton y))
       adj
   in
-  { adj = link a b (link b a t.adj) }
+  { t with adj = link a b (link b a t.adj) }
 
 let neighbors t asn =
   match Asn.Map.find_opt asn t.adj with
@@ -40,7 +42,7 @@ let remove_node t asn =
             adj)
         peers adj
     in
-    { adj }
+    { adj; nodes = Asn.Set.remove asn t.nodes }
 
 let mem_node t asn = Asn.Map.mem asn t.adj
 
@@ -48,8 +50,7 @@ let mem_edge t a b = Asn.Set.mem b (neighbors t a)
 
 let degree t asn = Asn.Set.cardinal (neighbors t asn)
 
-let nodes t =
-  Asn.Map.fold (fun asn _ acc -> Asn.Set.add asn acc) t.adj Asn.Set.empty
+let nodes t = t.nodes
 
 let node_count t = Asn.Map.cardinal t.adj
 

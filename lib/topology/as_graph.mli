@@ -33,7 +33,7 @@ val degree : t -> Asn.t -> int
 (** Number of peers. *)
 
 val nodes : t -> Asn.Set.t
-(** All ASes. *)
+(** All ASes: O(1), the set is kept with the graph. *)
 
 val node_count : t -> int
 (** Number of ASes. *)

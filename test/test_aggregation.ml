@@ -13,7 +13,7 @@ let child_b = Prefix.of_string "10.2.0.0/16"
 let wire router =
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer update -> sent := (peer, update) :: !sent)
+    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
     ~schedule:(fun ~delay:_ _ -> ());
   fun () ->
     let out = List.rev !sent in

@@ -169,6 +169,71 @@ let prop_partial_between =
       let full = run Moas.Deployment.Full in
       full <= half +. 1e-9 && half <= normal +. 1e-9)
 
+(* ---------------- simulator allocation budget ---------------- *)
+
+(* Minor words allocated per engine event by one fixed attack scenario on
+   a generated ~200-AS internet, and by Network.make per router with a
+   detector on every router: the two costs a scenario pays, its messages
+   and its routers.  Measured at jobs=1 only: [Gc.minor_words] counts the
+   calling domain's allocations.  A network built over a graph already
+   wired on this domain reuses the wiring, as every scenario after the
+   first does; the first build over a graph is budgeted apart. *)
+let words_per_event_budget = 80.0 (* 66.4 when written; 118.3 before the slot wiring *)
+let make_words_per_router_budget = 100.0 (* 88.9 when written *)
+let first_make_words_per_router_budget = 160.0 (* 142.1 when written *)
+
+let budget_internet =
+  Topology.Generate.generate (Mutil.Rng.of_int 0xA110C)
+    {
+      Topology.Generate.default_params with
+      Topology.Generate.tier1_count = 4;
+      tier2_count = 20;
+      stub_count = 176;
+    }
+
+let test_sim_allocation_budget () =
+  let graph = budget_internet.Topology.Generate.graph in
+  let scenario =
+    S.random (Mutil.Rng.of_int 11) ~graph ~stub:budget_internet.Topology.Generate.stub
+      ~n_origins:1 ~n_attackers:5 ~deployment:(Moas.Deployment.Fraction 0.5)
+  in
+  let metrics = Obs.Registry.create () in
+  let counted = S.run ~metrics (Mutil.Rng.of_int 12) scenario in
+  let events = Obs.Registry.sum_counters metrics "sim_events_executed" in
+  Alcotest.(check bool) "the attack converges and is detected" true
+    (counted.S.converged && counted.S.detected);
+  let w0 = Gc.minor_words () in
+  let outcome = S.run (Mutil.Rng.of_int 12) scenario in
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+  Alcotest.(check int) "same run without a registry" counted.S.updates_sent
+    outcome.S.updates_sent;
+  if per_event > words_per_event_budget then
+    Alcotest.failf "a scenario allocates %.1f minor words per event, budget %.1f" per_event
+      words_per_event_budget;
+  let oracle = Moas.Origin_verification.create () in
+  let config =
+    Bgp.Network.Config.(
+      default
+      |> with_validator_of (fun asn ->
+             Some
+               (Moas.Detector.validator
+                  (Moas.Detector.create ~backend:(Moas.Detector.Oracle oracle) ~self:asn ()))))
+  in
+  let per_router graph =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Bgp.Network.make ~config graph));
+    (Gc.minor_words () -. w0) /. float_of_int (Topology.As_graph.node_count graph)
+  in
+  let again = per_router graph in
+  if again > make_words_per_router_budget then
+    Alcotest.failf "Network.make allocates %.1f words per router, budget %.1f" again
+      make_words_per_router_budget;
+  (* a graph equal to the first but not the same value is wired afresh *)
+  let first = per_router (Topology.As_graph.induced graph (Topology.As_graph.nodes graph)) in
+  if first > first_make_words_per_router_budget then
+    Alcotest.failf "a first Network.make over a graph allocates %.1f words per router, budget %.1f"
+      first first_make_words_per_router_budget
+
 let () =
   Alcotest.run "attack"
     [
@@ -193,4 +258,9 @@ let () =
         ] );
       ( "properties",
         [ prop_full_deployment_soundness; prop_partial_between ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "scenario and network build budget" `Quick
+            test_sim_allocation_budget;
+        ] );
     ]

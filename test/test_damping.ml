@@ -24,7 +24,7 @@ let wired_router ?damping () =
   Router.add_peer router (Asn.make 3);
   let scheduled = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer:_ _ -> ())
+    ~send:(fun ~peer:_ ~slot:_ _ -> ())
     ~schedule:(fun ~delay k -> scheduled := (delay, k) :: !scheduled);
   (router, scheduled)
 

@@ -183,7 +183,7 @@ let decided router origins = function
       (fun p ->
         List.exists
           (fun r -> Asn.equal r.Bgp.Route.learned_from peer)
-          (Bgp.Rib.routes_in (Router.rib router) p))
+          (Bgp.Rib.candidates (Bgp.Rib.entry (Router.rib router) p)))
       (Array.to_list prefixes)
   | Restart ->
     List.filteri (fun i _ -> Option.is_some origins.(i)) (Array.to_list prefixes)
@@ -211,12 +211,11 @@ let router ~damping validator =
   let router =
     Router.create ~validator
       ?damping:(if damping then Some Router.default_damping else None)
-      self
+      ~peers:(Array.of_list peers) self
   in
   (* updates go nowhere and damping's reuse timers never fire: a
      suppressed route comes back at its prefix's next decision *)
-  Router.set_transport router ~send:(fun ~peer:_ _ -> ()) ~schedule:(fun ~delay:_ _ -> ());
-  Router.add_peers router (Asn.Set.of_list peers);
+  Router.set_transport router ~send:(fun ~peer:_ ~slot:_ _ -> ()) ~schedule:(fun ~delay:_ _ -> ());
   router
 
 let alarm_key (a : Moas.Alarm.t) = (a.Moas.Alarm.time, Moas.Alarm.signature a)

@@ -20,7 +20,7 @@ let test_peer_down_flushes () =
   Router.add_peer router (Asn.make 2);
   Router.add_peer router (Asn.make 3);
   Router.set_transport router
-    ~send:(fun ~peer:_ _ -> ())
+    ~send:(fun ~peer:_ ~slot:_ _ -> ())
     ~schedule:(fun ~delay:_ _ -> ());
   Router.handle_update router ~now:1.0
     (Bgp.Update.announce ~sender:(Asn.make 2) (Testutil.route ~from:2 [ 2; 10 ]));
@@ -35,7 +35,7 @@ let test_peer_up_readvertises () =
   Router.add_peer router (Asn.make 2);
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer update -> sent := (peer, update) :: !sent)
+    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
     ~schedule:(fun ~delay:_ _ -> ());
   Router.originate router ~now:0.0 (Bgp.Route.originate ~self:(Asn.make 1) victim);
   sent := [];

@@ -7,29 +7,38 @@ module Policy = Bgp.Policy
 let r = Testutil.route
 let victim = Testutil.victim
 
-(* the Adj-RIB-In writes of an announcement and of a withdrawal *)
-let set_in rib (route : Bgp.Route.t) =
-  ignore (Rib.replace_in rib ~peer:route.learned_from route.prefix (Some route))
+(* RIB access by AS and prefix, through the prefix's entry: the
+   Adj-RIB-In write of [peer]'s route (a peer without a slot gets one),
+   the candidates, and the Loc-RIB writes *)
+let replace_in rib ~peer prefix route =
+  Rib.add_peers rib [| peer |];
+  Rib.write_in (Rib.entry rib prefix) (Rib.slot rib peer) route
 
-let withdraw_in rib ~peer prefix = ignore (Rib.replace_in rib ~peer prefix None)
+let set_in rib (route : Bgp.Route.t) =
+  ignore (replace_in rib ~peer:route.learned_from route.prefix (Some route))
+
+let withdraw_in rib ~peer prefix = ignore (replace_in rib ~peer prefix None)
+let routes_in rib prefix = Rib.candidates (Rib.entry rib prefix)
+let set_best rib (route : Bgp.Route.t) = Rib.install rib (Rib.entry rib route.prefix) (Some route)
+let clear_best rib prefix = Rib.install rib (Rib.entry rib prefix) None
 
 let test_rib_set_and_get () =
   let rib = Rib.create () in
   (* the second peer's slot goes before the first's *)
   set_in rib (r ~from:2 [ 2; 10 ]);
   set_in rib (r ~from:1 [ 1; 10 ]);
-  Alcotest.(check int) "two candidates" 2 (List.length (Rib.routes_in rib victim));
+  Alcotest.(check int) "two candidates" 2 (List.length (routes_in rib victim));
   Alcotest.(check (list int)) "candidates in peer order" [ 1; 2 ]
-    (List.map (fun r -> r.Bgp.Route.learned_from) (Rib.routes_in rib victim))
+    (List.map (fun r -> r.Bgp.Route.learned_from) (routes_in rib victim))
 
 let test_rib_implicit_withdrawal () =
   let rib = Rib.create () in
   let first = r ~from:1 [ 1; 10 ] in
   set_in rib first;
-  (match Rib.replace_in rib ~peer:(Asn.make 1) victim (Some (r ~from:1 [ 1; 2; 10 ])) with
+  (match replace_in rib ~peer:(Asn.make 1) victim (Some (r ~from:1 [ 1; 2; 10 ])) with
   | Some replaced when replaced == first -> ()
   | _ -> Alcotest.fail "the replaced entry is returned");
-  match Rib.routes_in rib victim with
+  match routes_in rib victim with
   | [ only ] ->
     Alcotest.(check int) "latest announcement replaces" 3
       (Bgp.As_path.length only.Bgp.Route.as_path)
@@ -39,7 +48,7 @@ let test_rib_withdraw () =
   let rib = Rib.create () in
   set_in rib (r ~from:1 [ 1; 10 ]);
   withdraw_in rib ~peer:(Asn.make 1) victim;
-  Alcotest.(check int) "gone" 0 (List.length (Rib.routes_in rib victim));
+  Alcotest.(check int) "gone" 0 (List.length (routes_in rib victim));
   (* withdrawing twice is harmless *)
   withdraw_in rib ~peer:(Asn.make 1) victim;
   Alcotest.(check bool) "prefix fully forgotten" true
@@ -49,17 +58,17 @@ let test_rib_best () =
   let rib = Rib.create () in
   Alcotest.(check bool) "empty loc-rib" true (Rib.best rib victim = None);
   let route = r ~from:1 [ 1; 10 ] in
-  Rib.set_best rib route;
+  set_best rib route;
   Alcotest.check Testutil.route_testable "installed" route
     (Option.get (Rib.best rib victim));
-  Rib.clear_best rib victim;
+  clear_best rib victim;
   Alcotest.(check bool) "cleared" true (Rib.best rib victim = None)
 
 let test_rib_multiple_prefixes () =
   let rib = Rib.create () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
-  Rib.set_best rib (r ~from:1 [ 1; 10 ]);
-  Rib.set_best rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
+  set_best rib (r ~from:1 [ 1; 10 ]);
+  set_best rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
   Alcotest.(check int) "two loc-rib entries" 2 (List.length (Rib.best_bindings rib));
   (* the loc-rib trie supports longest-prefix forwarding *)
   let host = Ipv4.of_string "10.1.2.3" in
@@ -79,17 +88,17 @@ let test_rib_loc_rib_size () =
       (Rib.loc_rib_size rib)
   in
   Alcotest.(check int) "empty" 0 (Rib.loc_rib_size rib);
-  Rib.set_best rib (r ~from:1 [ 1; 10 ]);
+  set_best rib (r ~from:1 [ 1; 10 ]);
   Alcotest.(check int) "one entry" 1 (Rib.loc_rib_size rib);
-  Rib.set_best rib (r ~from:2 [ 2; 10 ]);
+  set_best rib (r ~from:2 [ 2; 10 ]);
   Alcotest.(check int) "replacement does not double-count" 1
     (Rib.loc_rib_size rib);
-  Rib.set_best rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
+  set_best rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
   Alcotest.(check int) "second prefix" 2 (Rib.loc_rib_size rib);
   sizes_agree "matches bindings";
-  Rib.clear_best rib victim;
+  clear_best rib victim;
   Alcotest.(check int) "cleared one" 1 (Rib.loc_rib_size rib);
-  Rib.clear_best rib victim;
+  clear_best rib victim;
   Alcotest.(check int) "double clear is a no-op" 1 (Rib.loc_rib_size rib);
   sizes_agree "matches bindings after clears";
   Rib.clear rib;
@@ -108,8 +117,8 @@ let test_rib_flush_peer () =
   Alcotest.(check (list Testutil.prefix_testable))
     "affected prefixes, ascending" [ p2; victim ] affected;
   Alcotest.(check int) "peer 1 routes gone" 0
-    (List.length (Rib.routes_in rib victim) + List.length (Rib.routes_in rib p2));
-  Alcotest.(check int) "peer 2 untouched" 1 (List.length (Rib.routes_in rib p3));
+    (List.length (routes_in rib victim) + List.length (routes_in rib p2));
+  Alcotest.(check int) "peer 2 untouched" 1 (List.length (routes_in rib p3));
   Alcotest.(check (list Testutil.prefix_testable))
     "second flush finds nothing" [] (Rib.flush_peer rib ~peer:(Asn.make 1));
   set_in rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
@@ -236,10 +245,10 @@ let prop_loc_rib_model =
           (match op with
           | Set_best (p, tag) ->
             let route = loc_route p tag in
-            Rib.set_best rib route;
+            set_best rib route;
             reference := Prefix_trie.add prefix_pool.(p) route !reference
           | Clear_best p ->
-            Rib.clear_best rib prefix_pool.(p);
+            clear_best rib prefix_pool.(p);
             reference := Prefix_trie.remove prefix_pool.(p) !reference
           | Clear_all ->
             Rib.clear rib;
@@ -316,7 +325,7 @@ let prop_adj_rib_in_model =
           && Array.for_all
                (fun p ->
                  let m = per_peer p in
-                 List.equal Bgp.Route.equal (Rib.routes_in rib p)
+                 List.equal Bgp.Route.equal (routes_in rib p)
                    (List.map snd (Asn.Map.bindings m)))
                prefix_pool
           && Prefix.Set.equal (Rib.prefixes_in rib)

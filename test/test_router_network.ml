@@ -12,7 +12,7 @@ let victim = Testutil.victim
 let wire router =
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer update -> sent := (peer, update) :: !sent)
+    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
     ~schedule:(fun ~delay:_ _ -> ());
   fun () ->
     let out = List.rev !sent in
@@ -396,6 +396,132 @@ let test_default_link_delay_stable () =
       Alcotest.(check bool) "within [1, 1.25)" true (d >= 1.0 && d < 1.25))
     [ (1, 2); (2, 1); (7, 63); (1000, 4); (4, 1000) ]
 
+(* Session churn around a router with five peers (AS 1): after each
+   scripted fault and a run to quiescence, on every established session
+   the last UPDATE the tap saw since the session came up is what the
+   receiver's Adj-RIB-In holds under the sender, and that is the
+   sender's best route as it exports it.  A message handed to the wrong
+   router or filed under the wrong slot breaks the first; an Adj-RIB-Out
+   slot that outlived its session (so the table exchange skips a route)
+   breaks the second. *)
+let churn_graph =
+  Topology.As_graph.of_edges
+    [ (1, 2); (1, 3); (1, 4); (1, 5); (1, 7); (2, 3); (3, 4); (4, 5); (5, 6); (2, 6); (6, 7) ]
+
+let test_slots_survive_churn ~mrai () =
+  let p2 = Prefix.of_string "10.0.0.0/8" in
+  let net =
+    Network.make ~config:Network.Config.(default |> with_mrai_of (fun _ -> mrai)) churn_graph
+  in
+  let last = Hashtbl.create 64 in
+  Network.set_update_tap net
+    (Some
+       (fun ~time:_ ~src ~dst update ->
+         Hashtbl.replace last (src, dst, Update.prefix update) update));
+  (* what a session carried before it went down is void *)
+  let forget pred =
+    Hashtbl.filter_map_inplace
+      (fun (src, dst, _) u -> if pred src dst then None else Some u)
+      last
+  in
+  let session a b (src, dst) = (src = a && dst = b) || (src = b && dst = a) in
+  let held ~src ~dst prefix =
+    List.find_opt
+      (fun r -> Asn.equal r.Bgp.Route.learned_from src)
+      (let rib = Router.rib (Network.router net dst) in
+       Bgp.Rib.candidates (Bgp.Rib.entry rib prefix))
+  in
+  let check step =
+    Alcotest.(check bool) (step ^ ": quiescent") true (Network.run net = Sim.Engine.Quiescent);
+    List.iter
+      (fun (a, b) ->
+        List.iter
+          (fun (src, dst) ->
+            if Network.link_is_up net src dst && Network.router_is_up net src
+               && Network.router_is_up net dst
+            then
+              List.iter
+                (fun prefix ->
+                  let expected =
+                    match Hashtbl.find_opt last (src, dst, prefix) with
+                    | Some { Update.payload = Update.Announce r; _ }
+                      when not (Bgp.As_path.contains r.Bgp.Route.as_path dst) ->
+                      Some (Bgp.Route.received ~from:src r)
+                    | Some _ | None -> None
+                  in
+                  let exported =
+                    match Network.best_route net src prefix with
+                    | Some r
+                      when Bgp.As_path.length r.Bgp.Route.as_path = 0
+                           || not (Asn.equal r.Bgp.Route.learned_from dst) ->
+                      let r = Bgp.Route.advertised_by src r in
+                      if Bgp.As_path.contains r.Bgp.Route.as_path dst then None
+                      else Some (Bgp.Route.received ~from:src r)
+                    | Some _ | None -> None
+                  in
+                  let same a b =
+                    match (a, b) with
+                    | None, None -> true
+                    | Some a, Some b -> Bgp.Route.equal a b
+                    | _ -> false
+                  in
+                  if not (same exported expected) then
+                    Alcotest.failf "%s: AS%d last sent AS%d %s for %s, its best route exports as %s"
+                      step src dst
+                      (match expected with Some r -> Bgp.Route.to_string r | None -> "nothing")
+                      (Prefix.to_string prefix)
+                      (match exported with Some r -> Bgp.Route.to_string r | None -> "nothing");
+                  match (expected, held ~src ~dst prefix) with
+                  | None, None -> ()
+                  | Some e, Some h when Bgp.Route.equal e h -> ()
+                  | _, got ->
+                    Alcotest.failf "%s: AS%d holds %s from AS%d for %s, last sent %s" step dst
+                      (match got with Some r -> Bgp.Route.to_string r | None -> "nothing")
+                      src (Prefix.to_string prefix)
+                      (match expected with
+                      | Some r -> Bgp.Route.to_string r
+                      | None -> "nothing"))
+                [ victim; p2 ])
+          [ (a, b); (b, a) ])
+      (Topology.As_graph.edges churn_graph)
+  in
+  let fail a b =
+    forget (fun src dst -> session a b (src, dst));
+    Network.fail_link_now net a b
+  in
+  let crash x =
+    forget (fun src dst -> src = x || dst = x);
+    Network.crash_router_now net x
+  in
+  Network.originate net 6 victim;
+  Network.originate net 3 p2;
+  check "initial";
+  fail 1 3;
+  check "1-3 down";
+  fail 1 2;
+  check "1-2 down";
+  Network.restore_link_now net 1 3;
+  check "1-3 up";
+  crash 1;
+  check "1 crashed";
+  Network.restore_link_now net 1 2;
+  check "1-2 repaired under the crash";
+  Network.restart_router_now net 1;
+  check "1 restarted";
+  crash 4;
+  fail 1 5;
+  check "4 crashed, 1-5 down";
+  Network.restart_router_now net 4;
+  check "4 restarted";
+  Network.restore_link_now net 1 5;
+  check "1-5 up";
+  fail 1 7;
+  crash 3;
+  check "1-7 down, 3 crashed";
+  Network.restart_router_now net 3;
+  Network.restore_link_now net 1 7;
+  check "all up again"
+
 let () =
   Alcotest.run "router_network"
     [
@@ -437,5 +563,9 @@ let () =
             test_link_state_symmetric;
           Alcotest.test_case "link delay stable" `Quick
             test_default_link_delay_stable;
+          Alcotest.test_case "slots survive session churn" `Quick
+            (test_slots_survive_churn ~mrai:0.0);
+          Alcotest.test_case "slots survive session churn, MRAI" `Quick
+            (test_slots_survive_churn ~mrai:5.0);
         ] );
     ]

@@ -5,13 +5,13 @@ module Eq = Sim.Event_queue
 module Engine = Sim.Engine
 
 let test_queue_empty () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:0 () in
   Alcotest.(check bool) "fresh queue empty" true (Eq.is_empty q);
   Alcotest.(check (option (pair (float 0.0) int))) "pop empty" None (Eq.pop q);
   Alcotest.(check (option (float 0.0))) "peek empty" None (Eq.peek_time q)
 
 let test_queue_orders_by_time () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:0 () in
   List.iter (fun t -> Eq.push q ~time:t (int_of_float t)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
   let order = ref [] in
   let rec drain () =
@@ -25,7 +25,7 @@ let test_queue_orders_by_time () =
   Alcotest.(check (list int)) "ascending time" [ 1; 2; 3; 4; 5 ] (List.rev !order)
 
 let test_queue_fifo_ties () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:0 () in
   List.iter (fun v -> Eq.push q ~time:7.0 v) [ 1; 2; 3; 4 ];
   let rec drain acc =
     match Eq.pop q with
@@ -36,7 +36,7 @@ let test_queue_fifo_ties () =
     (drain [])
 
 let test_queue_interleaved () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:"" () in
   Eq.push q ~time:2.0 "b";
   Eq.push q ~time:1.0 "a";
   Alcotest.(check (option (pair (float 0.0) string))) "first pop" (Some (1.0, "a")) (Eq.pop q);
@@ -46,12 +46,12 @@ let test_queue_interleaved () =
   Alcotest.(check int) "one left" 1 (Eq.length q)
 
 let test_queue_rejects_nan () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:() () in
   Alcotest.check_raises "NaN time" (Invalid_argument "Event_queue.push: NaN time")
     (fun () -> Eq.push q ~time:Float.nan ())
 
 let test_queue_clear () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:() () in
   Eq.push q ~time:1.0 ();
   Eq.clear q;
   Alcotest.(check bool) "cleared" true (Eq.is_empty q)
@@ -60,7 +60,7 @@ let prop_queue_sorted =
   Testutil.qtest "pops are sorted for arbitrary pushes"
     QCheck2.Gen.(list_size (int_range 0 200) (float_range 0.0 1000.0))
     (fun times ->
-      let q = Eq.create () in
+      let q = Eq.create ~filler:0.0 () in
       List.iter (fun t -> Eq.push q ~time:t t) times;
       let rec drain acc =
         match Eq.pop q with
@@ -77,7 +77,7 @@ let prop_queue_fifo_on_ties =
   Testutil.qtest "equal-time events pop in insertion order"
     QCheck2.Gen.(list_size (int_range 0 300) (int_range 0 5))
     (fun coarse_times ->
-      let q = Eq.create () in
+      let q = Eq.create ~filler:(0.0, 0) () in
       let tagged = List.mapi (fun i t -> (float_of_int t, i)) coarse_times in
       List.iter (fun (t, i) -> Eq.push q ~time:t (t, i)) tagged;
       let rec drain acc =
@@ -93,7 +93,7 @@ let prop_queue_fifo_on_ties =
 
 (* Interleaved pushes and pops against a reference: the queue must hand
    out the least (time, insertion sequence) entry on every pop, through
-   either pop or min_time + pop_min, with many equal times. *)
+   either pop or pop_min_into, with many equal times. *)
 type queue_op = Push of int | Pop | Pop_min
 
 let queue_op_gen =
@@ -105,7 +105,7 @@ let prop_queue_matches_reference =
   Testutil.qtest ~count:300 "interleaved push/pop follows the sorted (time, seq) reference"
     QCheck2.Gen.(list_size (int_range 0 300) queue_op_gen)
     (fun ops ->
-      let q = Eq.create () in
+      let q = Eq.create ~filler:0 () in
       (* the reference: pending (time, seq) pairs, kept sorted *)
       let pending = ref [] and seq = ref 0 in
       let take_reference () =
@@ -129,28 +129,68 @@ let prop_queue_matches_reference =
             match take_reference () with
             | None -> Eq.is_empty q
             | Some (time, s) ->
-              let head = Eq.min_time q in
-              let payload = Eq.pop_min q in
-              Float.equal head time && payload = s))
+              let head = ref Float.nan in
+              let payload = Eq.pop_min_into q head in
+              Float.equal !head time && payload = s))
         ops
       && Eq.length q = List.length !pending)
 
 let test_queue_empty_accessors () =
-  let q = Eq.create () in
+  let q = Eq.create ~filler:"" () in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  Alcotest.(check bool) "min_time on empty raises" true (raises (fun () -> Eq.min_time q));
-  Alcotest.(check bool) "pop_min on empty raises" true (raises (fun () -> Eq.pop_min q));
+  let clock = ref 0.0 in
+  Alcotest.(check bool) "min_time_exceeds on empty raises" true
+    (raises (fun () -> Eq.min_time_exceeds q 0.0));
+  Alcotest.(check bool) "pop_min_into on empty raises" true
+    (raises (fun () -> Eq.pop_min_into q clock));
   Eq.push q ~time:2.0 "a";
   Eq.push q ~time:1.0 "b";
   Alcotest.(check (option (float 0.0))) "peek" (Some 1.0) (Eq.peek_time q);
-  Alcotest.(check string) "pop_min" "b" (Eq.pop_min q);
+  Alcotest.(check bool) "earliest within 1.0" false (Eq.min_time_exceeds q 1.0);
+  Alcotest.(check bool) "earliest beyond 0.5" true (Eq.min_time_exceeds q 0.5);
+  Alcotest.(check string) "pop_min_into" "b" (Eq.pop_min_into q clock);
+  Alcotest.(check (float 0.0)) "its time" 1.0 !clock;
   Alcotest.(check (option (pair (float 0.0) string))) "pop" (Some (2.0, "a")) (Eq.pop q);
   Alcotest.(check (option (float 0.0))) "drained peek" None (Eq.peek_time q);
   Alcotest.(check (option (pair (float 0.0) string))) "drained pop" None (Eq.pop q);
-  Alcotest.(check bool) "drained pop_min raises" true (raises (fun () -> Eq.pop_min q));
+  Alcotest.(check bool) "drained pop_min_into raises" true
+    (raises (fun () -> Eq.pop_min_into q clock));
   Eq.clear q;
-  Eq.push q ~time:0.5 "c";
-  Alcotest.(check string) "usable after clear" "c" (Eq.pop_min q)
+  Eq.push_after q clock ~delay:0.5 "c";
+  Alcotest.(check string) "usable after clear" "c" (Eq.pop_min_into q clock);
+  Alcotest.(check (float 0.0)) "pushed after the clock" 1.5 !clock
+
+(* A popped payload is the caller's alone: neither the vacated slot nor
+   the slots a growth added keep it reachable, so once dropped it is
+   collected.  Both the last payload of a drained queue and one popped
+   while others are pending are checked. *)
+let test_queue_releases_popped () =
+  let q = Eq.create ~filler:(Bytes.create 0) () in
+  let clock = ref 0.0 in
+  let weak = Weak.create 2 in
+  let[@inline never] push_fresh i time =
+    let payload = Bytes.make 16 'x' in
+    Weak.set weak i (Some payload);
+    Eq.push q ~time payload
+  in
+  push_fresh 0 1.0;
+  push_fresh 1 2.0;
+  for i = 3 to 40 do
+    Eq.push q ~time:(float_of_int i) (Bytes.make 1 'y')
+  done;
+  ignore (Sys.opaque_identity (Eq.pop_min_into q clock));
+  ignore (Sys.opaque_identity (Eq.pop_min_into q clock));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped with others pending" false (Weak.check weak 0);
+  Alcotest.(check bool) "second popped" false (Weak.check weak 1);
+  while not (Eq.is_empty q) do
+    ignore (Sys.opaque_identity (Eq.pop_min_into q clock))
+  done;
+  push_fresh 0 50.0;
+  ignore (Sys.opaque_identity (Eq.pop_min_into q clock));
+  Gc.full_major ();
+  Alcotest.(check bool) "last payload of a drained queue" false (Weak.check weak 0);
+  Alcotest.(check int) "queue still usable" 0 (Eq.length q)
 
 (* Cancelled events still occupy their queue slot: [run] counts every
    slot it reaches, and runs exactly the handlers left armed, in order. *)
@@ -192,7 +232,7 @@ let prop_engine_counts_cancelled =
    the insertion stream, even when the heap has grown and shrunk *)
 let test_queue_10k_random () =
   let rng = Mutil.Rng.of_int 0x10c in
-  let q = Eq.create () in
+  let q = Eq.create ~filler:(0.0, 0) () in
   let n = 10_000 in
   let tagged =
     List.init n (fun i -> (float_of_int (Mutil.Rng.int rng 500), i))
@@ -343,6 +383,8 @@ let () =
           Alcotest.test_case "NaN rejected" `Quick test_queue_rejects_nan;
           Alcotest.test_case "clear" `Quick test_queue_clear;
           Alcotest.test_case "10k random pushes" `Quick test_queue_10k_random;
+          Alcotest.test_case "popped payload is collectable" `Quick
+            test_queue_releases_popped;
           Alcotest.test_case "empty and drained accessors" `Quick
             test_queue_empty_accessors;
         ] );

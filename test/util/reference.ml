@@ -177,6 +177,6 @@ let decide ~incumbent candidates =
    [admitted] lets through (damping), then the validator's verdict on
    them, then [decide] against the previous best. *)
 let router_best ~validate ~admitted ~originated ~incumbent ~now rib prefix =
-  List.filter admitted (Option.to_list originated @ Bgp.Rib.routes_in rib prefix)
+  List.filter admitted (Option.to_list originated @ Bgp.Rib.candidates (Bgp.Rib.entry rib prefix))
   |> validate ~now ~prefix
   |> decide ~incumbent
