@@ -1,8 +1,6 @@
 open Net
 module Rng = Mutil.Rng
 
-type link_delay = Asn.t -> Asn.t -> float
-
 type impairment = { loss : float; duplicate : float; jitter : float }
 
 let impairment ?(loss = 0.0) ?(duplicate = 0.0) ?(jitter = 0.0) () =
@@ -26,11 +24,10 @@ type link = { receiver : int; sender_slot : int option; delay : float }
    is the [i]-th AS in increasing order, its slot [s] the [s]-th of its
    neighbours in increasing order (the router's own slot order), and the
    directed link from that slot is [links.(first.(i) + s)].  Nothing here
-   depends on a scenario, so a network built over the same graph with
-   the same link delay reuses the wiring. *)
+   depends on a scenario, so a network built over the same graph reuses
+   the wiring. *)
 type wiring = {
   wired_graph : Topology.As_graph.t;
-  wired_delay : link_delay;
   ases : Asn.t array;
   peers : Asn.t array array;
   first : int array;
@@ -54,9 +51,10 @@ type t = {
   metrics : Obs.Registry.t;
 }
 
-(* Deterministic per-link jitter in [0, 0.25): breaks the timing symmetry
-   of a uniform delay without any hidden randomness. *)
-let default_link_delay a b =
+(* The message latency from [a] to [b]: 1.0 plus a deterministic per-link
+   jitter in [0, 0.25), which breaks the timing symmetry of a uniform
+   delay without any hidden randomness. *)
+let latency a b =
   let h = (Asn.to_int a * 2654435761) lxor (Asn.to_int b * 40503) in
   1.0 +. (float_of_int (abs h mod 1000) /. 4000.0)
 
@@ -66,7 +64,6 @@ module Config = struct
     validator_of : Asn.t -> Router.validator option;
     mrai_of : Asn.t -> float;
     damping_of : Asn.t -> Router.damping option;
-    link_delay : link_delay;
     metrics : Obs.Registry.t;
   }
 
@@ -76,7 +73,6 @@ module Config = struct
       validator_of = (fun _ -> None);
       mrai_of = (fun _ -> 0.0);
       damping_of = (fun _ -> None);
-      link_delay = default_link_delay;
       metrics = Obs.Registry.noop;
     }
 
@@ -84,7 +80,6 @@ module Config = struct
   let with_validator_of validator_of t = { t with validator_of }
   let with_mrai_of mrai_of t = { t with mrai_of }
   let with_damping_of damping_of t = { t with damping_of }
-  let with_link_delay link_delay t = { t with link_delay }
   let with_metrics metrics t = { t with metrics }
 end
 
@@ -121,7 +116,7 @@ let router t asn =
   | -1 -> raise Not_found
   | i -> t.routers.(i)
 
-let wire graph link_delay =
+let wire graph =
   let n = Topology.As_graph.node_count graph in
   let ases = Array.make n 0 and peers = Array.make n [||] in
   let first = Array.make (n + 1) 0 in
@@ -142,26 +137,24 @@ let wire graph link_delay =
       Array.iteri
         (fun s peer ->
           let r = find_index ases peer 0 n in
-          let delay = link_delay ases.(i) peer in
-          if not (delay > 0.0) then invalid_arg "Network: link delay must be positive";
           links.(first.(i) + s) <-
             {
               receiver = r;
               sender_slot = Some (find_index peers.(r) ases.(i) 0 (Array.length peers.(r)));
-              delay;
+              delay = latency ases.(i) peer;
             })
         ids)
     peers;
-  { wired_graph = graph; wired_delay = link_delay; ases; peers; first; links }
+  { wired_graph = graph; ases; peers; first; links }
 
 (* the wiring of the last graph this domain built a network over *)
 let last_wiring : wiring option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let wiring_of graph link_delay =
+let wiring_of graph =
   match Domain.DLS.get last_wiring with
-  | Some w when w.wired_graph == graph && w.wired_delay == link_delay -> w
+  | Some w when w.wired_graph == graph -> w
   | Some _ | None ->
-    let w = wire graph link_delay in
+    let w = wire graph in
     Domain.DLS.set last_wiring (Some w);
     w
 
@@ -222,12 +215,9 @@ let send t i ~peer ~slot update =
     end
 
 let make ?(config = Config.default) graph =
-  let { Config.policy_of; validator_of; mrai_of; damping_of; link_delay; metrics }
-      =
-    config
-  in
+  let { Config.policy_of; validator_of; mrai_of; damping_of; metrics } = config in
   let engine = Sim.Engine.create ~metrics () in
-  let wiring = wiring_of graph link_delay in
+  let wiring = wiring_of graph in
   let routers =
     Array.mapi
       (fun i asn ->

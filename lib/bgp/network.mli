@@ -15,12 +15,6 @@ open Net
 type t
 (** A wired network. *)
 
-type link_delay = Asn.t -> Asn.t -> float
-(** Message latency of the session between two ASes (called with the
-    sender first); must be positive, and pure: {!make} reads it once per
-    directed link, and a later network over the same graph with the same
-    function (physically) may reuse what an earlier one read. *)
-
 type impairment = {
   loss : float;  (** probability each message is dropped, in [0,1] *)
   duplicate : float;  (** probability each delivered message is doubled *)
@@ -53,23 +47,19 @@ module Config : sig
     mrai_of : Asn.t -> float;  (** per-AS MRAI, seconds (0 = none) *)
     damping_of : Asn.t -> Router.damping option;
         (** per-AS route-flap damping (None = off) *)
-    link_delay : link_delay;  (** per-link message latency *)
     metrics : Obs.Registry.t;
         (** observability registry wired into the engine and every
             router; {!Obs.Registry.noop} collects nothing at zero cost *)
   }
 
   val default : t
-  (** Default policy, no validators, MRAI 0, no damping, the default
-      link delay (1.0 plus a small deterministic per-link offset that
-      breaks timing symmetry the way heterogeneous links do in reality),
-      and the no-op registry. *)
+  (** Default policy, no validators, MRAI 0, no damping, and the no-op
+      registry. *)
 
   val with_policy_of : (Asn.t -> Policy.t) -> t -> t
   val with_validator_of : (Asn.t -> Router.validator option) -> t -> t
   val with_mrai_of : (Asn.t -> float) -> t -> t
   val with_damping_of : (Asn.t -> Router.damping option) -> t -> t
-  val with_link_delay : link_delay -> t -> t
   val with_metrics : Obs.Registry.t -> t -> t
 end
 
@@ -77,17 +67,19 @@ val make : ?config:Config.t -> Topology.As_graph.t -> t
 (** Build a router per AS and a session per edge, configured by
     [config] (default {!Config.default}).
 
-    The wiring is resolved once per graph: every router gets its peers
-    at creation (its session slots, in increasing AS order), and for
-    each directed link the receiving router, the receiver's slot for the
-    sender and the link delay are computed up front.  A send then costs
+    Every message on the session from AS [a] to AS [b] takes 1.0 plus a
+    small deterministic offset of [a] and [b], in [0, 0.25), which breaks
+    timing symmetry the way heterogeneous links do in reality.
+
+    The wiring is resolved once per graph: every router gets all its
+    peers at creation (its session slots, in increasing AS order), and
+    for each directed link the receiving router, the receiver's slot for
+    the sender and the delay are computed up front.  A send then costs
     no lookup: the router names its slot, and the message goes to the
-    receiver's slot directly.  The wiring depends on the graph and the
-    link delay alone, so the last one built on a domain is kept and
-    reused by the next network over the same graph (physically) with the
-    same [link_delay]: a sweep of scenarios over one topology pays for
-    its routers, not for its topology.
-    @raise Invalid_argument when [link_delay] is not positive on a link. *)
+    receiver's slot directly.  The wiring depends on the graph alone, so
+    the last one built on a domain is kept and reused by the next
+    network over the same graph (physically): a sweep of scenarios over
+    one topology pays for its routers, not for its topology. *)
 
 val engine : t -> Sim.Engine.t
 (** The underlying event engine (for custom scheduling). *)

@@ -8,10 +8,9 @@
     They are laid out for the decision process, which runs once per
     UPDATE.  A prefix's state is one {!entry}, found with one
     balanced-tree lookup, holding:
-    - the Adj-RIB-In, an array with one slot per peer in increasing
-      peer-AS order, so an UPDATE writes one slot whatever the number of
-      peers; {!candidates} builds the candidate list from it only for a
-      decision that scans;
+    - the Adj-RIB-In, an array with one slot per session, so an UPDATE
+      writes one slot whatever the number of peers; {!candidates} builds
+      the candidate list from it only for a decision that scans;
     - the Adj-RIB-Out, an array with the same slots, so an export to one
       peer reads and writes one slot;
     - the Loc-RIB entry.
@@ -28,21 +27,10 @@ type t
 type entry
 (** One prefix's Adj-RIB-In, Adj-RIB-Out and Loc-RIB entry. *)
 
-val create : unit -> t
-(** Empty RIBs. *)
-
-val peers : t -> Asn.t array
-(** The ASes with a slot, increasing: slot [i] of every entry belongs to
-    [(peers t).(i)].  The array is never mutated; a new slot replaces it. *)
-
-val slot : t -> Asn.t -> int
-(** The AS's slot, or [-1] without one: a binary search. *)
-
-val add_peers : t -> Asn.t array -> unit
-(** Give each AS of the array (increasing, not mutated afterwards) a
-    slot.  A slot outlives the session: {!clear} and {!flush_peer} keep
-    it.  Realigning the stored entries costs O(prefixes x slots), paid
-    only when an AS gets its first slot after entries exist. *)
+val create : slots:int -> t
+(** Empty RIBs with [slots] session slots per entry, numbered from 0.
+    The numbering is the owner's: a router gives slot [i] to its [i]-th
+    peer in increasing AS order, and the slots never change. *)
 
 val entry : t -> Prefix.t -> entry
 (** The prefix's entry, created empty (no route in, none sent, no best
@@ -54,8 +42,8 @@ val write_in : entry -> int -> Route.t option -> Route.t option
     one slot write. *)
 
 val candidates : entry -> Route.t list
-(** The entry's Adj-RIB-In routes, ordered by peer AS number: a fresh
-    list of the filled slots, O(peers). *)
+(** The entry's Adj-RIB-In routes in slot order (peer-AS order for a
+    router): a fresh list of the filled slots, O(slots). *)
 
 val unheard : Update.t
 (** The Adj-RIB-Out content of a slot to which nothing was announced
@@ -100,9 +88,9 @@ val clear : t -> unit
 (** Drop every route — Adj-RIB-In, Adj-RIB-Out and Loc-RIB alike (router
     crash). *)
 
-val flush_peer : t -> peer:Asn.t -> Prefix.t list
-(** The session with [peer] went down: drop every Adj-RIB-In entry
-    learned from it and forget what was sent to it, and return the
+val flush_peer : t -> int -> Prefix.t list
+(** The session at the slot went down: drop every Adj-RIB-In entry
+    learned over it and forget what was sent over it, and return the
     prefixes that lost an Adj-RIB-In route, in ascending order.  It
     visits every prefix's entry once: O(prefixes), for the handful of
     prefixes a simulated router holds. *)

@@ -78,17 +78,17 @@ type t = {
      best route is a most preferred kept candidate (on attributes), which
      is what lets one changed candidate be judged against it alone. *)
   mutable must_scan : Prefix.Set.t;
-  (* the session slots: the Rib's peers (the same array, in increasing
-     AS order), and at the same index whether the session is
-     established.  A slot outlives its session, so the slot the transport
-     was given for a peer stays valid across session loss and crashes. *)
-  mutable peer_ids : Asn.t array;
-  mutable up : Bytes.t;
+  (* the session slots, fixed at creation: the peers in increasing AS
+     order, and at the same index whether the session is established.  A
+     slot outlives its session, so the slot the transport was given for a
+     peer stays valid across session loss and crashes. *)
+  peer_ids : Asn.t array;
+  up : Bytes.t;
   (* MRAI state per slot, allocated only when [mrai > 0]: the time of the
      last advertisement batch, and the prefixes whose advertisement is
      deferred until the interval expires *)
-  mutable last_batch : Float.Array.t;
-  mutable deferred : Prefix.Set.t array;
+  last_batch : Float.Array.t;
+  deferred : Prefix.Set.t array;
   mutable originated : Route.t Prefix.Map.t;
   mutable aggregates : Prefix.Set.t;
   mutable send : peer:Asn.t -> slot:int -> Update.t -> unit;
@@ -103,11 +103,14 @@ let unwired_schedule ~delay:_ _ = failwith "Router: transport not wired (call se
 
 let established t slot = Bytes.get t.up slot = '\001'
 
-(* [peers] may not contain [self]: a linear scan without a closure *)
-let rec check_no_self self peers i =
+(* [peers] must be strictly increasing and without [self]: every slot
+   lookup is a binary search over them *)
+let rec check_peers self peers i =
   if i < Array.length peers then begin
-    if Asn.equal peers.(i) self then invalid_arg "Router.add_peer: self peering";
-    check_no_self self peers (i + 1)
+    if Asn.equal peers.(i) self then invalid_arg "Router.create: self peering";
+    if i > 0 && Asn.compare peers.(i - 1) peers.(i) >= 0 then
+      invalid_arg "Router.create: peers not strictly increasing";
+    check_peers self peers (i + 1)
   end
 
 let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
@@ -117,10 +120,8 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
   | Some d when d.reuse_threshold >= d.suppress_threshold ->
     invalid_arg "Router.create: damping reuse must be below suppress"
   | _ -> ());
-  check_no_self asn peers 0;
+  check_peers asn peers 0;
   let n = Array.length peers in
-  let rib = Rib.create () in
-  Rib.add_peers rib peers;
   {
     asn;
     policy;
@@ -128,7 +129,7 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     mrai;
     damping =
       Option.map (fun params -> { params; flaps = Hashtbl.create 16 }) damping;
-    rib;
+    rib = Rib.create ~slots:n;
     must_scan = Prefix.Set.empty;
     peer_ids = peers;
     up = Bytes.make n '\001';
@@ -152,46 +153,23 @@ let reset_session t slot =
     t.deferred.(slot) <- Prefix.Set.empty
   end
 
-(* Slots for the ASes of [ids] (increasing) that have none, without a
-   session: the Rib realigns its entries, and the per-slot state moves
-   with its peer.  Only a router given peers after it was built pays
-   this. *)
-let add_slots t ids =
-  let old = t.peer_ids in
-  Rib.add_peers t.rib ids;
-  let merged = Rib.peers t.rib in
-  if merged != old then begin
-    let n = Array.length merged in
-    let up = Bytes.make n '\000' in
-    let last_batch =
-      if t.mrai > 0.0 then Float.Array.make n neg_infinity else t.last_batch
-    in
-    let deferred = if t.mrai > 0.0 then Array.make n Prefix.Set.empty else t.deferred in
-    Array.iteri
-      (fun i peer ->
-        let j = Rib.slot t.rib peer in
-        Bytes.set up j (Bytes.get t.up i);
-        if t.mrai > 0.0 then begin
-          Float.Array.set last_batch j (Float.Array.get t.last_batch i);
-          deferred.(j) <- t.deferred.(i)
-        end)
-      old;
-    t.peer_ids <- merged;
-    t.up <- up;
-    t.last_batch <- last_batch;
-    t.deferred <- deferred
-  end
+(* the peer's slot, or -1 without one: a binary search *)
+let rec find_slot peers (peer : Asn.t) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let at = peers.(mid) in
+    if at = peer then mid
+    else if at < peer then find_slot peers peer (mid + 1) hi
+    else find_slot peers peer lo mid
 
-(* the slot of [peer], given one (without a session) if it has none *)
+let lookup t peer = find_slot t.peer_ids peer 0 (Array.length t.peer_ids)
+
+(* the slot of a configured peer; a router never invents a session *)
 let slot_of t peer =
-  match Rib.slot t.rib peer with
-  | -1 ->
-    if Asn.equal peer t.asn then invalid_arg "Router.add_peer: self peering";
-    add_slots t [| peer |];
-    Rib.slot t.rib peer
+  match lookup t peer with
+  | -1 -> invalid_arg ("Router: no session with AS " ^ Asn.to_string peer)
   | slot -> slot
-
-let add_peer t peer = Bytes.set t.up (slot_of t peer) '\001'
 
 let peers t =
   let rec collect slot acc =
@@ -382,32 +360,26 @@ let rec advertise_to_peer t ~now e ~shared slot prefix best =
   else begin
     let was_empty = Prefix.Set.is_empty t.deferred.(slot) in
     t.deferred.(slot) <- Prefix.Set.add prefix t.deferred.(slot);
-    (if was_empty then
-       let peer = t.peer_ids.(slot) in
-       transport_schedule t
-         ~delay:(Float.Array.get t.last_batch slot +. t.mrai -. now)
-         (fun fire_time -> flush_deferred t ~now:fire_time peer));
+    if was_empty then
+      transport_schedule t
+        ~delay:(Float.Array.get t.last_batch slot +. t.mrai -. now)
+        (fun fire_time -> flush_deferred t ~now:fire_time slot);
     shared
   end
 
-(* the timer names the peer, not the slot, which a peer new to a
-   standalone router may shift: a session that went down and came back
-   up in the meantime is flushed as it is now, and one still down has
-   nothing queued *)
-and flush_deferred t ~now peer =
-  match Rib.slot t.rib peer with
-  | -1 -> ()
-  | slot ->
-    let queued = t.deferred.(slot) in
-    t.deferred.(slot) <- Prefix.Set.empty;
-    if not (Prefix.Set.is_empty queued) then begin
-      Float.Array.set t.last_batch slot now;
-      Prefix.Set.iter
-        (fun prefix ->
-          let e = Rib.entry t.rib prefix in
-          ignore (sync_peer_prefix t e ~shared:Rib.unheard slot prefix (Rib.entry_best e)))
-        queued
-    end
+(* a session that went down and came back up in the meantime is flushed
+   as it is now, and one still down has nothing queued *)
+and flush_deferred t ~now slot =
+  let queued = t.deferred.(slot) in
+  t.deferred.(slot) <- Prefix.Set.empty;
+  if not (Prefix.Set.is_empty queued) then begin
+    Float.Array.set t.last_batch slot now;
+    Prefix.Set.iter
+      (fun prefix ->
+        let e = Rib.entry t.rib prefix in
+        ignore (sync_peer_prefix t e ~shared:Rib.unheard slot prefix (Rib.entry_best e)))
+      queued
+  end
 
 let rec advertise_from t ~now e ~shared slot prefix best =
   if slot < Array.length t.peer_ids then
@@ -568,13 +540,13 @@ let remove_aggregate t ~now summary =
   end
 
 let peer_down t ~now peer =
-  match Rib.slot t.rib peer with
+  match lookup t peer with
   | slot when slot >= 0 && established t slot ->
     (* the slot stays; what the peer heard from us is void with the
        session *)
     Bytes.set t.up slot '\000';
     reset_session t slot;
-    let affected = Rib.flush_peer t.rib ~peer in
+    let affected = Rib.flush_peer t.rib slot in
     List.iter (fun prefix -> reselect t ~now prefix) affected
   | _ -> ()
 

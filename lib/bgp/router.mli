@@ -82,17 +82,18 @@ val create :
     between advertisement batches (default 0: advertise immediately);
     [damping] enables route-flap damping (default off).
 
-    [peers] (default none) are the router's sessions, all established:
-    increasing, without the router's own AS, and never mutated
-    afterwards, since the router and its RIB keep the array itself as
-    their slot order.  Peers given at creation cost no realignment, so a
-    network gives each router all of its neighbours here; {!add_peer}
-    and the other ways of meeting a new AS realign every stored entry.
+    [peers] (default none) are the router's sessions, all established,
+    and the only ones it will ever have: strictly increasing, without the
+    router's own AS, and never mutated afterwards, since the router keeps
+    the array itself as its slot order.  An UPDATE or a {!peer_up} for
+    any other AS is refused.
 
     [metrics] (default {!Obs.Registry.noop}) receives per-AS
     instrumentation, each labelled [("as", asn)]: counters
     [bgp_updates_sent], [bgp_updates_received] and [bgp_decisions]
-    (decision-process invocations), and gauge [bgp_loc_rib_size]. *)
+    (decision-process invocations), and gauge [bgp_loc_rib_size].
+    @raise Invalid_argument when [peers] is not strictly increasing or
+    contains the router's own AS. *)
 
 val flap_penalty : t -> peer:Asn.t -> Prefix.t -> now:float -> float
 (** Current (decayed) damping penalty of the peer's route for the prefix;
@@ -101,22 +102,17 @@ val flap_penalty : t -> peer:Asn.t -> Prefix.t -> now:float -> float
 val is_suppressed : t -> peer:Asn.t -> Prefix.t -> now:float -> bool
 (** Whether damping currently keeps that route out of the decision. *)
 
-val add_peer : t -> Asn.t -> unit
-(** Declare a BGP session with a neighbouring AS (idempotent). *)
-
 val peers : t -> Asn.t list
 (** Peers with an established session, in increasing AS order. *)
 
 (** {2 Transport}
 
-    A router has one session slot per AS it has met, in increasing AS
-    order: the peers given to {!create}, then any AS added by
-    {!add_peer}, {!peer_up} or an UPDATE from it.  A slot is never
-    removed: {!peer_down} and {!crash} mark its session down, and
+    A router has one session slot per peer given to {!create}, in
+    increasing AS order, fixed for its life: no slot is added or
+    removed.  {!peer_down} and {!crash} mark a session down, and
     {!peer_up} brings the same slot back, so a transport may resolve a
     slot once (to the receiving router and the link) and keep the result
-    for the router's life.  Only a new AS shifts the slots above it,
-    which a router built with all its peers never meets.
+    for the router's life.
 
     The router sends on established sessions only, each UPDATE once,
     naming the peer and its slot; an UPDATE is immutable and may be
@@ -145,8 +141,9 @@ val handle_update : ?slot:int -> t -> now:float -> Update.t -> unit
 (** Process one incoming UPDATE (loop detection, policy, validation,
     decision, propagation).  [slot] is the sender's slot, which a
     transport knows (see {!set_transport}); without it the sender is
-    looked up by AS, and a sender without a slot gets one, without a
-    session. *)
+    looked up by AS.
+    @raise Invalid_argument when the sender has no slot: a router takes
+    UPDATEs only from the peers it was created with. *)
 
 val best : t -> Prefix.t -> Route.t option
 (** Loc-RIB entry for the prefix. *)
@@ -174,8 +171,11 @@ val peer_down : t -> now:float -> Asn.t -> unit
     propagate the fallout.  No-op for an unknown peer. *)
 
 val peer_up : t -> now:float -> Asn.t -> unit
-(** (Re-)establish a session: register the peer and advertise the current
-    Loc-RIB to it, as a BGP speaker does after session establishment. *)
+(** Re-establish a session that is down and advertise the current
+    Loc-RIB to the peer, as a BGP speaker does after session
+    establishment; no-op while the session is up.
+    @raise Invalid_argument for an AS that is not one of the router's
+    peers. *)
 
 val crash : t -> unit
 (** The router process dies: RIBs, session set, advertisement memory, MRAI

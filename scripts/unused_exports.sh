@@ -14,7 +14,7 @@ set -eu
 
 # The count after the last interface audit.  Lower it when an unused
 # export goes; never raise it to admit a new one.
-CEILING=99
+CEILING=97
 
 cd "$(dirname "$0")/.."
 

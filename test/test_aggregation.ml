@@ -10,10 +10,13 @@ let summary = Prefix.of_string "10.0.0.0/8"
 let child_a = Prefix.of_string "10.1.0.0/16"
 let child_b = Prefix.of_string "10.2.0.0/16"
 
+(* AS 2 supplies the children and AS 9 is the downstream peer: the
+   transport keeps what is sent to AS 9 *)
 let wire router =
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
+    ~send:(fun ~peer ~slot:_ update ->
+      if Asn.to_int peer = 9 then sent := (peer, update) :: !sent)
     ~schedule:(fun ~delay:_ _ -> ());
   fun () ->
     let out = List.rev !sent in
@@ -24,8 +27,7 @@ let announce ~from ~prefix path =
   Bgp.Update.announce ~sender:(Asn.make from) (Testutil.route ~prefix ~from path)
 
 let test_aggregate_appears_with_first_child () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 9);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let drain = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
   Alcotest.(check bool) "no aggregate without children" true
@@ -51,8 +53,7 @@ let test_aggregate_appears_with_first_child () =
     (List.sort compare announced_prefixes)
 
 let test_aggregate_combines_origins () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 9);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let (_ : unit -> (Asn.t * Bgp.Update.t) list) = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
   Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
@@ -68,8 +69,7 @@ let test_aggregate_combines_origins () =
   | None -> Alcotest.fail "aggregate expected"
 
 let test_aggregate_disappears_with_last_child () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 9);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let drain = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
   Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
@@ -88,8 +88,7 @@ let test_aggregate_disappears_with_last_child () =
   Alcotest.(check int) "child and aggregate withdrawn" 2 (List.length withdrawn)
 
 let test_remove_aggregate () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 9);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let (_ : unit -> (Asn.t * Bgp.Update.t) list) = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
   Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
@@ -101,8 +100,7 @@ let test_remove_aggregate () =
 
 let test_aggregate_moas_list_merged () =
   (* children carrying MOAS lists: the aggregate's communities merge them *)
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 9);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let (_ : unit -> (Asn.t * Bgp.Update.t) list) = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
   let with_list prefix origin =

@@ -19,9 +19,7 @@ let damping =
   }
 
 let wired_router ?damping () =
-  let router = Router.create ?damping (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) ?damping (Asn.make 1) in
   let scheduled = ref [] in
   Router.set_transport router
     ~send:(fun ~peer:_ ~slot:_ _ -> ())

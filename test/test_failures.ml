@@ -16,9 +16,7 @@ let cut ?duration ~at net a b =
 let victim = Testutil.victim
 
 let test_peer_down_flushes () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   Router.set_transport router
     ~send:(fun ~peer:_ ~slot:_ _ -> ())
     ~schedule:(fun ~delay:_ _ -> ());
@@ -31,12 +29,13 @@ let test_peer_down_flushes () =
     (List.map Asn.to_int (Router.peers router))
 
 let test_peer_up_readvertises () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let sent = ref [] in
   Router.set_transport router
     ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
     ~schedule:(fun ~delay:_ _ -> ());
+  (* the session with AS 3 is down when the route is originated *)
+  Router.peer_down router ~now:0.0 (Asn.make 3);
   Router.originate router ~now:0.0 (Bgp.Route.originate ~self:(Asn.make 1) victim);
   sent := [];
   Router.peer_up router ~now:1.0 (Asn.make 3);

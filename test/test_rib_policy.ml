@@ -7,12 +7,16 @@ module Policy = Bgp.Policy
 let r = Testutil.route
 let victim = Testutil.victim
 
+(* RIBs for peers AS 1 to AS 8, which hold slots 0 to 7 as a router's
+   peers would: in increasing AS order *)
+let new_rib () = Rib.create ~slots:8
+let slot peer = Asn.to_int peer - 1
+
 (* RIB access by AS and prefix, through the prefix's entry: the
-   Adj-RIB-In write of [peer]'s route (a peer without a slot gets one),
-   the candidates, and the Loc-RIB writes *)
+   Adj-RIB-In write of [peer]'s route, the candidates, the Loc-RIB writes
+   and a session teardown *)
 let replace_in rib ~peer prefix route =
-  Rib.add_peers rib [| peer |];
-  Rib.write_in (Rib.entry rib prefix) (Rib.slot rib peer) route
+  Rib.write_in (Rib.entry rib prefix) (slot peer) route
 
 let set_in rib (route : Bgp.Route.t) =
   ignore (replace_in rib ~peer:route.learned_from route.prefix (Some route))
@@ -21,10 +25,11 @@ let withdraw_in rib ~peer prefix = ignore (replace_in rib ~peer prefix None)
 let routes_in rib prefix = Rib.candidates (Rib.entry rib prefix)
 let set_best rib (route : Bgp.Route.t) = Rib.install rib (Rib.entry rib route.prefix) (Some route)
 let clear_best rib prefix = Rib.install rib (Rib.entry rib prefix) None
+let flush rib ~peer = Rib.flush_peer rib (slot peer)
 
 let test_rib_set_and_get () =
-  let rib = Rib.create () in
-  (* the second peer's slot goes before the first's *)
+  let rib = new_rib () in
+  (* AS 2's route is written first, into the higher slot *)
   set_in rib (r ~from:2 [ 2; 10 ]);
   set_in rib (r ~from:1 [ 1; 10 ]);
   Alcotest.(check int) "two candidates" 2 (List.length (routes_in rib victim));
@@ -32,7 +37,7 @@ let test_rib_set_and_get () =
     (List.map (fun r -> r.Bgp.Route.learned_from) (routes_in rib victim))
 
 let test_rib_implicit_withdrawal () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   let first = r ~from:1 [ 1; 10 ] in
   set_in rib first;
   (match replace_in rib ~peer:(Asn.make 1) victim (Some (r ~from:1 [ 1; 2; 10 ])) with
@@ -45,7 +50,7 @@ let test_rib_implicit_withdrawal () =
   | l -> Alcotest.failf "expected 1 candidate, got %d" (List.length l)
 
 let test_rib_withdraw () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   set_in rib (r ~from:1 [ 1; 10 ]);
   withdraw_in rib ~peer:(Asn.make 1) victim;
   Alcotest.(check int) "gone" 0 (List.length (routes_in rib victim));
@@ -55,7 +60,7 @@ let test_rib_withdraw () =
     (Prefix.Set.is_empty (Rib.prefixes_in rib))
 
 let test_rib_best () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   Alcotest.(check bool) "empty loc-rib" true (Rib.best rib victim = None);
   let route = r ~from:1 [ 1; 10 ] in
   set_best rib route;
@@ -65,7 +70,7 @@ let test_rib_best () =
   Alcotest.(check bool) "cleared" true (Rib.best rib victim = None)
 
 let test_rib_multiple_prefixes () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
   set_best rib (r ~from:1 [ 1; 10 ]);
   set_best rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
@@ -80,7 +85,7 @@ let test_rib_multiple_prefixes () =
    track installs, same-prefix replacements, clears, double clears and a
    full reset exactly like counting the bindings would *)
 let test_rib_loc_rib_size () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
   let sizes_agree label =
     Alcotest.(check int) label
@@ -105,7 +110,7 @@ let test_rib_loc_rib_size () =
   Alcotest.(check int) "reset" 0 (Rib.loc_rib_size rib)
 
 let test_rib_flush_peer () =
-  let rib = Rib.create () in
+  let rib = new_rib () in
   let p2 = Prefix.of_string "10.0.0.0/8" in
   let p3 = Prefix.of_string "172.16.0.0/12" in
   set_in rib (r ~from:1 [ 1; 10 ]);
@@ -113,19 +118,19 @@ let test_rib_flush_peer () =
   set_in rib (r ~prefix:p3 ~from:2 [ 2; 30 ]);
   (* re-announcing then withdrawing must leave the index consistent *)
   set_in rib (r ~prefix:p2 ~from:1 [ 1; 2; 20 ]);
-  let affected = Rib.flush_peer rib ~peer:(Asn.make 1) in
+  let affected = flush rib ~peer:(Asn.make 1) in
   Alcotest.(check (list Testutil.prefix_testable))
     "affected prefixes, ascending" [ p2; victim ] affected;
   Alcotest.(check int) "peer 1 routes gone" 0
     (List.length (routes_in rib victim) + List.length (routes_in rib p2));
   Alcotest.(check int) "peer 2 untouched" 1 (List.length (routes_in rib p3));
   Alcotest.(check (list Testutil.prefix_testable))
-    "second flush finds nothing" [] (Rib.flush_peer rib ~peer:(Asn.make 1));
+    "second flush finds nothing" [] (flush rib ~peer:(Asn.make 1));
   set_in rib (r ~prefix:p2 ~from:2 [ 2; 20 ]);
   withdraw_in rib ~peer:(Asn.make 2) p2;
   Alcotest.(check (list Testutil.prefix_testable))
     "withdrawn routes are not re-flushed" [ p3 ]
-    (Rib.flush_peer rib ~peer:(Asn.make 2))
+    (flush rib ~peer:(Asn.make 2))
 
 let test_policy_default () =
   let route = r ~from:1 [ 1; 10 ] in
@@ -238,7 +243,7 @@ let prop_loc_rib_model =
   Testutil.qtest ~count:300 "Loc-RIB agrees with a reference trie after every operation"
     QCheck2.Gen.(list_size (int_range 1 60) loc_op_gen)
     (fun ops ->
-      let rib = Rib.create () in
+      let rib = new_rib () in
       let reference = ref Prefix_trie.empty in
       List.for_all
         (fun op ->
@@ -288,7 +293,7 @@ let prop_adj_rib_in_model =
   Testutil.qtest ~count:300 "Adj-RIB-In agrees with a reference map after every operation"
     QCheck2.Gen.(list_size (int_range 1 80) adj_op_gen)
     (fun ops ->
-      let rib = Rib.create () in
+      let rib = new_rib () in
       let reference = ref Prefix.Map.empty in
       let per_peer p =
         Option.value ~default:Asn.Map.empty (Prefix.Map.find_opt p !reference)
@@ -319,7 +324,7 @@ let prop_adj_rib_in_model =
                 |> List.rev
               in
               Prefix.Map.iter (fun p m -> set p (Asn.Map.remove peer m)) !reference;
-              List.equal Prefix.equal (Rib.flush_peer rib ~peer) expected
+              List.equal Prefix.equal (flush rib ~peer) expected
           in
           flushed_ok
           && Array.for_all

@@ -24,9 +24,7 @@ let announce ~from path ?(communities = Bgp.Community.Set.empty) () =
     (Testutil.route ~communities ~from path)
 
 let test_originate_advertises_to_all_peers () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
   Router.originate router ~now:0.0 (Bgp.Route.originate ~self:(Asn.make 1) victim);
   let sent = drain () in
@@ -41,8 +39,7 @@ let test_originate_advertises_to_all_peers () =
     sent
 
 let test_loop_detection () =
-  let router = Router.create (Asn.make 7) in
-  Router.add_peer router (Asn.make 2);
+  let router = Router.create ~peers:(Testutil.peers [ 2 ]) (Asn.make 7) in
   let drain = wire router in
   (* a path already containing AS 7 must be discarded *)
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 7; 10 ] ());
@@ -51,10 +48,8 @@ let test_loop_detection () =
     (Router.best router victim = None)
 
 let test_loop_detection_implicit_withdraw () =
-  let router = Router.create (Asn.make 7) in
-  Router.add_peer router (Asn.make 2);
   (* peer 3 heard the first route and must hear the withdrawal *)
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 7) in
   let drain = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check bool) "first route installed" true
@@ -75,9 +70,7 @@ let test_loop_detection_implicit_withdraw () =
        sent)
 
 let test_split_horizon () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
   let sent = drain () in
@@ -85,9 +78,7 @@ let test_split_horizon () =
   Alcotest.(check (list int)) "only the other peer hears it" [ 3 ] targets
 
 let test_no_duplicate_advertisements () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
   ignore (drain ());
@@ -96,10 +87,7 @@ let test_no_duplicate_advertisements () =
   Alcotest.(check int) "duplicate suppressed" 0 (List.length (drain ()))
 
 let test_better_route_replaces () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
-  Router.add_peer router (Asn.make 4);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3; 4 ]) (Asn.make 1) in
   let drain = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 9; 10 ] ());
   ignore (drain ());
@@ -127,9 +115,7 @@ let test_better_route_replaces () =
     tagged
 
 let test_withdraw_falls_back () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
-  Router.add_peer router (Asn.make 3);
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
   Router.handle_update router ~now:2.0 (announce ~from:3 [ 3; 8; 10 ] ());
@@ -148,8 +134,10 @@ let test_validator_filters () =
       (fun route -> Bgp.Route.origin_as ~self:(Asn.make 1) route <> Asn.make 666)
       routes
   in
-  let router = Router.create ~validator:(Router.scan_only validator) (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
+  let router =
+    Router.create ~peers:(Testutil.peers [ 2 ]) ~validator:(Router.scan_only validator)
+      (Asn.make 1)
+  in
   let (_ : unit -> (Net.Asn.t * Update.t) list) = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 666 ] ());
   Alcotest.(check bool) "filtered origin never selected" true
@@ -158,9 +146,44 @@ let test_validator_filters () =
   Alcotest.(check bool) "clean origin selected" true
     (Router.best router victim <> None)
 
+let raises_invalid f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument _ -> true
+
+let test_create_validates_peers () =
+  List.iter
+    (fun (label, peers) ->
+      Alcotest.(check bool) label true
+        (raises_invalid (fun () ->
+             Router.create ~peers:(Testutil.peers peers) (Asn.make 5))))
+    [ ("unsorted", [ 3; 2 ]); ("duplicate", [ 2; 3; 3 ]); ("self", [ 2; 5; 7 ]) ];
+  let router = Router.create ~peers:(Testutil.peers [ 2; 3; 7 ]) (Asn.make 5) in
+  Alcotest.(check (list int)) "increasing peers accepted" [ 2; 3; 7 ]
+    (List.map Asn.to_int (Router.peers router))
+
+(* a router takes UPDATEs and sessions only from the peers it was made
+   with, and a refused UPDATE leaves no trace *)
+let test_unknown_peer_refused () =
+  let router = Router.create ~peers:(Testutil.peers [ 2; 4 ]) (Asn.make 1) in
+  let drain = wire router in
+  Alcotest.(check bool) "UPDATE from an AS without a slot" true
+    (raises_invalid (fun () ->
+         Router.handle_update router ~now:1.0 (announce ~from:3 [ 3; 10 ] ())));
+  Alcotest.(check bool) "nothing installed" true (Router.best router victim = None);
+  Alcotest.(check bool) "peer_up for an AS without a slot" true
+    (raises_invalid (fun () -> Router.peer_up router ~now:2.0 (Asn.make 3)));
+  Alcotest.(check (list int)) "sessions unchanged" [ 2; 4 ]
+    (List.map Asn.to_int (Router.peers router));
+  Alcotest.(check int) "nothing sent" 0 (List.length (drain ()));
+  (* peer_down for an unknown AS stays a no-op *)
+  Router.peer_down router ~now:3.0 (Asn.make 3);
+  Router.handle_update router ~now:4.0 (announce ~from:4 [ 4; 10 ] ());
+  Alcotest.(check (list int)) "a declared peer is heard" [ 2 ]
+    (List.map (fun (peer, _) -> Asn.to_int peer) (drain ()))
+
 let test_counters () =
-  let router = Router.create (Asn.make 1) in
-  Router.add_peer router (Asn.make 2);
+  let router = Router.create ~peers:(Testutil.peers [ 2 ]) (Asn.make 1) in
   let (_ : unit -> (Net.Asn.t * Update.t) list) = wire router in
   Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check int) "received counted" 1 (Router.updates_received router);
@@ -174,10 +197,7 @@ let test_configured_make () =
   let net =
     Network.make
       ~config:
-        Network.Config.(
-          default
-          |> with_mrai_of (fun _ -> 0.0)
-          |> with_link_delay (fun _ _ -> 1.0))
+        Network.Config.(default |> with_mrai_of (fun _ -> 0.0))
       (Topology.As_graph.of_edges [ (1, 2); (2, 3); (3, 4) ])
   in
   Network.originate net 1 victim;
@@ -383,8 +403,17 @@ let test_link_state_symmetric () =
   Alcotest.(check bool) "impairment cleared via (a,b)" true
     (Network.link_impairment net a b = None)
 
+(* the latency of the session from [a] to [b], read off a network of the
+   two: [a]'s announcement is the only message, so the run ends when it
+   arrives *)
+let link_delay a b =
+  let net = Network.make (Topology.As_graph.of_edges [ (a, b) ]) in
+  Network.originate net a victim;
+  ignore (Network.run net);
+  Sim.Engine.now (Network.engine net)
+
 let test_default_link_delay_stable () =
-  let delay = Network.Config.default.Network.Config.link_delay in
+  let delay = link_delay in
   List.iter
     (fun (a, b) ->
       let a = Asn.make a and b = Asn.make b in
@@ -539,6 +568,8 @@ let () =
           Alcotest.test_case "withdraw falls back" `Quick test_withdraw_falls_back;
           Alcotest.test_case "validator hook" `Quick test_validator_filters;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "create validates peers" `Quick test_create_validates_peers;
+          Alcotest.test_case "unknown peer refused" `Quick test_unknown_peer_refused;
         ] );
       ( "network",
         [

@@ -17,6 +17,9 @@ let asn_set_testable =
 
 let victim = Prefix.of_string "192.0.2.0/24"
 
+(* a standalone router's sessions, as [Bgp.Router.create ~peers] takes them *)
+let peers ases = Array.of_list (List.map Asn.make ases)
+
 (* A route as received from [peer], with the path [path] (first element =
    sending AS, last = origin). *)
 let route ?(prefix = victim) ?(local_pref = 100) ?(origin = Bgp.Route.Igp)
