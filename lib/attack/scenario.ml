@@ -73,7 +73,44 @@ type outcome = {
   droppers : Asn.Set.t;
 }
 
+(* the index of [asn] in the increasing [a], or -1 *)
+let rec index_in a (asn : Asn.t) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid) = asn then mid
+    else if a.(mid) < asn then index_in a asn (mid + 1) hi
+    else index_in a asn lo mid
+
+let rec earliest first = function
+  | [] -> first
+  | alarm :: rest ->
+    earliest
+      (match first with
+      | Some e when e <= alarm.Moas.Alarm.time -> first
+      | _ -> Some alarm.Moas.Alarm.time)
+      rest
+
+(* the alarm count, the alarming ASes and the first alarm's time of the
+   detectors: every alarm of a detector names the detector's AS *)
+let rec tally_alarms count ases first = function
+  | [] -> (count, ases, first)
+  | detector :: rest ->
+    (match Moas.Detector.alarms detector with
+    | [] -> tally_alarms count ases first rest
+    | alarm :: _ as alarms ->
+      tally_alarms
+        (count + Moas.Detector.alarm_count detector)
+        (Asn.Set.add alarm.Moas.Alarm.observer ases)
+        (earliest first alarms) rest)
+
 let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
+  (* A scenario's data lives as long as the scenario, and a scenario of
+     the paper's sweep fits in the minor heap.  Emptying the minor heap
+     first, when nothing of this scenario exists yet, lets it run
+     without a collection, so its network, disposed of below, dies
+     young; this collection promotes only what the caller still holds. *)
+  Gc.minor ();
   let nodes = Topology.As_graph.nodes scenario.graph in
   let attacker_set =
     Asn.Set.of_list (List.map (fun a -> a.Attacker.asn) scenario.attackers)
@@ -106,14 +143,14 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
   in
   let oracle = Moas.Origin_verification.create () in
   Moas.Origin_verification.register oracle scenario.victim_prefix legit_set;
-  let detectors = Hashtbl.create 64 in
+  (* the detectors, in no particular order; one backend and one
+     registry option serve them all *)
+  let detectors = ref [] in
+  let backend = Some (Moas.Detector.Oracle oracle) and registry = Some metrics in
   let validator_of asn =
     if Asn.Set.mem asn capable then begin
-      let detector =
-        Moas.Detector.create ~backend:(Moas.Detector.Oracle oracle) ~metrics
-          ~self:asn ()
-      in
-      Hashtbl.replace detectors asn detector;
+      let detector = Moas.Detector.create ?backend ?metrics:registry ~self:asn () in
+      detectors := detector :: !detectors;
       Some (Moas.Detector.validator detector)
     end
     else None
@@ -169,40 +206,29 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
   (match prepare with Some f -> f network | None -> ());
   let outcome_state = Bgp.Network.run network in
   let converged = outcome_state = Sim.Engine.Quiescent in
+  (* the ASes holding a bogus best route, in increasing order: a bogus
+     route either originates at an attacker or is an impersonation
+     (recognisable by the signature marker) *)
+  let misled =
+    Bgp.Network.fold_best network scenario.victim_prefix
+      (fun asn route misled ->
+        if Asn.Set.mem (Bgp.Route.origin_as ~self:asn route) attacker_set
+           || Bgp.Community.Set.mem Attacker.impersonation_marker
+                route.Bgp.Route.communities
+        then asn :: misled
+        else misled)
+      []
+    |> List.rev |> Array.of_list
+  in
   let adopters =
-    Asn.Set.filter
-      (fun asn ->
-        match Bgp.Network.best_route network asn scenario.victim_prefix with
-        | Some route ->
-          (* a bogus best route either originates at an attacker or is an
-             impersonation (recognisable by the signature marker) *)
-          Asn.Set.mem (Bgp.Route.origin_as ~self:asn route) attacker_set
-          || Bgp.Community.Set.mem Attacker.impersonation_marker
-               route.Bgp.Route.communities
-        | None -> false)
-      eligible_set
+    Asn.Set.filter (fun asn -> index_in misled asn 0 (Array.length misled) >= 0) eligible_set
   in
-  let alarm_count, alarming_ases =
-    Hashtbl.fold
-      (fun asn detector (count, ases) ->
-        let n = Moas.Detector.alarm_count detector in
-        (count + n, if n > 0 then Asn.Set.add asn ases else ases))
-      detectors (0, Asn.Set.empty)
-  in
-  let first_alarm_at =
-    Hashtbl.fold
-      (fun _ detector earliest ->
-        List.fold_left
-          (fun earliest alarm ->
-            let time = alarm.Moas.Alarm.time in
-            match earliest with
-            | Some e when e <= time -> earliest
-            | _ -> Some time)
-          earliest
-          (Moas.Detector.alarms detector))
-      detectors None
+  let alarm_count, alarming_ases, first_alarm_at =
+    tally_alarms 0 Asn.Set.empty None !detectors
   in
   let eligible = Asn.Set.cardinal eligible_set in
+  let converged_at = Sim.Engine.now (Bgp.Network.engine network) in
+  let updates_sent = Bgp.Network.total_updates_sent network in
   if not (Obs.Registry.is_noop metrics) then begin
     (* network-wide aggregates alongside the per-AS series, so exports
        carry the headline numbers without client-side label summing *)
@@ -218,6 +244,8 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
       (counter metrics "oracle_queries_total")
       (Moas.Origin_verification.query_count oracle)
   end;
+  (* the network is garbage from here; see [Bgp.Network.dispose] *)
+  Bgp.Network.dispose network;
   {
     adopters;
     eligible;
@@ -230,9 +258,9 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
     first_alarm_at;
     detection_latency =
       Option.map (fun t -> t -. scenario.attack_at) first_alarm_at;
-    converged_at = Sim.Engine.now (Bgp.Network.engine network);
+    converged_at;
     oracle_queries = Moas.Origin_verification.query_count oracle;
-    updates_sent = Bgp.Network.total_updates_sent network;
+    updates_sent;
     converged;
     capable;
     droppers;
@@ -240,22 +268,49 @@ let run ?(metrics = Obs.Registry.noop) ?prepare rng scenario =
 
 let victim_prefix_default = Prefix.of_string "192.0.2.0/24"
 
+(* The sorted node and stub arrays of the last (graph, stub set) this
+   domain drew a scenario from: a sweep draws every scenario from one. *)
+let last_pools : (Topology.As_graph.t * Asn.Set.t * Asn.t array * Asn.t array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let sorted_array set =
+  let a = Array.make (Asn.Set.cardinal set) 0 in
+  ignore (Asn.Set.fold (fun asn i -> a.(i) <- asn; i + 1) set 0);
+  a
+
+let pools graph stub =
+  match Domain.DLS.get last_pools with
+  | Some (g, s, nodes, stubs) when g == graph && s == stub -> (nodes, stubs)
+  | Some _ | None ->
+    let nodes = sorted_array (Topology.As_graph.nodes graph)
+    and stubs = sorted_array stub in
+    Domain.DLS.set last_pools (Some (graph, stub, nodes, stubs));
+    (nodes, stubs)
+
+(* Both pools are drawn from as [Rng.sample] draws from the sorted
+   arrays, without copying them: the attacker pool is the nodes but the
+   origins, whose positions the lookup skips. *)
 let random rng ~graph ~stub ~n_origins ~n_attackers ~deployment =
-  let stub_pool = Array.of_list (Asn.Set.elements stub) in
-  if n_origins <= 0 || n_origins > Array.length stub_pool then
+  let nodes, stubs = pools graph stub in
+  if n_origins <= 0 || n_origins > Array.length stubs then
     invalid_arg "Scenario.random: not enough stub ASes for the origins";
   let origins =
-    Array.to_list (Rng.sample (Rng.split_at rng 10) stub_pool n_origins)
+    Array.to_list
+      (Rng.sample_init (Rng.split_at rng 10) (Array.length stubs) (Array.get stubs) n_origins)
   in
-  let origin_set = Asn.Set.of_list origins in
-  let attacker_pool =
-    Array.of_list
-      (Asn.Set.elements (Asn.Set.diff (Topology.As_graph.nodes graph) origin_set))
+  let skipped =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun asn ->
+           match index_in nodes asn 0 (Array.length nodes) with -1 -> None | i -> Some i)
+         origins)
   in
-  if n_attackers < 0 || n_attackers > Array.length attacker_pool then
+  let attacker_at p = nodes.(List.fold_left (fun q o -> if o <= q then q + 1 else q) p skipped) in
+  let pool = Array.length nodes - List.length skipped in
+  if n_attackers < 0 || n_attackers > pool then
     invalid_arg "Scenario.random: not enough ASes for the attackers";
   let attackers =
-    Rng.sample (Rng.split_at rng 11) attacker_pool n_attackers
+    Rng.sample_init (Rng.split_at rng 11) pool attacker_at n_attackers
     |> Array.to_list
     |> List.map (fun asn -> Attacker.make asn)
   in

@@ -87,7 +87,13 @@ val run :
 
     [prepare] runs on the freshly wired network after the announcements
     are scheduled and before the engine starts — the hook the robustness
-    experiments use to arm a fault injector. *)
+    experiments use to arm a fault injector.  The network is disposed of
+    ({!Bgp.Network.dispose}) once the outcome is read, so [prepare] must
+    not keep it for later.
+
+    The run starts with a minor collection ([Gc.minor]), before it
+    allocates anything: a scenario that fits in the minor heap then
+    runs without a collection and promotes nothing. *)
 
 val random :
   Mutil.Rng.t ->

@@ -37,11 +37,16 @@ let best = function
 
 let rank routes = List.sort prefer routes
 
+let rec mem_route r = function
+  | [] -> false
+  | c :: rest -> Route.equal r c || mem_route r rest
+
 let best_with_incumbent ~incumbent candidates =
-  let challenger = best candidates in
-  match incumbent with
-  | Some current when List.exists (Route.equal current) candidates ->
-    (match challenger with
-    | Some c when prefer_attrs c current < 0 -> Some c
-    | Some _ | None -> Some current)
-  | Some _ | None -> challenger
+  match candidates with
+  | [] -> None
+  | first :: rest ->
+    let challenger = best_of first (path_length first) rest in
+    (match incumbent with
+    | Some current when mem_route current candidates ->
+      if prefer_attrs challenger current < 0 then Some challenger else incumbent
+    | Some _ | None -> Some challenger)

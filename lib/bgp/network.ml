@@ -32,14 +32,21 @@ type wiring = {
   peers : Asn.t array array;
   first : int array;
   links : link array;
+  (* the routers array of the last network disposed of over this
+     wiring, all [vacant], for the next network to take *)
+  mutable spare : Router.t array;
 }
+
+(* what a routers array holds where it has no router: a long-lived
+   value, so that allocating the array forces no minor collection *)
+let vacant = Router.create (Asn.make 0)
 
 type t = {
   engine : Sim.Engine.t;
   graph : Topology.As_graph.t;
   wiring : wiring;
-  (* router [i] stands for [wiring.ases.(i)] *)
-  routers : Router.t array;
+  (* router [i] stands for [wiring.ases.(i)]; empty once disposed *)
+  mutable routers : Router.t array;
   (* failed peerings, stored under the (min, max) endpoint pair *)
   down_links : (Asn.t * Asn.t, unit) Hashtbl.t;
   (* crashed routers *)
@@ -145,7 +152,7 @@ let wire graph =
             })
         ids)
     peers;
-  { wired_graph = graph; ases; peers; first; links }
+  { wired_graph = graph; ases; peers; first; links; spare = [||] }
 
 (* the wiring of the last graph this domain built a network over *)
 let last_wiring : wiring option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
@@ -181,13 +188,13 @@ let lost t r update =
 let arrive t link update engine =
   if not (lost t link.receiver update) then
     Router.handle_update ?slot:link.sender_slot t.routers.(link.receiver)
-      ~now:(Sim.Engine.now engine) update
+      ~clock:(Sim.Engine.clock engine) update
 
 let deliver t link update delay =
   Sim.Engine.schedule t.engine ~delay (fun engine -> arrive t link update engine)
 
-(* router [i]'s transport *)
-let send t i ~peer ~slot update =
+(* the routers' transport: router [i] sends on its [slot] *)
+let send t ~from:i ~peer ~slot update =
   let w = t.wiring in
   let link = w.links.(w.first.(i) + slot) in
   (* the tap sees the Adj-RIB-Out stream as emitted, before any
@@ -218,20 +225,17 @@ let make ?(config = Config.default) graph =
   let { Config.policy_of; validator_of; mrai_of; damping_of; metrics } = config in
   let engine = Sim.Engine.create ~metrics () in
   let wiring = wiring_of graph in
-  let routers =
-    Array.mapi
-      (fun i asn ->
-        Router.create ~policy:(policy_of asn) ?validator:(validator_of asn)
-          ~mrai:(mrai_of asn) ?damping:(damping_of asn) ~metrics
-          ~peers:wiring.peers.(i) asn)
-      wiring.ases
-  in
   let t =
     {
       engine;
       graph;
       wiring;
-      routers;
+      routers =
+        (match wiring.spare with
+        | [||] -> Array.make (Array.length wiring.ases) vacant
+        | spare ->
+          wiring.spare <- [||];
+          spare);
       down_links = Hashtbl.create 8;
       down_routers = Hashtbl.create 8;
       impairments = Hashtbl.create 8;
@@ -239,13 +243,35 @@ let make ?(config = Config.default) graph =
       metrics;
     }
   in
-  let schedule ~delay k =
-    Sim.Engine.schedule engine ~delay (fun engine -> k (Sim.Engine.now engine))
+  let transport =
+    {
+      Router.send = (fun ~from ~peer ~slot update -> send t ~from ~peer ~slot update);
+      schedule =
+        (fun ~delay k ->
+          Sim.Engine.schedule engine ~delay (fun engine -> k (Sim.Engine.now engine)));
+    }
   in
   Array.iteri
-    (fun i r -> Router.set_transport r ~send:(send t i) ~schedule)
-    routers;
+    (fun i asn ->
+      let r =
+        Router.create_wired ~policy:(policy_of asn) ~validator:(validator_of asn)
+          ~mrai:(mrai_of asn) ~damping:(damping_of asn) ~metrics ~peers:wiring.peers.(i) asn
+      in
+      Router.set_transport r transport ~index:i;
+      t.routers.(i) <- r)
+    wiring.ases;
   t
+
+(* The routers array is in the major heap, and every router was written
+   into it young, so until the next minor collection the remembered set
+   holds a pointer to each: a network dropped before that collection
+   would still be promoted whole.  Overwriting the slots with [vacant]
+   leaves the remembered set nothing of it. *)
+let dispose t =
+  Array.fill t.routers 0 (Array.length t.routers) vacant;
+  t.wiring.spare <- t.routers;
+  t.routers <- [||];
+  Sim.Engine.reset t.engine
 
 let engine t = t.engine
 let graph t = t.graph
@@ -354,6 +380,17 @@ let run ?(max_events = 10_000_000) t = Sim.Engine.run ~max_events t.engine
 let best_route t asn prefix = Router.best (router t asn) prefix
 
 let best_origin t asn prefix = Router.best_origin (router t asn) prefix
+
+let fold_best t prefix f init =
+  let rec from i acc =
+    if i = Array.length t.routers then acc
+    else
+      from (i + 1)
+        (match Router.best t.routers.(i) prefix with
+        | Some route -> f t.wiring.ases.(i) route acc
+        | None -> acc)
+  in
+  from 0 init
 
 let forward_path t ~from addr =
   let max_hops = Array.length t.routers + 1 in

@@ -81,6 +81,16 @@ val make : ?config:Config.t -> Topology.As_graph.t -> t
     network over the same graph (physically): a sweep of scenarios over
     one topology pays for its routers, not for its topology. *)
 
+val dispose : t -> unit
+(** Retire a network its owner is done with: its routers and pending
+    events are dropped, so a later query of a router raises
+    [Invalid_argument] and the totals read 0.  A network disposed of
+    before the next minor collection is then never promoted to the major
+    heap, which a network merely dropped would be (the remembered set
+    holds every slot of its routers array, written young), and the next
+    network over the same graph reuses its routers array: dispose of a
+    network on the domain that built it. *)
+
 val engine : t -> Sim.Engine.t
 (** The underlying event engine (for custom scheduling). *)
 
@@ -184,6 +194,10 @@ val best_route : t -> Asn.t -> Prefix.t -> Route.t option
 
 val best_origin : t -> Asn.t -> Prefix.t -> Asn.t option
 (** Origin AS of the selected route. *)
+
+val fold_best : t -> Prefix.t -> (Asn.t -> Route.t -> 'a -> 'a) -> 'a -> 'a
+(** [fold_best t prefix f init] folds [f] over every AS whose router has
+    a best route for the prefix, in increasing AS order. *)
 
 val forward_path : t -> from:Asn.t -> Ipv4.t -> Asn.t list option
 (** AS-level packet forwarding: starting at [from], repeatedly follow the

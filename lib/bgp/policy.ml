@@ -5,11 +5,12 @@ type t = {
   export : peer:Asn.t -> Route.t -> Route.t option;
 }
 
-let default =
-  {
-    import = (fun ~peer:_ route -> Some route);
-    export = (fun ~peer:_ route -> Some route);
-  }
+let accept ~peer:_ route = Some route
+
+let default = { import = accept; export = accept }
+
+let imports_unchanged t = t.import == accept
+let exports_unchanged t = t.export == accept
 
 let drop_communities_on_export t =
   {

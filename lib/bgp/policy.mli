@@ -16,6 +16,15 @@ type t = {
 val default : t
 (** Accept and propagate everything unchanged. *)
 
+val imports_unchanged : t -> bool
+(** Whether the policy's import is {!default}'s, which accepts every
+    route unchanged: a router then files a received route without
+    calling it (see {!Update.t}). *)
+
+val exports_unchanged : t -> bool
+(** Whether the policy's export is {!default}'s: a router then sends its
+    best route without calling it. *)
+
 val drop_communities_on_export : t -> t
 (** A router that strips the optional transitive community attribute from
     every route it re-advertises — the deployment hazard the paper

@@ -2,18 +2,26 @@ open Net
 
 type verdict = Keep | Drop | Rescan
 
-type validator = {
-  filter : now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
-  judge :
-    (prefix:Prefix.t ->
-    incumbent:Route.t option ->
-    previous:Route.t option ->
-    Route.t option ->
-    verdict)
-    option;
-}
+(* a validator's functions take its state, so that a stateful validator
+   is one record over its state, not a closure per function *)
+type validator =
+  | Validator : {
+      state : 's;
+      filter : 's -> now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
+      judge :
+        ('s ->
+        prefix:Prefix.t ->
+        incumbent:Route.t option ->
+        previous:Route.t option ->
+        Route.t option ->
+        verdict)
+        option;
+    }
+      -> validator
 
-let scan_only filter = { filter; judge = None }
+let scan_with f ~now ~prefix routes = f ~now ~prefix routes
+let scan_only f = Validator { state = f; filter = scan_with; judge = None }
+let filter (Validator v) ~now ~prefix routes = v.filter v.state ~now ~prefix routes
 
 type damping = {
   penalty_withdraw : float;
@@ -65,11 +73,25 @@ let obs_of metrics ~labels =
 
 let inert = obs_of Obs.Registry.noop ~labels:[]
 
+(* MRAI state, allocated only for a positive interval: per slot, the time
+   of the last advertisement batch and the prefixes whose advertisement
+   is deferred until the interval expires *)
+type pacing = {
+  interval : float;
+  last_batch : Float.Array.t;
+  deferred : Prefix.Set.t array;
+}
+
+type transport = {
+  send : from:int -> peer:Asn.t -> slot:int -> Update.t -> unit;
+  schedule : delay:float -> (float -> unit) -> unit;
+}
+
 type t = {
   asn : Asn.t;
   policy : Policy.t;
-  mutable validator : validator option;
-  mrai : float;
+  validator : validator option;
+  pacing : pacing option;
   damping : damper option;
   rib : Rib.t;
   (* the prefixes whose next decision must scan every candidate: at its
@@ -84,22 +106,24 @@ type t = {
      peer stays valid across session loss and crashes. *)
   peer_ids : Asn.t array;
   up : Bytes.t;
-  (* MRAI state per slot, allocated only when [mrai > 0]: the time of the
-     last advertisement batch, and the prefixes whose advertisement is
-     deferred until the interval expires *)
-  last_batch : Float.Array.t;
-  deferred : Prefix.Set.t array;
   mutable originated : Route.t Prefix.Map.t;
   mutable aggregates : Prefix.Set.t;
-  mutable send : peer:Asn.t -> slot:int -> Update.t -> unit;
-  mutable schedule : delay:float -> (float -> unit) -> unit;
+  (* the network's transport, shared by its routers, and this router's
+     index in it *)
+  mutable transport : transport;
+  mutable index : int;
   mutable received_count : int;
   mutable sent_count : int;
   obs : obs;
 }
 
-let unwired ~peer:_ ~slot:_ _ = failwith "Router: transport not wired (call set_transport)"
-let unwired_schedule ~delay:_ _ = failwith "Router: transport not wired (call set_transport)"
+let not_wired () = failwith "Router: transport not wired (call set_transport)"
+
+let unwired =
+  {
+    send = (fun ~from:_ ~peer:_ ~slot:_ _ -> not_wired ());
+    schedule = (fun ~delay:_ _ -> not_wired ());
+  }
 
 let established t slot = Bytes.get t.up slot = '\001'
 
@@ -113,8 +137,7 @@ let rec check_peers self peers i =
     check_peers self peers (i + 1)
   end
 
-let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
-    ?(metrics = Obs.Registry.noop) ?(peers = [||]) asn =
+let create_wired ~policy ~validator ~mrai ~damping ~metrics ~peers asn =
   if mrai < 0.0 then invalid_arg "Router.create: negative mrai";
   (match damping with
   | Some d when d.reuse_threshold >= d.suppress_threshold ->
@@ -126,19 +149,25 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
     asn;
     policy;
     validator;
-    mrai;
+    pacing =
+      (if mrai > 0.0 then
+         Some
+           {
+             interval = mrai;
+             last_batch = Float.Array.make n neg_infinity;
+             deferred = Array.make n Prefix.Set.empty;
+           }
+       else None);
     damping =
       Option.map (fun params -> { params; flaps = Hashtbl.create 16 }) damping;
     rib = Rib.create ~slots:n;
     must_scan = Prefix.Set.empty;
     peer_ids = peers;
     up = Bytes.make n '\001';
-    last_batch = (if mrai > 0.0 then Float.Array.make n neg_infinity else Float.Array.create 0);
-    deferred = (if mrai > 0.0 then Array.make n Prefix.Set.empty else [||]);
     originated = Prefix.Map.empty;
     aggregates = Prefix.Set.empty;
-    send = unwired;
-    schedule = unwired_schedule;
+    transport = unwired;
+    index = 0;
     received_count = 0;
     sent_count = 0;
     obs =
@@ -146,12 +175,17 @@ let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
        else obs_of metrics ~labels:[ ("as", Asn.to_string asn) ]);
   }
 
+let create ?(policy = Policy.default) ?validator ?(mrai = 0.0) ?damping
+    ?(metrics = Obs.Registry.noop) ?(peers = [||]) asn =
+  create_wired ~policy ~validator ~mrai ~damping ~metrics ~peers asn
+
 (* a session's export state as it is before its first advertisement *)
 let reset_session t slot =
-  if t.mrai > 0.0 then begin
-    Float.Array.set t.last_batch slot neg_infinity;
-    t.deferred.(slot) <- Prefix.Set.empty
-  end
+  match t.pacing with
+  | Some p ->
+    Float.Array.set p.last_batch slot neg_infinity;
+    p.deferred.(slot) <- Prefix.Set.empty
+  | None -> ()
 
 (* the peer's slot, or -1 without one: a binary search *)
 let rec find_slot peers (peer : Asn.t) lo hi =
@@ -178,16 +212,16 @@ let peers t =
   in
   collect (Array.length t.peer_ids - 1) []
 
-let set_transport t ~send ~schedule =
-  t.send <- send;
-  t.schedule <- schedule
+let set_transport t transport ~index =
+  t.transport <- transport;
+  t.index <- index
 
 let transport_send t slot update =
   t.sent_count <- t.sent_count + 1;
   Obs.Registry.Counter.incr t.obs.sent_c;
-  t.send ~peer:t.peer_ids.(slot) ~slot update
+  t.transport.send ~from:t.index ~peer:t.peer_ids.(slot) ~slot update
 
-let transport_schedule t ~delay k = t.schedule ~delay k
+let transport_schedule t ~delay k = t.transport.schedule ~delay k
 
 (* ---------------- route-flap damping (RFC 2439) ---------------- *)
 
@@ -268,10 +302,10 @@ let candidates t e prefix =
   | Some r -> r :: learned
   | None -> learned
 
-let admitted_candidates t ~now e prefix =
+let admitted_candidates t ~clock e prefix =
   match t.damping with
   | None -> candidates t e prefix
-  | Some _ -> Route.filter (admitted t ~now prefix) (candidates t e prefix)
+  | Some _ -> Route.filter (admitted t ~now:!clock prefix) (candidates t e prefix)
 
 let best t prefix = Rib.best t.rib prefix
 
@@ -311,7 +345,7 @@ let withdraw_from t e slot prefix =
   | Update.Announce _ -> send_to t e slot (Update.withdraw ~sender:t.asn prefix)
   | Update.Withdraw _ -> ()
 
-let sync_peer_prefix t e ~shared slot prefix best =
+let rec sync_peer_prefix t e ~shared slot prefix best =
   match best with
   | None ->
     withdraw_from t e slot prefix;
@@ -326,6 +360,7 @@ let sync_peer_prefix t e ~shared slot prefix best =
       withdraw_from t e slot prefix;
       shared
     end
+    else if Policy.exports_unchanged t.policy then send_shared t e ~shared slot route
     else
       (match t.policy.Policy.export ~peer route with
       | None ->
@@ -336,44 +371,46 @@ let sync_peer_prefix t e ~shared slot prefix best =
         if stale (Rib.heard e slot) advertised then
           send_to t e slot (Update.announce ~sender:t.asn advertised);
         shared
-      | Some _ ->
-        let shared =
-          if shared != Rib.unheard then shared
-          else Update.announce ~sender:t.asn (Route.advertised_by t.asn route)
-        in
-        (match shared.Update.payload with
-        | Update.Announce advertised when stale (Rib.heard e slot) advertised ->
-          send_to t e slot shared
-        | Update.Announce _ | Update.Withdraw _ -> ());
-        shared)
+      | Some _ -> send_shared t e ~shared slot route)
+
+(* the peer at [slot] takes the best route unchanged *)
+and send_shared t e ~shared slot route =
+  let shared =
+    if shared != Rib.unheard then shared
+    else Update.announce ~sender:t.asn (Route.advertised_by t.asn route)
+  in
+  (match shared.Update.payload with
+  | Update.Announce advertised when stale (Rib.heard e slot) advertised ->
+    send_to t e slot shared
+  | Update.Announce _ | Update.Withdraw _ -> ());
+  shared
 
 (* MRAI gating: a peer whose last batch is too recent gets the prefix
    queued; a timer fires when the interval expires and syncs every queued
    prefix at once. *)
-let rec advertise_to_peer t ~now e ~shared slot prefix best =
-  if t.mrai <= 0.0 then sync_peer_prefix t e ~shared slot prefix best
-  else if now -. Float.Array.get t.last_batch slot >= t.mrai then begin
+let rec advertise_to_peer t ~clock e ~shared slot prefix best =
+  match t.pacing with
+  | None -> sync_peer_prefix t e ~shared slot prefix best
+  | Some p when !clock -. Float.Array.get p.last_batch slot >= p.interval ->
     let shared = sync_peer_prefix t e ~shared slot prefix best in
-    Float.Array.set t.last_batch slot now;
+    Float.Array.set p.last_batch slot !clock;
     shared
-  end
-  else begin
-    let was_empty = Prefix.Set.is_empty t.deferred.(slot) in
-    t.deferred.(slot) <- Prefix.Set.add prefix t.deferred.(slot);
+  | Some p ->
+    let was_empty = Prefix.Set.is_empty p.deferred.(slot) in
+    p.deferred.(slot) <- Prefix.Set.add prefix p.deferred.(slot);
     if was_empty then
       transport_schedule t
-        ~delay:(Float.Array.get t.last_batch slot +. t.mrai -. now)
-        (fun fire_time -> flush_deferred t ~now:fire_time slot);
+        ~delay:(Float.Array.get p.last_batch slot +. p.interval -. !clock)
+        (fun fire_time -> flush_deferred t p ~clock:(ref fire_time) slot);
     shared
-  end
 
 (* a session that went down and came back up in the meantime is flushed
    as it is now, and one still down has nothing queued *)
-and flush_deferred t ~now slot =
-  let queued = t.deferred.(slot) in
-  t.deferred.(slot) <- Prefix.Set.empty;
+and flush_deferred t p ~clock slot =
+  let queued = p.deferred.(slot) in
+  p.deferred.(slot) <- Prefix.Set.empty;
   if not (Prefix.Set.is_empty queued) then begin
-    Float.Array.set t.last_batch slot now;
+    Float.Array.set p.last_batch slot !clock;
     Prefix.Set.iter
       (fun prefix ->
         let e = Rib.entry t.rib prefix in
@@ -381,16 +418,16 @@ and flush_deferred t ~now slot =
       queued
   end
 
-let rec advertise_from t ~now e ~shared slot prefix best =
+let rec advertise_from t ~clock e ~shared slot prefix best =
   if slot < Array.length t.peer_ids then
-    advertise_from t ~now e
+    advertise_from t ~clock e
       ~shared:
-        (if established t slot then advertise_to_peer t ~now e ~shared slot prefix best
+        (if established t slot then advertise_to_peer t ~clock e ~shared slot prefix best
          else shared)
       (slot + 1) prefix best
 
-let advertise_all t ~now e prefix best =
-  advertise_from t ~now e ~shared:Rib.unheard 0 prefix best
+let advertise_all t ~clock e prefix best =
+  advertise_from t ~clock e ~shared:Rib.unheard 0 prefix best
 
 (* ------------------------------------------------------------------ *)
 (* Decision *)
@@ -398,10 +435,10 @@ let advertise_all t ~now e prefix best =
 (* The validator's filter over the admitted candidates.  A validator
    without a verdict that drops a candidate bars the prefix's next
    shortcut (see [must_scan]); one with a verdict keeps its own state. *)
-let validated t ~now prefix all =
+let validated t ~clock prefix all =
   match t.validator with
-  | Some { filter; judge } ->
-    let kept = filter ~now ~prefix all in
+  | Some (Validator { state; filter; judge }) ->
+    let kept = filter state ~now:!clock ~prefix all in
     t.must_scan <-
       (if kept != all && Option.is_none judge then Prefix.Set.add prefix t.must_scan
        else Prefix.Set.remove prefix t.must_scan);
@@ -422,14 +459,14 @@ let after_move ~incumbent moved =
   | None, _ -> moved
 
 (* A decision over every candidate, with the oldest-route rule. *)
-let rec reselect t ~now prefix =
+let rec reselect t ~clock prefix =
   Obs.Registry.Counter.incr t.obs.decisions_c;
   let e = Rib.entry t.rib prefix in
-  decide t ~now e prefix (Rib.entry_best e)
+  decide t ~clock e prefix (Rib.entry_best e)
 
-and decide t ~now e prefix old_best =
-  let kept = validated t ~now prefix (admitted_candidates t ~now e prefix) in
-  install t ~now e prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
+and decide t ~clock e prefix old_best =
+  let kept = validated t ~clock prefix (admitted_candidates t ~clock e prefix) in
+  install t ~clock e prefix old_best (Decision.best_with_incumbent ~incumbent:old_best kept)
 
 (* The decision after one candidate moved: [peer]'s entry for [prefix] is
    now [route] ([None]: gone), in place of [previous].  The scan's result
@@ -441,7 +478,7 @@ and decide t ~now e prefix old_best =
    keeps it or drops it, or asks for the scan; without a verdict, it
    filters every candidate, and must have kept every one now and at the
    prefix's last decision. *)
-and reselect_after t ~now e ~peer ~previous route prefix =
+and reselect_after t ~clock e ~peer ~previous route prefix =
   Obs.Registry.Counter.incr t.obs.decisions_c;
   let old_best = Rib.entry_best e in
   let shortcut =
@@ -453,23 +490,23 @@ and reselect_after t ~now e ~peer ~previous route prefix =
     | None -> true
   in
   match t.validator with
-  | Some { judge = None; _ } ->
-    let all = admitted_candidates t ~now e prefix in
-    let kept = validated t ~now prefix all in
-    install t ~now e prefix old_best
+  | Some (Validator { judge = None; _ }) ->
+    let all = admitted_candidates t ~clock e prefix in
+    let kept = validated t ~clock prefix all in
+    install t ~clock e prefix old_best
       (if shortcut && kept == all then after_move ~incumbent:old_best route
        else Decision.best_with_incumbent ~incumbent:old_best kept)
-  | Some { judge = Some judge; _ } when shortcut ->
-    (match judge ~prefix ~incumbent:old_best ~previous route with
-    | Keep -> install t ~now e prefix old_best (after_move ~incumbent:old_best route)
+  | Some (Validator { state; judge = Some judge; _ }) when shortcut ->
+    (match judge state ~prefix ~incumbent:old_best ~previous route with
+    | Keep -> install t ~clock e prefix old_best (after_move ~incumbent:old_best route)
     | Drop -> ()
-    | Rescan -> decide t ~now e prefix old_best)
+    | Rescan -> decide t ~clock e prefix old_best)
   | None when shortcut ->
-    install t ~now e prefix old_best (after_move ~incumbent:old_best route)
-  | Some _ | None -> decide t ~now e prefix old_best
+    install t ~clock e prefix old_best (after_move ~incumbent:old_best route)
+  | Some _ | None -> decide t ~clock e prefix old_best
 
 (* install a decision's result and propagate it if it changed *)
-and install t ~now e prefix old_best new_best =
+and install t ~clock e prefix old_best new_best =
   let changed =
     match (new_best, old_best) with
     | None, None -> false
@@ -481,18 +518,18 @@ and install t ~now e prefix old_best new_best =
     if t.obs.live then
       Obs.Registry.Gauge.set t.obs.loc_rib_g
         (float_of_int (Rib.loc_rib_size t.rib));
-    advertise_all t ~now e prefix new_best;
+    advertise_all t ~clock e prefix new_best;
     (* a change to a child route may alter a configured aggregate; the
        summary is strictly shorter, so this recursion terminates *)
     if not (Prefix.Set.is_empty t.aggregates) then
       Prefix.Set.iter
         (fun summary ->
           if Prefix.is_strict_subprefix ~sub:prefix ~of_:summary then
-            refresh_aggregate t ~now summary)
+            refresh_aggregate t ~clock summary)
         t.aggregates
   end
 
-and refresh_aggregate t ~now summary =
+and refresh_aggregate t ~clock summary =
   let children =
     List.filter
       (fun (p, _) -> Prefix.is_strict_subprefix ~sub:p ~of_:summary)
@@ -524,19 +561,19 @@ and refresh_aggregate t ~now summary =
       }
     in
     t.originated <- Prefix.Map.add summary aggregate t.originated);
-  reselect t ~now summary
+  reselect t ~clock summary
 
-let refresh t ~now prefix = reselect t ~now prefix
+let refresh t ~now prefix = reselect t ~clock:(ref now) prefix
 
 let configure_aggregate t ~now summary =
   t.aggregates <- Prefix.Set.add summary t.aggregates;
-  refresh_aggregate t ~now summary
+  refresh_aggregate t ~clock:(ref now) summary
 
 let remove_aggregate t ~now summary =
   if Prefix.Set.mem summary t.aggregates then begin
     t.aggregates <- Prefix.Set.remove summary t.aggregates;
     t.originated <- Prefix.Map.remove summary t.originated;
-    reselect t ~now summary
+    reselect t ~clock:(ref now) summary
   end
 
 let peer_down t ~now peer =
@@ -547,18 +584,20 @@ let peer_down t ~now peer =
     Bytes.set t.up slot '\000';
     reset_session t slot;
     let affected = Rib.flush_peer t.rib slot in
-    List.iter (fun prefix -> reselect t ~now prefix) affected
+    let clock = ref now in
+    List.iter (fun prefix -> reselect t ~clock prefix) affected
   | _ -> ()
 
 let peer_up t ~now peer =
   let slot = slot_of t peer in
   if not (established t slot) then begin
     Bytes.set t.up slot '\001';
+    let clock = ref now in
     (* initial table exchange: everything in the Loc-RIB goes out *)
     List.iter
       (fun (prefix, best) ->
         ignore
-          (advertise_to_peer t ~now (Rib.entry t.rib prefix) ~shared:Rib.unheard slot
+          (advertise_to_peer t ~clock (Rib.entry t.rib prefix) ~shared:Rib.unheard slot
              prefix (Some best)))
       (Rib.best_bindings t.rib)
   end
@@ -582,10 +621,11 @@ let crash t =
   Option.iter (fun { flaps; _ } -> Hashtbl.reset flaps) t.damping
 
 let restart t ~now =
+  let clock = ref now in
   (* re-install the configured originations; with no sessions yet nothing
      is advertised — the network layer brings peers up afterwards *)
-  Prefix.Map.iter (fun prefix _ -> reselect t ~now prefix) t.originated;
-  Prefix.Set.iter (fun summary -> refresh_aggregate t ~now summary) t.aggregates
+  Prefix.Map.iter (fun prefix _ -> reselect t ~clock prefix) t.originated;
+  Prefix.Set.iter (fun summary -> refresh_aggregate t ~clock summary) t.aggregates
 
 (* ------------------------------------------------------------------ *)
 (* Inputs *)
@@ -593,11 +633,11 @@ let restart t ~now =
 let originate t ~now route =
   let route = { route with Route.learned_from = t.asn } in
   t.originated <- Prefix.Map.add route.Route.prefix route t.originated;
-  reselect t ~now route.Route.prefix
+  reselect t ~clock:(ref now) route.Route.prefix
 
 let withdraw_origin t ~now prefix =
   t.originated <- Prefix.Map.remove prefix t.originated;
-  reselect t ~now prefix
+  reselect t ~clock:(ref now) prefix
 
 (* when a suppressed route will decay to the reuse threshold *)
 let reuse_delay damping state ~now =
@@ -606,7 +646,7 @@ let reuse_delay damping state ~now =
   else damping.half_life *. (Float.log (penalty /. damping.reuse_threshold) /. Float.log 2.0)
 
 (* [update] from the peer at [slot] *)
-let receive t ~now slot (update : Update.t) =
+let receive t ~clock slot (update : Update.t) =
   t.received_count <- t.received_count + 1;
   Obs.Registry.Counter.incr t.obs.received_c;
   let peer = update.Update.sender in
@@ -617,6 +657,7 @@ let receive t ~now slot (update : Update.t) =
   (match t.damping with
   | None -> ()
   | Some damper ->
+    let now = !clock in
     let increment =
       match update.Update.payload with
       | Update.Announce _ -> damper.params.penalty_update
@@ -631,26 +672,28 @@ let receive t ~now slot (update : Update.t) =
           let delay = Float.max 0.1 (reuse_delay damper.params state ~now:fire_time) in
           transport_schedule t ~delay recheck
         end
-        else reselect t ~now:fire_time prefix
+        else reselect t ~clock:(ref fire_time) prefix
       in
       let state = flap_state damper ~peer prefix in
       let delay = Float.max 0.1 (reuse_delay damper.params state ~now) in
       transport_schedule t ~delay recheck
     end);
   let accepted =
-    match update.Update.payload with
-    | Update.Announce route ->
+    match update.Update.route with
+    | None -> None
+    | Some route as offered ->
       (* loop detection: a route that already crossed this AS is dropped,
          implicitly withdrawing any previous route from that peer *)
       if As_path.contains route.Route.as_path t.asn then None
+      else if Policy.imports_unchanged t.policy && Asn.equal route.Route.learned_from peer
+      then offered
       else t.policy.Policy.import ~peer (Route.received ~from:peer route)
-    | Update.Withdraw _ -> None
   in
   let e = Rib.entry t.rib prefix in
   let previous = Rib.write_in e slot accepted in
-  reselect_after t ~now e ~peer ~previous accepted prefix
+  reselect_after t ~clock e ~peer ~previous accepted prefix
 
-let handle_update ?slot t ~now (update : Update.t) =
+let handle_update ?slot t ~clock (update : Update.t) =
   match slot with
-  | Some slot -> receive t ~now slot update
-  | None -> receive t ~now (slot_of t update.Update.sender) update
+  | Some slot -> receive t ~clock slot update
+  | None -> receive t ~clock (slot_of t update.Update.sender) update

@@ -14,24 +14,31 @@ type verdict =
   | Drop  (** the moved route is discarded *)
   | Rescan  (** no verdict on one route: filter every candidate *)
 
-type validator = {
-  filter : now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
-      (** sees every candidate route for a prefix (locally originated
-          first, then the Adj-RIB-In in peer-AS order) and returns the
-          subset the decision process may use, the list itself when it
-          keeps every route *)
-  judge :
-    (prefix:Prefix.t ->
-    incumbent:Route.t option ->
-    previous:Route.t option ->
-    Route.t option ->
-    verdict)
-    option;
-      (** the verdict on one moved candidate, if the validator offers
-          one: [judge ~prefix ~incumbent ~previous moved] *)
-}
-(** A route validator: the hook the MOAS detector plugs into.  [None] on
-    the router means every candidate is eligible (plain BGP).
+type validator =
+  | Validator : {
+      state : 's;  (** what the functions below read and update *)
+      filter : 's -> now:float -> prefix:Prefix.t -> Route.t list -> Route.t list;
+          (** sees every candidate route for a prefix (locally
+              originated first, then the Adj-RIB-In in peer-AS order)
+              and returns the subset the decision process may use, the
+              list itself when it keeps every route *)
+      judge :
+        ('s ->
+        prefix:Prefix.t ->
+        incumbent:Route.t option ->
+        previous:Route.t option ->
+        Route.t option ->
+        verdict)
+        option;
+          (** the verdict on one moved candidate, if the validator
+              offers one: [judge state ~prefix ~incumbent ~previous
+              moved] *)
+    }
+      -> validator
+(** A route validator: the hook the MOAS detector plugs into, a state
+    and the functions over it (a stateful validator allocates no closure
+    per instance).  [None] on the router means every candidate is
+    eligible (plain BGP).
 
     The verdict contract.  The router asks [judge] only after an UPDATE
     from a peer, without damping, when the prefix's previous decision
@@ -52,6 +59,9 @@ type validator = {
 
 val scan_only : (now:float -> prefix:Prefix.t -> Route.t list -> Route.t list) -> validator
 (** A validator without a verdict: [filter] runs at every decision. *)
+
+val filter : validator -> now:float -> prefix:Prefix.t -> Route.t list -> Route.t list
+(** The validator's filter applied to its state. *)
 
 type t
 (** Mutable router state. *)
@@ -120,15 +130,32 @@ val peers : t -> Asn.t list
     router hands it to {!handle_update} with the receiver's slot for the
     sender, which saves the lookup. *)
 
-val set_transport :
-  t ->
-  send:(peer:Asn.t -> slot:int -> Update.t -> unit) ->
-  schedule:(delay:float -> (float -> unit) -> unit) ->
-  unit
-(** Wire the router to the network: [send ~peer ~slot update] delivers
-    an update towards the peer at [slot]; [schedule] runs a callback
-    after a delay (used by MRAI timers and damping).  Must be called
-    before any traffic is processed. *)
+type transport = {
+  send : from:int -> peer:Asn.t -> slot:int -> Update.t -> unit;
+      (** [send ~from ~peer ~slot update] delivers an update from the
+          router the transport knows as [from] towards its peer at
+          [slot] *)
+  schedule : delay:float -> (float -> unit) -> unit;
+      (** runs a callback after a delay (MRAI timers and damping) *)
+}
+(** How routers reach the network.  One transport may serve every router
+    of a network, each known to it by an index. *)
+
+val set_transport : t -> transport -> index:int -> unit
+(** Wire the router to the network, which knows it as [index].  Must be
+    called before any traffic is processed. *)
+
+val create_wired :
+  policy:Policy.t ->
+  validator:validator option ->
+  mrai:float ->
+  damping:damping option ->
+  metrics:Obs.Registry.t ->
+  peers:Asn.t array ->
+  Asn.t ->
+  t
+(** {!create} with every argument given: what a network calls once per
+    router, allocating no option for its arguments. *)
 
 val originate : t -> now:float -> Route.t -> unit
 (** Start originating a route (built with {!Route.originate}); announces to
@@ -137,11 +164,13 @@ val originate : t -> now:float -> Route.t -> unit
 val withdraw_origin : t -> now:float -> Prefix.t -> unit
 (** Stop originating a prefix. *)
 
-val handle_update : ?slot:int -> t -> now:float -> Update.t -> unit
+val handle_update : ?slot:int -> t -> clock:float ref -> Update.t -> unit
 (** Process one incoming UPDATE (loop detection, policy, validation,
-    decision, propagation).  [slot] is the sender's slot, which a
-    transport knows (see {!set_transport}); without it the sender is
-    looked up by AS.
+    decision, propagation) at the time [clock] holds, which the router
+    reads only where it needs the time (validator, MRAI, damping): a
+    network passes its engine's clock, so a delivery boxes no time.
+    [slot] is the sender's slot, which a transport knows (see
+    {!set_transport}); without it the sender is looked up by AS.
     @raise Invalid_argument when the sender has no slot: a router takes
     UPDATEs only from the peers it was created with. *)
 

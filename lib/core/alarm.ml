@@ -12,6 +12,11 @@ let make ~observer ~prefix ~time ~conflicting_lists ~origins_seen =
   let sorted = List.sort Asn.Set.compare conflicting_lists in
   { observer; prefix; time; conflicting_lists = sorted; origins_seen }
 
+let compare_conflict a b =
+  match Prefix.compare a.prefix b.prefix with
+  | 0 -> List.compare Asn.Set.compare a.conflicting_lists b.conflicting_lists
+  | c -> c
+
 let signature t =
   Printf.sprintf "%s|%s"
     (Prefix.to_string t.prefix)

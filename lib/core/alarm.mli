@@ -21,9 +21,15 @@ val make :
   t
 (** Build an alarm, normalising the list order. *)
 
+val compare_conflict : t -> t -> int
+(** Order alarms on their conflict, (prefix, conflicting lists), ignoring
+    observer, time and origins: [0] for two alarms about the same
+    conflict, the key a detector de-duplicates repeated alarms on. *)
+
 val signature : t -> string
-(** A canonical rendering of (prefix, conflicting lists) used to
-    de-duplicate repeated alarms for the same conflict. *)
+(** A canonical rendering of (prefix, conflicting lists): equal exactly
+    when {!compare_conflict} returns [0], as [Prefix.to_string] and
+    [Moas_list.to_string] are injective. *)
 
 val to_string : t -> string
 (** {!pp} as a string. *)

@@ -1,7 +1,5 @@
 open Net
 
-module StringSet = Set.Make (String)
-
 type verify = now:float -> Prefix.t -> Asn.Set.t option
 
 type backend =
@@ -21,13 +19,37 @@ type pass = {
   mutable dropped : int;
 }
 
+(* the alarms raised, keyed on their conflict: the prefix and the sorted
+   distinct lists, compared structurally *)
+module Seen = Set.Make (struct
+  type t = Alarm.t
+
+  let compare = Alarm.compare_conflict
+end)
+
+(* the observability handles, inert when the registry is the noop; every
+   detector without a registry shares [inert] *)
+type obs = {
+  alarms_c : Obs.Registry.Counter.t;
+  verify_calls_c : Obs.Registry.Counter.t;
+  discarded_c : Obs.Registry.Counter.t;
+}
+
+let obs_of metrics ~labels =
+  {
+    alarms_c = Obs.Registry.counter metrics ~labels "moas_alarms";
+    verify_calls_c = Obs.Registry.counter metrics ~labels "moas_verify_calls";
+    discarded_c = Obs.Registry.counter metrics ~labels "moas_routes_discarded";
+  }
+
+let inert = obs_of Obs.Registry.noop ~labels:[]
+
 type t = {
   self : Asn.t;
-  verifier : verify option;
-  watch : Community_watch.t option;
+  backend : backend;
   on_alarm : Alarm.t -> unit;
   check_self_consistency : bool;
-  mutable seen_signatures : StringSet.t;
+  mutable seen : Seen.t;
   mutable alarms_rev : Alarm.t list;
   mutable alarm_count : int;
   (* entitled origin sets learned from the oracle; the MOASRR record does
@@ -45,33 +67,17 @@ type t = {
   mutable memo_lists : Asn.Set.t option array;
   mutable memo_used : int;
   mutable memo_next : int;
-  (* observability handles, inert when the registry is the noop *)
-  alarms_c : Obs.Registry.Counter.t;
-  verify_calls_c : Obs.Registry.Counter.t;
-  discarded_c : Obs.Registry.Counter.t;
+  obs : obs;
 }
 
 let create ?(backend = Detect_only) ?(on_alarm = fun _ -> ())
     ?(check_self_consistency = true) ?(metrics = Obs.Registry.noop) ~self () =
-  let verifier =
-    match backend with
-    | Custom v -> Some v
-    | Oracle oracle ->
-      Some (fun ~now:_ prefix -> Origin_verification.query oracle prefix)
-    | Detect_only | Community _ -> None
-  in
-  let watch = match backend with Community w -> Some w | _ -> None in
-  (* no labels, hence no option to allocate, for the noop registry *)
-  let labels =
-    if Obs.Registry.is_noop metrics then None else Some [ ("as", Asn.to_string self) ]
-  in
   {
     self;
-    verifier;
-    watch;
+    backend;
     on_alarm;
     check_self_consistency;
-    seen_signatures = StringSet.empty;
+    seen = Seen.empty;
     alarms_rev = [];
     alarm_count = 0;
     verified = Prefix.Map.empty;
@@ -80,10 +86,9 @@ let create ?(backend = Detect_only) ?(on_alarm = fun _ -> ())
     memo_lists = [||];
     memo_used = 0;
     memo_next = 0;
-    alarms_c = Obs.Registry.counter metrics ?labels "moas_alarms";
-    verify_calls_c = Obs.Registry.counter metrics ?labels "moas_verify_calls";
-    discarded_c =
-      Obs.Registry.counter metrics ?labels "moas_routes_discarded";
+    obs =
+      (if Obs.Registry.is_noop metrics then inert
+       else obs_of metrics ~labels:[ ("as", Asn.to_string self) ]);
   }
 
 let distinct_lists lists =
@@ -93,13 +98,22 @@ let distinct_lists lists =
    oldest entry is overwritten *)
 let memo_slots = 16
 
+(* the memo arrays start with two slots and double up to [memo_slots]:
+   most detectors see one or two community sets *)
+let grow_memo t communities list =
+  let cap = Array.length t.memo_sets in
+  let ncap = if cap = 0 then 2 else 2 * cap in
+  let sets = Array.make ncap communities and lists = Array.make ncap list in
+  Array.blit t.memo_sets 0 sets 0 cap;
+  Array.blit t.memo_lists 0 lists 0 cap;
+  t.memo_sets <- sets;
+  t.memo_lists <- lists
+
 let rec find_memo t communities i =
   if i = t.memo_used then begin
     let list = Moas_list.decode communities in
-    if t.memo_used = 0 then begin
-      t.memo_sets <- Array.make memo_slots communities;
-      t.memo_lists <- Array.make memo_slots list
-    end;
+    if t.memo_used = Array.length t.memo_sets && t.memo_used < memo_slots then
+      grow_memo t communities list;
     let slot = t.memo_next in
     t.memo_sets.(slot) <- communities;
     t.memo_lists.(slot) <- list;
@@ -133,14 +147,35 @@ let listed t r =
 
 let origin t r = Bgp.Route.origin_as ~self:t.self r
 
-let effective_set t r =
-  let l = listed t r in
-  if Asn.Set.is_empty l then Asn.Set.singleton (origin t r) else l
-
 let is_singleton_of asn s =
   (not (Asn.Set.is_empty s))
   && Asn.equal (Asn.Set.min_elt s) asn
   && Asn.equal (Asn.Set.max_elt s) asn
+
+let rec has_singleton asn = function
+  | [] -> false
+  | s :: rest -> is_singleton_of asn s || has_singleton asn rest
+
+let rec has_list l = function
+  | [] -> false
+  | s :: rest -> s == l || Asn.Set.equal s l || has_list l rest
+
+(* The distinct effective lists of [routes] (Moas_list.effective), in
+   any order: a conflict has a handful of distinct lists over any number
+   of candidates, and an implicit list {origin} is built once per
+   origin. *)
+let rec effective_lists t acc = function
+  | [] -> acc
+  | r :: rest ->
+    let l = listed t r in
+    let acc =
+      if Asn.Set.is_empty l then
+        let o = origin t r in
+        if has_singleton o acc then acc else Asn.Set.singleton o :: acc
+      else if has_list l acc then acc
+      else l :: acc
+    in
+    effective_lists t acc rest
 
 (* Moas_list.consistent of two routes' effective lists: an explicit
    list, or the implicit {origin} *)
@@ -163,12 +198,11 @@ let raise_alarm t ~now ~prefix ~lists ~origins =
     Alarm.make ~observer:t.self ~prefix ~time:now ~conflicting_lists:lists
       ~origins_seen:origins
   in
-  let signature = Alarm.signature alarm in
-  if not (StringSet.mem signature t.seen_signatures) then begin
-    t.seen_signatures <- StringSet.add signature t.seen_signatures;
+  if not (Seen.mem alarm t.seen) then begin
+    t.seen <- Seen.add alarm t.seen;
     t.alarms_rev <- alarm :: t.alarms_rev;
     t.alarm_count <- t.alarm_count + 1;
-    Obs.Registry.Counter.incr t.alarms_c;
+    Obs.Registry.Counter.incr t.obs.alarms_c;
     t.on_alarm alarm
   end
 
@@ -185,7 +219,7 @@ let filter_entitled t pass entitled routes =
   else begin
     let kept = Bgp.Route.filter (fun r -> Asn.Set.mem (origin t r) entitled) routes in
     pass.dropped <- List.length routes - List.length kept;
-    Obs.Registry.Counter.add t.discarded_c pass.dropped;
+    Obs.Registry.Counter.add t.obs.discarded_c pass.dropped;
     kept
   end
 
@@ -225,6 +259,12 @@ let pass_of t prefix =
     t.passes <- Prefix.Map.add prefix pass t.passes;
     pass
 
+let verify t ~now prefix =
+  match t.backend with
+  | Oracle oracle -> Origin_verification.query oracle prefix
+  | Custom verify -> verify ~now prefix
+  | Detect_only | Community _ -> None
+
 let filter t ~now ~prefix routes =
   let routes =
     if t.check_self_consistency && not (all_self_consistent t routes) then
@@ -244,16 +284,17 @@ let filter t ~now ~prefix routes =
   pass.clean <- all_agree t routes;
   if pass.clean then routes
   else begin
-    let lists = distinct_lists (List.map (effective_set t) routes) in
+    let lists = List.sort Asn.Set.compare (effective_lists t [] routes) in
     let origins =
       List.fold_left (fun acc r -> Asn.Set.add (origin t r) acc) Asn.Set.empty routes
     in
     raise_alarm t ~now ~prefix ~lists ~origins;
-    match t.verifier with
-    | None -> routes (* detect-only deployment: alarm but do not filter *)
-    | Some verify ->
-      Obs.Registry.Counter.incr t.verify_calls_c;
-      (match verify ~now prefix with
+    match t.backend with
+    | Detect_only | Community _ ->
+      routes (* detect-only deployment: alarm but do not filter *)
+    | Oracle _ | Custom _ ->
+      Obs.Registry.Counter.incr t.obs.verify_calls_c;
+      (match verify t ~now prefix with
       | None -> routes (* no verdict obtainable: fail open *)
       | Some entitled ->
         t.verified <- Prefix.Map.add prefix entitled t.verified;
@@ -283,7 +324,7 @@ let follow t pass ~previous ~discarded (verdict : Bgp.Router.verdict) =
       | Some _ | None -> 0
     in
     pass.dropped <- pass.dropped - left + discarded;
-    Obs.Registry.Counter.add t.discarded_c pass.dropped);
+    Obs.Registry.Counter.add t.obs.discarded_c pass.dropped);
   verdict
 
 (* the verdict on a moved route that passed the filters *)
@@ -317,23 +358,18 @@ let judge t ~prefix ~incumbent ~previous moved : Bgp.Router.verdict =
       | Rescan -> Rescan
       | verdict -> follow t pass ~previous ~discarded:0 verdict))
 
+let verdicts = Some judge
+
 let validator t : Bgp.Router.validator =
-  match t.watch with
-  | Some watch -> Bgp.Router.scan_only (community_validator t watch)
-  | None ->
-    {
-      filter = (fun ~now ~prefix routes -> filter t ~now ~prefix routes);
-      judge =
-        Some
-          (fun ~prefix ~incumbent ~previous moved ->
-            judge t ~prefix ~incumbent ~previous moved);
-    }
+  match t.backend with
+  | Community watch -> Bgp.Router.scan_only (community_validator t watch)
+  | Oracle _ | Custom _ | Detect_only -> Validator { state = t; filter; judge = verdicts }
 
 let alarms t = List.rev t.alarms_rev
 
 let alarm_count t = t.alarm_count
 
 let reset t =
-  t.seen_signatures <- StringSet.empty;
+  t.seen <- Seen.empty;
   t.alarms_rev <- [];
   t.alarm_count <- 0

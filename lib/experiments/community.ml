@@ -165,8 +165,8 @@ let run_one spec =
                   e.e_lists <-
                     List.sort Asn.Set.compare (list :: e.e_lists))
             routes;
-          let routes = moas_v.filter ~now ~prefix routes in
-          community_v.filter ~now ~prefix routes)
+          let routes = Bgp.Router.filter moas_v ~now ~prefix routes in
+          Bgp.Router.filter community_v ~now ~prefix routes)
     end
   in
   let config =

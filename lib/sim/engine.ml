@@ -22,14 +22,22 @@ and handler = t -> unit
 (* the queue's filler: a top-level closure, statically allocated *)
 let idle : handler = fun _ -> ()
 
+(* The queue storage of the last engine on this domain to run to
+   quiescence, which the next engine created takes over: a sweep's
+   engines share one set of queue arrays instead of growing a fresh set,
+   in the major heap, per run. *)
+let spare = Domain.DLS.new_key (fun () -> Event_queue.create ~filler:idle ())
+
 (* one histogram observation per this many executed events *)
 let wall_block = 10_000
 
 let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
+  let queue = Event_queue.create ~filler:idle () in
+  Event_queue.transfer ~from:(Domain.DLS.get spare) queue;
   {
     clock = ref 0.0;
     executed = 0;
-    queue = Event_queue.create ~filler:idle ();
+    queue;
     queue_hwm = 0;
     metrics;
     live = not (Obs.Registry.is_noop metrics);
@@ -41,6 +49,7 @@ let create ?(metrics = Obs.Registry.noop) ?(wall_clock = Sys.time) () =
   }
 
 let now t = !(t.clock)
+let clock t = t.clock
 let metrics t = t.metrics
 
 let note_depth t =
@@ -109,6 +118,7 @@ let run ?(max_events = max_int) ?(until = infinity) t =
     end
   in
   let outcome = loop max_events in
+  if outcome = Quiescent then Event_queue.transfer ~from:t.queue (Domain.DLS.get spare);
   if t.live then begin
     Obs.Registry.Counter.add t.events_c (t.executed - start_executed);
     Obs.Registry.Gauge.observe_max t.queue_hwm_g (float_of_int t.queue_hwm);

@@ -24,6 +24,10 @@ val create : ?metrics:Obs.Registry.t -> ?wall_clock:(unit -> float) -> unit -> t
 val now : t -> float
 (** Current simulation time. *)
 
+val clock : t -> float ref
+(** The engine's clock, which it advances as it runs: what {!now}
+    returns, read without boxing a float.  Read it; never write it. *)
+
 val metrics : t -> Obs.Registry.t
 (** The registry the engine reports into ({!Obs.Registry.noop} unless one
     was passed to {!create}). *)

@@ -46,3 +46,9 @@ val pop_min_into : 'a t -> float ref -> 'a
 
 val clear : 'a t -> unit
 (** Drop all pending events. *)
+
+val transfer : from:'a t -> 'a t -> unit
+(** [transfer ~from t] moves the arrays of the empty queue [from] into
+    the empty queue [t] when they are larger than [t]'s, leaving [from]
+    without any: [t] then grows only past [from]'s high-water mark.
+    @raise Invalid_argument when either queue has pending events. *)

@@ -102,6 +102,19 @@ let sample t arr k =
   done;
   Array.sub scratch 0 k
 
+(* [sample]'s partial Fisher-Yates with the pool's displaced positions
+   in a table: position [i] is final once drawn, as every later swap
+   draws from past it *)
+let sample_init t n get k =
+  if k < 0 || k > n then invalid_arg "Rng.sample: k out of range";
+  let moved = Hashtbl.create (2 * k) in
+  let at i = match Hashtbl.find moved i with v -> v | exception Not_found -> get i in
+  Array.init k (fun i ->
+      let j = int_in t i (n - 1) in
+      let drawn = at j in
+      Hashtbl.replace moved j (at i);
+      drawn)
+
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))

@@ -51,6 +51,12 @@ val sample : t -> 'a array -> int -> 'a array
 (** [sample t arr k] draws [k] distinct elements uniformly without
     replacement.  Requires [0 <= k <= Array.length arr]. *)
 
+val sample_init : t -> int -> (int -> 'a) -> int -> 'a array
+(** [sample_init t n f k] is [sample t (Array.init n f) k], drawn the
+    same way, without building the pool: it calls [f] only at the
+    positions the draws reach, so a small sample of a large pool costs
+    O(k). *)
+
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -15,9 +15,10 @@ let child_b = Prefix.of_string "10.2.0.0/16"
 let wire router =
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer ~slot:_ update ->
-      if Asn.to_int peer = 9 then sent := (peer, update) :: !sent)
-    ~schedule:(fun ~delay:_ _ -> ());
+    { Router.send = (fun ~from:_ ~peer ~slot:_ update ->
+      if Asn.to_int peer = 9 then sent := (peer, update) :: !sent);
+    schedule = (fun ~delay:_ _ -> ()) }
+    ~index:0;
   fun () ->
     let out = List.rev !sent in
     sent := [];
@@ -32,7 +33,7 @@ let test_aggregate_appears_with_first_child () =
   Router.configure_aggregate router ~now:0.0 summary;
   Alcotest.(check bool) "no aggregate without children" true
     (Router.best router summary = None);
-  Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
   (match Router.best router summary with
   | Some aggregate ->
     Alcotest.check Testutil.asn_set_testable "single child: child's origins"
@@ -56,8 +57,8 @@ let test_aggregate_combines_origins () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let (_ : unit -> (Asn.t * Bgp.Update.t) list) = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
-  Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
-  Router.handle_update router ~now:2.0 (announce ~from:2 ~prefix:child_b [ 2; 7 ]);
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:2 ~prefix:child_b [ 2; 7 ]);
   match Router.best router summary with
   | Some aggregate ->
     Alcotest.check Testutil.asn_set_testable "AS_SET of both origins"
@@ -72,9 +73,9 @@ let test_aggregate_disappears_with_last_child () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let drain = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
-  Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
   ignore (drain ());
-  Router.handle_update router ~now:2.0
+  Router.handle_update router ~clock:(ref 2.0)
     (Bgp.Update.withdraw ~sender:(Asn.make 2) child_a);
   Alcotest.(check bool) "aggregate gone" true (Router.best router summary = None);
   let withdrawn =
@@ -91,7 +92,7 @@ let test_remove_aggregate () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 9 ]) (Asn.make 1) in
   let (_ : unit -> (Asn.t * Bgp.Update.t) list) = wire router in
   Router.configure_aggregate router ~now:0.0 summary;
-  Router.handle_update router ~now:1.0 (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 ~prefix:child_a [ 2; 5 ]);
   Router.remove_aggregate router ~now:2.0 summary;
   Alcotest.(check bool) "rule removal drops the aggregate" true
     (Router.best router summary = None);
@@ -109,8 +110,8 @@ let test_aggregate_moas_list_merged () =
          ~communities:(Testutil.moas_communities [ origin; 100 ])
          ~from:2 [ 2; origin ])
   in
-  Router.handle_update router ~now:1.0 (with_list child_a 5);
-  Router.handle_update router ~now:2.0 (with_list child_b 7);
+  Router.handle_update router ~clock:(ref 1.0) (with_list child_a 5);
+  Router.handle_update router ~clock:(ref 2.0) (with_list child_b 7);
   match Router.best router summary with
   | Some aggregate ->
     Alcotest.check Testutil.asn_set_testable "lists merged"
@@ -121,7 +122,7 @@ let test_aggregate_moas_list_merged () =
 let test_detector_accepts_consistent_aggregates () =
   (* two bare aggregated routes with the same AS_SET: implicit lists agree *)
   let d = Moas.Detector.create ~self:(Asn.make 99) () in
-  let v = (Moas.Detector.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (Moas.Detector.validator d) in
   let aggregated from =
     {
       Bgp.Route.prefix = summary;
@@ -139,7 +140,7 @@ let test_detector_accepts_consistent_aggregates () =
 
 let test_detector_flags_divergent_aggregates () =
   let d = Moas.Detector.create ~self:(Asn.make 99) () in
-  let v = (Moas.Detector.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (Moas.Detector.validator d) in
   let aggregated from origins =
     {
       Bgp.Route.prefix = summary;

@@ -178,9 +178,9 @@ let prop_partial_between =
    calling domain's allocations.  A network built over a graph already
    wired on this domain reuses the wiring, as every scenario after the
    first does; the first build over a graph is budgeted apart. *)
-let words_per_event_budget = 80.0 (* 66.4 when written; 118.3 before the slot wiring *)
-let make_words_per_router_budget = 100.0 (* 88.9 when written *)
-let first_make_words_per_router_budget = 160.0 (* 142.1 when written *)
+let words_per_event_budget = 46.0 (* 40.3; 66.4 before the lean build, 118.3 before the slot wiring *)
+let make_words_per_router_budget = 57.0 (* 49.9; 88.9 before the lean build *)
+let first_make_words_per_router_budget = 110.0 (* 96.2; 142.1 before the lean build *)
 
 let budget_internet =
   Topology.Generate.generate (Mutil.Rng.of_int 0xA110C)

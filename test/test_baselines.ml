@@ -19,7 +19,7 @@ let impersonated_route =
 let test_origin_auth_blocks_false_origin () =
   let pki = OA.create () in
   OA.register pki victim (Asn.Set.singleton (Asn.make 10));
-  let v = (OA.validator pki ~self:(Asn.make 1)).Bgp.Router.filter in
+  let v = Bgp.Router.filter (OA.validator pki ~self:(Asn.make 1)) in
   let kept = v ~now:0.0 ~prefix:victim [ valid_route; forged_route ] in
   Alcotest.(check int) "forged origin rejected" 1 (List.length kept);
   Alcotest.(check int) "every route was verified" 2 (OA.verifications pki)
@@ -27,7 +27,7 @@ let test_origin_auth_blocks_false_origin () =
 let test_origin_auth_blocks_impersonation () =
   let pki = OA.create () in
   OA.register pki victim (Asn.Set.singleton (Asn.make 10));
-  let v = (OA.validator pki ~self:(Asn.make 1)).Bgp.Router.filter in
+  let v = Bgp.Router.filter (OA.validator pki ~self:(Asn.make 1)) in
   (* the impersonated route claims the right origin but its signatures
      (marker) do not verify *)
   let kept = v ~now:0.0 ~prefix:victim [ valid_route; impersonated_route ] in
@@ -37,13 +37,13 @@ let test_origin_auth_blocks_impersonation () =
 let test_origin_auth_compromised_key () =
   let pki = OA.create ~compromised_keys:(Asn.Set.singleton (Asn.make 10)) () in
   OA.register pki victim (Asn.Set.singleton (Asn.make 10));
-  let v = (OA.validator pki ~self:(Asn.make 1)).Bgp.Router.filter in
+  let v = Bgp.Router.filter (OA.validator pki ~self:(Asn.make 1)) in
   let kept = v ~now:0.0 ~prefix:victim [ valid_route; impersonated_route ] in
   Alcotest.(check int) "forgery verifies with a stolen key" 2 (List.length kept)
 
 let test_origin_auth_fails_open_without_attestation () =
   let pki = OA.create () in
-  let v = (OA.validator pki ~self:(Asn.make 1)).Bgp.Router.filter in
+  let v = Bgp.Router.filter (OA.validator pki ~self:(Asn.make 1)) in
   Alcotest.(check int) "unknown prefix passes" 2
     (List.length (v ~now:0.0 ~prefix:victim [ valid_route; forged_route ]))
 

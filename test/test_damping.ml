@@ -22,16 +22,17 @@ let wired_router ?damping () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) ?damping (Asn.make 1) in
   let scheduled = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer:_ ~slot:_ _ -> ())
-    ~schedule:(fun ~delay k -> scheduled := (delay, k) :: !scheduled);
+    { Router.send = (fun ~from:_ ~peer:_ ~slot:_ _ -> ());
+    schedule = (fun ~delay k -> scheduled := (delay, k) :: !scheduled) }
+    ~index:0;
   (router, scheduled)
 
 let announce ?(from = 2) now router =
-  Router.handle_update router ~now
+  Router.handle_update router ~clock:(ref now)
     (Update.announce ~sender:(Asn.make from) (Testutil.route ~from [ from; 10 ]))
 
 let withdraw ?(from = 2) now router =
-  Router.handle_update router ~now
+  Router.handle_update router ~clock:(ref now)
     (Update.withdraw ~sender:(Asn.make from) victim)
 
 let test_no_damping_by_default () =

@@ -191,15 +191,15 @@ let decided router origins = function
 
 let apply router ~now = function
   | Announce a ->
-    Router.handle_update router ~now (Bgp.Update.announce ~sender:a.peer (announced a))
+    Router.handle_update router ~clock:(ref now) (Bgp.Update.announce ~sender:a.peer (announced a))
   | Loop (peer, p) ->
     let looped =
       { peer; prefix = p; middle = [ self ]; origin_as = 10; local_pref = 100;
         egp = false; listed = false }
     in
-    Router.handle_update router ~now (Bgp.Update.announce ~sender:peer (announced looped))
+    Router.handle_update router ~clock:(ref now) (Bgp.Update.announce ~sender:peer (announced looped))
   | Withdraw (peer, p) ->
-    Router.handle_update router ~now (Bgp.Update.withdraw ~sender:peer prefixes.(p))
+    Router.handle_update router ~clock:(ref now) (Bgp.Update.withdraw ~sender:peer prefixes.(p))
   | Originate (p, listed) -> Router.originate router ~now (originated p listed)
   | Withdraw_origin p -> Router.withdraw_origin router ~now prefixes.(p)
   | Peer_down peer -> Router.peer_down router ~now peer
@@ -215,7 +215,9 @@ let router ~damping validator =
   in
   (* updates go nowhere and damping's reuse timers never fire: a
      suppressed route comes back at its prefix's next decision *)
-  Router.set_transport router ~send:(fun ~peer:_ ~slot:_ _ -> ()) ~schedule:(fun ~delay:_ _ -> ());
+  Router.set_transport router
+    { Router.send = (fun ~from:_ ~peer:_ ~slot:_ _ -> ()); schedule = (fun ~delay:_ _ -> ()) }
+    ~index:0;
   router
 
 let alarm_key (a : Moas.Alarm.t) = (a.Moas.Alarm.time, Moas.Alarm.signature a)
@@ -233,9 +235,9 @@ let counted { alarms; metrics; queries; _ } =
    own validator instance, called as the scanning router calls its own. *)
 let agrees { validator; damping; steps } =
   let judged = instance validator and scanned = instance validator in
-  let reference = (instance validator).validator.Router.filter in
+  let reference = Router.filter (instance validator).validator in
   let with_verdict = router ~damping judged.validator in
-  let scan_only = router ~damping (Router.scan_only scanned.validator.Router.filter) in
+  let scan_only = router ~damping (Router.scan_only (Router.filter scanned.validator)) in
   let origins = Array.make (Array.length prefixes) None in
   let expected = Array.make (Array.length prefixes) None in
   let now = ref 0. in

@@ -26,14 +26,14 @@ let oracle_with_record () =
 
 let test_consistent_routes_pass () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let routes = [ valid_route ~from:2 ~origin:10 (); valid_route ~from:3 ~origin:20 () ] in
   Alcotest.(check int) "all pass" 2 (List.length (v ~now:0.0 ~prefix:victim routes));
   Alcotest.(check int) "no alarm on valid MOAS" 0 (D.alarm_count d)
 
 let test_conflict_alarms () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let routes = [ valid_route (); forged_route () ] in
   ignore (v ~now:5.0 ~prefix:victim routes);
   Alcotest.(check int) "one alarm" 1 (D.alarm_count d);
@@ -48,7 +48,7 @@ let test_conflict_alarms () =
 
 let test_detect_only_does_not_filter () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let routes = [ valid_route (); forged_route () ] in
   Alcotest.(check int) "without oracle nothing is removed" 2
     (List.length (v ~now:0.0 ~prefix:victim routes))
@@ -56,7 +56,7 @@ let test_detect_only_does_not_filter () =
 let test_oracle_filters_forged () =
   let oracle = oracle_with_record () in
   let d = D.create ~backend:(D.Oracle oracle) ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let kept = v ~now:0.0 ~prefix:victim [ valid_route (); forged_route () ] in
   Alcotest.(check int) "only the valid route survives" 1 (List.length kept);
   List.iter
@@ -69,7 +69,7 @@ let test_oracle_filters_forged () =
 let test_verdict_is_sticky () =
   let oracle = oracle_with_record () in
   let d = D.create ~backend:(D.Oracle oracle) ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   ignore (v ~now:0.0 ~prefix:victim [ valid_route (); forged_route () ]);
   (* later the valid route disappears: the forged one must STILL be
      rejected, even though alone it looks consistent *)
@@ -81,14 +81,14 @@ let test_no_record_fails_open () =
   let oracle = Ov.create () in
   (* no MOASRR record for the prefix *)
   let d = D.create ~backend:(D.Oracle oracle) ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let kept = v ~now:0.0 ~prefix:victim [ valid_route (); forged_route () ] in
   Alcotest.(check int) "cannot verify: keep everything" 2 (List.length kept);
   Alcotest.(check int) "alarm still raised" 1 (D.alarm_count d)
 
 let test_alarm_dedup () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let routes = [ valid_route (); forged_route () ] in
   ignore (v ~now:0.0 ~prefix:victim routes);
   ignore (v ~now:1.0 ~prefix:victim routes);
@@ -100,7 +100,7 @@ let test_alarm_dedup () =
 
 let test_self_inconsistent_rejected_locally () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   (* forged list omits the attacker's own origin: rejected without any
      second route and without an oracle *)
   let sneaky =
@@ -111,7 +111,7 @@ let test_self_inconsistent_rejected_locally () =
 
 let test_self_consistency_check_optional () =
   let d = D.create ~check_self_consistency:false ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let sneaky = Testutil.route ~communities:legit_communities ~from:3 [ 666 ] in
   Alcotest.(check int) "kept when the check is off" 1
     (List.length (v ~now:0.0 ~prefix:victim [ sneaky ]))
@@ -121,7 +121,7 @@ let test_missing_list_conflicts_with_list () =
      origin is legitimate the implicit list {10} still disagrees with
      {10,20}, raising a (false) alarm - but never hiding a real conflict *)
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   let stripped = Testutil.route ~from:4 [ 4; 10 ] in
   ignore (v ~now:0.0 ~prefix:victim [ valid_route (); stripped ]);
   Alcotest.(check int) "dropped list raises an alarm" 1 (D.alarm_count d)
@@ -129,13 +129,13 @@ let test_missing_list_conflicts_with_list () =
 let test_on_alarm_callback () =
   let fired = ref [] in
   let d = D.create ~on_alarm:(fun a -> fired := a :: !fired) ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   ignore (v ~now:0.0 ~prefix:victim [ valid_route (); forged_route () ]);
   Alcotest.(check int) "callback fired" 1 (List.length !fired)
 
 let test_reset () =
   let d = D.create ~self () in
-  let v = (D.validator d).Bgp.Router.filter in
+  let v = Bgp.Router.filter (D.validator d) in
   ignore (v ~now:0.0 ~prefix:victim [ valid_route (); forged_route () ]);
   D.reset d;
   Alcotest.(check int) "alarms cleared" 0 (D.alarm_count d);
@@ -150,7 +150,7 @@ let prop_soundness =
     (fun specs ->
       let oracle = oracle_with_record () in
       let d = D.create ~backend:(D.Oracle oracle) ~self () in
-      let v = (D.validator d).Bgp.Router.filter in
+      let v = Bgp.Router.filter (D.validator d) in
       let routes =
         List.mapi
           (fun i (asn, is_valid) ->

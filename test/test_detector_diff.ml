@@ -215,7 +215,7 @@ let agree ~check_self_consistency ~with_verifier calls =
       ?verify:(if with_verifier then Some (fun ~now:_ p -> verdict p) else None)
       ~check_self_consistency ~self ()
   in
-  let validate = (D.validator detector).Bgp.Router.filter in
+  let validate = Bgp.Router.filter (D.validator detector) in
   List.for_all
     (fun (prefix, now, routes) ->
       let kept = validate ~now ~prefix routes in

@@ -18,9 +18,10 @@ let victim = Testutil.victim
 let test_peer_down_flushes () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   Router.set_transport router
-    ~send:(fun ~peer:_ ~slot:_ _ -> ())
-    ~schedule:(fun ~delay:_ _ -> ());
-  Router.handle_update router ~now:1.0
+    { Router.send = (fun ~from:_ ~peer:_ ~slot:_ _ -> ());
+    schedule = (fun ~delay:_ _ -> ()) }
+    ~index:0;
+  Router.handle_update router ~clock:(ref 1.0)
     (Bgp.Update.announce ~sender:(Asn.make 2) (Testutil.route ~from:2 [ 2; 10 ]));
   Alcotest.(check bool) "route installed" true (Router.best router victim <> None);
   Router.peer_down router ~now:2.0 (Asn.make 2);
@@ -32,8 +33,9 @@ let test_peer_up_readvertises () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
-    ~schedule:(fun ~delay:_ _ -> ());
+    { Router.send = (fun ~from:_ ~peer ~slot:_ update -> sent := (peer, update) :: !sent);
+    schedule = (fun ~delay:_ _ -> ()) }
+    ~index:0;
   (* the session with AS 3 is down when the route is originated *)
   Router.peer_down router ~now:0.0 (Asn.make 3);
   Router.originate router ~now:0.0 (Bgp.Route.originate ~self:(Asn.make 1) victim);

@@ -166,6 +166,18 @@ let prop_split_children_differ =
       let root = Rng.of_int 1 in
       Rng.bits64 (Rng.split_at root i) <> Rng.bits64 (Rng.split_at root j))
 
+(* the sparse draw is the copying one: same elements, same order, same
+   stream left behind *)
+let prop_sample_init_is_sample =
+  Testutil.qtest "sample_init draws what sample draws over the pool"
+    QCheck2.Gen.(triple (int_range 0 300) (int_range 0 300) (int_range 0 10_000))
+    (fun (n, k, seed) ->
+      let k = min k n in
+      let pool = Array.init n (fun i -> (i * 7) + 3) in
+      let a = Rng.of_int seed and b = Rng.of_int seed in
+      Rng.sample a pool k = Rng.sample_init b n (Array.get pool) k
+      && Rng.bits64 a = Rng.bits64 b)
+
 let () =
   Alcotest.run "rng"
     [
@@ -196,5 +208,5 @@ let () =
           Alcotest.test_case "sample bounds" `Quick test_sample_out_of_range;
         ] );
       ( "properties",
-        [ prop_int_in_bounds; prop_split_children_differ ] );
+        [ prop_int_in_bounds; prop_split_children_differ; prop_sample_init_is_sample ] );
     ]

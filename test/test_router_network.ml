@@ -12,8 +12,9 @@ let victim = Testutil.victim
 let wire router =
   let sent = ref [] in
   Router.set_transport router
-    ~send:(fun ~peer ~slot:_ update -> sent := (peer, update) :: !sent)
-    ~schedule:(fun ~delay:_ _ -> ());
+    { Router.send = (fun ~from:_ ~peer ~slot:_ update -> sent := (peer, update) :: !sent);
+    schedule = (fun ~delay:_ _ -> ()) }
+    ~index:0;
   fun () ->
     let out = List.rev !sent in
     sent := [];
@@ -42,7 +43,7 @@ let test_loop_detection () =
   let router = Router.create ~peers:(Testutil.peers [ 2 ]) (Asn.make 7) in
   let drain = wire router in
   (* a path already containing AS 7 must be discarded *)
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 7; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 7; 10 ] ());
   ignore (drain ());
   Alcotest.(check bool) "looping route not installed" true
     (Router.best router victim = None)
@@ -51,12 +52,12 @@ let test_loop_detection_implicit_withdraw () =
   (* peer 3 heard the first route and must hear the withdrawal *)
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 7) in
   let drain = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check bool) "first route installed" true
     (Router.best router victim <> None);
   ignore (drain ());
   (* the same peer now sends a looping path: the old route must go away *)
-  Router.handle_update router ~now:2.0 (announce ~from:2 [ 2; 7; 10 ] ());
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:2 [ 2; 7; 10 ] ());
   Alcotest.(check bool) "looping replacement withdraws" true
     (Router.best router victim = None);
   (* and the loss is propagated as an explicit withdrawal *)
@@ -72,7 +73,7 @@ let test_loop_detection_implicit_withdraw () =
 let test_split_horizon () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 10 ] ());
   let sent = drain () in
   let targets = List.map (fun (peer, _) -> Asn.to_int peer) sent in
   Alcotest.(check (list int)) "only the other peer hears it" [ 3 ] targets
@@ -80,18 +81,18 @@ let test_split_horizon () =
 let test_no_duplicate_advertisements () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 10 ] ());
   ignore (drain ());
   (* the identical announcement again: nothing new to say *)
-  Router.handle_update router ~now:2.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check int) "duplicate suppressed" 0 (List.length (drain ()))
 
 let test_better_route_replaces () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3; 4 ]) (Asn.make 1) in
   let drain = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 9; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 9; 10 ] ());
   ignore (drain ());
-  Router.handle_update router ~now:2.0 (announce ~from:3 [ 3; 10 ] ());
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:3 [ 3; 10 ] ());
   (match Router.best router victim with
   | Some best ->
     Alcotest.(check int) "shorter route installed" 2
@@ -117,10 +118,10 @@ let test_better_route_replaces () =
 let test_withdraw_falls_back () =
   let router = Router.create ~peers:(Testutil.peers [ 2; 3 ]) (Asn.make 1) in
   let drain = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
-  Router.handle_update router ~now:2.0 (announce ~from:3 [ 3; 8; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:3 [ 3; 8; 10 ] ());
   ignore (drain ());
-  Router.handle_update router ~now:3.0
+  Router.handle_update router ~clock:(ref 3.0)
     (Update.withdraw ~sender:(Asn.make 2) victim);
   match Router.best router victim with
   | Some best ->
@@ -139,10 +140,10 @@ let test_validator_filters () =
       (Asn.make 1)
   in
   let (_ : unit -> (Net.Asn.t * Update.t) list) = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 666 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 666 ] ());
   Alcotest.(check bool) "filtered origin never selected" true
     (Router.best router victim = None);
-  Router.handle_update router ~now:2.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 2.0) (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check bool) "clean origin selected" true
     (Router.best router victim <> None)
 
@@ -169,7 +170,7 @@ let test_unknown_peer_refused () =
   let drain = wire router in
   Alcotest.(check bool) "UPDATE from an AS without a slot" true
     (raises_invalid (fun () ->
-         Router.handle_update router ~now:1.0 (announce ~from:3 [ 3; 10 ] ())));
+         Router.handle_update router ~clock:(ref 1.0) (announce ~from:3 [ 3; 10 ] ())));
   Alcotest.(check bool) "nothing installed" true (Router.best router victim = None);
   Alcotest.(check bool) "peer_up for an AS without a slot" true
     (raises_invalid (fun () -> Router.peer_up router ~now:2.0 (Asn.make 3)));
@@ -178,14 +179,14 @@ let test_unknown_peer_refused () =
   Alcotest.(check int) "nothing sent" 0 (List.length (drain ()));
   (* peer_down for an unknown AS stays a no-op *)
   Router.peer_down router ~now:3.0 (Asn.make 3);
-  Router.handle_update router ~now:4.0 (announce ~from:4 [ 4; 10 ] ());
+  Router.handle_update router ~clock:(ref 4.0) (announce ~from:4 [ 4; 10 ] ());
   Alcotest.(check (list int)) "a declared peer is heard" [ 2 ]
     (List.map (fun (peer, _) -> Asn.to_int peer) (drain ()))
 
 let test_counters () =
   let router = Router.create ~peers:(Testutil.peers [ 2 ]) (Asn.make 1) in
   let (_ : unit -> (Net.Asn.t * Update.t) list) = wire router in
-  Router.handle_update router ~now:1.0 (announce ~from:2 [ 2; 10 ] ());
+  Router.handle_update router ~clock:(ref 1.0) (announce ~from:2 [ 2; 10 ] ());
   Alcotest.(check int) "received counted" 1 (Router.updates_received router);
   Alcotest.(check bool) "sent counted" true (Router.updates_sent router >= 0)
 

@@ -101,39 +101,64 @@ let queue_op_gen =
     frequency
       [ (5, map (fun t -> Push t) (int_range 0 4)); (2, pure Pop); (2, pure Pop_min) ])
 
+(* the ops against a reference: per integer time, a FIFO of the
+   pending sequence numbers, so the least (time, seq) entry is the head
+   of the first non-empty FIFO *)
+let matches_reference ops =
+  let q = Eq.create ~filler:0 () in
+  let pending = Array.init 5 (fun _ -> Queue.create ()) and seq = ref 0 and size = ref 0 in
+  let rec take_reference_from t =
+    if t = Array.length pending then None
+    else if Queue.is_empty pending.(t) then take_reference_from (t + 1)
+    else begin
+      decr size;
+      Some (float_of_int t, Queue.pop pending.(t))
+    end
+  in
+  let take_reference () = take_reference_from 0 in
+  List.for_all
+    (fun op ->
+      match op with
+      | Push t ->
+        Eq.push q ~time:(float_of_int t) !seq;
+        Queue.push !seq pending.(t);
+        incr seq;
+        incr size;
+        Eq.length q = !size
+      | Pop -> Eq.pop q = take_reference ()
+      | Pop_min -> (
+        match take_reference () with
+        | None -> Eq.is_empty q
+        | Some (time, s) ->
+          let head = ref Float.nan in
+          let payload = Eq.pop_min_into q head in
+          Float.equal !head time && payload = s))
+    ops
+  && Eq.length q = !size
+
 let prop_queue_matches_reference =
   Testutil.qtest ~count:300 "interleaved push/pop follows the sorted (time, seq) reference"
     QCheck2.Gen.(list_size (int_range 0 300) queue_op_gen)
-    (fun ops ->
-      let q = Eq.create ~filler:0 () in
-      (* the reference: pending (time, seq) pairs, kept sorted *)
-      let pending = ref [] and seq = ref 0 in
-      let take_reference () =
-        match !pending with
-        | [] -> None
-        | least :: rest ->
-          pending := rest;
-          Some least
-      in
-      List.for_all
-        (fun op ->
-          match op with
-          | Push t ->
-            let time = float_of_int t in
-            Eq.push q ~time !seq;
-            pending := List.merge compare !pending [ (time, !seq) ];
-            incr seq;
-            Eq.length q = List.length !pending
-          | Pop -> Eq.pop q = take_reference ()
-          | Pop_min -> (
-            match take_reference () with
-            | None -> Eq.is_empty q
-            | Some (time, s) ->
-              let head = ref Float.nan in
-              let payload = Eq.pop_min_into q head in
-              Float.equal !head time && payload = s))
-        ops
-      && Eq.length q = List.length !pending)
+    matches_reference
+
+(* the same across the queue's growth: 2,000 to 3,000 operations, eight
+   in ten of them pushes, so the pending entries pass 256 and 1,024, all
+   at five distinct times.  The operations are drawn from a generated
+   seed, not shrunk: a broken queue fails nearly every seed, and
+   shrinking would try them all. *)
+let prop_queue_matches_reference_grown =
+  Testutil.qtest ~count:40 "push/pop across growth past 1,024 pending follows the reference"
+    QCheck2.Gen.(no_shrink (int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.init
+        (2_000 + Random.State.int rng 1_001)
+        (fun _ ->
+          match Random.State.int rng 10 with
+          | 0 -> Pop
+          | 1 -> Pop_min
+          | _ -> Push (Random.State.int rng 5))
+      |> matches_reference)
 
 let test_queue_empty_accessors () =
   let q = Eq.create ~filler:"" () in
@@ -191,6 +216,29 @@ let test_queue_releases_popped () =
   Gc.full_major ();
   Alcotest.(check bool) "last payload of a drained queue" false (Weak.check weak 0);
   Alcotest.(check int) "queue still usable" 0 (Eq.length q)
+
+(* A payload popped after the queue grew past 1,024 slots is not
+   promoted by the next minor collection: a growth leaves no pointer to
+   it in the arrays it discards, which the remembered set would keep
+   scanning. *)
+let test_queue_growth_promotes_nothing () =
+  let q = Eq.create ~filler:[] () in
+  let clock = ref 0.0 in
+  Gc.minor ();
+  let[@inline never] push_young () = Eq.push q ~time:0.0 (List.init 1000 Fun.id) in
+  push_young ();
+  for i = 1 to 1_100 do
+    Eq.push q ~time:(float_of_int i) []
+  done;
+  while not (Eq.is_empty q) do
+    ignore (Sys.opaque_identity (Eq.pop_min_into q clock))
+  done;
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  if promoted > 100.0 then
+    Alcotest.failf "a minor collection after the drain promoted %.0f words (3,000-word payload)"
+      promoted
 
 (* Cancelled events still occupy their queue slot: [run] counts every
    slot it reaches, and runs exactly the handlers left armed, in order. *)
@@ -385,6 +433,8 @@ let () =
           Alcotest.test_case "10k random pushes" `Quick test_queue_10k_random;
           Alcotest.test_case "popped payload is collectable" `Quick
             test_queue_releases_popped;
+          Alcotest.test_case "grown queue promotes no popped payload" `Quick
+            test_queue_growth_promotes_nothing;
           Alcotest.test_case "empty and drained accessors" `Quick
             test_queue_empty_accessors;
         ] );
@@ -409,6 +459,7 @@ let () =
           prop_queue_sorted;
           prop_queue_fifo_on_ties;
           prop_queue_matches_reference;
+          prop_queue_matches_reference_grown;
           prop_engine_counts_cancelled;
         ] );
     ]
